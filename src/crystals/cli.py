@@ -23,7 +23,7 @@ from .axioms import (
     check_stembridge,
 )
 from .config import Config
-from .errors import ClosureBudgetExceeded, CrystalError, ParseError
+from .errors import ClosureBudgetExceeded, CrystalError, IndexOutOfRange, ParseError
 from .graph import (
     CrystalGraph,
     character,
@@ -125,7 +125,7 @@ def _build_model(args: argparse.Namespace) -> CrystalGraph:
         if not args.left or not args.right:
             raise ParseError("tensor model needs --left and --right graph files")
         return tensor_graphs(
-            _load_graph(args.left), _load_graph(args.right), queer=args.queer
+            _load_graph(args.left), _load_graph(args.right), args.queer, config
         )
     if args.model == "standard":
         if args.n is None:
@@ -190,7 +190,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
 def cmd_product(args: argparse.Namespace) -> int:
     gamma = parse_shape(args.gamma)
     delta = parse_shape(args.delta)
-    expansion = product_expand(gamma, delta, args.n)
+    expansion = product_expand(gamma, delta, args.n, _config(args))
     print(render_expansion(expansion, "P"))
     return EXIT_OK
 
@@ -211,6 +211,10 @@ def cmd_char(args: argparse.Namespace) -> int:
 
 
 def cmd_string(args: argparse.Namespace) -> int:
+    if args.n is not None and args.i >= args.n:
+        raise IndexOutOfRange(
+            f"color {args.i} outside 1..{args.n - 1} for an alphabet of {args.n}"
+        )
     if args.kind == "ssyt":
         tableau = parse_young(args.tableau, args.n)
         move_up, move_down = young_raise, young_lower

@@ -9,10 +9,14 @@ are the even operators, color ``0`` the queer operator, and strings like
 Construction closes a seed set under operator application with a frontier
 BFS; vertex identity is the serialized payload, so results are independent of
 seed order and worker schedule.
+
+A :class:`TensorView` reads the tensor product of two graphs on demand; the
+materialized product, :func:`tensor_graphs`, is that view over every pair.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -279,33 +283,6 @@ def build_graph(
 
 # -- string walks ------------------------------------------------------------
 
-def string_lengths_graph(graph: CrystalGraph, vid: str, color: Color) -> tuple[int, int]:
-    """Forward and backward path lengths ``(phi, eps)`` along one color.
-
-    Raises:
-        CycleDetected: The walk revisits a vertex.
-    """
-    phi = 0
-    seen = {vid}
-    cur = vid
-    while (nxt := graph.out_edge(cur, color)) is not None:
-        if nxt in seen:
-            raise CycleDetected(f"color {color} walk from {vid!r} revisits {nxt!r}")
-        seen.add(nxt)
-        cur = nxt
-        phi += 1
-    eps = 0
-    seen = {vid}
-    cur = vid
-    while (prev := graph.in_edge(cur, color)) is not None:
-        if prev in seen:
-            raise CycleDetected(f"color {color} walk from {vid!r} revisits {prev!r}")
-        seen.add(prev)
-        cur = prev
-        eps += 1
-    return phi, eps
-
-
 def string_length_maps(
     graph: CrystalGraph, color: Color
 ) -> tuple[dict[str, int], dict[str, int]]:
@@ -448,66 +425,159 @@ def _wrap_factor(payload: str) -> str:
     return f"({payload})" if "⊗" in payload else payload
 
 
-def tensor_graphs(
-    g1: CrystalGraph, g2: CrystalGraph, queer: bool = False
-) -> CrystalGraph:
-    """Tensor product graph on the full cartesian product of vertices.
+Pair = tuple[str, str]
 
-    For an even color the move acts on the left factor when the right
-    factor's raising string for that color is shorter than the left factor's
-    lowering string, otherwise on the right factor.  With ``queer=True`` the
-    0-move acts on the left factor exactly when the right factor's weight
-    vanishes in coordinates 1 and 2, otherwise on the right factor.
+
+class TensorView:
+    """The tensor product of two graphs, read on demand without building it.
+
+    Vertices are ``(left id, right id)`` pairs.  The view offers the read
+    protocol of :class:`CrystalGraph` that the reflection walks use
+    (``n``, ``weight_of``, ``out_edge``, ``in_edge``), so the odd operators
+    and the queer highest-weight search run on it directly.
+
+    For an even color ``i`` the lowering move acts on the left factor when
+    ``eps_i(b2) < phi_i(b1)`` and the raising move when
+    ``eps_i(b2) <= phi_i(b1)``; otherwise both act on the right factor.
+    With ``queer=True`` the 0-moves act on the left factor exactly when the
+    right factor's weight vanishes in coordinates 1 and 2.  Raising moves
+    follow this rule only when both factors are crystals (one edge per
+    vertex and color, strings that match the weights).
 
     Raises:
         DimensionMismatch: The two graphs have different weight lengths.
         CycleDetected: A factor has a malformed monochromatic cycle.
     """
-    if g1.n != g2.n:
-        raise DimensionMismatch(
-            f"cannot tensor graphs with weight lengths {g1.n} and {g2.n}"
-        )
-    n = g1.n
-    even_colors = sorted(
-        {c for c in (*g1.colors, *g2.colors) if isinstance(c, int) and c >= 1}
+
+    __slots__ = (
+        "n", "left", "right", "queer", "even_colors", "_phi_left", "_eps_left", "_eps_right"
     )
-    phi_left = {c: string_length_maps(g1, c)[0] for c in even_colors}
-    eps_right = {c: string_length_maps(g2, c)[1] for c in even_colors}
 
-    pair_id: dict[tuple[str, str], str] = {}
-    vertices: list[Vertex] = []
-    for id1, v1 in g1.vertices.items():
-        for id2, v2 in g2.vertices.items():
-            payload = f"{_wrap_factor(v1.payload)}⊗{_wrap_factor(v2.payload)}"
-            pair_id[(id1, id2)] = payload
-            weight = tuple(a + b for a, b in zip(v1.weight, v2.weight))
-            vertices.append(Vertex(payload, payload, weight))
+    def __init__(self, g1: CrystalGraph, g2: CrystalGraph, queer: bool = False) -> None:
+        if g1.n != g2.n:
+            raise DimensionMismatch(
+                f"cannot tensor graphs with weight lengths {g1.n} and {g2.n}"
+            )
+        self.n = g1.n
+        self.left = g1
+        self.right = g2
+        self.queer = queer
+        self.even_colors: tuple[int, ...] = tuple(sorted(
+            {c for c in (*g1.colors, *g2.colors) if isinstance(c, int) and c >= 1}
+        ))
+        left_maps = {c: string_length_maps(g1, c) for c in self.even_colors}
+        self._phi_left = {c: phi for c, (phi, _) in left_maps.items()}
+        self._eps_left = {c: eps for c, (_, eps) in left_maps.items()}
+        self._eps_right = {c: string_length_maps(g2, c)[1] for c in self.even_colors}
 
+    @property
+    def colors(self) -> tuple[int, ...]:
+        return ((0,) if self.queer else ()) + self.even_colors
+
+    def payload_of(self, pair: Pair) -> str:
+        """The factor payloads joined by ``⊗``, nested products in parentheses."""
+        return (
+            f"{_wrap_factor(self.left.payload_of(pair[0]))}"
+            f"⊗{_wrap_factor(self.right.payload_of(pair[1]))}"
+        )
+
+    def weight_of(self, pair: Pair) -> Weight:
+        w1 = self.left.weight_of(pair[0])
+        w2 = self.right.weight_of(pair[1])
+        return tuple(a + b for a, b in zip(w1, w2))
+
+    def _acts_left(self, pair: Pair, color: Color, lowering: bool) -> bool | None:
+        """Which factor the move acts on; ``None`` for a color without moves."""
+        if color == 0:
+            if not self.queer:
+                return None
+            return not any(self.right.weight_of(pair[1])[:2])
+        if color not in self._eps_right:
+            return None
+        eps = self._eps_right[color][pair[1]]
+        phi = self._phi_left[color][pair[0]]
+        return eps < phi if lowering else eps <= phi
+
+    def out_edge(self, pair: Pair, color: Color) -> Pair | None:
+        on_left = self._acts_left(pair, color, lowering=True)
+        if on_left is None:
+            return None
+        b1, b2 = pair
+        if on_left:
+            target = self.left.out_edge(b1, color)
+            return None if target is None else (target, b2)
+        target = self.right.out_edge(b2, color)
+        return None if target is None else (b1, target)
+
+    def in_edge(self, pair: Pair, color: Color) -> Pair | None:
+        on_left = self._acts_left(pair, color, lowering=False)
+        if on_left is None:
+            return None
+        b1, b2 = pair
+        if on_left:
+            source = self.left.in_edge(b1, color)
+            return None if source is None else (source, b2)
+        source = self.right.in_edge(b2, color)
+        return None if source is None else (b1, source)
+
+    def even_highest_weights(self) -> list[Pair]:
+        """Pairs with no incoming even edge, without visiting the whole product.
+
+        ``b1 ⊗ b2`` qualifies iff ``eps_i(b1) = 0`` and
+        ``eps_i(b2) <= phi_i(b1)`` for every even color, so only the highest
+        weights of the left factor are paired with the right factor.
+        """
+        colors = self.even_colors
+        result = []
+        for b1 in self.left.vertex_ids:
+            if any(self._eps_left[c][b1] for c in colors):
+                continue
+            bounds = [(self._eps_right[c], self._phi_left[c][b1]) for c in colors]
+            result.extend(
+                (b1, b2)
+                for b2 in self.right.vertex_ids
+                if all(eps[b2] <= phi for eps, phi in bounds)
+            )
+        return result
+
+
+def tensor_graphs(
+    g1: CrystalGraph,
+    g2: CrystalGraph,
+    queer: bool = False,
+    config: Config | None = None,
+) -> CrystalGraph:
+    """Tensor product graph on the full cartesian product of vertices.
+
+    Materializes :class:`TensorView` over every pair; vertex ids are the
+    view's payloads.
+
+    Raises:
+        DimensionMismatch: The two graphs have different weight lengths.
+        ClosureBudgetExceeded: ``len(g1) * len(g2)`` exceeds
+            ``config.max_vertices``; checked before the product is built.
+        CycleDetected: A factor has a malformed monochromatic cycle.
+    """
+    config = config or DEFAULT_CONFIG
+    view = TensorView(g1, g2, queer)
+    size = len(g1) * len(g2)
+    if size > config.max_vertices:
+        raise ClosureBudgetExceeded(
+            f"tensor product of {len(g1)} x {len(g2)} = {size} vertices "
+            f"exceeds {config.max_vertices} vertices"
+        )
+    pair_id = {
+        pair: view.payload_of(pair)
+        for pair in itertools.product(g1.vertex_ids, g2.vertex_ids)
+    }
+    vertices = [Vertex(pid, pid, view.weight_of(pair)) for pair, pid in pair_id.items()]
     edges: list[Edge] = []
-    for id1, id2 in pair_id:
-        src = pair_id[(id1, id2)]
-        for color in even_colors:
-            if eps_right[color][id2] < phi_left[color][id1]:
-                target = g1.out_edge(id1, color)
-                if target is not None:
-                    edges.append((src, color, pair_id[(target, id2)]))
-            else:
-                target = g2.out_edge(id2, color)
-                if target is not None:
-                    edges.append((src, color, pair_id[(id1, target)]))
-        if queer:
-            w2 = g2.weight_of(id2)
-            first = w2[0] if n >= 1 else 0
-            second = w2[1] if n >= 2 else 0
-            if first == 0 and second == 0:
-                target = g1.out_edge(id1, 0)
-                if target is not None:
-                    edges.append((src, 0, pair_id[(target, id2)]))
-            else:
-                target = g2.out_edge(id2, 0)
-                if target is not None:
-                    edges.append((src, 0, pair_id[(id1, target)]))
-    return CrystalGraph(n, vertices, edges)
+    for pair, src in pair_id.items():
+        for color in view.colors:
+            target = view.out_edge(pair, color)
+            if target is not None:
+                edges.append((src, color, pair_id[target]))
+    return CrystalGraph(view.n, vertices, edges)
 
 
 # -- serialization ------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Ready-made crystal graphs: standard, tableau-based, and tensor powers.
+"""Ready-made crystal graphs: the standard crystals and the tableau crystals.
 
 Each constructor closes the full tableau enumeration under the relevant
 operators, so the resulting graph is simultaneously the enumeration and the
@@ -12,7 +12,7 @@ from typing import Sequence
 from . import queer, shifted, young
 from .config import Config
 from .errors import ValueOutOfRange
-from .graph import CrystalGraph, OperatorPair, Vertex, build_graph, tensor_graphs
+from .graph import CrystalGraph, OperatorPair, Vertex, build_graph
 from .tableaux import (
     ShiftedTableau,
     YoungTableau,
@@ -117,13 +117,3 @@ def queer_graph(
         weight_of=lambda t: weight(t, n),
         config=config,
     )
-
-
-def tensor_power(graph: CrystalGraph, k: int, queer: bool = False) -> CrystalGraph:
-    """Left-nested ``k``-fold tensor power of ``graph``."""
-    if k < 1:
-        raise ValueOutOfRange(f"tensor power must be positive, got {k}")
-    result = graph
-    for _ in range(k - 1):
-        result = tensor_graphs(result, graph, queer=queer)
-    return result

@@ -5,10 +5,11 @@ bottom row into a ``2`` (on the main diagonal) or ``2'`` (off it); the raising
 move inverts this.  Values ``1`` and ``2'`` only ever occur in the bottom row,
 so the moves are two-sided inverses.
 
-On a materialized graph, longer-range odd operators are conjugates of the
-0-move by walks along even strings: ``S_i`` reflects a vertex across its
-``i``-string, words of reflections compose right-to-left, and the ``k``-th odd
-lowering operator is the 0-move conjugated by the ``k``-th reflection word.
+On a graph, or on a lazy tensor view of two graphs, longer-range odd
+operators are conjugates of the 0-move by walks along even strings: ``S_i``
+reflects a vertex across its ``i``-string, words of reflections compose
+right-to-left, and the ``k``-th odd lowering operator is the 0-move
+conjugated by the ``k``-th reflection word.
 """
 
 from __future__ import annotations
@@ -16,8 +17,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import IndexOutOfRange, StringTruncated
-from .graph import CrystalGraph, highest_weights
+from .graph import CrystalGraph, Pair, TensorView, highest_weights
 from .tableaux import Entry, ShiftedTableau, cells_of, replace_cells
+
+VertexId = str | Pair
+"""A vertex id of a :class:`CrystalGraph` or a pair of a :class:`TensorView`."""
 
 
 def f0(t: ShiftedTableau) -> ShiftedTableau | None:
@@ -63,7 +67,7 @@ def eps0(t: ShiftedTableau) -> int:
 
 # -- graph-level odd operators -------------------------------------------------
 
-def weyl_s(graph: CrystalGraph, vid: str, i: int) -> str:
+def weyl_s(graph: CrystalGraph | TensorView, vid: VertexId, i: int) -> VertexId:
     """Reflection ``S_i``: walk to the mirror vertex of the ``i``-string.
 
     With ``d = wt_i - wt_{i+1}``, applies the color-``i`` lowering move ``d``
@@ -90,7 +94,9 @@ def weyl_s(graph: CrystalGraph, vid: str, i: int) -> str:
     return cur
 
 
-def apply_weyl_word(graph: CrystalGraph, vid: str, word: Sequence[int]) -> str:
+def apply_weyl_word(
+    graph: CrystalGraph | TensorView, vid: VertexId, word: Sequence[int]
+) -> VertexId:
     """Compose reflections; the rightmost letter of ``word`` acts first."""
     cur = vid
     for i in reversed(word):
@@ -136,21 +142,28 @@ def odd_e(graph: CrystalGraph, vid: str, k: int) -> str | None:
     return apply_weyl_word(graph, raised, tuple(reversed(word)))
 
 
-def queer_highest_weights(graph: CrystalGraph) -> list[str]:
+def queer_highest_weights(graph: CrystalGraph | TensorView) -> list[VertexId]:
     """Vertices annihilated by every even and every odd raising operator.
 
     A vertex qualifies when it has no incoming even-colored edge and, for
     each ``k``, the ``k``-th reflection word sends it to a vertex with no
-    incoming 0-edge.
+    incoming 0-edge.  On a :class:`TensorView` the even candidates come from
+    :meth:`TensorView.even_highest_weights`, so only the highest weights of
+    the left factor times the right factor are visited and the result is a
+    list of ``(left id, right id)`` pairs.
 
     Raises:
         StringTruncated: A reflection walk left the graph.
     """
-    result = []
-    for vid in highest_weights(graph, range(1, graph.n)):
+    if isinstance(graph, TensorView):
+        candidates = graph.even_highest_weights()
+    else:
+        candidates = highest_weights(graph, range(1, graph.n))
+    return [
+        vid
+        for vid in candidates
         if all(
             graph.in_edge(apply_weyl_word(graph, vid, odd_word(k)), 0) is None
             for k in range(1, graph.n)
-        ):
-            result.append(vid)
-    return result
+        )
+    ]

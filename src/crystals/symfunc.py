@@ -4,8 +4,10 @@ Characters of the tableau families give the two polynomial bases handled
 here: ordinary tableaux for ``schur`` and shifted ones for ``schur_p``.
 Basis changes are computed combinatorially — the shifted-to-ordinary
 expansion by enumerating tableaux with vanishing raising strings, and
-products of the shifted basis by counting distinguished sources in a
-tensor product of the corresponding graphs.
+products of the shifted basis by counting the queer highest weights of
+``B(gamma) ⊗ B(delta)``.  The tensor product is never built: only the
+highest weights of ``B(gamma)`` paired with ``B(delta)`` are searched,
+through a lazy view of the product.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
+from .config import Config
 from .errors import DimensionMismatch, ShapeMismatch, ValueOutOfRange
-from .graph import tensor_graphs
+from .graph import TensorView
 from .models import queer_graph
 from .poly import SparsePolynomial
 from .queer import queer_highest_weights
@@ -96,28 +99,38 @@ def schur_p_to_schur(shape: Sequence[int], n: int | None = None) -> Expansion:
 
 
 def product_expand(
-    gamma: Sequence[int], delta: Sequence[int], n: int
+    gamma: Sequence[int],
+    delta: Sequence[int],
+    n: int,
+    config: Config | None = None,
 ) -> Expansion:
     """Structure constants of a product in the shifted basis.
 
-    Counts the distinguished sources of the tensor product of the two
-    graphs built from ``gamma`` and ``delta`` over an ``n``-letter
-    alphabet, grouped by weight.  With ``n`` at least ``sum(gamma) +
-    sum(delta)`` the counts expand the product completely.
+    Counts the queer highest weights of ``B(gamma) ⊗ B(delta)`` over an
+    ``n``-letter alphabet, grouped by weight.  With ``n`` at least
+    ``sum(gamma) + sum(delta)`` the counts expand the product completely.
+
+    Only the two factor graphs are built.  The search visits the even
+    highest weights of ``B(gamma)`` times ``B(delta)`` and walks the odd
+    reflections of each even highest weight on a :class:`TensorView`, so
+    past the factor builds its cost is about ``|hw(B(gamma))| * |B(delta)|``,
+    not ``|B(gamma)| * |B(delta)|``.
 
     Raises:
         ShapeMismatch: either shape is not a strict partition.
         ValueOutOfRange: ``n`` is smaller than 2.
+        ClosureBudgetExceeded: a factor graph grew past
+            ``config.max_vertices``.
     """
     for shape in (gamma, delta):
         if not is_strict_partition(tuple(shape)):
             raise ShapeMismatch(f"{tuple(shape)} is not a strict partition")
-    left = queer_graph(gamma, n)
-    right = queer_graph(delta, n)
-    product = tensor_graphs(left, right, queer=True)
+    left = queer_graph(gamma, n, config)
+    right = queer_graph(delta, n, config)
+    product = TensorView(left, right, queer=True)
     counts: Counter[Partition] = Counter()
-    for vid in queer_highest_weights(product):
-        counts[_strip(product.weight_of(vid))] += 1
+    for pair in queer_highest_weights(product):
+        counts[_strip(product.weight_of(pair))] += 1
     return dict(counts)
 
 

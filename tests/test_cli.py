@@ -5,7 +5,9 @@ Checks:
 * enumeration writes one tableau per line plus a count, to stdout or a file,
 * graph files round-trip through the verifier with exit code 0, and a broken
   file exits 1 with a JSON verdict on stdout,
-* parse problems exit 2, missing files exit 3, and a tiny vertex budget exits 4,
+* parse problems exit 2, missing files exit 3, and a tiny vertex budget exits 4
+  for graph closure, tensor products and product expansions,
+* a string color outside the declared alphabet exits 2,
 * global options are accepted before the subcommand and relative outputs land
   in the requested directory,
 * the thread count and environment override never change output bytes,
@@ -171,6 +173,64 @@ def test_output_dir_resolves_relative_paths(tmp_path, capsys):
     )
     assert code == 0
     assert (tmp_path / "inner.txt").exists()
+
+
+def test_product_budget_exits_four(capsys):
+    code, out, err = run(
+        capsys,
+        "--max-vertices",
+        "10",
+        "product",
+        "--gamma",
+        "2,1",
+        "--delta",
+        "2,1",
+        "--n",
+        "6",
+    )
+    assert code == 4
+    assert out == ""
+    assert "error:" in err
+
+
+def test_tensor_budget_exits_four(tmp_path, capsys):
+    factor = tmp_path / "factor.json"
+    code, _, _ = run(
+        capsys, "graph", "--model", "queer", "--shape", "1", "--n", "3", "--out", str(factor)
+    )
+    assert code == 0
+    target = tmp_path / "never.json"
+    code, out, err = run(
+        capsys,
+        "--max-vertices",
+        "8",
+        "graph",
+        "--model",
+        "tensor",
+        "--left",
+        str(factor),
+        "--right",
+        str(factor),
+        "--queer",
+        "--out",
+        str(target),
+    )
+    assert code == 4
+    assert out == ""
+    assert "error:" in err and "9 vertices" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, tableau", [("ssht", "[[1,2]]"), ("ssyt", "[[1,2]]")]
+)
+def test_string_rejects_color_outside_alphabet(capsys, kind, tableau):
+    code, out, err = run(
+        capsys, "string", "--kind", kind, "--tableau", tableau, "--n", "2", "--i", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
 
 
 def test_tensor_model_from_files(tmp_path, capsys):
