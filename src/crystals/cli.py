@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 verification found violations, 2 invalid input
 (shape, parse, or truncation risk), 3 I/O failure, 4 vertex budget
 exceeded.  Counts and summaries go to stdout, diagnostics to stderr, and
 machine-readable output is JSON.  Every file written ends with a trailing
-newline.  Output bytes never depend on the thread count.
+newline.  ``--threads`` and ``CRYSTAL_THREADS`` are validated but change
+nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .axioms import (
     check_queer_regular,
     check_stembridge,
 )
-from .config import Config
+from .config import Config, resolve_threads
 from .errors import ClosureBudgetExceeded, CrystalError, IndexOutOfRange, ParseError
 from .graph import (
     CrystalGraph,
@@ -84,7 +85,9 @@ def _config(args: argparse.Namespace) -> Config:
         kwargs["threads"] = args.threads
     if args.output_dir is not None:
         kwargs["output_dir"] = Path(args.output_dir)
-    return Config(**kwargs)
+    config = Config(**kwargs)
+    resolve_threads(config)  # refuses a malformed CRYSTAL_THREADS (exit 2)
+    return config
 
 
 def _out_path(args: argparse.Namespace, out: str) -> Path:
@@ -100,12 +103,11 @@ def _format_weight(weight: tuple[int, ...]) -> str:
 
 def cmd_enum(args: argparse.Namespace) -> int:
     shape = parse_shape(args.shape)
-    enumerators: dict[str, Callable] = {
-        "ssyt": enumerate_ssyt,
-        "ssht": enumerate_ssht,
-        "yam": enumerate_yamanouchi,
-    }
-    tableaux = enumerators[args.kind](shape, args.n)
+    if args.kind == "yam":
+        tableaux = enumerate_yamanouchi(shape, args.n)
+    else:
+        enumerate_ = enumerate_ssyt if args.kind == "ssyt" else enumerate_ssht
+        tableaux = enumerate_(shape, args.n, limit=_config(args).max_vertices)
     lines = "".join(render_tableau(t) + "\n" for t in tableaux)
     if args.out:
         _out_path(args, args.out).write_text(lines, encoding="utf-8")
@@ -237,10 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tableau crystals: enumeration, graphs, verification.",
     )
     parser.add_argument(
-        "--max-vertices", type=int, default=None, help="vertex budget for graph closure"
+        "--max-vertices",
+        type=int,
+        default=None,
+        help="vertex budget for graphs, products and ssyt/ssht enumeration",
     )
     parser.add_argument(
-        "--threads", type=int, default=None, help="worker threads for graph closure"
+        "--threads",
+        type=int,
+        default=None,
+        help="accepted and validated, but changes nothing (builds use one thread)",
     )
     parser.add_argument(
         "--output-dir", default=None, help="directory for relative output paths"
@@ -248,7 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enum", help="enumerate tableaux, one per line")
-    p.add_argument("kind", choices=("ssyt", "ssht", "yam"))
+    p.add_argument(
+        "kind",
+        choices=("ssyt", "ssht", "yam"),
+        help="ssyt and ssht exit 4 past --max-vertices tableaux; yam ignores the budget",
+    )
     p.add_argument("--shape", required=True, help='comma-separated, e.g. "3,1"')
     p.add_argument("--n", type=int, required=True, help="largest entry value")
     p.add_argument("--out", help="write tableaux here instead of stdout")

@@ -1,9 +1,10 @@
-"""Runtime limits and parallelism settings.
+"""Runtime limits and the thread setting.
 
-A :class:`Config` travels into graph construction; the vertex budget guards
-closure runaway, the thread count sizes the frontier pool (output bytes never
-depend on it), and ``output_dir`` anchors CLI file outputs.  The environment
-variable ``CRYSTAL_THREADS`` overrides the configured thread count.
+A :class:`Config` travels into graph construction and enumeration: the
+vertex budget stops a build or an enumeration before it grows past
+``max_vertices``, and ``output_dir`` anchors CLI file outputs.  Every build
+runs on one thread, so ``threads`` and the environment variable
+``CRYSTAL_THREADS`` change nothing; they are still accepted and validated.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ class Config:
     """Construction limits.
 
     Attributes:
-        max_vertices: Hard cap on graph closure size.
-        threads: Worker count for frontier expansion; ``None`` means one per
-            available core.
+        max_vertices: Hard cap on graph and enumeration size.
+        threads: Accepted and validated but unused: every build runs on one
+            thread.
         output_dir: Directory for CLI-generated files.
     """
 
@@ -43,7 +44,10 @@ DEFAULT_CONFIG = Config()
 
 
 def resolve_threads(config: Config | None = None) -> int:
-    """Effective worker count: ``CRYSTAL_THREADS`` beats config beats cores.
+    """The thread setting: ``CRYSTAL_THREADS`` beats config beats cores.
+
+    No build reads it; the CLI calls it so that a malformed environment
+    value is still refused.
 
     Raises:
         ParseError: The environment variable is not a positive integer.

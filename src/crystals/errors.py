@@ -49,7 +49,7 @@ class DimensionMismatch(CrystalError):
 
 
 class ClosureBudgetExceeded(CrystalError):
-    """Graph closure grew past the configured vertex budget."""
+    """A graph or enumeration grew past the configured vertex budget."""
 
 
 class ParseError(CrystalError):

@@ -1,4 +1,4 @@
-"""Colored directed graphs of lowering operators, with builders and I/O.
+"""Colored directed graphs of lowering operators, with queries and I/O.
 
 A :class:`CrystalGraph` stores vertices keyed by canonical payload text plus
 edges ``(src, color, dst)`` meaning the color's lowering operator maps ``src``
@@ -6,9 +6,10 @@ to ``dst``.  Raising moves are the reversed edges.  Integer colors ``1, 2, …``
 are the even operators, color ``0`` the queer operator, and strings like
 ``"1p"`` label derived odd operators.
 
-Construction closes a seed set under operator application with a frontier
-BFS; vertex identity is the serialized payload, so results are independent of
-seed order and worker schedule.
+A graph stores its vertices sorted by id and its edges sorted by
+``(src, color, dst)``, so a graph built from the same vertex and edge sets in
+any order has the same JSON and DOT bytes.  The tableau crystals are built in
+:mod:`crystals.models`.
 
 A :class:`TensorView` reads the tensor product of two graphs on demand; the
 materialized product, :func:`tensor_graphs`, is that view over every pair.
@@ -19,11 +20,10 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable
 
-from .config import Config, DEFAULT_CONFIG, resolve_threads
+from .config import Config, DEFAULT_CONFIG
 from .errors import (
     ClosureBudgetExceeded,
     CycleDetected,
@@ -146,9 +146,6 @@ class CrystalGraph:
     def out_colors(self, vid: str) -> tuple[Color, ...]:
         return tuple(sorted(self._out[vid], key=color_key))
 
-    def in_colors(self, vid: str) -> tuple[Color, ...]:
-        return tuple(sorted(self._in[vid], key=color_key))
-
     def edge_counts(self) -> dict[Color, int]:
         counts: dict[Color, int] = {}
         for _, color, _ in self.edges:
@@ -190,95 +187,6 @@ class CrystalGraph:
             f"CrystalGraph(n={self.n}, vertices={len(self.vertices)}, "
             f"edges={len(self.edges)})"
         )
-
-
-# -- construction ------------------------------------------------------------
-
-Lowering = Callable[[object], object | None]
-Raising = Callable[[object], object | None]
-OperatorPair = tuple[Lowering | None, Raising | None]
-
-
-def build_graph(
-    seeds: Iterable[object],
-    operators: Mapping[Color, OperatorPair],
-    n: int,
-    *,
-    serialize: Callable[[object], str],
-    weight_of: Callable[[object], Sequence[int]],
-    config: Config | None = None,
-) -> CrystalGraph:
-    """Close ``seeds`` under the given operators and return the edge graph.
-
-    Args:
-        seeds: Initial payload objects (tableaux, tensor words, ...).
-        operators: color -> (lowering, raising); either member may be ``None``.
-        n: Weight vector length.
-        serialize: Canonical text form; doubles as the vertex id.
-        weight_of: Weight vector of a payload.
-        config: Limits; ``config.max_vertices`` caps the closure.
-
-    Raises:
-        ClosureBudgetExceeded: The closure grew past ``config.max_vertices``.
-    """
-    config = config or DEFAULT_CONFIG
-    color_order = sorted(operators, key=color_key)
-    payloads: dict[str, object] = {}
-    edges: set[Edge] = set()
-    frontier: list[str] = []
-    for seed in seeds:
-        sid = serialize(seed)
-        if sid not in payloads:
-            payloads[sid] = seed
-            frontier.append(sid)
-            if len(payloads) > config.max_vertices:
-                raise ClosureBudgetExceeded(
-                    f"closure exceeded {config.max_vertices} vertices"
-                )
-
-    def expand(pid: str) -> list[tuple[Color, str, object]]:
-        # Returns (color, direction, neighbor) facts; "f" means pid -> nbr.
-        payload = payloads[pid]
-        facts: list[tuple[Color, str, object]] = []
-        for color in color_order:
-            lowering, raising = operators[color]
-            if lowering is not None:
-                down = lowering(payload)
-                if down is not None:
-                    facts.append((color, "f", down))
-            if raising is not None:
-                up = raising(payload)
-                if up is not None:
-                    facts.append((color, "e", up))
-        return facts
-
-    threads = resolve_threads(config)
-    while frontier:
-        frontier.sort()
-        if threads > 1 and len(frontier) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                batches = list(pool.map(expand, frontier))
-        else:
-            batches = [expand(pid) for pid in frontier]
-        next_frontier: list[str] = []
-        for pid, facts in zip(frontier, batches):
-            for color, direction, neighbor in facts:
-                nid = serialize(neighbor)
-                if nid not in payloads:
-                    payloads[nid] = neighbor
-                    next_frontier.append(nid)
-                    if len(payloads) > config.max_vertices:
-                        raise ClosureBudgetExceeded(
-                            f"closure exceeded {config.max_vertices} vertices"
-                        )
-                edges.add((pid, color, nid) if direction == "f" else (nid, color, pid))
-        frontier = next_frontier
-
-    vertices = [
-        Vertex(pid, pid, tuple(weight_of(payload)))
-        for pid, payload in payloads.items()
-    ]
-    return CrystalGraph(n, vertices, edges)
 
 
 # -- string walks ------------------------------------------------------------

@@ -57,22 +57,6 @@ class SparsePolynomial:
         return cls(n)
 
     @classmethod
-    def one(cls, n: int) -> "SparsePolynomial":
-        return cls(n, {(0,) * n: 1})
-
-    @classmethod
-    def monomial(cls, n: int, exponent: Sequence[int], coefficient: int = 1) -> "SparsePolynomial":
-        return cls(n, {tuple(exponent): coefficient})
-
-    @classmethod
-    def variable(cls, n: int, index: int) -> "SparsePolynomial":
-        """The single variable ``x<index>``, 1-based."""
-        if not 1 <= index <= n:
-            raise IndexOutOfRange(f"variable index {index} outside 1..{n}")
-        exponent = tuple(1 if j == index - 1 else 0 for j in range(n))
-        return cls(n, {exponent: 1})
-
-    @classmethod
     def from_weights(cls, n: int, weights: Iterable[Sequence[int]]) -> "SparsePolynomial":
         """Sum of one monomial ``x^w`` per weight vector (with multiplicity)."""
         terms: dict[Exponent, int] = {}
@@ -123,14 +107,6 @@ class SparsePolynomial:
         if isinstance(other, int):
             return self * other
         return NotImplemented
-
-    def __pow__(self, power: int) -> "SparsePolynomial":
-        if power < 0:
-            raise DimensionMismatch(f"negative power {power} not supported")
-        result = SparsePolynomial.one(self.n)
-        for _ in range(power):
-            result = result * self
-        return result
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparsePolynomial):

@@ -17,6 +17,7 @@ from functools import total_ordering
 from typing import Iterator, Sequence
 
 from .errors import (
+    ClosureBudgetExceeded,
     ColumnViolation,
     DiagonalMarkViolation,
     DuplicateMarkInRow,
@@ -400,7 +401,20 @@ def _word_sort_key(t: Tableau) -> tuple[int, ...]:
     return tuple(entry.sort_key for entry in reading_word(t))
 
 
-def enumerate_ssyt(shape: Sequence[int], n: int) -> list[YoungTableau]:
+def _keep(results: list, tableau: Tableau, limit: int | None) -> None:
+    """Append ``tableau``; refuse the ``limit + 1``-st before enumerating on."""
+    results.append(tableau)
+    if limit is not None and len(results) > limit:
+        kind = "Young" if isinstance(tableau, YoungTableau) else "shifted"
+        raise ClosureBudgetExceeded(
+            f"enumeration of {kind} tableaux of shape {tableau.shape} reached "
+            f"{len(results)} tableaux, over the budget of {limit} vertices"
+        )
+
+
+def enumerate_ssyt(
+    shape: Sequence[int], n: int, limit: int | None = None
+) -> list[YoungTableau]:
     """All semistandard Young tableaux of ``shape`` with entries at most ``n``.
 
     The result is ordered lexicographically by row reading word.
@@ -408,23 +422,21 @@ def enumerate_ssyt(shape: Sequence[int], n: int) -> list[YoungTableau]:
     Raises:
         ShapeMismatch: ``shape`` is not a partition.
         ValueOutOfRange: ``n`` is not positive.
+        ClosureBudgetExceeded: There are more than ``limit`` tableaux; raised
+            when the ``limit + 1``-st is found.
     """
     shape = tuple(shape)
     if shape and not is_partition(shape):
         raise ShapeMismatch(f"{shape} is not a partition")
     if n < 1:
         raise ValueOutOfRange(f"alphabet bound must be positive, got {n}")
-    if not shape:
-        return [YoungTableau((), ())]
 
     results: list[YoungTableau] = []
     rows: list[list[Entry]] = [[] for _ in shape]
 
     def fill(r: int, c: int) -> None:
         if r == len(shape):
-            results.append(
-                YoungTableau(shape, tuple(tuple(row) for row in rows))
-            )
+            _keep(results, YoungTableau(shape, tuple(tuple(row) for row in rows)), limit)
             return
         if c > shape[r]:
             fill(r + 1, 1)
@@ -444,7 +456,9 @@ def enumerate_ssyt(shape: Sequence[int], n: int) -> list[YoungTableau]:
     return results
 
 
-def enumerate_ssht(shape: Sequence[int], n: int) -> list[ShiftedTableau]:
+def enumerate_ssht(
+    shape: Sequence[int], n: int, limit: int | None = None
+) -> list[ShiftedTableau]:
     """All semistandard shifted tableaux of strict ``shape`` with values at most ``n``.
 
     The result is ordered lexicographically by hook reading word.
@@ -452,14 +466,14 @@ def enumerate_ssht(shape: Sequence[int], n: int) -> list[ShiftedTableau]:
     Raises:
         ShapeMismatch: ``shape`` is not a strict partition.
         ValueOutOfRange: ``n`` is not positive.
+        ClosureBudgetExceeded: There are more than ``limit`` tableaux; raised
+            when the ``limit + 1``-st is found.
     """
     shape = tuple(shape)
     if shape and not is_strict_partition(shape):
         raise ShapeMismatch(f"{shape} is not a strict partition")
     if n < 1:
         raise ValueOutOfRange(f"alphabet bound must be positive, got {n}")
-    if not shape:
-        return [ShiftedTableau((), ())]
 
     results: list[ShiftedTableau] = []
     rows: list[list[Entry]] = [[] for _ in shape]
@@ -488,9 +502,7 @@ def enumerate_ssht(shape: Sequence[int], n: int) -> list[ShiftedTableau]:
 
     def fill(r: int, c: int) -> None:
         if r > len(shape):
-            results.append(
-                ShiftedTableau(shape, tuple(tuple(row) for row in rows))
-            )
+            _keep(results, ShiftedTableau(shape, tuple(tuple(row) for row in rows)), limit)
             return
         end = r + shape[r - 1] - 1
         if c > end:

@@ -6,11 +6,13 @@ Checks:
 * graph files round-trip through the verifier with exit code 0, and a broken
   file exits 1 with a JSON verdict on stdout,
 * parse problems exit 2, missing files exit 3, and a tiny vertex budget exits 4
-  for graph closure, tensor products and product expansions,
+  for model graphs (before enumerating past the budget), ssyt/ssht
+  enumeration, tensor products and product expansions,
 * a string color outside the declared alphabet exits 2,
 * global options are accepted before the subcommand and relative outputs land
   in the requested directory,
-* the thread count and environment override never change output bytes,
+* the thread count and environment override never change output bytes, and
+  a malformed ``CRYSTAL_THREADS`` exits 2,
 * the string subcommand prints a full operator string from top to bottom.
 """
 
@@ -135,6 +137,56 @@ def test_graph_budget_exits_four(tmp_path, capsys):
     )
     assert code == 4
     assert "error:" in err
+
+
+def test_graph_budget_stops_the_enumeration(tmp_path, capsys):
+    # (5,3,1) at n=6 has 62,720 tableaux; the budget stops at the sixth.
+    code, out, err = run(
+        capsys,
+        "--max-vertices",
+        "5",
+        "graph",
+        "--model",
+        "shifted",
+        "--shape",
+        "5,3,1",
+        "--n",
+        "6",
+        "--out",
+        str(tmp_path / "never.json"),
+    )
+    assert code == 4
+    assert out == ""
+    assert "reached 6 tableaux" in err
+    assert not (tmp_path / "never.json").exists()
+
+
+def test_enum_budget_exits_four(capsys):
+    code, out, err = run(
+        capsys, "--max-vertices", "5", "enum", "ssht", "--shape", "3,1", "--n", "3"
+    )
+    assert code == 4
+    assert out == ""
+    assert "error:" in err
+
+
+def test_malformed_thread_env_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CRYSTAL_THREADS", "abc")
+    code, out, err = run(
+        capsys,
+        "graph",
+        "--model",
+        "shifted",
+        "--shape",
+        "2,1",
+        "--n",
+        "3",
+        "--out",
+        str(tmp_path / "never.json"),
+    )
+    assert code == 2
+    assert out == ""
+    assert "CRYSTAL_THREADS" in err
 
 
 def test_graph_dot_format(tmp_path, capsys):

@@ -11,7 +11,9 @@ Checks:
   graphs without a unique source,
 * JSON round trips byte-identically and the importer rejects malformed input,
 * the DOT export colors edges by their color index,
-* vertex budgets abort construction early.
+* vertex budgets abort construction early,
+* every raising operator adds no edge beyond its lowering operator: the
+  model graphs' color-``i`` edges are exactly ``e_i(t) -> t``.
 """
 
 from __future__ import annotations
@@ -43,10 +45,12 @@ from crystals import (
     tensor_graphs,
     young_graph,
 )
+from crystals import queer, shifted, young
 from crystals.graph import Vertex, string_length_maps
 from crystals.shifted import eps as shifted_eps
 from crystals.shifted import phi as shifted_phi
-from crystals.tableaux import parse_shifted
+from crystals.tableaux import enumerate_ssht, enumerate_ssyt, parse_shifted, render_tableau
+from oracles import partitions, strict_partitions
 from reference_data import (
     queer31_graph,
     shifted31_graph,
@@ -204,6 +208,40 @@ def test_dot_export_colors_edges():
 def test_vertex_budget_aborts_construction():
     with pytest.raises(ClosureBudgetExceeded):
         shifted_graph((3, 1), 3, config=Config(max_vertices=5))
+
+
+def _raising_edges(tableaux, raise_, color):
+    """``{(e(t), color, t)}`` over the tableaux where ``e(t)`` is defined."""
+    return {
+        (render_tableau(up), color, render_tableau(t))
+        for t in tableaux
+        if (up := raise_(t)) is not None
+    }
+
+
+def _color_edges(graph, color):
+    return {edge for edge in graph.edges if edge[1] == color}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_raising_operators_add_no_edge_beyond_lowering(size, n):
+    for shape in partitions(size):
+        tableaux = enumerate_ssyt(shape, n)
+        g = young_graph(shape, n)
+        for i in range(1, n):
+            raise_ = lambda t, i=i: young.raise_(t, i)
+            assert _raising_edges(tableaux, raise_, i) == _color_edges(g, i)
+    for shape in strict_partitions(size):
+        tableaux = enumerate_ssht(shape, n)
+        graphs = [shifted_graph(shape, n)] + ([queer_graph(shape, n)] if n >= 2 else [])
+        for g in graphs:
+            for i in range(1, n):
+                raise_ = lambda t, i=i: shifted.raise_(t, i)
+                assert _raising_edges(tableaux, raise_, i) == _color_edges(g, i)
+        if n >= 2:
+            assert _raising_edges(tableaux, queer.e0, 0) == _color_edges(graphs[1], 0)
+            assert _color_edges(graphs[1], 0)
 
 
 def test_string_length_maps_agree_with_tableau_statistics(shifted31):

@@ -5,7 +5,8 @@ Checks:
 * parse/render round trips for entries, words, and both tableau families,
 * every validation error class fires on a matching bad filling,
 * reading words follow rows (unshifted) and the column-then-row hook order,
-* enumeration counts match brute-force filtering and dimension formulas.
+* enumeration counts match brute-force filtering and dimension formulas,
+* an enumeration limit stops at the first tableau past it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystals import (
+    ClosureBudgetExceeded,
     ColumnViolation,
     CrystalError,
     DiagonalMarkViolation,
@@ -208,6 +210,15 @@ def test_enumeration_rejects_bad_inputs():
         enumerate_ssht((2, 2), 3)
     with pytest.raises(ValueOutOfRange):
         enumerate_ssht((2, 1), 0)
+
+
+def test_enumeration_limit_stops_at_the_first_tableau_past_it():
+    assert len(enumerate_ssht((3, 1), 3, limit=24)) == 24
+    assert len(enumerate_ssyt((3, 1), 3, limit=15)) == 15
+    with pytest.raises(ClosureBudgetExceeded, match="reached 6 tableaux"):
+        enumerate_ssht((5, 3, 1), 6, limit=5)
+    with pytest.raises(ClosureBudgetExceeded, match="reached 15 tableaux"):
+        enumerate_ssyt((3, 1), 3, limit=14)
 
 
 @given(data=st.data())
