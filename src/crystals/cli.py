@@ -103,11 +103,12 @@ def _format_weight(weight: tuple[int, ...]) -> str:
 
 def cmd_enum(args: argparse.Namespace) -> int:
     shape = parse_shape(args.shape)
-    if args.kind == "yam":
-        tableaux = enumerate_yamanouchi(shape, args.n)
-    else:
-        enumerate_ = enumerate_ssyt if args.kind == "ssyt" else enumerate_ssht
-        tableaux = enumerate_(shape, args.n, limit=_config(args).max_vertices)
+    enumerate_ = {
+        "ssyt": enumerate_ssyt,
+        "ssht": enumerate_ssht,
+        "yam": enumerate_yamanouchi,
+    }[args.kind]
+    tableaux = enumerate_(shape, args.n, limit=_config(args).max_vertices)
     lines = "".join(render_tableau(t) + "\n" for t in tableaux)
     if args.out:
         _out_path(args, args.out).write_text(lines, encoding="utf-8")
@@ -184,7 +185,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_expand(args: argparse.Namespace) -> int:
     gamma = parse_shape(args.gamma)
-    expansion = schur_p_to_schur(gamma, args.n)
+    expansion = schur_p_to_schur(gamma, args.n, _config(args))
     print(render_expansion(expansion, "s"))
     return EXIT_OK
 
@@ -259,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "kind",
         choices=("ssyt", "ssht", "yam"),
-        help="ssyt and ssht exit 4 past --max-vertices tableaux; yam ignores the budget",
+        help="exit 4 past --max-vertices tableaux",
     )
     p.add_argument("--shape", required=True, help='comma-separated, e.g. "3,1"')
     p.add_argument("--n", type=int, required=True, help="largest entry value")

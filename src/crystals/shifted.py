@@ -12,16 +12,16 @@ semistandard while moving weight between values ``i`` and ``i + 1``.
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
-from .errors import CrystalError, IndexOutOfRange, ShapeMismatch, ValueOutOfRange
+from .errors import IndexOutOfRange, ShapeMismatch, ValueOutOfRange
 from .pairing import eps_i as _word_eps
 from .pairing import first_max_position, last_max_position, m_i
 from .tableaux import (
     Cell,
     Entry,
     ShiftedTableau,
+    _keep,
     entry_at,
     hook_reading_cells,
     is_strict_partition,
@@ -159,46 +159,77 @@ def raise_(t: ShiftedTableau, i: int) -> ShiftedTableau | None:
     return replace_cells(t, {(r, c): Entry(i)})
 
 
-def enumerate_yamanouchi(shape: Sequence[int], n: int) -> list[ShiftedTableau]:
+def enumerate_yamanouchi(
+    shape: Sequence[int], n: int, limit: int | None = None
+) -> list[ShiftedTableau]:
     """All shifted tableaux of ``shape`` whose raising strings all vanish.
 
-    In such a tableau row ``r`` consists of a run of unmarked ``r`` entries
-    followed by strictly increasing marked entries larger than ``r``, so
-    candidates are generated from that profile and kept when they are valid
-    fillings with ``eps(t, i) == 0`` for every color.  The result is ordered
+    Marks ignored, ``eps(t, i) == 0`` for every color exactly when the hook
+    reading word read backwards is a ballot word: every prefix holds at least
+    as many ``v`` as ``v + 1``.  Backwards, that word reads for ``k = 1, 2,
+    ...`` the unmarked entries of row ``k`` from right to left, then the
+    marked entries of column ``k`` from top to bottom.  In such a tableau row
+    ``r`` is a run of unmarked ``r`` followed by strictly increasing marked
+    values larger than ``r``, so the fillings are built by backtracking in
+    that order: the length of row ``k``'s run, then each marked value of
+    column ``k``, larger than its left neighbour and at most the entry above
+    it.  A branch stops as soon as some value outnumbers its predecessor, so
+    every completed filling is Yamanouchi.  The result is ordered
     lexicographically by hook reading word.
 
     Raises:
         ShapeMismatch: ``shape`` is not a strict partition.
         ValueOutOfRange: ``n`` is not positive.
+        ClosureBudgetExceeded: There are more than ``limit`` tableaux; raised
+            when the ``limit + 1``-st is found.
     """
     shape = tuple(shape)
     if shape and not is_strict_partition(shape):
         raise ShapeMismatch(f"{shape} is not a strict partition")
     if n < 1:
         raise ValueOutOfRange(f"alphabet bound must be positive, got {n}")
-    if not shape:
-        return [ShiftedTableau((), ())]
-
-    row_options: list[list[tuple[Entry, ...]]] = []
-    for r, length in enumerate(shape, start=1):
-        options: list[tuple[Entry, ...]] = []
-        for run in range(1, length + 1):
-            pool = range(r + 1, n + 1)
-            for combo in itertools.combinations(pool, length - run):
-                options.append(
-                    tuple([Entry(r)] * run)
-                    + tuple(Entry(v, True) for v in combo)
-                )
-        row_options.append(options)
 
     results: list[ShiftedTableau] = []
-    for rows in itertools.product(*row_options):
-        try:
-            t = validate_shifted(shape, rows, n)
-        except CrystalError:
-            continue
-        if all(eps(t, i) == 0 for i in range(1, n)):
-            results.append(t)
+    rows: list[list[Entry]] = [[] for _ in shape]
+    # count[v]: letters of value v read so far; count[0] never binds.
+    count = [sum(shape)] + [0] * n
+    columns = shape[0] if shape else 0
+
+    def step(k: int) -> None:
+        if k > columns:
+            _keep(results, validate_shifted(shape, rows, n), limit)
+            return
+        if k > len(shape):
+            column(k, len(shape))
+            return
+        if k > n:  # row k starts with the value k
+            return
+        for run in range(1, min(shape[k - 1], count[k - 1] - count[k]) + 1):
+            rows[k - 1] = [Entry(k)] * run
+            count[k] += run
+            column(k, k - 1)
+            count[k] -= run
+        rows[k - 1] = []
+
+    def column(k: int, r: int) -> None:
+        # Fill the marked cells of column k in rows r, r - 1, ..., 1; the
+        # cell (r, k) is one when row r is filled to column k - 1 and goes on.
+        while r and not len(rows[r - 1]) == k - r < shape[r - 1]:
+            r -= 1
+        if not r:
+            step(k + 1)
+            return
+        high = n
+        if r < len(shape) and k - r <= shape[r]:
+            high = min(high, rows[r][k - r - 1].value)
+        for v in range(rows[r - 1][-1].value + 1, high + 1):
+            if count[v] < count[v - 1]:
+                rows[r - 1].append(Entry(v, True))
+                count[v] += 1
+                column(k, r - 1)
+                count[v] -= 1
+                rows[r - 1].pop()
+
+    step(1)
     results.sort(key=lambda t: tuple(e.sort_key for _, e in hook_reading_cells(t)))
     return results

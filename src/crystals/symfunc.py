@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
-from .config import Config
+from .config import DEFAULT_CONFIG, Config
 from .errors import DimensionMismatch, ShapeMismatch, ValueOutOfRange
 from .graph import TensorView
 from .models import queer_graph
@@ -67,7 +67,9 @@ def schur_p(shape: Sequence[int], n: int) -> SparsePolynomial:
     )
 
 
-def schur_p_to_schur(shape: Sequence[int], n: int | None = None) -> Expansion:
+def schur_p_to_schur(
+    shape: Sequence[int], n: int | None = None, config: Config | None = None
+) -> Expansion:
     """Expand one shifted-basis element over the ordinary basis.
 
     Coefficients count the tableaux of ``shape`` with vanishing raising
@@ -80,13 +82,16 @@ def schur_p_to_schur(shape: Sequence[int], n: int | None = None) -> Expansion:
         ShapeMismatch: ``shape`` is not a strict partition.
         DimensionMismatch: some term needs more than ``n`` rows, so an
             ``n``-variable rendering would silently drop it.
+        ClosureBudgetExceeded: more than ``config.max_vertices`` tableaux
+            have vanishing raising strings.
     """
     shape = tuple(shape)
     if shape and not is_strict_partition(shape):
         raise ShapeMismatch(f"{shape} is not a strict partition")
     alphabet = max(sum(shape), 1)
+    limit = (config or DEFAULT_CONFIG).max_vertices
     counts: Counter[Partition] = Counter()
-    for t in enumerate_yamanouchi(shape, alphabet):
+    for t in enumerate_yamanouchi(shape, alphabet, limit=limit):
         counts[_strip(weight(t, alphabet))] += 1
     if n is not None:
         for lam in counts:

@@ -5,7 +5,8 @@ Everything here is deliberately naive and independent of the code under test:
 * prefix/suffix letter statistics recomputed from scratch for every prefix,
 * bracket cancellation by repeated scanning instead of a one-pass stack,
 * string lengths measured by literally applying an operator until it fails,
-* highest-weight tableaux found by filtering a full enumeration,
+* highest-weight tableaux found by filtering a full enumeration, or by
+  filtering the product of every admissible row profile,
 * basis expansion by greedy leading-term subtraction of known polynomials,
 * partition generators built on itertools-style recursion.
 
@@ -15,12 +16,19 @@ functions below are used by the package itself.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Iterator, Sequence
 from typing import TypeVar
 
-from crystals import SparsePolynomial, enumerate_ssht, schur_p
+from crystals import CrystalError, SparsePolynomial, enumerate_ssht, schur_p
 from crystals.shifted import eps as shifted_eps
-from crystals.tableaux import ShiftedTableau, Word
+from crystals.tableaux import (
+    Entry,
+    ShiftedTableau,
+    Word,
+    hook_reading_cells,
+    validate_shifted,
+)
 
 T = TypeVar("T")
 
@@ -125,6 +133,40 @@ def brute_yamanouchi(shape: Sequence[int], n: int) -> list[ShiftedTableau]:
         for t in enumerate_ssht(shape, n)
         if all(shifted_eps(t, i) == 0 for i in range(1, n))
     ]
+
+
+def profile_yamanouchi(shape: Sequence[int], n: int) -> list[ShiftedTableau]:
+    """Yamanouchi tableaux in the package's order, from the row-profile product.
+
+    Row ``r`` of such a tableau is a run of unmarked ``r`` followed by strictly
+    increasing marked values larger than ``r``.  Every combination of such
+    rows is tried, and kept when it is a valid filling on which every raising
+    operator vanishes.  The result is ordered lexicographically by hook
+    reading word.
+    """
+    shape = tuple(shape)
+    if not shape:
+        return [ShiftedTableau((), ())]
+    row_options: list[list[tuple[Entry, ...]]] = []
+    for r, length in enumerate(shape, start=1):
+        options: list[tuple[Entry, ...]] = []
+        for run in range(1, length + 1):
+            for combo in itertools.combinations(range(r + 1, n + 1), length - run):
+                options.append(
+                    tuple([Entry(r)] * run) + tuple(Entry(v, True) for v in combo)
+                )
+        row_options.append(options)
+
+    results: list[ShiftedTableau] = []
+    for rows in itertools.product(*row_options):
+        try:
+            t = validate_shifted(shape, rows, n)
+        except CrystalError:
+            continue
+        if all(shifted_eps(t, i) == 0 for i in range(1, n)):
+            results.append(t)
+    results.sort(key=lambda t: tuple(e.sort_key for _, e in hook_reading_cells(t)))
+    return results
 
 
 def _strip_trailing_zeros(exponent: Sequence[int]) -> tuple[int, ...]:

@@ -6,8 +6,9 @@ Checks:
 * graph files round-trip through the verifier with exit code 0, and a broken
   file exits 1 with a JSON verdict on stdout,
 * parse problems exit 2, missing files exit 3, and a tiny vertex budget exits 4
-  for model graphs (before enumerating past the budget), ssyt/ssht
-  enumeration, tensor products and product expansions,
+  for model graphs (before enumerating past the budget), ssyt/ssht/yam
+  enumeration, shifted-to-ordinary expansions, tensor products and product
+  expansions,
 * a string color outside the declared alphabet exits 2,
 * global options are accepted before the subcommand and relative outputs land
   in the requested directory,
@@ -168,6 +169,23 @@ def test_enum_budget_exits_four(capsys):
     assert code == 4
     assert out == ""
     assert "error:" in err
+
+
+def test_enum_yam_budget_exits_four(capsys):
+    code, out, err = run(
+        capsys, "--max-vertices", "2", "enum", "yam", "--shape", "3,1", "--n", "4"
+    )
+    assert code == 4
+    assert out == ""
+    assert "reached 3 tableaux" in err
+
+
+def test_expand_budget_exits_four(capsys):
+    # The expansion of P(6,3) counts 27 tableaux.
+    code, out, err = run(capsys, "--max-vertices", "5", "expand", "--gamma", "6,3")
+    assert code == 4
+    assert out == ""
+    assert "reached 6 tableaux" in err
 
 
 def test_malformed_thread_env_exits_two(tmp_path, capsys, monkeypatch):

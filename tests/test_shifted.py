@@ -7,8 +7,10 @@ Checks:
   applying the operators (independent oracle),
 * both operators return valid tableaux and respect the difference rule,
 * a worked three-step string on a two-marked-letter tableau,
-* the highest-weight enumeration agrees with brute-force filtering and always
-  contains exactly one filling whose weight equals the shape.
+* the highest-weight enumeration agrees with brute-force filtering, equals the
+  row-profile filter as an ordered list, and always contains exactly one
+  filling whose weight equals the shape,
+* the highest-weight enumeration stops at the first tableau past its limit.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystals import (
+    ClosureBudgetExceeded,
     ShapeMismatch,
     ValueOutOfRange,
     enumerate_ssht,
@@ -27,7 +30,12 @@ from crystals import (
     weight,
 )
 from crystals.shifted import eps, lower, phi, raise_
-from oracles import apply_until_none, brute_yamanouchi, strict_partitions
+from oracles import (
+    apply_until_none,
+    brute_yamanouchi,
+    profile_yamanouchi,
+    strict_partitions,
+)
 from reference_data import HOOK_STRING_432
 
 SHAPES = [(1,), (2,), (2, 1), (3, 1), (3, 2), (3, 2, 1), (4, 1)]
@@ -153,6 +161,23 @@ def test_yamanouchi_matches_brute_filter(total):
                 render_tableau(t) for t in expected
             }
             assert len(got) == len(expected)
+
+
+@pytest.mark.parametrize(
+    "total, alphabets",
+    [(total, range(1, total + 2)) for total in range(0, 8)] + [(8, [8])],
+)
+def test_yamanouchi_equals_row_profile_filter_in_order(total, alphabets):
+    for shape in strict_partitions(total):
+        for n in alphabets:
+            assert enumerate_yamanouchi(shape, n) == profile_yamanouchi(shape, n)
+
+
+def test_yamanouchi_limit_stops_at_the_first_tableau_past_it():
+    assert len(enumerate_yamanouchi((4, 3, 1), 4)) == 6
+    assert len(enumerate_yamanouchi((4, 3, 1), 4, limit=6)) == 6
+    with pytest.raises(ClosureBudgetExceeded, match="reached 6 tableaux"):
+        enumerate_yamanouchi((4, 3, 1), 4, limit=5)
 
 
 def test_yamanouchi_contains_one_shape_weight_filling():

@@ -4,8 +4,9 @@ Checks:
 * both character polynomials reproduce hand-transcribed coefficient tables,
 * characters are symmetric, specialize at all-ones to enumeration counts, and
   vanish exactly when the shape has too many rows,
-* the shifted-to-ordinary expansion reconstructs its input exactly and
-  rejects alphabets that are too small,
+* the shifted-to-ordinary expansion reconstructs its input exactly, also in
+  four variables for shapes of size 11 and 13, and rejects alphabets that are
+  too small,
 * the product expansion has positive integer coefficients, reconstructs the
   product exactly, agrees with a greedy leading-term oracle, and is
   symmetric in its two factors,
@@ -90,6 +91,17 @@ def test_expansion_reconstructs_exactly(total):
             rebuilt = rebuilt + schur(lam, n) * coeff
         assert rebuilt == schur_p(shape, n)
         assert all(c > 0 for c in expansion.values())
+
+
+@pytest.mark.parametrize("shape, tableaux", [((5, 4, 2), 22), ((6, 4, 2, 1), 32)])
+def test_expansion_of_large_shapes_reconstructs_in_four_variables(shape, tableaux):
+    # Terms with more than four rows vanish in four variables.
+    expansion = schur_p_to_schur(shape)
+    assert sum(expansion.values()) == tableaux
+    rebuilt = SparsePolynomial.zero(4)
+    for lam, coeff in expansion.items():
+        rebuilt = rebuilt + schur(lam, 4) * coeff
+    assert rebuilt == schur_p(shape, 4)
 
 
 def test_expansion_rejects_small_alphabet():
