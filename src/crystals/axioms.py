@@ -5,7 +5,9 @@ finiteness, edge uniqueness, the difference tables for neighboring colors,
 and the commuting-square/octagon relations), plus the two weight-consistency
 rules every crystal satisfies: each color-``i`` edge moves weight by the
 simple root ``alpha_i``, and string lengths satisfy
-``phi_i - eps_i = wt_i - wt_{i+1}``.
+``phi_i - eps_i = wt_i - wt_{i+1}``.  The dual square and octagon axioms
+(A5/A6) are the raising forms read on the reversed graph with ``eps`` and
+``phi`` swapped, so one routine checks both directions.
 
 ``check_queer_regular`` layers the 0-color axioms on top; the two component
 checkers classify the {0,1}- and {0,2}-colored subgraphs against their known
@@ -14,12 +16,14 @@ local shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from .errors import CycleDetected
 from .graph import CrystalGraph, components, string_length_maps
 
 StringMap = dict[str, int]
+Step = Callable[[str, int], str | None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,40 +145,98 @@ def _check_weight_rules(
                 )
 
 
-def _raise_path(graph: CrystalGraph, vid: str, colors: tuple[int, ...]) -> str | None:
-    cur = vid
+def _walk(step: Step, vid: str | None, colors: tuple[int, ...]) -> str | None:
     for color in colors:
-        nxt = graph.in_edge(cur, color)
-        if nxt is None:
-            return None
-        cur = nxt
-    return cur
+        vid = step(vid, color)
+        if vid is None:
+            break
+    return vid
 
 
-def _lower_path(graph: CrystalGraph, vid: str, colors: tuple[int, ...]) -> str | None:
-    cur = vid
-    for color in colors:
-        nxt = graph.out_edge(cur, color)
-        if nxt is None:
-            return None
-        cur = nxt
-    return cur
+def _check_squares(
+    graph: CrystalGraph,
+    usable: list[int],
+    up: Step,
+    down: Step,
+    to_top: dict[int, StringMap],
+    to_bottom: dict[int, StringMap],
+    words: tuple[str, str, str, str],
+    out: _Collector,
+) -> None:
+    """A5/A6 along ``up`` moves, guarded by ``to_top`` string lengths.
 
-
-def check_stembridge(graph: CrystalGraph, exhaustive: bool = True) -> Verdict:
-    """Check the even regularity axioms plus the weight rules.
-
-    In exhaustive mode every applicable vertex is checked and all failures
-    returned; otherwise the first failing phase stops the scan.
+    ``words`` name the direction in the details: the move, the statistic at
+    the far corner, that corner, and the octagon prefix.
     """
-    out = _Collector(exhaustive)
+    move, stat, corner, octagon = words
+    for x in graph.vertex_ids:
+        for i in usable:
+            yi = up(x, i)
+            if yi is None:
+                continue
+            for j in usable:
+                if j == i:
+                    continue
+                yj = up(x, j)
+                if yj is None:
+                    continue
+                d_ij = to_top[j][x] - to_top[j][yi]
+                if d_ij == 0:
+                    # A5: the square must close, with a flat far corner.
+                    a = up(yi, j)
+                    b = up(yj, i)
+                    if a is None or b is None or a != b:
+                        out.add(
+                            "A5",
+                            (x,),
+                            f"colors {i},{j}: {move} square does not close "
+                            f"({a!r} vs {b!r})",
+                        )
+                        continue
+                    flat = to_bottom[i][a] - to_bottom[i][down(a, j)]
+                    if flat != 0:
+                        out.add(
+                            "A5",
+                            (x, a),
+                            f"colors {i},{j}: {stat}_{i} at closed square "
+                            f"{corner} = {flat}, expected 0",
+                        )
+                elif d_ij == -1 and i < j and to_top[i][x] - to_top[i][yj] == -1:
+                    # A6: degenerate octagon through double moves.
+                    a = _walk(up, x, (i, j, j, i))
+                    b = _walk(up, x, (j, i, i, j))
+                    if a is None or b is None or a != b:
+                        out.add(
+                            "A6",
+                            (x,),
+                            f"colors {i},{j}: {octagon}octagon does not close "
+                            f"({a!r} vs {b!r})",
+                        )
+                        continue
+                    n_ij = to_bottom[j][a] - to_bottom[j][down(a, i)]
+                    n_ji = to_bottom[i][a] - to_bottom[i][down(a, j)]
+                    if n_ij != -1 or n_ji != -1:
+                        out.add(
+                            "A6",
+                            (x, a),
+                            f"colors {i},{j}: {stat} at octagon {corner} = "
+                            f"({n_ij}, {n_ji}), expected (-1, -1)",
+                        )
+        if out.done:
+            return
+
+
+def _check_even(
+    graph: CrystalGraph, out: _Collector
+) -> tuple[dict[int, StringMap], dict[int, StringMap], dict[int, bool]]:
+    """Even axioms into ``out``; returns the ``(phi, eps, valid)`` it computed."""
     colors = sorted(set(range(1, graph.n)) | set(graph.int_colors))
     phi, eps, valid = _string_data(graph, colors, out)
     if out.done:
-        return _verdict(out.items)
+        return phi, eps, valid
     _check_weight_rules(graph, phi, eps, valid, out)
     if out.done:
-        return _verdict(out.items)
+        return phi, eps, valid
 
     usable = [c for c in colors if valid.get(c)]
     for x in graph.vertex_ids:
@@ -186,12 +248,7 @@ def check_stembridge(graph: CrystalGraph, exhaustive: bool = True) -> Verdict:
             for j in usable:
                 d_eps = eps[j][x] - eps[j][y]
                 d_phi = phi[j][y] - phi[j][x]
-                if j == i:
-                    expected = 2
-                elif abs(i - j) == 1:
-                    expected = -1
-                else:
-                    expected = 0
+                expected = 2 if j == i else (-1 if abs(i - j) == 1 else 0)
                 if d_eps + d_phi != expected:
                     out.add(
                         "A3",
@@ -207,148 +264,44 @@ def check_stembridge(graph: CrystalGraph, exhaustive: bool = True) -> Verdict:
                         f"delta phi_{j} = {d_phi}, expected both <= 0",
                     )
         if out.done:
-            return _verdict(out.items)
+            return phi, eps, valid
 
-    for x in graph.vertex_ids:
-        for i in usable:
-            yi = graph.in_edge(x, i)
-            if yi is None:
-                continue
-            for j in usable:
-                if j == i:
-                    continue
-                yj = graph.in_edge(x, j)
-                if yj is None:
-                    continue
-                d_eps = eps[j][x] - eps[j][yi]
-                if d_eps == 0:
-                    # A5: raising square must close, with flat phi across it.
-                    a = graph.in_edge(yi, j)
-                    b = graph.in_edge(yj, i)
-                    if a is None or b is None or a != b:
-                        out.add(
-                            "A5",
-                            (x,),
-                            f"colors {i},{j}: raising square does not close "
-                            f"({a!r} vs {b!r})",
-                        )
-                    else:
-                        down = graph.out_edge(a, j)
-                        nabla = phi[i][a] - phi[i][down]
-                        if nabla != 0:
-                            out.add(
-                                "A5",
-                                (x, a),
-                                f"colors {i},{j}: nabla phi_{i} at closed square "
-                                f"top = {nabla}, expected 0",
-                            )
-                if i < j:
-                    d_ij = eps[j][x] - eps[j][yi]
-                    d_ji = eps[i][x] - eps[i][yj]
-                    if d_ij == -1 and d_ji == -1:
-                        # A6: degenerate octagon through double raising.
-                        a = _raise_path(graph, x, (i, j, j, i))
-                        b = _raise_path(graph, x, (j, i, i, j))
-                        if a is None or b is None or a != b:
-                            out.add(
-                                "A6",
-                                (x,),
-                                f"colors {i},{j}: octagon does not close "
-                                f"({a!r} vs {b!r})",
-                            )
-                        else:
-                            fi = graph.out_edge(a, i)
-                            fj = graph.out_edge(a, j)
-                            n_ij = phi[j][a] - phi[j][fi]
-                            n_ji = phi[i][a] - phi[i][fj]
-                            if n_ij != -1 or n_ji != -1:
-                                out.add(
-                                    "A6",
-                                    (x, a),
-                                    f"colors {i},{j}: nabla phi at octagon top = "
-                                    f"({n_ij}, {n_ji}), expected (-1, -1)",
-                                )
-        if out.done:
-            return _verdict(out.items)
+    # The dual A5/A6 are the raising forms on the reversed graph.
+    _check_squares(
+        graph, usable, graph.in_edge, graph.out_edge, eps, phi,
+        ("raising", "nabla phi", "top", ""), out,
+    )
+    if not out.done:
+        _check_squares(
+            graph, usable, graph.out_edge, graph.in_edge, phi, eps,
+            ("lowering", "delta eps", "bottom", "lowering "), out,
+        )
+    return phi, eps, valid
 
-    # Dual forms, phrased through lowering moves.
-    for x in graph.vertex_ids:
-        for i in usable:
-            yi = graph.out_edge(x, i)
-            if yi is None:
-                continue
-            for j in usable:
-                if j == i:
-                    continue
-                yj = graph.out_edge(x, j)
-                if yj is None:
-                    continue
-                n_phi = phi[j][x] - phi[j][yi]
-                if n_phi == 0:
-                    a = graph.out_edge(yi, j)
-                    b = graph.out_edge(yj, i)
-                    if a is None or b is None or a != b:
-                        out.add(
-                            "A5",
-                            (x,),
-                            f"colors {i},{j}: lowering square does not close "
-                            f"({a!r} vs {b!r})",
-                        )
-                    else:
-                        up = graph.in_edge(a, j)
-                        delta = eps[i][a] - eps[i][up]
-                        if delta != 0:
-                            out.add(
-                                "A5",
-                                (x, a),
-                                f"colors {i},{j}: delta eps_{i} at closed square "
-                                f"bottom = {delta}, expected 0",
-                            )
-                if i < j:
-                    n_ij = phi[j][x] - phi[j][yi]
-                    n_ji = phi[i][x] - phi[i][yj]
-                    if n_ij == -1 and n_ji == -1:
-                        a = _lower_path(graph, x, (i, j, j, i))
-                        b = _lower_path(graph, x, (j, i, i, j))
-                        if a is None or b is None or a != b:
-                            out.add(
-                                "A6",
-                                (x,),
-                                f"colors {i},{j}: lowering octagon does not close "
-                                f"({a!r} vs {b!r})",
-                            )
-                        else:
-                            ei = graph.in_edge(a, i)
-                            ej = graph.in_edge(a, j)
-                            d_ij = eps[j][a] - eps[j][ei]
-                            d_ji = eps[i][a] - eps[i][ej]
-                            if d_ij != -1 or d_ji != -1:
-                                out.add(
-                                    "A6",
-                                    (x, a),
-                                    f"colors {i},{j}: delta eps at octagon bottom = "
-                                    f"({d_ij}, {d_ji}), expected (-1, -1)",
-                                )
-        if out.done:
-            return _verdict(out.items)
 
+def check_stembridge(graph: CrystalGraph, exhaustive: bool = True) -> Verdict:
+    """Check the even regularity axioms plus the weight rules.
+
+    In exhaustive mode every applicable vertex is checked and all failures
+    returned; otherwise the first failing phase stops the scan.
+    """
+    out = _Collector(exhaustive)
+    _check_even(graph, out)
     return _verdict(out.items)
 
 
 def check_queer_regular(graph: CrystalGraph, exhaustive: bool = True) -> Verdict:
     """Check the 0-color axioms on top of even regularity.
 
-    The even axioms run on the subgraph of positive integer colors; the
-    0-color rules cover string shape (B1/B2), the difference tables against
-    colors 1 and 2 (B3/B4), the commuting squares (B5), and the two
-    color-1/color-2 implications (B6), plus the 0-edge weight rule.
+    The even axioms run on the graph itself, where they ignore color 0 and
+    odd labels; the 0-color rules cover string shape (B1/B2), the
+    difference tables against colors 1 and 2 (B3/B4), the commuting squares
+    (B5), and the two color-1/color-2 implications (B6), plus the 0-edge
+    weight rule.
     """
     out = _Collector(exhaustive)
-    even = graph.subgraph([c for c in graph.colors if isinstance(c, int) and c >= 1])
-    for violation in check_stembridge(even, exhaustive=exhaustive).violations:
-        out.items.append(
-            Violation(f"B0/{violation.axiom}", violation.vertices, violation.detail)
-        )
+    phi, eps, valid = _check_even(graph, out)
+    out.items = [Violation(f"B0/{v.axiom}", v.vertices, v.detail) for v in out.items]
     if out.done:
         return _verdict(out.items)
 
@@ -402,11 +355,8 @@ def check_queer_regular(graph: CrystalGraph, exhaustive: bool = True) -> Verdict
     if out.done:
         return _verdict(out.items)
 
-    colors = list(range(1, n))
-    maps_out = _Collector(True)
-    phi, eps, valid = _string_data(graph, colors, maps_out)
     # Structural failures on even colors were already reported through B0.
-    usable = [c for c in colors if valid.get(c)]
+    usable = [c for c in range(1, n) if valid.get(c)]
 
     # B3/B4: how the 0-move shifts even string lengths.
     for x in graph.vertex_ids:

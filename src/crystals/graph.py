@@ -49,10 +49,21 @@ def color_to_str(color: Color) -> str:
     return str(color)
 
 
+_COLOR = re.compile(r"(0|[1-9][0-9]*)|[1-9][0-9]*p")
+
+
 def color_from_str(text: str) -> Color:
-    if re.fullmatch(r"\d+", text):
-        return int(text)
-    return text
+    """Inverse of :func:`color_to_str`: ``"0"``, ``"1"``, … or an odd ``"1p"``, ….
+
+    Raises:
+        ParseError: ``text`` is not such a color, e.g. ``"-1"`` or ``"01"``.
+    """
+    match = _COLOR.fullmatch(text)
+    if match is None:
+        raise ParseError(
+            f"edge color {text!r} is neither an integer nor a label like '1p'"
+        )
+    return int(text) if match.group(1) else text
 
 
 @dataclass(frozen=True, slots=True)
@@ -511,11 +522,18 @@ def _require(condition: bool, message: str) -> None:
         raise ParseError(message)
 
 
+def _is_count(value: object) -> bool:
+    """A non-negative integer; JSON ``true``/``false`` load as ``bool`` and fail."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def import_json(text: str) -> CrystalGraph:
     """Parse graph JSON produced by :func:`export_json`.
 
     Raises:
-        ParseError: Malformed JSON or schema; carries the failure position
+        ParseError: Malformed JSON or schema, including a negative or
+            boolean ``n`` or weight and an edge color that
+            :func:`color_from_str` refuses; carries the failure position
             when the JSON itself does not parse.
     """
     try:
@@ -525,7 +543,7 @@ def import_json(text: str) -> CrystalGraph:
     _require(isinstance(data, dict), "top level must be an object")
     for key in ("n", "vertices", "edges"):
         _require(key in data, f"missing key {key!r}")
-    _require(isinstance(data["n"], int) and data["n"] >= 0, "'n' must be a non-negative integer")
+    _require(_is_count(data["n"]), "'n' must be a non-negative integer")
     _require(isinstance(data["vertices"], list), "'vertices' must be a list")
     _require(isinstance(data["edges"], list), "'edges' must be a list")
     vertices = []
@@ -536,9 +554,8 @@ def import_json(text: str) -> CrystalGraph:
         _require(isinstance(item["id"], str), "vertex id must be a string")
         _require(isinstance(item["payload"], str), "vertex payload must be a string")
         _require(
-            isinstance(item["weight"], list)
-            and all(isinstance(w, int) for w in item["weight"]),
-            f"vertex {item.get('id')!r} weight must be a list of integers",
+            isinstance(item["weight"], list) and all(map(_is_count, item["weight"])),
+            f"vertex {item.get('id')!r} weight must list non-negative integers",
         )
         vertices.append(Vertex(item["id"], item["payload"], tuple(item["weight"])))
     edges = []

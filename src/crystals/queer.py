@@ -14,7 +14,7 @@ conjugated by the ``k``-th reflection word.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import IndexOutOfRange, StringTruncated
 from .graph import CrystalGraph, Pair, TensorView, highest_weights
@@ -111,6 +111,19 @@ def odd_word(k: int) -> tuple[int, ...]:
     return tuple(range(2, k + 1)) + tuple(range(1, k))
 
 
+def _conjugated_0_move(
+    graph: CrystalGraph, vid: str, k: int, move: Callable[[str, int], str | None]
+) -> str | None:
+    """``move`` along color 0, conjugated by the ``k``-th reflection word."""
+    if not 1 <= k <= graph.n - 1:
+        raise IndexOutOfRange(f"odd index {k} outside 1..{graph.n - 1}")
+    word = odd_word(k)
+    moved = move(apply_weyl_word(graph, vid, word), 0)
+    if moved is None:
+        return None
+    return apply_weyl_word(graph, moved, tuple(reversed(word)))
+
+
 def odd_f(graph: CrystalGraph, vid: str, k: int) -> str | None:
     """The ``k``-th odd lowering operator; ``odd_f(C, v, 1)`` is the 0-move.
 
@@ -120,26 +133,12 @@ def odd_f(graph: CrystalGraph, vid: str, k: int) -> str | None:
         IndexOutOfRange: ``k`` outside ``1..n-1``.
         StringTruncated: A reflection walk left the graph.
     """
-    if not 1 <= k <= graph.n - 1:
-        raise IndexOutOfRange(f"odd index {k} outside 1..{graph.n - 1}")
-    word = odd_word(k)
-    moved = apply_weyl_word(graph, vid, word)
-    lowered = graph.out_edge(moved, 0)
-    if lowered is None:
-        return None
-    return apply_weyl_word(graph, lowered, tuple(reversed(word)))
+    return _conjugated_0_move(graph, vid, k, graph.out_edge)
 
 
 def odd_e(graph: CrystalGraph, vid: str, k: int) -> str | None:
     """The ``k``-th odd raising operator, inverse to :func:`odd_f`."""
-    if not 1 <= k <= graph.n - 1:
-        raise IndexOutOfRange(f"odd index {k} outside 1..{graph.n - 1}")
-    word = odd_word(k)
-    moved = apply_weyl_word(graph, vid, word)
-    raised = graph.in_edge(moved, 0)
-    if raised is None:
-        return None
-    return apply_weyl_word(graph, raised, tuple(reversed(word)))
+    return _conjugated_0_move(graph, vid, k, graph.in_edge)
 
 
 def queer_highest_weights(graph: CrystalGraph | TensorView) -> list[VertexId]:

@@ -8,7 +8,9 @@ Everything here is deliberately naive and independent of the code under test:
 * highest-weight tableaux found by filtering a full enumeration, or by
   filtering the product of every admissible row profile,
 * basis expansion by greedy leading-term subtraction of known polynomials,
-* partition generators built on itertools-style recursion.
+* partition generators built on itertools-style recursion,
+* the even axiom checker with its raising and lowering A5/A6 passes written
+  out as two separate copies.
 
 Tests import these oracles and assert agreement with the library; none of the
 functions below are used by the package itself.
@@ -21,6 +23,7 @@ from collections.abc import Callable, Iterator, Sequence
 from typing import TypeVar
 
 from crystals import CrystalError, SparsePolynomial, enumerate_ssht, schur_p
+from crystals.axioms import _Collector, _check_weight_rules, _string_data, _verdict
 from crystals.shifted import eps as shifted_eps
 from crystals.tableaux import (
     Entry,
@@ -167,6 +170,203 @@ def profile_yamanouchi(shape: Sequence[int], n: int) -> list[ShiftedTableau]:
             results.append(t)
     results.sort(key=lambda t: tuple(e.sort_key for _, e in hook_reading_cells(t)))
     return results
+
+
+def _raise_path(graph, vid: str, colors: tuple[int, ...]) -> str | None:
+    cur = vid
+    for color in colors:
+        nxt = graph.in_edge(cur, color)
+        if nxt is None:
+            return None
+        cur = nxt
+    return cur
+
+
+def _lower_path(graph, vid: str, colors: tuple[int, ...]) -> str | None:
+    cur = vid
+    for color in colors:
+        nxt = graph.out_edge(cur, color)
+        if nxt is None:
+            return None
+        cur = nxt
+    return cur
+
+
+def mirrored_stembridge(graph, exhaustive: bool = True):
+    """The even checker with its dual A5/A6 pass written out a second time.
+
+    The raising forms walk incoming edges and measure ``eps`` (then ``phi``
+    at the top); the dual forms are a separate copy that walks outgoing
+    edges and measures ``phi`` (then ``eps`` at the bottom).  Every phase,
+    fast-mode stop and detail string is spelled out independently of the
+    package's folded routine, so the two must agree verdict for verdict.
+    """
+    out = _Collector(exhaustive)
+    colors = sorted(set(range(1, graph.n)) | set(graph.int_colors))
+    phi, eps, valid = _string_data(graph, colors, out)
+    if out.done:
+        return _verdict(out.items)
+    _check_weight_rules(graph, phi, eps, valid, out)
+    if out.done:
+        return _verdict(out.items)
+
+    usable = [c for c in colors if valid.get(c)]
+    for x in graph.vertex_ids:
+        for i in usable:
+            y = graph.in_edge(x, i)
+            if y is None:
+                continue
+            # A3/A4: neighbor-color difference tables.
+            for j in usable:
+                d_eps = eps[j][x] - eps[j][y]
+                d_phi = phi[j][y] - phi[j][x]
+                if j == i:
+                    expected = 2
+                elif abs(i - j) == 1:
+                    expected = -1
+                else:
+                    expected = 0
+                if d_eps + d_phi != expected:
+                    out.add(
+                        "A3",
+                        (x,),
+                        f"raising color {i}: delta eps_{j} + delta phi_{j} = "
+                        f"{d_eps + d_phi}, expected {expected}",
+                    )
+                if j != i and (d_eps > 0 or d_phi > 0):
+                    out.add(
+                        "A4",
+                        (x,),
+                        f"raising color {i}: delta eps_{j} = {d_eps}, "
+                        f"delta phi_{j} = {d_phi}, expected both <= 0",
+                    )
+        if out.done:
+            return _verdict(out.items)
+
+    for x in graph.vertex_ids:
+        for i in usable:
+            yi = graph.in_edge(x, i)
+            if yi is None:
+                continue
+            for j in usable:
+                if j == i:
+                    continue
+                yj = graph.in_edge(x, j)
+                if yj is None:
+                    continue
+                d_eps = eps[j][x] - eps[j][yi]
+                if d_eps == 0:
+                    # A5: raising square must close, with flat phi across it.
+                    a = graph.in_edge(yi, j)
+                    b = graph.in_edge(yj, i)
+                    if a is None or b is None or a != b:
+                        out.add(
+                            "A5",
+                            (x,),
+                            f"colors {i},{j}: raising square does not close "
+                            f"({a!r} vs {b!r})",
+                        )
+                    else:
+                        down = graph.out_edge(a, j)
+                        nabla = phi[i][a] - phi[i][down]
+                        if nabla != 0:
+                            out.add(
+                                "A5",
+                                (x, a),
+                                f"colors {i},{j}: nabla phi_{i} at closed square "
+                                f"top = {nabla}, expected 0",
+                            )
+                if i < j:
+                    d_ij = eps[j][x] - eps[j][yi]
+                    d_ji = eps[i][x] - eps[i][yj]
+                    if d_ij == -1 and d_ji == -1:
+                        # A6: degenerate octagon through double raising.
+                        a = _raise_path(graph, x, (i, j, j, i))
+                        b = _raise_path(graph, x, (j, i, i, j))
+                        if a is None or b is None or a != b:
+                            out.add(
+                                "A6",
+                                (x,),
+                                f"colors {i},{j}: octagon does not close "
+                                f"({a!r} vs {b!r})",
+                            )
+                        else:
+                            fi = graph.out_edge(a, i)
+                            fj = graph.out_edge(a, j)
+                            n_ij = phi[j][a] - phi[j][fi]
+                            n_ji = phi[i][a] - phi[i][fj]
+                            if n_ij != -1 or n_ji != -1:
+                                out.add(
+                                    "A6",
+                                    (x, a),
+                                    f"colors {i},{j}: nabla phi at octagon top = "
+                                    f"({n_ij}, {n_ji}), expected (-1, -1)",
+                                )
+        if out.done:
+            return _verdict(out.items)
+
+    # Dual forms, phrased through lowering moves.
+    for x in graph.vertex_ids:
+        for i in usable:
+            yi = graph.out_edge(x, i)
+            if yi is None:
+                continue
+            for j in usable:
+                if j == i:
+                    continue
+                yj = graph.out_edge(x, j)
+                if yj is None:
+                    continue
+                n_phi = phi[j][x] - phi[j][yi]
+                if n_phi == 0:
+                    a = graph.out_edge(yi, j)
+                    b = graph.out_edge(yj, i)
+                    if a is None or b is None or a != b:
+                        out.add(
+                            "A5",
+                            (x,),
+                            f"colors {i},{j}: lowering square does not close "
+                            f"({a!r} vs {b!r})",
+                        )
+                    else:
+                        up = graph.in_edge(a, j)
+                        delta = eps[i][a] - eps[i][up]
+                        if delta != 0:
+                            out.add(
+                                "A5",
+                                (x, a),
+                                f"colors {i},{j}: delta eps_{i} at closed square "
+                                f"bottom = {delta}, expected 0",
+                            )
+                if i < j:
+                    n_ij = phi[j][x] - phi[j][yi]
+                    n_ji = phi[i][x] - phi[i][yj]
+                    if n_ij == -1 and n_ji == -1:
+                        a = _lower_path(graph, x, (i, j, j, i))
+                        b = _lower_path(graph, x, (j, i, i, j))
+                        if a is None or b is None or a != b:
+                            out.add(
+                                "A6",
+                                (x,),
+                                f"colors {i},{j}: lowering octagon does not close "
+                                f"({a!r} vs {b!r})",
+                            )
+                        else:
+                            ei = graph.in_edge(a, i)
+                            ej = graph.in_edge(a, j)
+                            d_ij = eps[j][a] - eps[j][ei]
+                            d_ji = eps[i][a] - eps[i][ej]
+                            if d_ij != -1 or d_ji != -1:
+                                out.add(
+                                    "A6",
+                                    (x, a),
+                                    f"colors {i},{j}: delta eps at octagon bottom = "
+                                    f"({d_ij}, {d_ji}), expected (-1, -1)",
+                                )
+        if out.done:
+            return _verdict(out.items)
+
+    return _verdict(out.items)
 
 
 def _strip_trailing_zeros(exponent: Sequence[int]) -> tuple[int, ...]:

@@ -11,11 +11,17 @@ Checks:
 * deleting a zero edge out of the source breaks the pairing axiom,
 * the component classifiers report the hand-derived chain and ladder shapes,
 * fast mode agrees with exhaustive mode on the overall verdict while
-  reporting no more violations.
+  reporting no more violations,
+* on seeded mutants (an edge dropped, added or retargeted, or a weight
+  coordinate nudged) the even checker agrees verdict for verdict with the
+  oracle that spells the dual A5/A6 pass out a second time, every A5/A6
+  detail form fires, and the queer checker's ``B0/`` violations are the even
+  checker's verdict on the positive-color subgraph.
 """
 
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
@@ -34,6 +40,7 @@ from crystals import (
     young_graph,
 )
 from crystals.graph import Vertex
+from oracles import mirrored_stembridge
 from reference_data import QUEER31_01_SHAPES, QUEER31_02_SHAPES
 
 
@@ -216,3 +223,78 @@ def test_queer_standard_crystal_passes(queer31):
         assert check_queer_regular(g).ok
         assert check_01_components(g).ok
         assert check_02_components(g).ok
+
+
+A5_A6_FORMS = (
+    r"colors \d+,\d+: raising square does not close",
+    r"colors \d+,\d+: nabla phi_\d+ at closed square top = ",
+    r"colors \d+,\d+: lowering square does not close",
+    r"colors \d+,\d+: delta eps_\d+ at closed square bottom = ",
+    r"colors \d+,\d+: octagon does not close",
+    r"colors \d+,\d+: nabla phi at octagon top = ",
+    r"colors \d+,\d+: lowering octagon does not close",
+    r"colors \d+,\d+: delta eps at octagon bottom = ",
+)
+
+
+def seeded_mutants(graph, seed, count):
+    """Copies of ``graph`` with one edge dropped, added or retargeted, or one
+    weight coordinate moved by one."""
+    rng = random.Random(seed)
+    vids = graph.vertex_ids
+    colors = sorted({c for _, c, _ in graph.edges})
+    for _ in range(count):
+        edges = list(graph.edges)
+        weights = {v: list(graph.weight_of(v)) for v in vids}
+        kind = rng.choice(("drop", "add", "retarget", "nudge"))
+        if kind == "drop":
+            del edges[rng.randrange(len(edges))]
+        elif kind == "add":
+            edges.append((rng.choice(vids), rng.choice(colors), rng.choice(vids)))
+        elif kind == "retarget":
+            k = rng.randrange(len(edges))
+            edges[k] = (edges[k][0], edges[k][1], rng.choice(vids))
+        else:
+            weights[rng.choice(vids)][rng.randrange(graph.n)] += rng.choice((-1, 1))
+        yield CrystalGraph(
+            graph.n,
+            [Vertex(v, graph.payload_of(v), tuple(weights[v])) for v in vids],
+            edges,
+        )
+
+
+def test_folded_squares_match_the_mirrored_oracle_on_mutants():
+    bases = {
+        "queer 2,1/3": queer_graph((2, 1), 3),
+        "queer 3,1/4": queer_graph((3, 1), 4),
+        "queer 3,2/4": queer_graph((3, 2), 4),
+        "queer 4,2,1/4": queer_graph((4, 2, 1), 4),
+        "young 2,1/3": young_graph((2, 1), 3),
+        "young 3,2,1/4": young_graph((3, 2, 1), 4),
+        "tensor 2x1/3": tensor_graphs(
+            queer_graph((2,), 3), queer_graph((1,), 3), queer=True
+        ),
+    }
+    details = []
+    for name, base in bases.items():
+        for mutant in seeded_mutants(base, name, 40):
+            even = mutant.subgraph(
+                [c for c in mutant.colors if isinstance(c, int) and c >= 1]
+            )
+            for exhaustive in (True, False):
+                verdict = check_stembridge(mutant, exhaustive)
+                oracle = mirrored_stembridge(mutant, exhaustive)
+                assert verdict.to_dict() == oracle.to_dict(), name
+                details += [v.detail for v in verdict.violations]
+                delegated = [
+                    v.to_dict()
+                    for v in check_queer_regular(mutant, exhaustive).violations
+                    if v.axiom.startswith("B0/")
+                ]
+                expected = [
+                    dict(v.to_dict(), axiom=f"B0/{v.axiom}")
+                    for v in check_stembridge(even, exhaustive).violations
+                ]
+                assert delegated == expected, name
+    for form in A5_A6_FORMS:
+        assert any(re.match(form, detail) for detail in details), form

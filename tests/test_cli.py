@@ -9,7 +9,8 @@ Checks:
   for model graphs (before enumerating past the budget), ssyt/ssht/yam
   enumeration, shifted-to-ordinary expansions, tensor products and product
   expansions,
-* a string color outside the declared alphabet exits 2,
+* a string color outside the declared alphabet exits 2, and so does a graph
+  file with a negative weight,
 * global options are accepted before the subcommand and relative outputs land
   in the requested directory,
 * the thread count and environment override never change output bytes, and
@@ -111,6 +112,19 @@ def test_verify_reports_violations_with_exit_one(tmp_path, capsys):
     verdict = json.loads(out)
     assert verdict["ok"] is False
     assert verdict["violations"]
+
+
+def test_verify_out_of_contract_graph_exits_two(tmp_path, capsys):
+    target = tmp_path / "negative.json"
+    run(capsys, "graph", "--model", "queer", "--shape", "2,1", "--n", "3",
+        "--out", str(target))
+    data = json.loads(target.read_text(encoding="utf-8"))
+    data["vertices"][0]["weight"][0] = -1
+    target.write_text(json.dumps(data) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--input", str(target), "--axioms", "queer")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
 
 
 def test_verify_missing_file_exits_three(capsys, tmp_path):

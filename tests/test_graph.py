@@ -10,6 +10,7 @@ Checks:
 * rooted isomorphism accepts relabelings, rejects weight changes, and refuses
   graphs without a unique source,
 * JSON round trips byte-identically and the importer rejects malformed input,
+  including negative or boolean numbers and colors that would not round-trip,
 * the DOT export colors edges by their color index,
 * vertex budgets abort construction early,
 * every raising operator adds no edge beyond its lowering operator: the
@@ -194,6 +195,49 @@ def test_import_rejects_malformed_input():
     good["edges"].append({"src": "1", "color": "1", "dst": "missing"})
     with pytest.raises(ParseError):
         import_json(json.dumps(good))
+
+
+def _standard2_with(change):
+    data = json.loads(export_json(standard_graph(2)))
+    change(data)
+    return json.dumps(data)
+
+
+def test_import_rejects_negative_weight():
+    text = _standard2_with(lambda d: d["vertices"][0].update(weight=[-1, 0]))
+    with pytest.raises(ParseError):
+        import_json(text)
+
+
+def test_import_rejects_boolean_dimension():
+    text = json.dumps({
+        "n": True,
+        "vertices": [{"id": "a", "payload": "a", "weight": [0]}],
+        "edges": [],
+    })
+    with pytest.raises(ParseError):
+        import_json(text)
+
+
+def test_import_rejects_boolean_weight():
+    text = _standard2_with(lambda d: d["vertices"][0].update(weight=[True, 0]))
+    with pytest.raises(ParseError):
+        import_json(text)
+
+
+@pytest.mark.parametrize("color", ["x", "-1", "", "01"])
+def test_import_rejects_colors_outside_the_labels(color):
+    text = _standard2_with(lambda d: d["edges"][0].update(color=color))
+    with pytest.raises(ParseError):
+        import_json(text)
+
+
+@pytest.mark.parametrize(
+    "color, parsed", [("0", 0), ("1", 1), ("10", 10), ("1p", "1p"), ("12p", "12p")]
+)
+def test_import_reads_integer_and_odd_labels(color, parsed):
+    text = _standard2_with(lambda d: d["edges"][0].update(color=color))
+    assert import_json(text).edges[0][1] == parsed
 
 
 def test_dot_export_colors_edges():

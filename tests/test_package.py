@@ -1,17 +1,45 @@
-"""Package surface: every exported name exists.
+"""Package surface: every exported name exists, every traced name resolves.
 
 Checks:
 * each name in ``crystals.__all__`` resolves on the package, so an export
   left behind by a deleted function fails here rather than at import time of
-  a caller.
+  a caller,
+* the benchmark's tracer (``perfbench/tracer.py``, which wraps library
+  functions by module and name) installs on the library and restores it, so
+  a deleted or renamed function it probes fails here rather than in a traced
+  benchmark run.
 """
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
 import crystals
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def test_every_export_resolves():
     missing = [name for name in crystals.__all__ if not hasattr(crystals, name)]
     assert missing == []
     assert len(set(crystals.__all__)) == len(crystals.__all__)
+
+
+def test_benchmark_tracer_installs_and_restores():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tracer  # dataclasses resolve their module here
+    try:
+        spec.loader.exec_module(tracer)
+        for probe in tracer.PROBES:
+            importlib.import_module(probe.module)
+        checker = crystals.check_stembridge
+        restore = tracer.install(tracer.Tracer())
+        assert crystals.check_stembridge is not checker
+        restore()
+        assert crystals.check_stembridge is checker
+    finally:
+        del sys.modules[spec.name]
