@@ -118,8 +118,8 @@ def cmd_enum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_graph(path: str) -> CrystalGraph:
-    return import_json(Path(path).read_text(encoding="utf-8"))
+def _load_graph(path: str, config: Config) -> CrystalGraph:
+    return import_json(Path(path).read_text(encoding="utf-8"), config)
 
 
 def _build_model(args: argparse.Namespace) -> CrystalGraph:
@@ -128,12 +128,13 @@ def _build_model(args: argparse.Namespace) -> CrystalGraph:
         if not args.left or not args.right:
             raise ParseError("tensor model needs --left and --right graph files")
         return tensor_graphs(
-            _load_graph(args.left), _load_graph(args.right), args.queer, config
+            _load_graph(args.left, config), _load_graph(args.right, config),
+            args.queer, config,
         )
     if args.model == "standard":
         if args.n is None:
             raise ParseError("standard model needs --n")
-        return queer_standard_graph(args.n)
+        return queer_standard_graph(args.n, config)
     if args.shape is None or args.n is None:
         raise ParseError(f"{args.model} model needs --shape and --n")
     shape = parse_shape(args.shape)
@@ -173,7 +174,7 @@ _CHECKERS: dict[str, Callable[..., Verdict]] = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.input)
+    graph = _load_graph(args.input, _config(args))
     checker = _CHECKERS[args.axioms]
     if args.axioms in ("stembridge", "queer"):
         verdict = checker(graph, exhaustive=args.mode == "exhaustive")
@@ -199,16 +200,17 @@ def cmd_product(args: argparse.Namespace) -> int:
 
 
 def cmd_char(args: argparse.Namespace) -> int:
+    config = _config(args)
     if args.model == "standard":
-        polynomial = character(queer_standard_graph(args.n))
+        polynomial = character(queer_standard_graph(args.n, config))
     else:
         if args.shape is None:
             raise ParseError(f"{args.model} model needs --shape")
         shape = parse_shape(args.shape)
         if args.model == "young":
-            polynomial = schur(shape, args.n)
+            polynomial = schur(shape, args.n, config)
         else:
-            polynomial = schur_p(shape, args.n)
+            polynomial = schur_p(shape, args.n, config)
     print(polynomial.render())
     return EXIT_OK
 
@@ -243,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-vertices",
         type=int,
         default=None,
-        help="vertex budget for graphs, products and ssyt/ssht enumeration",
+        help="vertex budget for every command: graphs, graph files, "
+        "enumerations, characters, expansions and products",
     )
     parser.add_argument(
         "--threads",

@@ -11,8 +11,11 @@ A graph stores its vertices sorted by id and its edges sorted by
 any order has the same JSON and DOT bytes.  The tableau crystals are built in
 :mod:`crystals.models`.
 
-A :class:`TensorView` reads the tensor product of two graphs on demand; the
-materialized product, :func:`tensor_graphs`, is that view over every pair.
+A :class:`TensorView` reads the tensor product of two crystals on demand,
+each given as a graph or as any factor with the graph's read protocol (such
+as the tableau-backed :class:`crystals.models.QueerTableauCrystal`); the
+materialized product, :func:`tensor_graphs`, is that view over every pair of
+two graphs.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Hashable, Iterable
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import (
@@ -162,6 +165,14 @@ class CrystalGraph:
         for _, color, _ in self.edges:
             counts[color] = counts.get(color, 0) + 1
         return {c: counts[c] for c in sorted(counts, key=color_key)}
+
+    def string_maps(self, color: Color) -> tuple[dict[str, int], dict[str, int]]:
+        """``(phi, eps)`` of every vertex; see :func:`string_length_maps`."""
+        return string_length_maps(self, color)
+
+    def even_highest_weights(self) -> list[str]:
+        """Vertices with no incoming edge of a color ``1..n-1``."""
+        return highest_weights(self, range(1, self.n))
 
     def subgraph(self, colors: Iterable[Color]) -> "CrystalGraph":
         """Same vertices, edges restricted to the given colors."""
@@ -344,16 +355,22 @@ def _wrap_factor(payload: str) -> str:
     return f"({payload})" if "⊗" in payload else payload
 
 
-Pair = tuple[str, str]
+Pair = tuple[Hashable, Hashable]
+"""A ``(left id, right id)`` vertex of a :class:`TensorView`."""
 
 
 class TensorView:
-    """The tensor product of two graphs, read on demand without building it.
+    """The tensor product of two crystals, read on demand without building it.
 
-    Vertices are ``(left id, right id)`` pairs.  The view offers the read
-    protocol of :class:`CrystalGraph` that the reflection walks use
-    (``n``, ``weight_of``, ``out_edge``, ``in_edge``), so the odd operators
-    and the queer highest-weight search run on it directly.
+    A factor is a :class:`CrystalGraph` or any object with the same read
+    protocol: ``n``, ``colors``, ``vertex_ids``, ``weight_of``,
+    ``payload_of``, ``out_edge``, ``in_edge``, ``string_maps(color)`` (the
+    ``(phi, eps)`` maps of a color, indexed by vertex) and
+    ``even_highest_weights()``, such as
+    :class:`crystals.models.QueerTableauCrystal`, which moves tableaux only
+    when asked.  Vertices are ``(left id, right id)`` pairs, and the view
+    offers the same read protocol, so the odd operators and the queer
+    highest-weight search run on it directly.
 
     For an even color ``i`` the lowering move acts on the left factor when
     ``eps_i(b2) < phi_i(b1)`` and the raising move when
@@ -364,15 +381,13 @@ class TensorView:
     vertex and color, strings that match the weights).
 
     Raises:
-        DimensionMismatch: The two graphs have different weight lengths.
-        CycleDetected: A factor has a malformed monochromatic cycle.
+        DimensionMismatch: The two factors have different weight lengths.
+        CycleDetected: A factor graph has a malformed monochromatic cycle.
     """
 
-    __slots__ = (
-        "n", "left", "right", "queer", "even_colors", "_phi_left", "_eps_left", "_eps_right"
-    )
+    __slots__ = ("n", "left", "right", "queer", "even_colors", "_phi_left", "_eps_right")
 
-    def __init__(self, g1: CrystalGraph, g2: CrystalGraph, queer: bool = False) -> None:
+    def __init__(self, g1, g2, queer: bool = False) -> None:
         if g1.n != g2.n:
             raise DimensionMismatch(
                 f"cannot tensor graphs with weight lengths {g1.n} and {g2.n}"
@@ -384,10 +399,8 @@ class TensorView:
         self.even_colors: tuple[int, ...] = tuple(sorted(
             {c for c in (*g1.colors, *g2.colors) if isinstance(c, int) and c >= 1}
         ))
-        left_maps = {c: string_length_maps(g1, c) for c in self.even_colors}
-        self._phi_left = {c: phi for c, (phi, _) in left_maps.items()}
-        self._eps_left = {c: eps for c, (_, eps) in left_maps.items()}
-        self._eps_right = {c: string_length_maps(g2, c)[1] for c in self.even_colors}
+        self._phi_left = {c: g1.string_maps(c)[0] for c in self.even_colors}
+        self._eps_right = {c: g2.string_maps(c)[1] for c in self.even_colors}
 
     @property
     def colors(self) -> tuple[int, ...]:
@@ -443,14 +456,12 @@ class TensorView:
         """Pairs with no incoming even edge, without visiting the whole product.
 
         ``b1 ⊗ b2`` qualifies iff ``eps_i(b1) = 0`` and
-        ``eps_i(b2) <= phi_i(b1)`` for every even color, so only the highest
-        weights of the left factor are paired with the right factor.
+        ``eps_i(b2) <= phi_i(b1)`` for every even color, so only the even
+        highest weights of the left factor are paired with the right factor.
         """
         colors = self.even_colors
         result = []
-        for b1 in self.left.vertex_ids:
-            if any(self._eps_left[c][b1] for c in colors):
-                continue
+        for b1 in self.left.even_highest_weights():
             bounds = [(self._eps_right[c], self._phi_left[c][b1]) for c in colors]
             result.extend(
                 (b1, b2)
@@ -527,7 +538,7 @@ def _is_count(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def import_json(text: str) -> CrystalGraph:
+def import_json(text: str, config: Config | None = None) -> CrystalGraph:
     """Parse graph JSON produced by :func:`export_json`.
 
     Raises:
@@ -535,6 +546,9 @@ def import_json(text: str) -> CrystalGraph:
             boolean ``n`` or weight and an edge color that
             :func:`color_from_str` refuses; carries the failure position
             when the JSON itself does not parse.
+        ClosureBudgetExceeded: The file lists more than
+            ``config.max_vertices`` vertices; checked before any vertex is
+            read.
     """
     try:
         data = json.loads(text)
@@ -546,6 +560,12 @@ def import_json(text: str) -> CrystalGraph:
     _require(_is_count(data["n"]), "'n' must be a non-negative integer")
     _require(isinstance(data["vertices"], list), "'vertices' must be a list")
     _require(isinstance(data["edges"], list), "'edges' must be a list")
+    limit = (config or DEFAULT_CONFIG).max_vertices
+    if len(data["vertices"]) > limit:
+        raise ClosureBudgetExceeded(
+            f"graph file lists {len(data['vertices'])} vertices, "
+            f"over the budget of {limit} vertices"
+        )
     vertices = []
     for item in data["vertices"]:
         _require(isinstance(item, dict), "vertex entries must be objects")

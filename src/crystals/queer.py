@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .errors import IndexOutOfRange, StringTruncated
-from .graph import CrystalGraph, Pair, TensorView, highest_weights
+from .graph import CrystalGraph, Pair, TensorView
 from .tableaux import Entry, ShiftedTableau, cells_of, replace_cells
 
 VertexId = str | Pair
@@ -146,21 +146,17 @@ def queer_highest_weights(graph: CrystalGraph | TensorView) -> list[VertexId]:
 
     A vertex qualifies when it has no incoming even-colored edge and, for
     each ``k``, the ``k``-th reflection word sends it to a vertex with no
-    incoming 0-edge.  On a :class:`TensorView` the even candidates come from
-    :meth:`TensorView.even_highest_weights`, so only the highest weights of
-    the left factor times the right factor are visited and the result is a
-    list of ``(left id, right id)`` pairs.
+    incoming 0-edge.  The even candidates come from the graph's
+    ``even_highest_weights``; on a :class:`TensorView` those are the even
+    highest weights of the left factor paired with the right factor, and
+    the result is a list of ``(left id, right id)`` pairs.
 
     Raises:
         StringTruncated: A reflection walk left the graph.
     """
-    if isinstance(graph, TensorView):
-        candidates = graph.even_highest_weights()
-    else:
-        candidates = highest_weights(graph, range(1, graph.n))
     return [
         vid
-        for vid in candidates
+        for vid in graph.even_highest_weights()
         if all(
             graph.in_edge(apply_weyl_word(graph, vid, odd_word(k)), 0) is None
             for k in range(1, graph.n)

@@ -5,9 +5,11 @@ here: ordinary tableaux for ``schur`` and shifted ones for ``schur_p``.
 Basis changes are computed combinatorially — the shifted-to-ordinary
 expansion by enumerating tableaux with vanishing raising strings, and
 products of the shifted basis by counting the queer highest weights of
-``B(gamma) ⊗ B(delta)``.  The tensor product is never built: only the
-highest weights of ``B(gamma)`` paired with ``B(delta)`` are searched,
-through a lazy view of the product.
+``B(gamma) ⊗ B(delta)``.  No graph is built for a product, neither the
+tensor product nor its factors: the Yamanouchi tableaux of the larger shape
+paired with the tableaux of the smaller one are searched through a lazy view
+of the product whose factors move tableaux with the operators on demand.
+Every enumeration stops at ``config.max_vertices`` tableaux.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Sequence
 from .config import DEFAULT_CONFIG, Config
 from .errors import DimensionMismatch, ShapeMismatch, ValueOutOfRange
 from .graph import TensorView
-from .models import queer_graph
+from .models import QueerTableauCrystal
 from .poly import SparsePolynomial
 from .queer import queer_highest_weights
 from .shifted import enumerate_yamanouchi
@@ -41,7 +43,9 @@ def _strip(values: Sequence[int]) -> Partition:
     return tuple(out)
 
 
-def schur(shape: Sequence[int], n: int) -> SparsePolynomial:
+def schur(
+    shape: Sequence[int], n: int, config: Config | None = None
+) -> SparsePolynomial:
     """Sum of ``x^weight`` over ordinary tableaux of ``shape`` in 1..n.
 
     Identically zero when ``shape`` has more than ``n`` rows.
@@ -49,21 +53,29 @@ def schur(shape: Sequence[int], n: int) -> SparsePolynomial:
     Raises:
         ShapeMismatch: ``shape`` is not a partition.
         ValueOutOfRange: ``n`` is not positive.
+        ClosureBudgetExceeded: There are more than ``config.max_vertices``
+            tableaux; the enumeration stops at the first one past it.
     """
+    limit = (config or DEFAULT_CONFIG).max_vertices
     return SparsePolynomial.from_weights(
-        n, (weight(t, n) for t in enumerate_ssyt(shape, n))
+        n, (weight(t, n) for t in enumerate_ssyt(shape, n, limit=limit))
     )
 
 
-def schur_p(shape: Sequence[int], n: int) -> SparsePolynomial:
+def schur_p(
+    shape: Sequence[int], n: int, config: Config | None = None
+) -> SparsePolynomial:
     """Sum of ``x^weight`` over shifted tableaux of strict ``shape`` in 1..n.
 
     Raises:
         ShapeMismatch: ``shape`` is not a strict partition.
         ValueOutOfRange: ``n`` is not positive.
+        ClosureBudgetExceeded: There are more than ``config.max_vertices``
+            tableaux; the enumeration stops at the first one past it.
     """
+    limit = (config or DEFAULT_CONFIG).max_vertices
     return SparsePolynomial.from_weights(
-        n, (weight(t, n) for t in enumerate_ssht(shape, n))
+        n, (weight(t, n) for t in enumerate_ssht(shape, n, limit=limit))
     )
 
 
@@ -115,24 +127,33 @@ def product_expand(
     ``n``-letter alphabet, grouped by weight.  With ``n`` at least
     ``sum(gamma) + sum(delta)`` the counts expand the product completely.
 
-    Only the two factor graphs are built.  The search visits the even
-    highest weights of ``B(gamma)`` times ``B(delta)`` and walks the odd
-    reflections of each even highest weight on a :class:`TensorView`, so
-    past the factor builds its cost is about ``|hw(B(gamma))| * |B(delta)|``,
-    not ``|B(gamma)| * |B(delta)|``.
+    No graph is built.  The product commutes, so the shape with more cells
+    is put on the left.  Both factors are
+    :class:`~crystals.models.QueerTableauCrystal`: the even highest weights
+    of the product are the Yamanouchi tableaux of the left shape paired with
+    the tableaux ``b2`` of the right shape with ``eps_i(b2) <= phi_i(b1)``,
+    and the odd reflection walks from each of them move tableaux through
+    the operators, each move computed once.  The cost is about
+    ``|hw(B(gamma))| * |B(delta)|`` string tests plus the walks, not
+    ``|B(gamma)|`` or ``|B(gamma)| * |B(delta)|``.
 
     Raises:
         ShapeMismatch: either shape is not a strict partition.
         ValueOutOfRange: ``n`` is smaller than 2.
-        ClosureBudgetExceeded: a factor graph grew past
+        ClosureBudgetExceeded: the Yamanouchi tableaux of the left shape, or
+            the tableaux of the right shape, number more than
             ``config.max_vertices``.
     """
     for shape in (gamma, delta):
         if not is_strict_partition(tuple(shape)):
             raise ShapeMismatch(f"{tuple(shape)} is not a strict partition")
-    left = queer_graph(gamma, n, config)
-    right = queer_graph(delta, n, config)
-    product = TensorView(left, right, queer=True)
+    if sum(delta) > sum(gamma):
+        gamma, delta = delta, gamma
+    product = TensorView(
+        QueerTableauCrystal(gamma, n, config),
+        QueerTableauCrystal(delta, n, config),
+        queer=True,
+    )
     counts: Counter[Partition] = Counter()
     for pair in queer_highest_weights(product):
         counts[_strip(product.weight_of(pair))] += 1

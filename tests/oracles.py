@@ -8,6 +8,7 @@ Everything here is deliberately naive and independent of the code under test:
 * highest-weight tableaux found by filtering a full enumeration, or by
   filtering the product of every admissible row profile,
 * basis expansion by greedy leading-term subtraction of known polynomials,
+* product expansion on the two materialized queer factor graphs,
 * partition generators built on itertools-style recursion,
 * the even axiom checker with its raising and lowering A5/A6 passes written
   out as two separate copies.
@@ -19,10 +20,20 @@ functions below are used by the package itself.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from typing import TypeVar
 
-from crystals import CrystalError, SparsePolynomial, enumerate_ssht, schur_p
+from crystals import (
+    CrystalError,
+    ShapeMismatch,
+    SparsePolynomial,
+    TensorView,
+    enumerate_ssht,
+    queer_graph,
+    queer_highest_weights,
+    schur_p,
+)
 from crystals.axioms import _Collector, _check_weight_rules, _string_data, _verdict
 from crystals.shifted import eps as shifted_eps
 from crystals.tableaux import (
@@ -403,6 +414,27 @@ def greedy_p_expansion(poly: SparsePolynomial) -> dict[tuple[int, ...], int]:
         expansion[shape] = expansion.get(shape, 0) + coeff
         remaining = remaining - schur_p(shape, poly.n) * coeff
     raise AssertionError("expansion did not terminate")  # pragma: no cover
+
+
+def materialized_product(
+    gamma: Sequence[int], delta: Sequence[int], n: int
+) -> dict[tuple[int, ...], int]:
+    """Queer highest weights of ``B(gamma) ⊗ B(delta)`` grouped by weight.
+
+    Builds both queer factor graphs in full and searches a
+    :class:`TensorView` of them, whose even candidates are the highest
+    weights of the left graph times every vertex of the right one.
+    """
+    for shape in (gamma, delta):
+        if not all(a > b for a, b in zip(shape, shape[1:])) or not all(
+            part > 0 for part in shape
+        ):
+            raise ShapeMismatch(f"{tuple(shape)} is not a strict partition")
+    product = TensorView(queer_graph(gamma, n), queer_graph(delta, n), queer=True)
+    counts: Counter[tuple[int, ...]] = Counter()
+    for pair in queer_highest_weights(product):
+        counts[_strip_trailing_zeros(product.weight_of(pair))] += 1
+    return dict(counts)
 
 
 def partitions(total: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:

@@ -6,9 +6,10 @@ Checks:
 * graph files round-trip through the verifier with exit code 0, and a broken
   file exits 1 with a JSON verdict on stdout,
 * parse problems exit 2, missing files exit 3, and a tiny vertex budget exits 4
-  for model graphs (before enumerating past the budget), ssyt/ssht/yam
-  enumeration, shifted-to-ordinary expansions, tensor products and product
-  expansions,
+  for model graphs (before enumerating past the budget), the standard graph
+  and its character (before writing anything), ssyt/ssht/yam enumeration,
+  shifted and ordinary characters, shifted-to-ordinary expansions, graph
+  files given to ``verify``, tensor products and product expansions,
 * a string color outside the declared alphabet exits 2, and so does a graph
   file with a negative weight,
 * global options are accepted before the subcommand and relative outputs land
@@ -275,6 +276,81 @@ def test_product_budget_exits_four(capsys):
     assert code == 4
     assert out == ""
     assert "error:" in err
+
+
+def test_char_budget_stops_the_enumeration(capsys):
+    # (5,3,1) at n=6 has 62,720 tableaux; the budget stops at the sixth.
+    code, out, err = run(
+        capsys,
+        "--max-vertices",
+        "5",
+        "char",
+        "--model",
+        "shifted",
+        "--shape",
+        "5,3,1",
+        "--n",
+        "6",
+    )
+    assert code == 4
+    assert out == ""
+    assert "reached 6 tableaux" in err
+
+
+def test_char_young_budget_exits_four(capsys):
+    code, out, err = run(
+        capsys, "--max-vertices", "5", "char", "--model", "young", "--shape", "2,1", "--n", "3"
+    )
+    assert code == 4
+    assert out == ""
+    assert "reached 6 tableaux" in err
+
+
+def test_standard_graph_budget_exits_four(tmp_path, capsys):
+    target = tmp_path / "never.json"
+    code, out, err = run(
+        capsys,
+        "--max-vertices",
+        "3",
+        "graph",
+        "--model",
+        "standard",
+        "--n",
+        "9",
+        "--out",
+        str(target),
+    )
+    assert code == 4
+    assert out == ""
+    assert "9 vertices" in err
+    assert not target.exists()
+
+
+def test_standard_char_budget_exits_four(capsys):
+    code, out, err = run(
+        capsys, "--max-vertices", "3", "char", "--model", "standard", "--n", "9"
+    )
+    assert code == 4
+    assert out == ""
+    assert "9 vertices" in err
+
+
+def test_verify_budget_refuses_a_larger_file(tmp_path, capsys):
+    source = tmp_path / "q21.json"
+    code, _, _ = run(
+        capsys, "graph", "--model", "queer", "--shape", "2,1", "--n", "3", "--out", str(source)
+    )
+    assert code == 0
+    code, out, err = run(
+        capsys, "--max-vertices", "5", "verify", "--input", str(source), "--axioms", "queer"
+    )
+    assert code == 4
+    assert out == ""
+    assert "8 vertices" in err
+    code, _, _ = run(
+        capsys, "--max-vertices", "8", "verify", "--input", str(source), "--axioms", "queer"
+    )
+    assert code == 0
 
 
 def test_tensor_budget_exits_four(tmp_path, capsys):

@@ -10,6 +10,12 @@ Checks:
 * the product expansion has positive integer coefficients, reconstructs the
   product exactly, agrees with a greedy leading-term oracle, and is
   symmetric in its two factors,
+* the product expansion, which builds no graph, equals the search on the two
+  materialized queer factor graphs for every strict pair of total size at
+  most 6 with the full and a one-smaller alphabet, and the greedy oracle in
+  four variables for every strict pair of total size 7 or 8,
+* it never calls ``queer_graph`` or constructs a ``CrystalGraph``, and it
+  refuses non-strict shapes and alphabets smaller than 2,
 * staircase shapes are exactly the ones with coinciding characters, and every
   non-staircase shape admits at least two fillings killed by all raising
   operators,
@@ -20,6 +26,9 @@ from __future__ import annotations
 
 import pytest
 
+import crystals.graph
+import crystals.models
+import crystals.symfunc
 from crystals import (
     DimensionMismatch,
     ShapeMismatch,
@@ -36,7 +45,7 @@ from crystals import (
     schur_p_to_schur,
     staircase_check,
 )
-from oracles import greedy_p_expansion, strict_partitions
+from oracles import greedy_p_expansion, materialized_product, strict_partitions
 from reference_data import (
     P31_EXPANSION,
     P431_EXPANSION,
@@ -141,6 +150,62 @@ def test_product_rejects_non_strict_shapes():
         product_expand((2, 2), (1,), 5)
     with pytest.raises(ShapeMismatch):
         product_expand((1,), (0,), 3)
+
+
+def test_product_rejects_alphabets_below_two():
+    with pytest.raises(ShapeMismatch):  # the shapes are checked first
+        product_expand((1,), (2, 2), 1)
+    for n in (1, 0):
+        with pytest.raises(ValueOutOfRange):
+            product_expand((1,), (1,), n)
+        with pytest.raises(ValueOutOfRange):
+            materialized_product((1,), (1,), n)
+
+
+def _strict_pairs(totals):
+    return [
+        (g, d)
+        for total in totals
+        for k in range(1, total)
+        for g in strict_partitions(k)
+        for d in strict_partitions(total - k)
+    ]
+
+
+def test_product_equals_the_materialized_factor_search():
+    cases = 0
+    for gamma, delta in _strict_pairs(range(2, 7)):
+        full = sum(gamma) + sum(delta)
+        for n in (full, full - 1):
+            if n >= 2:
+                assert product_expand(gamma, delta, n) == materialized_product(
+                    gamma, delta, n
+                ), (gamma, delta, n)
+                cases += 1
+    assert cases == 59
+
+
+def test_product_in_four_variables_matches_greedy_oracle_to_size_eight():
+    pairs = _strict_pairs((7, 8))
+    assert len(pairs) == 56
+    for gamma, delta in pairs:
+        product = schur_p(gamma, 4) * schur_p(delta, 4)
+        assert product_expand(gamma, delta, 4) == greedy_p_expansion(product), (
+            gamma,
+            delta,
+        )
+
+
+def test_product_builds_no_graph(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("product_expand built a graph")
+
+    monkeypatch.setattr(crystals.models, "queer_graph", refuse)
+    monkeypatch.setattr(crystals.symfunc, "queer_graph", refuse, raising=False)
+    monkeypatch.setattr(crystals.graph.CrystalGraph, "__init__", refuse)
+    monkeypatch.setattr(crystals.graph, "string_length_maps", refuse)
+    assert product_expand((3, 1), (2,), 6) == {(5, 1): 1, (4, 2): 2, (3, 2, 1): 1}
+    assert product_expand((1,), (4, 2), 7) == product_expand((4, 2), (1,), 7)
 
 
 def test_staircase_predicate():

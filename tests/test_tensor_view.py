@@ -4,12 +4,16 @@ Checks:
 * at every vertex and color of a pool of small factor pairs, with and without
   the 0-moves, the view's lowering and raising moves are exactly the edges of
   ``tensor_graphs`` on the same factors,
+* the tableau-backed factor ``QueerTableauCrystal`` has the vertices,
+  weights, moves, string lengths and even highest weights of ``queer_graph``
+  for every strict shape of size at most 4 and alphabet up to 4,
 * the queer highest weights found on the view, which only visits the highest
   weights of the left factor times the right factor, are the queer highest
   weights of the materialized tensor, for every strict pair of total size at
-  most 5 with the full and a truncated alphabet,
-* a product too large to materialize in a test still expands to its
-  cross-checked value.
+  most 5 with the full and a truncated alphabet, and a view of two
+  tableau-backed factors finds the same ones as a view of the factor graphs,
+* products too large to materialize in a test still expand to their
+  cross-checked values, in either factor order.
 """
 
 from __future__ import annotations
@@ -17,12 +21,14 @@ from __future__ import annotations
 import pytest
 
 from crystals import (
+    QueerTableauCrystal,
     TensorView,
     product_expand,
     queer_graph,
     queer_highest_weights,
     shifted_graph,
     standard_graph,
+    string_length_maps,
     tensor_graphs,
 )
 from oracles import strict_partitions
@@ -61,6 +67,32 @@ def test_view_moves_equal_materialized_edges(name, queer):
                     assert materialized == expected
 
 
+@pytest.mark.parametrize(
+    "shape, n",
+    [(lam, n) for size in range(1, 5) for lam in strict_partitions(size) for n in (2, 3, 4)],
+    ids=str,
+)
+def test_tableau_factor_reads_like_the_queer_graph(shape, n):
+    graph = queer_graph(shape, n)
+    factor = QueerTableauCrystal(shape, n)
+    name = factor.payload_of
+    assert sorted(map(name, factor.vertex_ids)) == list(graph.vertex_ids)
+    assert sorted(map(name, factor.even_highest_weights())) == graph.even_highest_weights()
+    strings = {c: factor.string_maps(c) for c in range(1, n)}
+    for vid in factor.vertex_ids:
+        tid = name(vid)
+        assert factor.weight_of(vid) == graph.weight_of(tid)
+        for color in range(n):
+            for lazy, edge in (
+                (factor.out_edge(vid, color), graph.out_edge(tid, color)),
+                (factor.in_edge(vid, color), graph.in_edge(tid, color)),
+            ):
+                assert (None if lazy is None else name(lazy)) == edge
+        for color, (phi, eps) in strings.items():
+            graph_phi, graph_eps = string_length_maps(graph, color)
+            assert (phi[vid], eps[vid]) == (graph_phi[tid], graph_eps[tid])
+
+
 def _strict_pairs(limit):
     shapes = [lam for size in range(1, limit) for lam in strict_partitions(size)]
     return [(g, d) for g in shapes for d in shapes if sum(g) + sum(d) <= limit]
@@ -85,6 +117,21 @@ def test_lazy_highest_weights_equal_materialized(gamma, delta, n):
     assert sorted(lazy) == materialized
 
 
+@pytest.mark.parametrize(
+    "gamma, delta, n",
+    [(g, d, n) for g, d in _strict_pairs(5) for n in _alphabets(g, d)],
+    ids=str,
+)
+def test_tableau_factors_find_the_graph_factors_highest_weights(gamma, delta, n):
+    on_graphs = TensorView(queer_graph(gamma, n), queer_graph(delta, n), queer=True)
+    on_tableaux = TensorView(
+        QueerTableauCrystal(gamma, n), QueerTableauCrystal(delta, n), queer=True
+    )
+    found = [on_tableaux.payload_of(pair) for pair in queer_highest_weights(on_tableaux)]
+    expected = [on_graphs.payload_of(pair) for pair in queer_highest_weights(on_graphs)]
+    assert sorted(found) == sorted(expected)
+
+
 def test_product_beyond_materialization_keeps_its_value():
     # The materialized tensor has 705,600 vertices; this value was also
     # reproduced by it and by the greedy leading-term expansion.
@@ -93,3 +140,11 @@ def test_product_beyond_materialization_keeps_its_value():
         (5, 2, 1): 1,
         (4, 3, 1): 1,
     }
+
+
+def test_product_with_the_larger_left_factor_keeps_its_value():
+    # The search on the two materialized factor graphs, oracles'
+    # materialized_product, gives the same value in about 17 s.
+    expected = {(6, 3): 1, (6, 2, 1): 1, (5, 4): 1, (5, 3, 1): 2, (4, 3, 2): 1}
+    assert product_expand((4, 2), (2, 1), 9) == expected
+    assert product_expand((2, 1), (4, 2), 9) == expected
