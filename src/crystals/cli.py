@@ -11,6 +11,7 @@ nothing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -24,11 +25,17 @@ from .axioms import (
     check_stembridge,
 )
 from .config import Config, resolve_threads
-from .errors import ClosureBudgetExceeded, CrystalError, IndexOutOfRange, ParseError
+from .errors import (
+    ClosureBudgetExceeded,
+    CrystalError,
+    IndexOutOfRange,
+    ParseError,
+    ValueOutOfRange,
+)
 from .graph import (
     CrystalGraph,
     character,
-    components,
+    _component_groups,
     export_dot,
     export_json,
     highest_weights,
@@ -157,7 +164,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
         " ".join(f"{color}:{counts[color]}" for color in sorted(counts, key=str))
         or "none",
     )
-    print(f"components: {len(components(graph))}")
+    print(f"components: {len(_component_groups(graph))}")
     weights = sorted(
         graph.weight_of(vid) for vid in highest_weights(graph)
     )
@@ -184,7 +191,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict.ok else EXIT_VIOLATIONS
 
 
+def _check_alphabet(n: int | None) -> None:
+    if n is not None and n < 1:
+        raise ValueOutOfRange(f"alphabet bound must be positive, got {n}")
+
+
 def cmd_expand(args: argparse.Namespace) -> int:
+    _check_alphabet(args.n)
     gamma = parse_shape(args.gamma)
     expansion = schur_p_to_schur(gamma, args.n, _config(args))
     print(render_expansion(expansion, "s"))
@@ -216,6 +229,7 @@ def cmd_char(args: argparse.Namespace) -> int:
 
 
 def cmd_string(args: argparse.Namespace) -> int:
+    _check_alphabet(args.n)
     if args.n is not None and args.i >= args.n:
         raise IndexOutOfRange(
             f"color {args.i} outside 1..{args.n - 1} for an alphabet of {args.n}"
@@ -332,9 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call in a process."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ClosureBudgetExceeded as exc:

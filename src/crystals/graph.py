@@ -250,14 +250,14 @@ def string_length_maps(
 
 # -- whole-graph queries ------------------------------------------------------
 
-def components(graph: CrystalGraph) -> list[CrystalGraph]:
-    """Weakly connected components, ordered by smallest vertex id."""
+def _component_groups(graph: CrystalGraph) -> list[set[str]]:
+    """Vertex ids of each weakly connected component, ordered by smallest id."""
     neighbors: dict[str, set[str]] = {v: set() for v in graph.vertex_ids}
     for src, _, dst in graph.edges:
         neighbors[src].add(dst)
         neighbors[dst].add(src)
     seen: set[str] = set()
-    parts: list[CrystalGraph] = []
+    groups: list[set[str]] = []
     for vid in graph.vertex_ids:
         if vid in seen:
             continue
@@ -269,8 +269,13 @@ def components(graph: CrystalGraph) -> list[CrystalGraph]:
                     group.add(other)
                     stack.append(other)
         seen |= group
-        parts.append(graph.restrict(group))
-    return parts
+        groups.append(group)
+    return groups
+
+
+def components(graph: CrystalGraph) -> list[CrystalGraph]:
+    """Weakly connected components, ordered by smallest vertex id."""
+    return [graph.restrict(group) for group in _component_groups(graph)]
 
 
 def highest_weights(

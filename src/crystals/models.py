@@ -3,7 +3,9 @@
 A tableau crystal's vertices are all tableaux of its shape, so each
 constructor enumerates them once and adds the edge ``t -> f(t)`` for every
 lowering operator ``f`` defined at ``t``.  Raising operators are the inverse
-moves and add no edge.  Vertex ids are the canonical tableau text.
+moves and add no edge.  Vertex ids are the canonical tableau text.  Both
+run on packed tableaux (:mod:`crystals.tableaux`) and call the packed
+operator bodies directly.
 
 :class:`QueerTableauCrystal` is the queer crystal of a shape without the
 graph: it moves tableaux through the operators only when asked, for a
@@ -12,22 +14,22 @@ graph: it moves tableaux through the operators only when asked, for a
 
 from __future__ import annotations
 
-from types import ModuleType
 from typing import Callable, Sequence
 
-from . import pairing, queer, shifted, young
+from . import queer, young
 from .config import Config, DEFAULT_CONFIG
-from .errors import ClosureBudgetExceeded, ValueOutOfRange
+from .errors import ClosureBudgetExceeded, ParseError, ValueOutOfRange
 from .graph import Color, CrystalGraph, Vertex, Weight
-from .shifted import enumerate_yamanouchi
+from .pairing import string_scan
+from .shifted import enumerate_yamanouchi, lower_at, raise_at
 from .tableaux import (
-    ShiftedTableau,
-    Tableau,
-    enumerate_ssht,
-    enumerate_ssyt,
-    hook_reading_word,
-    render_tableau,
-    weight,
+    _Memo,
+    checked_geometry,
+    enumerate_codes,
+    geometry,
+    pack,
+    render_codes,
+    weight_codes,
 )
 
 
@@ -69,38 +71,53 @@ def queer_standard_graph(n: int, config: Config | None = None) -> CrystalGraph:
 
 
 def _tableau_graph(
-    enumerate_: Callable[..., Sequence[Tableau]],
+    shifted_shape: bool,
     shape: Sequence[int],
     n: int,
-    lowerings: Sequence[tuple[Color, Callable[[Tableau], Tableau | None]]],
     config: Config | None,
+    queer_move: bool = False,
 ) -> CrystalGraph:
-    """The graph on all tableaux of ``shape`` with an edge ``t -> f(t)`` for
-    each lowering ``f`` defined at ``t``.
+    """The graph on all tableaux of ``shape`` with an edge ``t -> f_i(t)`` for
+    each color ``1..n-1`` where ``f_i`` is defined, and ``t -> f0(t)`` too
+    when ``queer_move`` is set.
+
+    Works on packed codes: each tableau is rendered once as its id, its
+    reading word is scanned once for the lowering cell of every color, and
+    each target is looked up by its codes.
 
     Raises:
+        ShapeMismatch: ``shape`` is not a (strict) partition.
+        ValueOutOfRange: ``n`` is not positive.
         ClosureBudgetExceeded: More than ``config.max_vertices`` tableaux;
             the enumeration stops at the first one past the budget.
         ParseError: Some ``f(t)`` is not an enumerated tableau, that is, the
             enumeration is not closed under lowering.
     """
     config = config or DEFAULT_CONFIG
+    g = checked_geometry(shape, n, shifted_shape)
+    lower = lower_at if shifted_shape else young.lower_at
+    ids = {
+        codes: render_codes(codes, g)
+        for codes in enumerate_codes(g, n, config.max_vertices)
+    }
+
+    def target(codes: tuple[int, ...]) -> str:
+        tid = ids.get(codes)
+        if tid is None:
+            raise ParseError(f"edge target {render_codes(codes, g)!r} is not a vertex")
+        return tid
+
     vertices = []
     edges = []
-    for t in enumerate_(shape, n, limit=config.max_vertices):
-        tid = render_tableau(t)
-        vertices.append(Vertex(tid, tid, weight(t, n)))
-        for color, lower in lowerings:
-            target = lower(t)
-            if target is not None:
-                edges.append((tid, color, render_tableau(target)))
+    for codes, tid in ids.items():
+        vertices.append(Vertex(tid, tid, weight_codes(codes, n)))
+        down = string_scan(codes, g.reading, n).down
+        for i in range(1, n):
+            if down[i] >= 0:
+                edges.append((tid, i, target(lower(codes, g, i, down[i]))))
+        if queer_move and (moved := queer.f0_codes(codes)) is not None:
+            edges.append((tid, 0, target(moved)))
     return CrystalGraph(n, vertices, edges)
-
-
-def _even_lowerings(module: ModuleType, n: int) -> list[tuple[Color, Callable]]:
-    # ``module.lower`` is looked up at each call, so a rebinding of it (as the
-    # benchmark tracer installs) reaches every operator call.
-    return [(i, lambda t, i=i: module.lower(t, i)) for i in range(1, n)]
 
 
 def young_graph(
@@ -111,7 +128,7 @@ def young_graph(
     Raises:
         ClosureBudgetExceeded: More than ``config.max_vertices`` tableaux.
     """
-    return _tableau_graph(enumerate_ssyt, shape, n, _even_lowerings(young, n), config)
+    return _tableau_graph(False, shape, n, config)
 
 
 def shifted_graph(
@@ -122,7 +139,7 @@ def shifted_graph(
     Raises:
         ClosureBudgetExceeded: More than ``config.max_vertices`` tableaux.
     """
-    return _tableau_graph(enumerate_ssht, shape, n, _even_lowerings(shifted, n), config)
+    return _tableau_graph(True, shape, n, config)
 
 
 def queer_graph(
@@ -135,8 +152,7 @@ def queer_graph(
         ClosureBudgetExceeded: More than ``config.max_vertices`` tableaux.
     """
     _check_queer_alphabet(n)
-    lowerings = [(0, queer.f0), *_even_lowerings(shifted, n)]
-    return _tableau_graph(enumerate_ssht, shape, n, lowerings, config)
+    return _tableau_graph(True, shape, n, config, queer_move=True)
 
 
 def _check_queer_alphabet(n: int) -> None:
@@ -146,29 +162,15 @@ def _check_queer_alphabet(n: int) -> None:
         )
 
 
-class _Memo(dict):
-    """A dict that computes a missing value once, on its first read."""
-
-    __slots__ = ("compute",)
-
-    def __init__(self, compute: Callable) -> None:
-        super().__init__()
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(key)
-        return value
-
-
 class QueerTableauCrystal:
     """The queer crystal of strict ``shape`` over ``1..n``, read on demand.
 
     Offers the factor protocol of :class:`~crystals.graph.TensorView` and
-    builds no graph.  A vertex id is the index of a tableau in the order
-    the crystal first met it; each move and string length is computed from
-    the tableau operators the first time it is read and remembered.  The
-    hook reading word is read once per tableau for the raising strings of
-    every color, and ``phi_i`` is ``eps_i + wt_i - wt_{i+1}``.
+    builds no graph.  A vertex id is the index of a packed tableau in the
+    order the crystal first met it; each move and string length is
+    computed from the packed operators the first time it is read and
+    remembered.  The reading word of a tableau is scanned once, for the
+    string lengths and the moving cells of every color.
     ``even_highest_weights`` is the Yamanouchi enumeration, and
     ``vertex_ids`` enumerates every tableau on first use.
 
@@ -189,52 +191,54 @@ class QueerTableauCrystal:
         self.colors: tuple[Color, ...] = tuple(range(n))
         self._limit = (config or DEFAULT_CONFIG).max_vertices
         self._vertex_ids: list[int] | None = None
-        self._tableaux: list[ShiftedTableau] = []
+        self._codes: list[tuple[int, ...]] = []
         self._weights: list[Weight] = []
-        self._ids: dict[ShiftedTableau, int] = {}
-        tableau = self._tableaux.__getitem__
-        weights = self._weights
-        # Operators are looked up on their modules at each call, as in the
-        # graph builders.
-        self._down = {0: _Memo(lambda v: self._id(queer.f0(tableau(v))))}
-        self._up = {0: _Memo(lambda v: self._id(queer.e0(tableau(v))))}
+        self._ids: dict[tuple[int, ...], int] = {}
+        g = self._geometry = geometry(self.shape, True)
+        codes = self._codes.__getitem__
+        scan = _Memo(lambda v: string_scan(codes(v), g.reading, n))
+
+        def move(op: Callable, v: int, i: int, cell: int) -> int | None:
+            return None if cell < 0 else self._id(op(codes(v), g, i, cell))
+
+        self._down = {0: _Memo(lambda v: self._id(queer.f0_codes(codes(v))))}
+        self._up = {0: _Memo(lambda v: self._id(queer.e0_codes(codes(v))))}
         self._phi: dict[Color, _Memo] = {}
         self._eps: dict[Color, _Memo] = {}
-        word = _Memo(lambda v: hook_reading_word(tableau(v)))
         for i in range(1, n):
-            self._down[i] = _Memo(lambda v, i=i: self._id(shifted.lower(tableau(v), i)))
-            self._up[i] = _Memo(lambda v, i=i: self._id(shifted.raise_(tableau(v), i)))
-            eps = self._eps[i] = _Memo(lambda v, i=i: pairing.eps_i(word[v], i))
-            self._phi[i] = _Memo(
-                lambda v, i=i, eps=eps: eps[v] + weights[v][i - 1] - weights[v][i]
-            )
+            self._down[i] = _Memo(lambda v, i=i: move(lower_at, v, i, scan[v].down[i]))
+            self._up[i] = _Memo(lambda v, i=i: move(raise_at, v, i, scan[v].up[i]))
+            self._eps[i] = _Memo(lambda v, i=i: scan[v].eps(i))
+            self._phi[i] = _Memo(lambda v, i=i: scan[v].phi[i])
 
-    def _id(self, t: ShiftedTableau | None) -> int | None:
-        if t is None:
+    def _id(self, codes: tuple[int, ...] | None) -> int | None:
+        if codes is None:
             return None
-        vid = self._ids.get(t)
+        vid = self._ids.get(codes)
         if vid is None:
-            vid = self._ids[t] = len(self._tableaux)
-            self._tableaux.append(t)
-            self._weights.append(weight(t, self.n))
+            vid = self._ids[codes] = len(self._codes)
+            self._codes.append(codes)
+            self._weights.append(weight_codes(codes, self.n))
         return vid
 
     @property
     def vertex_ids(self) -> list[int]:
         if self._vertex_ids is None:
-            tableaux = enumerate_ssht(self.shape, self.n, limit=self._limit)
-            self._vertex_ids = [self._id(t) for t in tableaux]
+            g = checked_geometry(self.shape, self.n, True)
+            self._vertex_ids = [
+                self._id(codes) for codes in enumerate_codes(g, self.n, self._limit)
+            ]
         return self._vertex_ids
 
     def even_highest_weights(self) -> list[int]:
         tableaux = enumerate_yamanouchi(self.shape, self.n, limit=self._limit)
-        return [self._id(t) for t in tableaux]
+        return [self._id(pack(t)) for t in tableaux]
 
     def weight_of(self, vid: int) -> Weight:
         return self._weights[vid]
 
     def payload_of(self, vid: int) -> str:
-        return render_tableau(self._tableaux[vid])
+        return render_codes(self._codes[vid], self._geometry)
 
     def out_edge(self, vid: int, color: Color) -> int | None:
         moves = self._down.get(color)

@@ -3,14 +3,19 @@
 All statistics disregard marks: an entry counts by its value only.  Positions are
 1-based; for a word ``w`` of length ``N`` the prefix of length ``r`` is
 ``w[0:r]``, with ``r = 0`` denoting the empty prefix.
+
+:func:`string_scan` computes the same statistics for every color at once on
+a packed reading word (see :mod:`crystals.tableaux`), which is how the
+tableau operators read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from .errors import IndexOutOfRange
-from .tableaux import Word
+from .tableaux import Geometry, Tableau, Word, geometry_of, pack
 
 
 def m_i_prefix(word: Word, i: int, r: int) -> int:
@@ -129,3 +134,81 @@ def classify_pairs(word: Word, i: int) -> PairingResult:
                 free_low.append(pos)
     pairs.sort()
     return PairingResult(tuple(pairs), tuple(free_low), tuple(stack))
+
+
+class StringScan(NamedTuple):
+    """Statistics of every color ``i`` of a packed word, indexed by ``i``.
+
+    Lists are long enough for the colors asked for and for every letter of
+    the word; past the word's letters every string is empty.
+
+    Attributes:
+        phi: :func:`m_i`, the length of the lowering string.
+        balance: Count of ``i`` minus count of ``i + 1`` in the whole word,
+            so ``eps_i`` (:func:`eps_i`) is ``phi[i] - balance[i]``.
+        down: Cell of the letter ``i`` ending the first prefix attaining
+            :func:`m_i` (:func:`first_max_position`), or ``-1`` when
+            ``phi`` is 0.
+        up: Cell of the letter just after the last prefix attaining
+            :func:`m_i` (:func:`last_max_position`), always an ``i + 1``,
+            or ``-1`` when that prefix is the whole word.
+    """
+
+    phi: list[int]
+    balance: list[int]
+    down: list[int]
+    up: list[int]
+
+    def eps(self, i: int) -> int:
+        return self.phi[i] - self.balance[i]
+
+
+def string_scan(
+    codes: Sequence[int], reading: Sequence[tuple[int, int]], colors: int
+) -> StringScan:
+    """One pass over the reading word of ``codes`` for colors ``0..colors``.
+
+    ``reading`` is a geometry's ``(cell, mark)`` reading order
+    (:class:`~crystals.tableaux.Geometry`): a cell is a letter of the word
+    when its code's parity equals ``mark``.  A letter of value ``v`` raises
+    color ``v``'s running count and lowers color ``v - 1``'s.  A raise past
+    the best so far records the first maximal prefix; a raise reaching the
+    best clears ``up``, and the next lowering letter of that color, the one
+    after the last maximal prefix so far, sets it.
+    """
+    size = max(colors, (max(codes) + 1) >> 1 if codes else 0) + 2
+    run = [0] * size
+    best = [0] * size
+    down = [-1] * size
+    up = [-1] * size
+    for c, marked in reading:
+        v = codes[c]
+        if v & 1 != marked:
+            continue
+        v = (v + 1) >> 1
+        r = run[v] + 1
+        run[v] = r
+        b = best[v]
+        if r > b:
+            best[v] = r
+            down[v] = c
+            up[v] = -1
+        elif r == b:
+            up[v] = -1
+        v -= 1
+        run[v] -= 1
+        if up[v] < 0:
+            up[v] = c
+    return StringScan(best, run, down, up)
+
+
+def scan_tableau(t: Tableau, i: int) -> tuple[tuple[int, ...], Geometry, StringScan]:
+    """``t`` packed, its geometry, and the :func:`string_scan` of its reading word.
+
+    Raises:
+        IndexOutOfRange: ``i`` (the operator color asked for) is below 1.
+    """
+    if i < 1:
+        raise IndexOutOfRange(f"operator index must be at least 1, got {i}")
+    codes, g = pack(t), geometry_of(t)
+    return codes, g, string_scan(codes, g.reading, i)

@@ -3,7 +3,8 @@
 On a shifted tableau the queer lowering move turns the rightmost ``1`` of the
 bottom row into a ``2`` (on the main diagonal) or ``2'`` (off it); the raising
 move inverts this.  Values ``1`` and ``2'`` only ever occur in the bottom row,
-so the moves are two-sided inverses.
+so the moves are two-sided inverses.  Both have one body on packed codes
+(:func:`f0_codes`, :func:`e0_codes`).
 
 On a graph, or on a lazy tensor view of two graphs, longer-range odd
 operators are conjugates of the 0-move by walks along even strings: ``S_i``
@@ -18,7 +19,7 @@ from typing import Callable, Sequence
 
 from .errors import IndexOutOfRange, StringTruncated
 from .graph import CrystalGraph, Pair, TensorView
-from .tableaux import Entry, ShiftedTableau, cells_of, replace_cells
+from .tableaux import ShiftedTableau, geometry_of, pack, unpack, with_codes
 
 VertexId = str | Pair
 """A vertex id of a :class:`CrystalGraph` or a pair of a :class:`TensorView`."""
@@ -30,17 +31,8 @@ def f0(t: ShiftedTableau) -> ShiftedTableau | None:
     Undefined (``None``) when the tableau holds no ``1`` or already holds a
     ``2'``.
     """
-    ones: list[int] = []
-    for (r, c), entry in cells_of(t):
-        if entry == Entry(2, True):
-            return None
-        if entry.value == 1:
-            ones.append(c)
-    if not ones:
-        return None
-    column = max(ones)
-    replacement = Entry(2) if column == 1 else Entry(2, True)
-    return replace_cells(t, {(1, column): replacement})
+    codes = f0_codes(pack(t))
+    return None if codes is None else unpack(codes, geometry_of(t))
 
 
 def e0(t: ShiftedTableau) -> ShiftedTableau | None:
@@ -49,11 +41,30 @@ def e0(t: ShiftedTableau) -> ShiftedTableau | None:
     Undefined (``None``) when the tableau has no ``2'`` and the first cell of
     row 1 is not an unmarked ``2``.
     """
-    for (r, c), entry in cells_of(t):
-        if entry == Entry(2, True):
-            return replace_cells(t, {(r, c): Entry(1)})
-    if t.shape and t.rows[0] and t.rows[0][0] == Entry(2):
-        return replace_cells(t, {(1, 1): Entry(1)})
+    codes = e0_codes(pack(t))
+    return None if codes is None else unpack(codes, geometry_of(t))
+
+
+def f0_codes(codes: tuple[int, ...]) -> tuple[int, ...] | None:
+    """:func:`f0` on packed codes; the ``1``s lead row 1, which leads ``codes``."""
+    if 3 in codes:  # a 2'
+        return None
+    last = -1
+    for cell, code in enumerate(codes):
+        if code > 2:
+            break
+        last = cell
+    if last < 0:
+        return None
+    return with_codes(codes, last, 4 if last == 0 else 3)
+
+
+def e0_codes(codes: tuple[int, ...]) -> tuple[int, ...] | None:
+    """:func:`e0` on packed codes."""
+    if 3 in codes:
+        return with_codes(codes, codes.index(3), 2)
+    if codes and codes[0] == 4:
+        return with_codes(codes, 0, 2)
     return None
 
 

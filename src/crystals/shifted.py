@@ -8,155 +8,138 @@ just after the last maximal prefix and inverts every lowering case.
 Entries with value ``v`` (marked or not) form connected ribbons; some cases walk
 a ribbon northwest to its head or southeast along its tail to keep the filling
 semistandard while moving weight between values ``i`` and ``i + 1``.
+
+Each operator has one body on packed codes (:mod:`crystals.tableaux`):
+:func:`lower_at` and :func:`raise_at` edit the codes at the cell a
+:func:`~crystals.pairing.string_scan` of the reading word picked.  The
+public functions pack the tableau, run that body and unpack the result.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import IndexOutOfRange, ShapeMismatch, ValueOutOfRange
-from .pairing import eps_i as _word_eps
-from .pairing import first_max_position, last_max_position, m_i
+from .pairing import scan_tableau
 from .tableaux import (
-    Cell,
     Entry,
+    Geometry,
     ShiftedTableau,
     _keep,
-    entry_at,
-    hook_reading_cells,
-    is_strict_partition,
-    replace_cells,
+    checked_geometry,
+    pack,
+    reading_key,
+    unpack,
     validate_shifted,
+    with_codes,
 )
-
-
-def _check_color(i: int) -> None:
-    if i < 1:
-        raise IndexOutOfRange(f"operator index must be at least 1, got {i}")
 
 
 def phi(t: ShiftedTableau, i: int) -> int:
     """Length of the lowering string at ``t`` for color ``i``."""
-    _check_color(i)
-    return m_i(tuple(e for _, e in hook_reading_cells(t)), i)
+    return scan_tableau(t, i)[2].phi[i]
 
 
 def eps(t: ShiftedTableau, i: int) -> int:
     """Length of the raising string at ``t`` for color ``i``."""
-    _check_color(i)
-    return _word_eps(tuple(e for _, e in hook_reading_cells(t)), i)
-
-
-def _in_class(entry: Entry | None, value: int) -> bool:
-    return entry is not None and entry.value == value
-
-
-def _ribbon_head(t: ShiftedTableau, cell: Cell) -> Cell:
-    """Walk northwest along the ribbon of ``cell``'s value to its head."""
-    value = t.cell(*cell).value
-    r, c = cell
-    while True:
-        if _in_class(entry_at(t, r + 1, c), value):
-            r += 1
-        elif _in_class(entry_at(t, r, c - 1), value):
-            c -= 1
-        else:
-            return (r, c)
-
-
-def _ribbon_tail_cells(t: ShiftedTableau, cell: Cell) -> list[Cell]:
-    """Cells from ``cell`` walking southeast along its value's ribbon."""
-    value = t.cell(*cell).value
-    r, c = cell
-    out = [(r, c)]
-    while True:
-        if _in_class(entry_at(t, r - 1, c), value):
-            r -= 1
-        elif _in_class(entry_at(t, r, c + 1), value):
-            c += 1
-        else:
-            return out
-        out.append((r, c))
+    return scan_tableau(t, i)[2].eps(i)
 
 
 def lower(t: ShiftedTableau, i: int) -> ShiftedTableau | None:
     """Apply ``f_i``, or return ``None`` when the lowering string is exhausted."""
-    _check_color(i)
-    cells = hook_reading_cells(t)
-    word = tuple(e for _, e in cells)
-    if m_i(word, i) <= 0:
-        return None
-    p = first_max_position(word, i)
-    (r, c), x = cells[p - 1]
-    assert x.value == i
-    north = entry_at(t, r + 1, c)
-    east = entry_at(t, r, c + 1)
-
-    if not x.marked:
-        if east == Entry(i + 1, True):
-            return replace_cells(
-                t, {(r, c): Entry(i + 1, True), (r, c + 1): Entry(i + 1)}
-            )
-        if north is None or north > Entry(i + 1):
-            return replace_cells(t, {(r, c): Entry(i + 1)})
-        head = _ribbon_head(t, (r + 1, c))
-        if t.cell(*head).marked:
-            return replace_cells(
-                t, {(r, c): Entry(i + 1, True), head: Entry(i + 1)}
-            )
-        return replace_cells(t, {(r, c): Entry(i + 1, True)})
-
-    if north == Entry(i):
-        return replace_cells(t, {(r, c): Entry(i), (r + 1, c): Entry(i + 1, True)})
-    if east is None or east > Entry(i + 1, True):
-        return replace_cells(t, {(r, c): Entry(i + 1, True)})
-    changed = replace_cells(t, {(r, c): Entry(i)})
-    for cell in _ribbon_tail_cells(changed, (r, c)):
-        if changed.cell(*cell) != Entry(i):
-            continue
-        neighbor = entry_at(changed, cell[0], cell[1] + 1)
-        if neighbor != Entry(i) and neighbor != Entry(i + 1, True):
-            return replace_cells(changed, {cell: Entry(i + 1, True)})
-    raise AssertionError("lowering walk found no cell to change")
+    codes, g, scan = scan_tableau(t, i)
+    cell = scan.down[i]
+    return None if cell < 0 else unpack(lower_at(codes, g, i, cell), g)
 
 
 def raise_(t: ShiftedTableau, i: int) -> ShiftedTableau | None:
     """Apply ``e_i``, or return ``None`` when the raising string is exhausted."""
-    _check_color(i)
-    cells = hook_reading_cells(t)
-    word = tuple(e for _, e in cells)
-    q = last_max_position(word, i)
-    if q == len(word):
-        return None
-    (r, c), x = cells[q]
-    assert x.value == i + 1
-    south = entry_at(t, r - 1, c)
-    west = entry_at(t, r, c - 1)
+    codes, g, scan = scan_tableau(t, i)
+    cell = scan.up[i]
+    return None if cell < 0 else unpack(raise_at(codes, g, i, cell), g)
 
-    if not x.marked:
-        if west == Entry(i + 1, True):
-            return replace_cells(
-                t, {(r, c): Entry(i + 1, True), (r, c - 1): Entry(i)}
-            )
-        if south is None or south < Entry(i):
-            return replace_cells(t, {(r, c): Entry(i)})
-        changed = replace_cells(t, {(r, c): Entry(i + 1, True)})
-        for cell in _ribbon_tail_cells(changed, (r, c)):
-            if changed.cell(*cell) != Entry(i + 1, True):
+
+def _ribbon_head(codes: Sequence[int], g: Geometry, cell: int) -> int:
+    """Walk northwest along the ribbon of ``cell``'s value to its head."""
+    value = (codes[cell] + 1) >> 1
+    while True:
+        north, west = g.north[cell], g.west[cell]
+        if north >= 0 and (codes[north] + 1) >> 1 == value:
+            cell = north
+        elif west >= 0 and (codes[west] + 1) >> 1 == value:
+            cell = west
+        else:
+            return cell
+
+
+def _ribbon_tail_cells(codes: Sequence[int], g: Geometry, cell: int) -> list[int]:
+    """Cells from ``cell`` walking southeast along its value's ribbon."""
+    value = (codes[cell] + 1) >> 1
+    out = [cell]
+    while True:
+        south, east = g.south[cell], g.east[cell]
+        if south >= 0 and (codes[south] + 1) >> 1 == value:
+            cell = south
+        elif east >= 0 and (codes[east] + 1) >> 1 == value:
+            cell = east
+        else:
+            return out
+        out.append(cell)
+
+
+def lower_at(codes: tuple[int, ...], g: Geometry, i: int, cell: int) -> tuple[int, ...]:
+    """``f_i`` of packed ``codes`` whose first maximal prefix ends at ``cell``."""
+    marked_i, unmarked_i, marked_up, unmarked_up = 2 * i - 1, 2 * i, 2 * i + 1, 2 * i + 2
+    north, east = g.north[cell], g.east[cell]
+    if codes[cell] == unmarked_i:
+        if east >= 0 and codes[east] == marked_up:
+            return with_codes(codes, cell, marked_up, east, unmarked_up)
+        if north < 0 or codes[north] > unmarked_up:
+            return with_codes(codes, cell, unmarked_up)
+        head = _ribbon_head(codes, g, north)
+        if codes[head] & 1:
+            return with_codes(codes, cell, marked_up, head, unmarked_up)
+        return with_codes(codes, cell, marked_up)
+
+    if north >= 0 and codes[north] == unmarked_i:
+        return with_codes(codes, cell, unmarked_i, north, marked_up)
+    if east < 0 or codes[east] > marked_up:
+        return with_codes(codes, cell, marked_up)
+    changed = with_codes(codes, cell, unmarked_i)
+    for k in _ribbon_tail_cells(changed, g, cell):
+        if changed[k] != unmarked_i:
+            continue
+        neighbor = g.east[k]
+        if neighbor < 0 or changed[neighbor] not in (unmarked_i, marked_up):
+            return with_codes(changed, k, marked_up)
+    raise AssertionError("lowering walk found no cell to change")
+
+
+def raise_at(codes: tuple[int, ...], g: Geometry, i: int, cell: int) -> tuple[int, ...]:
+    """``e_i`` of packed ``codes`` whose last maximal prefix is followed by ``cell``."""
+    marked_i, unmarked_i, marked_up, unmarked_up = 2 * i - 1, 2 * i, 2 * i + 1, 2 * i + 2
+    south, west = g.south[cell], g.west[cell]
+    if codes[cell] == unmarked_up:
+        if west >= 0 and codes[west] == marked_up:
+            return with_codes(codes, cell, marked_up, west, unmarked_i)
+        if south < 0 or codes[south] < unmarked_i:
+            return with_codes(codes, cell, unmarked_i)
+        changed = with_codes(codes, cell, marked_up)
+        for k in _ribbon_tail_cells(changed, g, cell):
+            if changed[k] != marked_up:
                 continue
-            neighbor = entry_at(changed, cell[0] - 1, cell[1])
-            if neighbor != Entry(i) and neighbor != Entry(i + 1, True):
-                return replace_cells(changed, {cell: Entry(i)})
+            neighbor = g.south[k]
+            if neighbor < 0 or changed[neighbor] not in (unmarked_i, marked_up):
+                return with_codes(changed, k, unmarked_i)
         raise AssertionError("raising walk found no cell to change")
 
-    if south == Entry(i):
-        return replace_cells(t, {(r, c): Entry(i), (r - 1, c): Entry(i, True)})
-    if west is None or west < Entry(i, True):
-        return replace_cells(t, {(r, c): Entry(i, True)})
-    head = _ribbon_head(t, (r, c - 1))
-    if head[0] != head[1]:
-        return replace_cells(t, {(r, c): Entry(i), head: Entry(i, True)})
-    return replace_cells(t, {(r, c): Entry(i)})
+    if south >= 0 and codes[south] == unmarked_i:
+        return with_codes(codes, cell, unmarked_i, south, marked_i)
+    if west < 0 or codes[west] < marked_i:
+        return with_codes(codes, cell, marked_i)
+    head = _ribbon_head(codes, g, west)
+    if not g.unmarked_only[head]:
+        return with_codes(codes, cell, unmarked_i, head, marked_i)
+    return with_codes(codes, cell, unmarked_i)
 
 
 def enumerate_yamanouchi(
@@ -183,12 +166,8 @@ def enumerate_yamanouchi(
         ClosureBudgetExceeded: There are more than ``limit`` tableaux; raised
             when the ``limit + 1``-st is found.
     """
-    shape = tuple(shape)
-    if shape and not is_strict_partition(shape):
-        raise ShapeMismatch(f"{shape} is not a strict partition")
-    if n < 1:
-        raise ValueOutOfRange(f"alphabet bound must be positive, got {n}")
-
+    g = checked_geometry(shape, n, shifted=True)
+    shape = g.shape
     results: list[ShiftedTableau] = []
     rows: list[list[Entry]] = [[] for _ in shape]
     # count[v]: letters of value v read so far; count[0] never binds.
@@ -231,5 +210,5 @@ def enumerate_yamanouchi(
                 rows[r - 1].pop()
 
     step(1)
-    results.sort(key=lambda t: tuple(e.sort_key for _, e in hook_reading_cells(t)))
+    results.sort(key=lambda t: reading_key(pack(t), g))
     return results

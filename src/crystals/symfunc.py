@@ -27,7 +27,6 @@ from .shifted import enumerate_yamanouchi
 from .tableaux import (
     enumerate_ssht,
     enumerate_ssyt,
-    is_partition,
     is_strict_partition,
     weight,
 )

@@ -7,14 +7,31 @@ marked or unmarked entries).  Rows are stored bottom-to-top in French notation:
 
 The canonical text form lists rows bottom-to-top as bracketed lists with marks as
 trailing apostrophes, e.g. ``[[1,1,2'],[2]]``.
+
+Packed form.  The operators, the enumerations and the graph builders work on
+integer codes rather than :class:`Entry` objects: an entry is the int
+``2i - 1`` for ``i'`` and ``2i`` for ``i`` (its :attr:`Entry.sort_key`, the
+doubled half-integer convention), so codes order like entries, the value is
+``(code + 1) >> 1`` and a mark is an odd code.  A tableau is the flat tuple
+of its codes in row-major cell order, bottom row first (:func:`pack`,
+:func:`unpack`).  Everything else about a shape lives in its
+:class:`Geometry`, built on first use and cached: the ``(row, column)`` of
+each cell index, its north/east/south/west neighbour indices, the cells
+that take unmarked entries only, the row slices, and the reading order
+(hook reading if shifted, row reading if not) as ``(cell, wanted mark
+parity)`` pairs, so the reading word of ``codes`` is the cells whose code
+parity matches.  The enumerations fill codes and unpack only what they
+return.  The operator bodies and the graph builders work on codes alone;
+the public operators pack their argument and unpack their result, with one
+shared :class:`Entry` per code.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import total_ordering
-from typing import Iterator, Sequence
+from functools import lru_cache, total_ordering
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     ClosureBudgetExceeded,
@@ -143,19 +160,6 @@ def has_cell(t: Tableau, r: int, c: int) -> bool:
 
 def entry_at(t: Tableau, r: int, c: int) -> Entry | None:
     return t.cell(r, c) if has_cell(t, r, c) else None
-
-
-def replace_cells(t: Tableau, updates: dict[Cell, Entry]) -> Tableau:
-    """Return a copy of ``t`` with the given cells replaced (no validation)."""
-    new_rows = []
-    for r, row in enumerate(t.rows, start=1):
-        start = t.column_start(r)
-        new_rows.append(
-            tuple(
-                updates.get((r, start + j), entry) for j, entry in enumerate(row)
-            )
-        )
-    return type(t)(t.shape, tuple(new_rows))
 
 
 def _check_shape(shape: Sequence[int], rows: Sequence[Sequence[Entry]], strict: bool) -> None:
@@ -295,11 +299,9 @@ def weight(t: Tableau, n: int) -> Weight:
 
 def row_reading_cells(t: YoungTableau) -> tuple[tuple[Cell, Entry], ...]:
     """Cells in row reading order: top row first, each row left to right."""
-    out: list[tuple[Cell, Entry]] = []
-    for r in range(len(t.shape), 0, -1):
-        for j, entry in enumerate(t.rows[r - 1]):
-            out.append(((r, 1 + j), entry))
-    return tuple(out)
+    g = geometry_of(t)
+    flat = [entry for row in t.rows for entry in row]
+    return tuple((g.coords[c], flat[c]) for c, _ in g.reading)
 
 
 def row_reading_word(t: YoungTableau) -> Word:
@@ -313,20 +315,9 @@ def hook_reading_cells(t: ShiftedTableau) -> tuple[tuple[Cell, Entry], ...]:
     column ``i`` from bottom to top, then the unmarked entries of row ``i`` from
     left to right.
     """
-    if not t.shape:
-        return ()
-    top = max(t.shape[0], len(t.shape))
-    out: list[tuple[Cell, Entry]] = []
-    for i in range(top, 0, -1):
-        for r in range(1, len(t.shape) + 1):
-            if has_cell(t, r, i) and t.cell(r, i).marked:
-                out.append(((r, i), t.cell(r, i)))
-        if i <= len(t.shape):
-            start = t.column_start(i)
-            for j, entry in enumerate(t.rows[i - 1]):
-                if not entry.marked:
-                    out.append(((i, start + j), entry))
-    return tuple(out)
+    g = geometry_of(t)
+    flat = [entry for row in t.rows for entry in row]
+    return tuple((g.coords[c], flat[c]) for c, marked in g.reading if flat[c].marked == marked)
 
 
 def hook_reading_word(t: ShiftedTableau) -> Word:
@@ -397,8 +388,11 @@ def parse_shifted(text: str, n: int | None = None) -> ShiftedTableau:
     return validate_shifted(tuple(len(row) for row in rows), rows, n)
 
 
-def _word_sort_key(t: Tableau) -> tuple[int, ...]:
-    return tuple(entry.sort_key for entry in reading_word(t))
+def _over_budget(kind: str, shape: Shape, count: int, limit: int) -> ClosureBudgetExceeded:
+    return ClosureBudgetExceeded(
+        f"enumeration of {kind} tableaux of shape {shape} reached "
+        f"{count} tableaux, over the budget of {limit} vertices"
+    )
 
 
 def _keep(results: list, tableau: Tableau, limit: int | None) -> None:
@@ -406,10 +400,66 @@ def _keep(results: list, tableau: Tableau, limit: int | None) -> None:
     results.append(tableau)
     if limit is not None and len(results) > limit:
         kind = "Young" if isinstance(tableau, YoungTableau) else "shifted"
-        raise ClosureBudgetExceeded(
-            f"enumeration of {kind} tableaux of shape {tableau.shape} reached "
-            f"{len(results)} tableaux, over the budget of {limit} vertices"
-        )
+        raise _over_budget(kind, tableau.shape, len(results), limit)
+
+
+def enumerate_codes(
+    g: Geometry, n: int, limit: int | None = None
+) -> list[tuple[int, ...]]:
+    """Packed tableaux of ``g``'s shape with values at most ``n``, in reading order.
+
+    Cells are filled in row-major order with every code allowed by the west
+    and south neighbours (weakly larger, and a repeat only of an unmarked
+    code along a row or a marked one up a column); cells that take unmarked
+    entries only step through even codes.  The result is sorted by reading
+    word, stably, so ties keep the filling order.
+
+    Raises:
+        ClosureBudgetExceeded: More than ``limit`` tableaux; raised once the
+            ``limit + 1``-st is found.
+    """
+    size, top = g.size, 2 * n
+    last = size - 1
+    plan = [
+        (g.west[k], g.south[k], 2 if g.unmarked_only[k] else 1) for k in range(size)
+    ]
+    codes = [0] * size
+    results: list[tuple[int, ...]] = [] if size else [()]
+
+    def check_budget() -> None:
+        if limit is not None and len(results) > limit:
+            del results[limit + 1 :]
+            kind = "shifted" if g.shifted else "Young"
+            raise _over_budget(kind, g.shape, limit + 1, limit)
+
+    def fill(k: int) -> None:
+        west, south, step = plan[k]
+        low = 1
+        if west >= 0:
+            left = codes[west]
+            low = left + (left & 1)
+        if south >= 0:
+            below = codes[south]
+            below += 1 - (below & 1)
+            if below > low:
+                low = below
+        if step == 2:
+            low += low & 1
+        if k < last:
+            for code in range(low, top + 1, step):
+                codes[k] = code
+                fill(k + 1)
+            return
+        for code in range(low, top + 1, step):
+            codes[k] = code
+            results.append(tuple(codes))
+        check_budget()
+
+    if size:
+        fill(0)
+    check_budget()
+    results.sort(key=lambda codes: reading_key(codes, g))
+    return results
 
 
 def enumerate_ssyt(
@@ -425,35 +475,8 @@ def enumerate_ssyt(
         ClosureBudgetExceeded: There are more than ``limit`` tableaux; raised
             when the ``limit + 1``-st is found.
     """
-    shape = tuple(shape)
-    if shape and not is_partition(shape):
-        raise ShapeMismatch(f"{shape} is not a partition")
-    if n < 1:
-        raise ValueOutOfRange(f"alphabet bound must be positive, got {n}")
-
-    results: list[YoungTableau] = []
-    rows: list[list[Entry]] = [[] for _ in shape]
-
-    def fill(r: int, c: int) -> None:
-        if r == len(shape):
-            _keep(results, YoungTableau(shape, tuple(tuple(row) for row in rows)), limit)
-            return
-        if c > shape[r]:
-            fill(r + 1, 1)
-            return
-        low = 1
-        if c > 1:
-            low = max(low, rows[r][c - 2].value)
-        if r > 0 and c <= shape[r - 1]:
-            low = max(low, rows[r - 1][c - 1].value + 1)
-        for v in range(low, n + 1):
-            rows[r].append(Entry(v))
-            fill(r, c + 1)
-            rows[r].pop()
-
-    fill(0, 1)
-    results.sort(key=_word_sort_key)
-    return results
+    g = checked_geometry(shape, n, shifted=False)
+    return [unpack(codes, g) for codes in enumerate_codes(g, n, limit)]
 
 
 def enumerate_ssht(
@@ -469,50 +492,159 @@ def enumerate_ssht(
         ClosureBudgetExceeded: There are more than ``limit`` tableaux; raised
             when the ``limit + 1``-st is found.
     """
+    g = checked_geometry(shape, n, shifted=True)
+    return [unpack(codes, g) for codes in enumerate_codes(g, n, limit)]
+
+
+def checked_geometry(shape: Sequence[int], n: int, shifted: bool) -> Geometry:
+    """The geometry of ``shape`` once it and ``n`` are checked for enumeration.
+
+    Raises:
+        ShapeMismatch: ``shape`` is not a (strict, when ``shifted``) partition.
+        ValueOutOfRange: ``n`` is not positive.
+    """
     shape = tuple(shape)
-    if shape and not is_strict_partition(shape):
-        raise ShapeMismatch(f"{shape} is not a strict partition")
+    if shifted:
+        if shape and not is_strict_partition(shape):
+            raise ShapeMismatch(f"{shape} is not a strict partition")
+    elif shape and not is_partition(shape):
+        raise ShapeMismatch(f"{shape} is not a partition")
     if n < 1:
         raise ValueOutOfRange(f"alphabet bound must be positive, got {n}")
+    return geometry(shape, shifted)
 
-    results: list[ShiftedTableau] = []
-    rows: list[list[Entry]] = [[] for _ in shape]
 
-    def candidates(r: int, c: int) -> Iterator[Entry]:
-        # r, c are 1-based; the cell's row list index is c - r.
-        left = rows[r - 1][c - r - 1] if c > r else None
-        below = None
-        if r > 1:
-            below_row = rows[r - 2]
-            start = r - 1
-            if start <= c < start + shape[r - 2]:
-                below = below_row[c - start]
-        for v in range(1, n + 1):
-            for marked in (True, False):
-                e = Entry(v, marked)
-                if marked and r == c:
-                    continue
-                if left is not None:
-                    if left > e or (left == e and e.marked):
-                        continue
-                if below is not None:
-                    if below > e or (below == e and not e.marked):
-                        continue
-                yield e
+# -- packed form -----------------------------------------------------------------
 
-    def fill(r: int, c: int) -> None:
-        if r > len(shape):
-            _keep(results, ShiftedTableau(shape, tuple(tuple(row) for row in rows)), limit)
-            return
-        end = r + shape[r - 1] - 1
-        if c > end:
-            fill(r + 1, r + 1)
-            return
-        for e in candidates(r, c):
-            rows[r - 1].append(e)
-            fill(r, c + 1)
-            rows[r - 1].pop()
 
-    fill(1, 1)
-    results.sort(key=_word_sort_key)
-    return results
+class _Memo(dict):
+    """A dict that computes a missing value once, on its first read."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable) -> None:
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+_ENTRY = _Memo(lambda code: Entry((code + 1) >> 1, bool(code & 1)))
+"""The one :class:`Entry` of each code."""
+_TEXT = _Memo(lambda code: _ENTRY[code].render())
+
+
+class Geometry(NamedTuple):
+    """Cell layout of one shape, indexed like its packed codes.
+
+    Neighbour tuples hold ``-1`` where the shape has no such cell.
+    ``unmarked_only`` flags the cells that take unmarked entries only: the
+    main diagonal of a shifted shape, every cell of a Young shape.
+    ``reading`` lists ``(cell, mark)`` pairs in reading order, hook reading
+    for a shifted shape and row reading (every mark 0) for a Young shape; a
+    cell is read when the parity of its code equals ``mark``.
+    """
+
+    shape: Shape
+    shifted: bool
+    coords: tuple[Cell, ...]
+    north: tuple[int, ...]
+    east: tuple[int, ...]
+    south: tuple[int, ...]
+    west: tuple[int, ...]
+    unmarked_only: tuple[bool, ...]
+    row_slices: tuple[tuple[int, int], ...]
+    reading: tuple[tuple[int, int], ...]
+    template: str
+
+    @property
+    def size(self) -> int:
+        return len(self.coords)
+
+
+@lru_cache(maxsize=None)
+def geometry(shape: Shape, shifted: bool) -> Geometry:
+    """The cached :class:`Geometry` of ``shape``, shifted or left-justified."""
+    coords = [
+        (r, (r if shifted else 1) + j)
+        for r, length in enumerate(shape, start=1)
+        for j in range(length)
+    ]
+    index = {cell: k for k, cell in enumerate(coords)}
+
+    def step(dr: int, dc: int) -> tuple[int, ...]:
+        return tuple(index.get((r + dr, c + dc), -1) for r, c in coords)
+
+    slices, start = [], 0
+    for length in shape:
+        slices.append((start, start + length))
+        start += length
+    reading: list[tuple[int, int]] = []
+    if shifted:
+        for i in range(max(shape[0], len(shape)) if shape else 0, 0, -1):
+            reading += [(index[r, i], 1) for r in range(1, len(shape) + 1) if (r, i) in index]
+            if i <= len(shape):
+                reading += [(k, 0) for k in range(*slices[i - 1])]
+    else:
+        reading = [(k, 0) for a, b in reversed(slices) for k in range(a, b)]
+    rows = ",".join("[" + ",".join(["%s"] * length) + "]" for length in shape)
+    return Geometry(
+        shape=shape,
+        shifted=shifted,
+        coords=tuple(coords),
+        north=step(1, 0),
+        east=step(0, 1),
+        south=step(-1, 0),
+        west=step(0, -1),
+        unmarked_only=tuple(not shifted or r == c for r, c in coords),
+        row_slices=tuple(slices),
+        reading=tuple(reading),
+        template=f"[{rows}]",
+    )
+
+
+def geometry_of(t: Tableau) -> Geometry:
+    return geometry(t.shape, isinstance(t, ShiftedTableau))
+
+
+def pack(t: Tableau) -> tuple[int, ...]:
+    """The codes of ``t``'s entries in row-major order, bottom row first."""
+    return tuple([2 * e.value - e.marked for row in t.rows for e in row])
+
+
+def unpack(codes: Sequence[int], g: Geometry) -> Tableau:
+    """The tableau of ``g``'s kind and shape holding ``codes``."""
+    entries = list(map(_ENTRY.__getitem__, codes))
+    rows = tuple([tuple(entries[a:b]) for a, b in g.row_slices])
+    return (ShiftedTableau if g.shifted else YoungTableau)(g.shape, rows)
+
+
+def render_codes(codes: Sequence[int], g: Geometry) -> str:
+    """:func:`render_tableau` of ``unpack(codes, g)``, without the tableau."""
+    return g.template % tuple(map(_TEXT.__getitem__, codes))
+
+
+def weight_codes(codes: Sequence[int], n: int) -> Weight:
+    """:func:`weight` of packed codes whose values all lie in ``1..n``."""
+    counts = [0] * n
+    for code in codes:
+        counts[((code + 1) >> 1) - 1] += 1
+    return tuple(counts)
+
+
+def reading_key(codes: Sequence[int], g: Geometry) -> tuple[int, ...]:
+    """The reading word of ``codes`` as codes, the enumerations' sort key."""
+    return tuple([codes[c] for c, marked in g.reading if codes[c] & 1 == marked])
+
+
+def with_codes(
+    codes: Sequence[int], cell: int, code: int, cell2: int = -1, code2: int = 0
+) -> tuple[int, ...]:
+    """``codes`` with ``code`` written at ``cell`` (and ``code2`` at ``cell2``)."""
+    out = list(codes)
+    out[cell] = code
+    if cell2 >= 0:
+        out[cell2] = code2
+    return tuple(out)

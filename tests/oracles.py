@@ -11,7 +11,11 @@ Everything here is deliberately naive and independent of the code under test:
 * product expansion on the two materialized queer factor graphs,
 * partition generators built on itertools-style recursion,
 * the even axiom checker with its raising and lowering A5/A6 passes written
-  out as two separate copies.
+  out as two separate copies,
+* the tableau operators (f_i, e_i, f0, e0, phi, eps) and both tableau
+  enumerations on ``Entry`` rows, with their own cell lookups and reading
+  orders, as the library computed them before it moved to packed integer
+  codes.
 
 Tests import these oracles and assert agreement with the library; none of the
 functions below are used by the package itself.
@@ -25,22 +29,29 @@ from collections.abc import Callable, Iterator, Sequence
 from typing import TypeVar
 
 from crystals import (
+    ClosureBudgetExceeded,
     CrystalError,
     ShapeMismatch,
     SparsePolynomial,
     TensorView,
+    ValueOutOfRange,
     enumerate_ssht,
     queer_graph,
     queer_highest_weights,
     schur_p,
 )
 from crystals.axioms import _Collector, _check_weight_rules, _string_data, _verdict
+from crystals.pairing import eps_i, first_max_position, last_max_position, m_i
 from crystals.shifted import eps as shifted_eps
 from crystals.tableaux import (
+    Cell,
     Entry,
     ShiftedTableau,
+    Tableau,
     Word,
-    hook_reading_cells,
+    YoungTableau,
+    is_partition,
+    is_strict_partition,
     validate_shifted,
 )
 
@@ -457,3 +468,383 @@ def strict_partitions(total: int, cap: int | None = None) -> Iterator[tuple[int,
     for first in range(top, 0, -1):
         for rest in strict_partitions(total - first, first - 1):
             yield (first, *rest)
+
+
+# -- Entry-based tableau operators and enumerations ----------------------------
+#
+# The library's operators and enumerators as they read before the packed
+# tableau core, copied verbatim together with the Entry-level helpers they
+# used (cell lookup, cell replacement and both reading orders), so that no
+# part of the packed geometry is shared with the code under test.
+
+
+def cells_of(t: Tableau) -> Iterator[tuple[Cell, Entry]]:
+    """Yield ``((row, col), entry)`` in row-major order, bottom row first."""
+    for r, row in enumerate(t.rows, start=1):
+        start = t.column_start(r)
+        for j, entry in enumerate(row):
+            yield (r, start + j), entry
+
+
+def has_cell(t: Tableau, r: int, c: int) -> bool:
+    if not 1 <= r <= len(t.shape):
+        return False
+    start = t.column_start(r)
+    return start <= c < start + t.shape[r - 1]
+
+
+def entry_at(t: Tableau, r: int, c: int) -> Entry | None:
+    return t.cell(r, c) if has_cell(t, r, c) else None
+
+
+def replace_cells(t: Tableau, updates: dict[Cell, Entry]) -> Tableau:
+    """Return a copy of ``t`` with the given cells replaced (no validation)."""
+    new_rows = []
+    for r, row in enumerate(t.rows, start=1):
+        start = t.column_start(r)
+        new_rows.append(
+            tuple(
+                updates.get((r, start + j), entry) for j, entry in enumerate(row)
+            )
+        )
+    return type(t)(t.shape, tuple(new_rows))
+
+
+def row_reading_cells(t: YoungTableau) -> tuple[tuple[Cell, Entry], ...]:
+    """Cells in row reading order: top row first, each row left to right."""
+    out: list[tuple[Cell, Entry]] = []
+    for r in range(len(t.shape), 0, -1):
+        for j, entry in enumerate(t.rows[r - 1]):
+            out.append(((r, 1 + j), entry))
+    return tuple(out)
+
+
+def hook_reading_cells(t: ShiftedTableau) -> tuple[tuple[Cell, Entry], ...]:
+    """Cells in hook reading order.
+
+    For each index ``i`` from the widest column down to 1: the marked entries of
+    column ``i`` from bottom to top, then the unmarked entries of row ``i`` from
+    left to right.
+    """
+    if not t.shape:
+        return ()
+    top = max(t.shape[0], len(t.shape))
+    out: list[tuple[Cell, Entry]] = []
+    for i in range(top, 0, -1):
+        for r in range(1, len(t.shape) + 1):
+            if has_cell(t, r, i) and t.cell(r, i).marked:
+                out.append(((r, i), t.cell(r, i)))
+        if i <= len(t.shape):
+            start = t.column_start(i)
+            for j, entry in enumerate(t.rows[i - 1]):
+                if not entry.marked:
+                    out.append(((i, start + j), entry))
+    return tuple(out)
+
+
+def reading_cells(t: Tableau) -> tuple[tuple[Cell, Entry], ...]:
+    if isinstance(t, YoungTableau):
+        return row_reading_cells(t)
+    return hook_reading_cells(t)
+
+
+def reading_word(t: Tableau) -> Word:
+    return tuple(entry for _, entry in reading_cells(t))
+
+
+def entry_phi(t: Tableau, i: int) -> int:
+    """``phi_i`` of a Young or shifted tableau from its Entry reading word."""
+    return m_i(reading_word(t), i)
+
+
+def entry_eps(t: Tableau, i: int) -> int:
+    """``eps_i`` of a Young or shifted tableau from its Entry reading word."""
+    return eps_i(reading_word(t), i)
+
+
+def _in_class(entry: Entry | None, value: int) -> bool:
+    return entry is not None and entry.value == value
+
+
+def _ribbon_head(t: ShiftedTableau, cell: Cell) -> Cell:
+    """Walk northwest along the ribbon of ``cell``'s value to its head."""
+    value = t.cell(*cell).value
+    r, c = cell
+    while True:
+        if _in_class(entry_at(t, r + 1, c), value):
+            r += 1
+        elif _in_class(entry_at(t, r, c - 1), value):
+            c -= 1
+        else:
+            return (r, c)
+
+
+def _ribbon_tail_cells(t: ShiftedTableau, cell: Cell) -> list[Cell]:
+    """Cells from ``cell`` walking southeast along its value's ribbon."""
+    value = t.cell(*cell).value
+    r, c = cell
+    out = [(r, c)]
+    while True:
+        if _in_class(entry_at(t, r - 1, c), value):
+            r -= 1
+        elif _in_class(entry_at(t, r, c + 1), value):
+            c += 1
+        else:
+            return out
+        out.append((r, c))
+
+
+def shifted_lower(t: ShiftedTableau, i: int) -> ShiftedTableau | None:
+    """Apply ``f_i``, or return ``None`` when the lowering string is exhausted."""
+    cells = hook_reading_cells(t)
+    word = tuple(e for _, e in cells)
+    if m_i(word, i) <= 0:
+        return None
+    p = first_max_position(word, i)
+    (r, c), x = cells[p - 1]
+    assert x.value == i
+    north = entry_at(t, r + 1, c)
+    east = entry_at(t, r, c + 1)
+
+    if not x.marked:
+        if east == Entry(i + 1, True):
+            return replace_cells(
+                t, {(r, c): Entry(i + 1, True), (r, c + 1): Entry(i + 1)}
+            )
+        if north is None or north > Entry(i + 1):
+            return replace_cells(t, {(r, c): Entry(i + 1)})
+        head = _ribbon_head(t, (r + 1, c))
+        if t.cell(*head).marked:
+            return replace_cells(
+                t, {(r, c): Entry(i + 1, True), head: Entry(i + 1)}
+            )
+        return replace_cells(t, {(r, c): Entry(i + 1, True)})
+
+    if north == Entry(i):
+        return replace_cells(t, {(r, c): Entry(i), (r + 1, c): Entry(i + 1, True)})
+    if east is None or east > Entry(i + 1, True):
+        return replace_cells(t, {(r, c): Entry(i + 1, True)})
+    changed = replace_cells(t, {(r, c): Entry(i)})
+    for cell in _ribbon_tail_cells(changed, (r, c)):
+        if changed.cell(*cell) != Entry(i):
+            continue
+        neighbor = entry_at(changed, cell[0], cell[1] + 1)
+        if neighbor != Entry(i) and neighbor != Entry(i + 1, True):
+            return replace_cells(changed, {cell: Entry(i + 1, True)})
+    raise AssertionError("lowering walk found no cell to change")
+
+
+def shifted_raise(t: ShiftedTableau, i: int) -> ShiftedTableau | None:
+    """Apply ``e_i``, or return ``None`` when the raising string is exhausted."""
+    cells = hook_reading_cells(t)
+    word = tuple(e for _, e in cells)
+    q = last_max_position(word, i)
+    if q == len(word):
+        return None
+    (r, c), x = cells[q]
+    assert x.value == i + 1
+    south = entry_at(t, r - 1, c)
+    west = entry_at(t, r, c - 1)
+
+    if not x.marked:
+        if west == Entry(i + 1, True):
+            return replace_cells(
+                t, {(r, c): Entry(i + 1, True), (r, c - 1): Entry(i)}
+            )
+        if south is None or south < Entry(i):
+            return replace_cells(t, {(r, c): Entry(i)})
+        changed = replace_cells(t, {(r, c): Entry(i + 1, True)})
+        for cell in _ribbon_tail_cells(changed, (r, c)):
+            if changed.cell(*cell) != Entry(i + 1, True):
+                continue
+            neighbor = entry_at(changed, cell[0] - 1, cell[1])
+            if neighbor != Entry(i) and neighbor != Entry(i + 1, True):
+                return replace_cells(changed, {cell: Entry(i)})
+        raise AssertionError("raising walk found no cell to change")
+
+    if south == Entry(i):
+        return replace_cells(t, {(r, c): Entry(i), (r - 1, c): Entry(i, True)})
+    if west is None or west < Entry(i, True):
+        return replace_cells(t, {(r, c): Entry(i, True)})
+    head = _ribbon_head(t, (r, c - 1))
+    if head[0] != head[1]:
+        return replace_cells(t, {(r, c): Entry(i), head: Entry(i, True)})
+    return replace_cells(t, {(r, c): Entry(i)})
+
+
+def young_lower(t: YoungTableau, i: int) -> YoungTableau | None:
+    """Apply ``f_i``: change one ``i`` to ``i + 1``, or return ``None``."""
+    cells = row_reading_cells(t)
+    word = tuple(e for _, e in cells)
+    if m_i(word, i) <= 0:
+        return None
+    p = first_max_position(word, i)
+    (r, c), entry = cells[p - 1]
+    assert entry.value == i
+    return replace_cells(t, {(r, c): Entry(i + 1)})
+
+
+def young_raise(t: YoungTableau, i: int) -> YoungTableau | None:
+    """Apply ``e_i``: change one ``i + 1`` to ``i``, or return ``None``."""
+    cells = row_reading_cells(t)
+    word = tuple(e for _, e in cells)
+    q = last_max_position(word, i)
+    if q == len(word):
+        return None
+    (r, c), entry = cells[q]
+    assert entry.value == i + 1
+    return replace_cells(t, {(r, c): Entry(i)})
+
+
+def queer_f0(t: ShiftedTableau) -> ShiftedTableau | None:
+    """Queer lowering move: rightmost ``1`` of row 1 becomes ``2``/``2'``.
+
+    Undefined (``None``) when the tableau holds no ``1`` or already holds a
+    ``2'``.
+    """
+    ones: list[int] = []
+    for (r, c), entry in cells_of(t):
+        if entry == Entry(2, True):
+            return None
+        if entry.value == 1:
+            ones.append(c)
+    if not ones:
+        return None
+    column = max(ones)
+    replacement = Entry(2) if column == 1 else Entry(2, True)
+    return replace_cells(t, {(1, column): replacement})
+
+
+def queer_e0(t: ShiftedTableau) -> ShiftedTableau | None:
+    """Queer raising move: the ``2'``, or a leading diagonal ``2``, becomes ``1``.
+
+    Undefined (``None``) when the tableau has no ``2'`` and the first cell of
+    row 1 is not an unmarked ``2``.
+    """
+    for (r, c), entry in cells_of(t):
+        if entry == Entry(2, True):
+            return replace_cells(t, {(r, c): Entry(1)})
+    if t.shape and t.rows[0] and t.rows[0][0] == Entry(2):
+        return replace_cells(t, {(1, 1): Entry(1)})
+    return None
+
+
+def _word_sort_key(t: Tableau) -> tuple[int, ...]:
+    return tuple(entry.sort_key for entry in reading_word(t))
+
+
+def _keep(results: list, tableau: Tableau, limit: int | None) -> None:
+    """Append ``tableau``; refuse the ``limit + 1``-st before enumerating on."""
+    results.append(tableau)
+    if limit is not None and len(results) > limit:
+        kind = "Young" if isinstance(tableau, YoungTableau) else "shifted"
+        raise ClosureBudgetExceeded(
+            f"enumeration of {kind} tableaux of shape {tableau.shape} reached "
+            f"{len(results)} tableaux, over the budget of {limit} vertices"
+        )
+
+
+def entry_enumerate_ssyt(
+    shape: Sequence[int], n: int, limit: int | None = None
+) -> list[YoungTableau]:
+    """All semistandard Young tableaux of ``shape`` with entries at most ``n``.
+
+    The result is ordered lexicographically by row reading word.
+
+    Raises:
+        ShapeMismatch: ``shape`` is not a partition.
+        ValueOutOfRange: ``n`` is not positive.
+        ClosureBudgetExceeded: There are more than ``limit`` tableaux; raised
+            when the ``limit + 1``-st is found.
+    """
+    shape = tuple(shape)
+    if shape and not is_partition(shape):
+        raise ShapeMismatch(f"{shape} is not a partition")
+    if n < 1:
+        raise ValueOutOfRange(f"alphabet bound must be positive, got {n}")
+
+    results: list[YoungTableau] = []
+    rows: list[list[Entry]] = [[] for _ in shape]
+
+    def fill(r: int, c: int) -> None:
+        if r == len(shape):
+            _keep(results, YoungTableau(shape, tuple(tuple(row) for row in rows)), limit)
+            return
+        if c > shape[r]:
+            fill(r + 1, 1)
+            return
+        low = 1
+        if c > 1:
+            low = max(low, rows[r][c - 2].value)
+        if r > 0 and c <= shape[r - 1]:
+            low = max(low, rows[r - 1][c - 1].value + 1)
+        for v in range(low, n + 1):
+            rows[r].append(Entry(v))
+            fill(r, c + 1)
+            rows[r].pop()
+
+    fill(0, 1)
+    results.sort(key=_word_sort_key)
+    return results
+
+
+def entry_enumerate_ssht(
+    shape: Sequence[int], n: int, limit: int | None = None
+) -> list[ShiftedTableau]:
+    """All semistandard shifted tableaux of strict ``shape`` with values at most ``n``.
+
+    The result is ordered lexicographically by hook reading word.
+
+    Raises:
+        ShapeMismatch: ``shape`` is not a strict partition.
+        ValueOutOfRange: ``n`` is not positive.
+        ClosureBudgetExceeded: There are more than ``limit`` tableaux; raised
+            when the ``limit + 1``-st is found.
+    """
+    shape = tuple(shape)
+    if shape and not is_strict_partition(shape):
+        raise ShapeMismatch(f"{shape} is not a strict partition")
+    if n < 1:
+        raise ValueOutOfRange(f"alphabet bound must be positive, got {n}")
+
+    results: list[ShiftedTableau] = []
+    rows: list[list[Entry]] = [[] for _ in shape]
+
+    def candidates(r: int, c: int) -> Iterator[Entry]:
+        # r, c are 1-based; the cell's row list index is c - r.
+        left = rows[r - 1][c - r - 1] if c > r else None
+        below = None
+        if r > 1:
+            below_row = rows[r - 2]
+            start = r - 1
+            if start <= c < start + shape[r - 2]:
+                below = below_row[c - start]
+        for v in range(1, n + 1):
+            for marked in (True, False):
+                e = Entry(v, marked)
+                if marked and r == c:
+                    continue
+                if left is not None:
+                    if left > e or (left == e and e.marked):
+                        continue
+                if below is not None:
+                    if below > e or (below == e and not e.marked):
+                        continue
+                yield e
+
+    def fill(r: int, c: int) -> None:
+        if r > len(shape):
+            _keep(results, ShiftedTableau(shape, tuple(tuple(row) for row in rows)), limit)
+            return
+        end = r + shape[r - 1] - 1
+        if c > end:
+            fill(r + 1, r + 1)
+            return
+        for e in candidates(r, c):
+            rows[r - 1].append(e)
+            fill(r, c + 1)
+            rows[r - 1].pop()
+
+    fill(1, 1)
+    results.sort(key=_word_sort_key)
+    return results

@@ -11,12 +11,15 @@ Checks:
   shifted and ordinary characters, shifted-to-ordinary expansions, graph
   files given to ``verify``, tensor products and product expansions,
 * a string color outside the declared alphabet exits 2, and so does a graph
-  file with a negative weight,
+  file with a negative weight; a nonpositive ``--n`` to ``expand`` or
+  ``string`` exits 2 saying so,
 * global options are accepted before the subcommand and relative outputs land
   in the requested directory,
 * the thread count and environment override never change output bytes, and
   a malformed ``CRYSTAL_THREADS`` exits 2,
-* the string subcommand prints a full operator string from top to bottom.
+* the string subcommand prints a full operator string from top to bottom,
+* ``main`` builds its parser once per process, and repeated calls print and
+  exit exactly as calls with a freshly built parser do.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import json
 
 import pytest
 
-from crystals import import_json, isomorphic, queer_graph
+from crystals import components, import_json, isomorphic, queer_graph
 from crystals.cli import main
 from reference_data import HOOK_STRING_432
 
@@ -220,6 +223,19 @@ def test_malformed_thread_env_exits_two(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "CRYSTAL_THREADS" in err
+
+
+def test_graph_prints_the_number_of_components(tmp_path, capsys):
+    factor = tmp_path / "factor.json"
+    run(capsys, "graph", "--model", "queer", "--shape", "2,1", "--n", "3",
+        "--out", str(factor))
+    product = tmp_path / "product.json"
+    code, out, _ = run(capsys, "graph", "--model", "tensor", "--left", str(factor),
+                       "--right", str(factor), "--out", str(product))
+    assert code == 0
+    graph = import_json(product.read_text(encoding="utf-8"))
+    assert f"components: {len(components(graph))}\n" in out
+    assert len(components(graph)) > 1
 
 
 def test_graph_dot_format(tmp_path, capsys):
@@ -481,6 +497,20 @@ def test_expand_rejects_small_alphabet(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_nonpositive_alphabet_exits_two_with_its_own_message(capsys, n):
+    commands = [
+        ("expand", "--gamma", "1", "--n", n),
+        ("string", "--tableau", "[[1,2]]", "--i", "1", "--n", n),
+        ("string", "--kind", "ssyt", "--tableau", "[[1,2]]", "--i", "1", "--n", n),
+    ]
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == f"error: alphabet bound must be positive, got {n}\n", argv
+
+
 def test_product_subcommand(capsys):
     code, out, _ = run(capsys, "product", "--gamma", "3,1", "--delta", "2", "--n", "6")
     assert code == 0
@@ -521,3 +551,43 @@ def test_string_subcommand_young(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["[[1,1],[2]]", "[[1,2],[2]]"]
+
+
+def test_repeated_calls_match_fresh_runs_and_build_the_parser_once(
+    tmp_path, capsys, monkeypatch
+):
+    import crystals.cli as cli
+
+    commands = [
+        ["enum", "ssht", "--shape", "2,1", "--n", "3"],
+        ["graph", "--model", "queer", "--shape", "3,1", "--n", "3",
+         "--out", str(tmp_path / "q.json")],
+        ["verify", "--input", str(tmp_path / "q.json"), "--axioms", "queer"],
+        ["expand", "--gamma", "3,1"],
+        ["expand", "--gamma", "3,1", "--n", "2"],
+        ["--max-vertices", "3", "enum", "ssht", "--shape", "2,1", "--n", "3"],
+        ["product", "--gamma", "3,1", "--delta", "2", "--n", "6"],
+        ["string", "--kind", "ssyt", "--tableau", "[[1,2],[2]]", "--i", "1"],
+        ["char", "--model", "standard", "--n", "3"],
+    ]
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+
+    fresh = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert len(built) == len(commands)
+
+    built.clear()
+    cli._parser.cache_clear()
+    repeated = [run(capsys, *argv) for argv in commands]
+    with pytest.raises(SystemExit) as refused:  # an argparse error in between
+        main(["enum", "ssht"])
+    capsys.readouterr()
+    assert refused.value.code == 2
+    repeated += [run(capsys, *argv) for argv in commands]
+    assert built == [1]
+    assert repeated == fresh + fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 4, 0, 0, 0]

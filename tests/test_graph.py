@@ -5,6 +5,8 @@ Checks:
 * construction output is fully deterministic and independent of thread count,
 * characters of constructed graphs equal the corresponding polynomials,
 * components and highest weights of a tensor square match hand-derived data,
+  and the vertex-id groups counted by ``graph`` are the components' vertex
+  sets, in the same order, for model, tensor and color-restricted graphs,
 * tensor graphs agree with the hand-transcribed products and multiply
   characters,
 * rooted isomorphism accepts relabelings, rejects weight changes, and refuses
@@ -47,7 +49,7 @@ from crystals import (
     young_graph,
 )
 from crystals import queer, shifted, young
-from crystals.graph import Vertex, string_length_maps
+from crystals.graph import Vertex, _component_groups, string_length_maps
 from crystals.shifted import eps as shifted_eps
 from crystals.shifted import phi as shifted_phi
 from crystals.tableaux import enumerate_ssht, enumerate_ssyt, parse_shifted, render_tableau
@@ -295,6 +297,31 @@ def test_string_length_maps_agree_with_tableau_statistics(shifted31):
             t = parse_shifted(shifted31.payload_of(vid))
             assert lengths[0][vid] == shifted_phi(t, i)
             assert lengths[1][vid] == shifted_eps(t, i)
+
+
+def test_component_groups_are_the_components_vertex_sets():
+    graphs = [
+        build(shape, n)
+        for size in range(1, 6)
+        for n in range(2, 5)
+        for build, shapes in (
+            (young_graph, partitions(size)),
+            (shifted_graph, strict_partitions(size)),
+            (queer_graph, strict_partitions(size)),
+        )
+        for shape in shapes
+    ]
+    graphs += [
+        tensor_graphs(queer_graph(a, 3), queer_graph(b, 3), queer=q)
+        for a, b in (((1,), (1,)), ((2,), (1,)), ((2, 1), (1,)))
+        for q in (False, True)
+    ]
+    graphs.append(shifted_graph((3, 1), 3).subgraph([1]))
+    for g in graphs:
+        groups = _component_groups(g)
+        assert groups == [set(part.vertex_ids) for part in components(g)]
+        assert len(groups) == len(components(g))
+    assert {len(_component_groups(g)) for g in graphs} > {1}
 
 
 def test_components_partition_the_vertices():

@@ -1,0 +1,203 @@
+"""Differential guard: the packed tableau core against the Entry-based oracles.
+
+The library computes every tableau operator on tuples of integer codes
+(``i'`` is ``2i - 1``, ``i`` is ``2i``) over a cached per-shape geometry.
+``tests/oracles.py`` keeps the operators and enumerations as they were
+written on ``Entry`` rows, with their own cell lookups and reading orders.
+
+Checks:
+* the ordered enumerations agree for every strict shape of size 1..8 at
+  n = 1..5 (65,604 shifted tableaux) and every partition of size 1..6 at
+  n = 1..4 (Young);
+* at every one of those tableaux and every color 1..n-1, ``lower``,
+  ``raise_``, ``phi`` and ``eps`` agree, and on shifted tableaux so do
+  ``f0`` and ``e0``;
+* colors past the largest entry, the empty shape and the codes themselves
+  (pack/unpack round trip, render, weight) agree on a small sample;
+* the graph builders emit exactly the oracle's lowering edges, and refuse
+  (``ParseError``) a lowering whose target the enumeration did not list;
+* a budget stops an enumeration at the first tableau past it, the empty
+  shape included.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import oracles
+from crystals import ClosureBudgetExceeded, ParseError, queer, shifted, young
+from crystals.models import queer_graph, shifted_graph, young_graph
+from crystals.tableaux import (
+    Entry,
+    ShiftedTableau,
+    YoungTableau,
+    enumerate_ssht,
+    enumerate_ssyt,
+    geometry,
+    pack,
+    parse_shifted,
+    render_codes,
+    render_tableau,
+    unpack,
+    weight,
+    weight_codes,
+    with_codes,
+)
+
+SHIFTED_SWEEP = [
+    (shape, n)
+    for size in range(1, 9)
+    for shape in oracles.strict_partitions(size)
+    for n in range(1, 6)
+]
+YOUNG_SWEEP = [
+    (shape, n)
+    for size in range(1, 7)
+    for shape in oracles.partitions(size)
+    for n in range(1, 5)
+]
+
+
+def test_shifted_enumeration_and_operators_match_the_entry_oracles(monkeypatch):
+    # The oracle operators each read the hook word anew.  Remembering it by
+    # object keeps the sweep short without changing any oracle body; the
+    # memo is emptied whenever tableaux it may hold are freed, so no id is
+    # read twice for two objects.
+    words: dict[int, tuple] = {}
+    read = oracles.hook_reading_cells
+
+    def remembered(t):
+        word = words.get(id(t))
+        if word is None:
+            word = words[id(t)] = read(t)
+        return word
+
+    monkeypatch.setattr(oracles, "hook_reading_cells", remembered)
+    # Mismatches are collected and asserted once: a million rewritten
+    # asserts would cost pytest more than the comparisons themselves.
+    total = 0
+    mismatches = []
+    for shape, n in SHIFTED_SWEEP:
+        tableaux = enumerate_ssht(shape, n)
+        words.clear()
+        expected = oracles.entry_enumerate_ssht(shape, n)
+        words.clear()
+        assert tableaux == expected, (shape, n)
+        total += len(tableaux)
+        for t in tableaux:
+            if queer.f0(t) != oracles.queer_f0(t) or queer.e0(t) != oracles.queer_e0(t):
+                mismatches.append((t, 0))
+            for i in range(1, n):
+                if (
+                    shifted.lower(t, i) != oracles.shifted_lower(t, i)
+                    or shifted.raise_(t, i) != oracles.shifted_raise(t, i)
+                    or shifted.phi(t, i) != oracles.entry_phi(t, i)
+                    or shifted.eps(t, i) != oracles.entry_eps(t, i)
+                ):
+                    mismatches.append((t, i))
+    assert mismatches[:5] == []
+    assert total == 65_604
+
+
+def test_young_enumeration_and_operators_match_the_entry_oracles():
+    mismatches = []
+    for shape, n in YOUNG_SWEEP:
+        tableaux = enumerate_ssyt(shape, n)
+        assert tableaux == oracles.entry_enumerate_ssyt(shape, n), (shape, n)
+        for t in tableaux:
+            for i in range(1, n):
+                if (
+                    young.lower(t, i) != oracles.young_lower(t, i)
+                    or young.raise_(t, i) != oracles.young_raise(t, i)
+                    or young.phi(t, i) != oracles.entry_phi(t, i)
+                    or young.eps(t, i) != oracles.entry_eps(t, i)
+                ):
+                    mismatches.append((t, i))
+    assert mismatches[:5] == []
+
+
+def test_colors_past_the_entries_match_the_oracles():
+    cases = [
+        *enumerate_ssht((3, 1), 3),
+        parse_shifted("[[1,2',3,5'],[4,5]]"),
+        ShiftedTableau((), ()),
+    ]
+    for t in cases:
+        for i in range(1, 9):
+            assert shifted.lower(t, i) == oracles.shifted_lower(t, i), (t, i)
+            assert shifted.raise_(t, i) == oracles.shifted_raise(t, i), (t, i)
+            assert shifted.phi(t, i) == oracles.entry_phi(t, i), (t, i)
+            assert shifted.eps(t, i) == oracles.entry_eps(t, i), (t, i)
+        assert queer.f0(t) == oracles.queer_f0(t)
+        assert queer.e0(t) == oracles.queer_e0(t)
+    for t in [*enumerate_ssyt((2, 1), 3), YoungTableau((), ())]:
+        for i in range(1, 7):
+            assert young.lower(t, i) == oracles.young_lower(t, i), (t, i)
+            assert young.raise_(t, i) == oracles.young_raise(t, i), (t, i)
+            assert young.phi(t, i) == oracles.entry_phi(t, i), (t, i)
+            assert young.eps(t, i) == oracles.entry_eps(t, i), (t, i)
+
+
+def test_empty_shape_enumerates_one_tableau():
+    for n in range(1, 4):
+        assert enumerate_ssht((), n) == oracles.entry_enumerate_ssht((), n)
+        assert enumerate_ssyt((), n) == oracles.entry_enumerate_ssyt((), n)
+
+
+def test_codes_round_trip_and_render_like_entries():
+    for t in [*enumerate_ssht((4, 2, 1), 4), *enumerate_ssyt((3, 2), 3)]:
+        g = geometry(t.shape, isinstance(t, ShiftedTableau))
+        codes = pack(t)
+        assert codes == tuple(e.sort_key for row in t.rows for e in row)
+        assert unpack(codes, g) == t
+        assert render_codes(codes, g) == render_tableau(t)
+        assert weight_codes(codes, 4) == weight(t, 4)
+    assert unpack((1, 2, 3, 4), geometry((4,), True)).rows[0] == (
+        Entry(1, True), Entry(1), Entry(2, True), Entry(2),
+    )
+
+
+@pytest.mark.parametrize(
+    "build, enumerate_, lower, colors",
+    [
+        (young_graph, oracles.entry_enumerate_ssyt, oracles.young_lower, range(1, 4)),
+        (shifted_graph, oracles.entry_enumerate_ssht, oracles.shifted_lower, range(1, 4)),
+    ],
+)
+def test_builders_emit_the_oracle_lowering_edges(build, enumerate_, lower, colors):
+    shape = (3, 2) if build is young_graph else (4, 2)
+    expected = set()
+    for t in enumerate_(shape, 4):
+        for i in colors:
+            target = lower(t, i)
+            if target is not None:
+                expected.add((render_tableau(t), i, render_tableau(target)))
+    assert set(build(shape, 4).edges) == expected
+
+
+def test_queer_builder_emits_the_oracle_zero_edges():
+    expected = {
+        (render_tableau(t), 0, render_tableau(target))
+        for t in oracles.entry_enumerate_ssht((4, 2, 1), 4)
+        if (target := oracles.queer_f0(t)) is not None
+    }
+    graph = queer_graph((4, 2, 1), 4)
+    assert {e for e in graph.edges if e[1] == 0} == expected
+
+
+def test_builder_refuses_a_lowering_outside_the_enumeration(monkeypatch):
+    import crystals.models
+
+    monkeypatch.setattr(
+        crystals.models, "lower_at", lambda codes, g, i, cell: with_codes(codes, cell, 99)
+    )
+    with pytest.raises(ParseError, match="is not a vertex"):
+        shifted_graph((2, 1), 3)
+
+
+def test_enumeration_budget_counts_the_first_tableau_past_it():
+    for enumerate_, shape in ((enumerate_ssht, (3, 1)), (enumerate_ssyt, (2, 2))):
+        with pytest.raises(ClosureBudgetExceeded, match="reached 4 tableaux, over the budget of 3"):
+            enumerate_(shape, 3, limit=3)
+        with pytest.raises(ClosureBudgetExceeded, match="reached 1 tableaux, over the budget of 0"):
+            enumerate_((), 3, limit=0)
