@@ -20,7 +20,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import CycleDetected
-from .graph import CrystalGraph, components, string_length_maps
+from .graph import CrystalGraph, _component_groups, string_length_maps
 
 StringMap = dict[str, int]
 Step = Callable[[str, int], str | None]
@@ -476,10 +476,6 @@ def check_queer_regular(graph: CrystalGraph, exhaustive: bool = True) -> Verdict
     return _verdict(out.items)
 
 
-def _component_witness(comp: CrystalGraph) -> str:
-    return comp.vertex_ids[0]
-
-
 def check_01_components(graph: CrystalGraph) -> Verdict:
     """Classify every {0,1}-colored component against its known shapes.
 
@@ -489,15 +485,17 @@ def check_01_components(graph: CrystalGraph) -> Verdict:
     """
     out = _Collector(True)
     notes: list[str] = []
-    sub = graph.subgraph([0, 1])
-    for comp in components(sub):
-        witness = _component_witness(comp)
-        if len(comp) == 1 and not comp.edges:
+    for group in _component_groups(graph, (0, 1)):
+        ids = sorted(group)
+        witness = ids[0]
+        # Every 0/1-edge at a vertex lies in its component: no copy is needed.
+        comp_edges = [(u, c, v) for u in ids for c in (0, 1) for v in graph.out_all(u, c)]
+        if len(ids) == 1 and not comp_edges:
             notes.append(f"{witness}: isolated vertex")
             continue
-        edge_set = set(comp.edges)
+        edge_set = set(comp_edges)
         pairs = [
-            (u, v) for (u, c, v) in comp.edges if c == 1 and (u, 0, v) in edge_set
+            (u, v) for (u, c, v) in comp_edges if c == 1 and (u, 0, v) in edge_set
         ]
         if len(pairs) != 1:
             out.add(
@@ -508,27 +506,20 @@ def check_01_components(graph: CrystalGraph) -> Verdict:
             continue
         tail_src, tail_dst = pairs[0]
         chain = [tail_src]
-        while len(chain) <= len(comp):
-            prev = comp.in_edge(chain[0], 1)
+        while len(chain) <= len(ids):
+            prev = graph.in_edge(chain[0], 1)
             if prev is None:
                 break
             chain.insert(0, prev)
         a = chain + [tail_dst]
         k = len(a) - 1
-        b: list[str] = []
-        broken = False
-        for j in range(k - 1):
-            target = comp.out_edge(a[j], 0)
-            if target is None:
-                out.add(
-                    "C01",
-                    (a[j],),
-                    "chain vertex lacks the required 0-edge to its shadow",
-                )
-                broken = True
-                break
-            b.append(target)
-        if broken:
+        b = [graph.out_edge(a[j], 0) for j in range(k - 1)]
+        if None in b:
+            out.add(
+                "C01",
+                (a[b.index(None)],),
+                "chain vertex lacks the required 0-edge to its shadow",
+            )
             continue
         expected_vertices = set(a) | set(b)
         expected_edges = (
@@ -539,7 +530,7 @@ def check_01_components(graph: CrystalGraph) -> Verdict:
         )
         if (
             len(expected_vertices) != 2 * k
-            or set(comp.vertex_ids) != expected_vertices
+            or group != expected_vertices
             or edge_set != expected_edges
         ):
             out.add(
@@ -552,24 +543,29 @@ def check_01_components(graph: CrystalGraph) -> Verdict:
     return _verdict(out.items, notes)
 
 
-def _fit_ladder(comp: CrystalGraph, source: str) -> tuple[list[str], list[str]] | None:
-    """Fit ``source`` as the head of a ladder; return (z-chain, x-chain)."""
+def _fit_ladder(
+    graph: CrystalGraph, source: str, size: int
+) -> tuple[list[str], list[str]] | None:
+    """Fit ``source`` as the head of a ladder in a component of ``size`` vertices.
+
+    Returns (z-chain, x-chain); ``size`` bounds a color-2 walk into a cycle.
+    """
     z = [source]
-    while len(z) <= len(comp):
-        nxt = comp.out_edge(z[-1], 2)
+    while len(z) <= size:
+        nxt = graph.out_edge(z[-1], 2)
         if nxt is None:
             break
         z.append(nxt)
     x: list[str] = []
     for zj in z:
-        rung = comp.out_edge(zj, 0)
+        rung = graph.out_edge(zj, 0)
         if rung is None:
             return None
         x.append(rung)
     for j in range(len(x) - 1):
-        if comp.out_edge(x[j], 2) != x[j + 1]:
+        if graph.out_edge(x[j], 2) != x[j + 1]:
             return None
-    last = comp.out_edge(x[-1], 2)
+    last = graph.out_edge(x[-1], 2)
     if last is None:
         return None
     x.append(last)
@@ -599,17 +595,18 @@ def check_02_components(graph: CrystalGraph) -> Verdict:
     out = _Collector(True)
     notes: list[str] = []
     has_two = any(c == 2 for _, c, _ in graph.edges)
-    sub = graph.subgraph([0, 2])
-    for comp in components(sub):
-        witness = _component_witness(comp)
-        if len(comp) == 1 and not comp.edges:
+    for group in _component_groups(graph, (0, 2)):
+        ids = sorted(group)
+        witness = ids[0]
+        comp_edges = [(u, c, v) for u in ids for c in (0, 2) for v in graph.out_all(u, c)]
+        if len(ids) == 1 and not comp_edges:
             notes.append(f"{witness}: isolated vertex")
             continue
         if not has_two:
             if (
-                len(comp) == 2
-                and len(comp.edges) == 1
-                and comp.edges[0][1] == 0
+                len(ids) == 2
+                and len(comp_edges) == 1
+                and comp_edges[0][1] == 0
             ):
                 notes.append(f"{witness}: bare 0-edge (graph has no color-2 edges)")
                 continue
@@ -621,10 +618,10 @@ def check_02_components(graph: CrystalGraph) -> Verdict:
             continue
         sources = [
             vid
-            for vid in comp.vertex_ids
-            if not comp.in_all(vid, 0) and not comp.in_all(vid, 2)
+            for vid in ids
+            if not graph.in_all(vid, 0) and not graph.in_all(vid, 2)
         ]
-        z_sources = [s for s in sources if comp.out_edge(s, 0) is not None]
+        z_sources = [s for s in sources if graph.out_edge(s, 0) is not None]
         if sources != z_sources or not 1 <= len(z_sources) <= 2:
             out.add(
                 "C02",
@@ -632,7 +629,7 @@ def check_02_components(graph: CrystalGraph) -> Verdict:
                 f"expected 1 or 2 ladder heads, found sources {sources}",
             )
             continue
-        fits = [_fit_ladder(comp, s) for s in z_sources]
+        fits = [_fit_ladder(graph, s, len(ids)) for s in z_sources]
         if any(f is None for f in fits):
             out.add("C02", (witness,), "a source does not head a well-formed ladder")
             continue
@@ -640,14 +637,15 @@ def check_02_components(graph: CrystalGraph) -> Verdict:
             z, x = fits[0]
             vertices, edges = _ladder_facts(z, x)
             m = len(z)
-            if set(comp.vertex_ids) == vertices and set(comp.edges) == edges:
+            edge_set = set(comp_edges)
+            if group == vertices and edge_set == edges:
                 notes.append(f"{witness}: single ladder m={m}, 0-link absent")
                 continue
-            link = comp.out_edge(x[-1], 0)
+            link = graph.out_edge(x[-1], 0)
             if link is not None:
                 vertices2 = vertices | {link}
                 edges2 = edges | {(x[-1], 0, link)}
-                if set(comp.vertex_ids) == vertices2 and set(comp.edges) == edges2:
+                if group == vertices2 and edge_set == edges2:
                     notes.append(f"{witness}: double ladder m={m}, 0-link present")
                     continue
             out.add(
@@ -671,9 +669,9 @@ def check_02_components(graph: CrystalGraph) -> Verdict:
         v2, e2 = _ladder_facts(z2, x2)
         link_edge = (x1[-1], 0, x2[-1])
         if (
-            comp.out_edge(x1[-1], 0) == x2[-1]
-            and set(comp.vertex_ids) == v1 | v2
-            and set(comp.edges) == e1 | e2 | {link_edge}
+            graph.out_edge(x1[-1], 0) == x2[-1]
+            and group == v1 | v2
+            and set(comp_edges) == e1 | e2 | {link_edge}
         ):
             notes.append(f"{witness}: double ladder m={m1}, 0-link present")
             continue

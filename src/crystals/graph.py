@@ -3,8 +3,9 @@
 A :class:`CrystalGraph` stores vertices keyed by canonical payload text plus
 edges ``(src, color, dst)`` meaning the color's lowering operator maps ``src``
 to ``dst``.  Raising moves are the reversed edges.  Integer colors ``1, 2, …``
-are the even operators, color ``0`` the queer operator, and strings like
-``"1p"`` label derived odd operators.
+are the even operators and color ``0`` the queer operator.  Strings like
+``"1p"`` label derived odd operators; no model builds them, so they arrive
+only from graph files.
 
 A graph stores its vertices sorted by id and its edges sorted by
 ``(src, color, dst)``, so a graph built from the same vertex and edge sets in
@@ -48,15 +49,11 @@ def color_key(color: Color) -> tuple[int, int, str]:
     return (1, 0, color)
 
 
-def color_to_str(color: Color) -> str:
-    return str(color)
-
-
 _COLOR = re.compile(r"(0|[1-9][0-9]*)|[1-9][0-9]*p")
 
 
 def color_from_str(text: str) -> Color:
-    """Inverse of :func:`color_to_str`: ``"0"``, ``"1"``, … or an odd ``"1p"``, ….
+    """Inverse of ``str`` on colors: ``"0"``, ``"1"``, … or an odd ``"1p"``, ….
 
     Raises:
         ParseError: ``text`` is not such a color, e.g. ``"-1"`` or ``"01"``.
@@ -105,23 +102,18 @@ class CrystalGraph:
                 )
             self.vertices[vertex.id] = vertex
         unique = sorted(set(edges), key=lambda e: (e[0], color_key(e[1]), e[2]))
-        for src, color, dst in unique:
-            if src not in self.vertices:
-                raise ParseError(f"edge source {src!r} is not a vertex")
-            if dst not in self.vertices:
-                raise ParseError(f"edge target {dst!r} is not a vertex")
         self.edges: tuple[Edge, ...] = tuple(unique)
-        out: dict[str, dict[Color, list[str]]] = {v: {} for v in self.vertices}
-        inc: dict[str, dict[Color, list[str]]] = {v: {} for v in self.vertices}
-        for src, color, dst in self.edges:
-            out[src].setdefault(color, []).append(dst)
-            inc[dst].setdefault(color, []).append(src)
-        self._out = {
-            v: {c: tuple(ts) for c, ts in bycolor.items()} for v, bycolor in out.items()
-        }
-        self._in = {
-            v: {c: tuple(ts) for c, ts in bycolor.items()} for v, bycolor in inc.items()
-        }
+        self._out: dict[str, dict[Color, tuple[str, ...]]] = {v: {} for v in self.vertices}
+        self._in: dict[str, dict[Color, tuple[str, ...]]] = {v: {} for v in self.vertices}
+        for src, color, dst in unique:
+            if src not in self._out:
+                raise ParseError(f"edge source {src!r} is not a vertex")
+            if dst not in self._in:
+                raise ParseError(f"edge target {dst!r} is not a vertex")
+            targets = self._out[src]
+            targets[color] = targets.get(color, ()) + (dst,)
+            sources = self._in[dst]
+            sources[color] = sources.get(color, ()) + (src,)
 
     # -- accessors ---------------------------------------------------------
 
@@ -250,12 +242,17 @@ def string_length_maps(
 
 # -- whole-graph queries ------------------------------------------------------
 
-def _component_groups(graph: CrystalGraph) -> list[set[str]]:
-    """Vertex ids of each weakly connected component, ordered by smallest id."""
+def _component_groups(
+    graph: CrystalGraph, colors: Iterable[Color] | None = None
+) -> list[set[str]]:
+    """Vertex ids of each weakly connected component, ordered by smallest id;
+    with ``colors`` given, only edges of those colors connect vertices."""
+    keep = None if colors is None else set(colors)
     neighbors: dict[str, set[str]] = {v: set() for v in graph.vertex_ids}
-    for src, _, dst in graph.edges:
-        neighbors[src].add(dst)
-        neighbors[dst].add(src)
+    for src, color, dst in graph.edges:
+        if keep is None or color in keep:
+            neighbors[src].add(dst)
+            neighbors[dst].add(src)
     seen: set[str] = set()
     groups: list[set[str]] = []
     for vid in graph.vertex_ids:
@@ -274,7 +271,7 @@ def _component_groups(graph: CrystalGraph) -> list[set[str]]:
 
 
 def components(graph: CrystalGraph) -> list[CrystalGraph]:
-    """Weakly connected components, ordered by smallest vertex id."""
+    """The copying public form: components as new graphs, ordered by smallest id."""
     return [graph.restrict(group) for group in _component_groups(graph)]
 
 
@@ -526,7 +523,7 @@ def export_json(graph: CrystalGraph) -> str:
             for v in graph.vertices.values()
         ],
         "edges": [
-            {"src": src, "color": color_to_str(color), "dst": dst}
+            {"src": src, "color": str(color), "dst": dst}
             for src, color, dst in graph.edges
         ],
     }
@@ -625,7 +622,7 @@ def export_dot(graph: CrystalGraph) -> str:
     for src, color, dst in graph.edges:
         lines.append(
             f'  "{_dot_escape(src)}" -> "{_dot_escape(dst)}" '
-            f'[color={dot_color(color)}, label="{color_to_str(color)}"];'
+            f'[color={dot_color(color)}, label="{color}"];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -12,6 +12,9 @@ Everything here is deliberately naive and independent of the code under test:
 * partition generators built on itertools-style recursion,
 * the even axiom checker with its raising and lowering A5/A6 passes written
   out as two separate copies,
+* the {0,1} and {0,2} component classifiers on restricted graph copies
+  (``subgraph``, then one ``restrict`` per component), as the library ran
+  them before it walked the components on the graph itself,
 * the tableau operators (f_i, e_i, f0, e0, phi, eps) and both tableau
   enumerations on ``Entry`` rows, with their own cell lookups and reading
   orders, as the library computed them before it moved to packed integer
@@ -31,16 +34,24 @@ from typing import TypeVar
 from crystals import (
     ClosureBudgetExceeded,
     CrystalError,
+    CrystalGraph,
     ShapeMismatch,
     SparsePolynomial,
     TensorView,
     ValueOutOfRange,
+    components,
     enumerate_ssht,
     queer_graph,
     queer_highest_weights,
     schur_p,
 )
-from crystals.axioms import _Collector, _check_weight_rules, _string_data, _verdict
+from crystals.axioms import (
+    Verdict,
+    _Collector,
+    _check_weight_rules,
+    _string_data,
+    _verdict,
+)
 from crystals.pairing import eps_i, first_max_position, last_max_position, m_i
 from crystals.shifted import eps as shifted_eps
 from crystals.tableaux import (
@@ -389,6 +400,219 @@ def mirrored_stembridge(graph, exhaustive: bool = True):
             return _verdict(out.items)
 
     return _verdict(out.items)
+
+
+def _component_witness(comp: CrystalGraph) -> str:
+    return comp.vertex_ids[0]
+
+
+def copying_check_01_components(graph: CrystalGraph) -> Verdict:
+    """The {0,1} classifier on copies: ``subgraph``, then ``components``.
+
+    Classify every {0,1}-colored component against its known shapes.
+
+    Valid shapes: an isolated vertex, or a color-1 chain ``a_0 .. a_k`` whose
+    final edge is doubled by a parallel 0-edge, together with a shadow chain
+    ``b_0 .. b_{k-2}`` attached by 0-edges ``a_j -> b_j``.
+    """
+    out = _Collector(True)
+    notes: list[str] = []
+    sub = graph.subgraph([0, 1])
+    for comp in components(sub):
+        witness = _component_witness(comp)
+        if len(comp) == 1 and not comp.edges:
+            notes.append(f"{witness}: isolated vertex")
+            continue
+        edge_set = set(comp.edges)
+        pairs = [
+            (u, v) for (u, c, v) in comp.edges if c == 1 and (u, 0, v) in edge_set
+        ]
+        if len(pairs) != 1:
+            out.add(
+                "C01",
+                (witness,),
+                f"expected exactly one parallel {{0,1}} edge pair, found {len(pairs)}",
+            )
+            continue
+        tail_src, tail_dst = pairs[0]
+        chain = [tail_src]
+        while len(chain) <= len(comp):
+            prev = comp.in_edge(chain[0], 1)
+            if prev is None:
+                break
+            chain.insert(0, prev)
+        a = chain + [tail_dst]
+        k = len(a) - 1
+        b: list[str] = []
+        broken = False
+        for j in range(k - 1):
+            target = comp.out_edge(a[j], 0)
+            if target is None:
+                out.add(
+                    "C01",
+                    (a[j],),
+                    "chain vertex lacks the required 0-edge to its shadow",
+                )
+                broken = True
+                break
+            b.append(target)
+        if broken:
+            continue
+        expected_vertices = set(a) | set(b)
+        expected_edges = (
+            {(a[j], 1, a[j + 1]) for j in range(k)}
+            | {(b[j], 1, b[j + 1]) for j in range(len(b) - 1)}
+            | {(a[j], 0, b[j]) for j in range(k - 1)}
+            | {(a[k - 1], 0, a[k])}
+        )
+        if (
+            len(expected_vertices) != 2 * k
+            or set(comp.vertex_ids) != expected_vertices
+            or edge_set != expected_edges
+        ):
+            out.add(
+                "C01",
+                (witness,),
+                f"component does not match the doubled-chain shape with k={k}",
+            )
+            continue
+        notes.append(f"{witness}: doubled chain, k={k}")
+    return _verdict(out.items, notes)
+
+
+def _fit_ladder(comp: CrystalGraph, source: str) -> tuple[list[str], list[str]] | None:
+    """Fit ``source`` as the head of a ladder; return (z-chain, x-chain)."""
+    z = [source]
+    while len(z) <= len(comp):
+        nxt = comp.out_edge(z[-1], 2)
+        if nxt is None:
+            break
+        z.append(nxt)
+    x: list[str] = []
+    for zj in z:
+        rung = comp.out_edge(zj, 0)
+        if rung is None:
+            return None
+        x.append(rung)
+    for j in range(len(x) - 1):
+        if comp.out_edge(x[j], 2) != x[j + 1]:
+            return None
+    last = comp.out_edge(x[-1], 2)
+    if last is None:
+        return None
+    x.append(last)
+    return z, x
+
+
+def _ladder_facts(z: list[str], x: list[str]) -> tuple[set[str], set]:
+    vertices = set(z) | set(x)
+    edges = (
+        {(z[j], 2, z[j + 1]) for j in range(len(z) - 1)}
+        | {(x[j], 2, x[j + 1]) for j in range(len(x) - 1)}
+        | {(z[j], 0, x[j]) for j in range(len(z))}
+    )
+    return vertices, edges
+
+
+def copying_check_02_components(graph: CrystalGraph) -> Verdict:
+    """The {0,2} classifier on copies: ``subgraph``, then ``components``.
+
+    Classify every {0,2}-colored component against the ladder shapes.
+
+    Valid shapes: an isolated vertex; a ladder (a color-2 chain of rung
+    sources, a one-longer color-2 chain of rung targets, and the 0-rungs);
+    or two ladders of consecutive sizes joined by one optional 0-edge
+    between their final rung-target vertices.  The notes record which shape
+    occurred and whether the optional 0-link is present.  When the whole
+    graph has no color-2 edges, a bare 0-edge pair is the degenerate ladder.
+    """
+    out = _Collector(True)
+    notes: list[str] = []
+    has_two = any(c == 2 for _, c, _ in graph.edges)
+    sub = graph.subgraph([0, 2])
+    for comp in components(sub):
+        witness = _component_witness(comp)
+        if len(comp) == 1 and not comp.edges:
+            notes.append(f"{witness}: isolated vertex")
+            continue
+        if not has_two:
+            if (
+                len(comp) == 2
+                and len(comp.edges) == 1
+                and comp.edges[0][1] == 0
+            ):
+                notes.append(f"{witness}: bare 0-edge (graph has no color-2 edges)")
+                continue
+            out.add(
+                "C02",
+                (witness,),
+                "without color-2 edges only bare 0-edges are admissible",
+            )
+            continue
+        sources = [
+            vid
+            for vid in comp.vertex_ids
+            if not comp.in_all(vid, 0) and not comp.in_all(vid, 2)
+        ]
+        z_sources = [s for s in sources if comp.out_edge(s, 0) is not None]
+        if sources != z_sources or not 1 <= len(z_sources) <= 2:
+            out.add(
+                "C02",
+                (witness,),
+                f"expected 1 or 2 ladder heads, found sources {sources}",
+            )
+            continue
+        fits = [_fit_ladder(comp, s) for s in z_sources]
+        if any(f is None for f in fits):
+            out.add("C02", (witness,), "a source does not head a well-formed ladder")
+            continue
+        if len(fits) == 1:
+            z, x = fits[0]
+            vertices, edges = _ladder_facts(z, x)
+            m = len(z)
+            if set(comp.vertex_ids) == vertices and set(comp.edges) == edges:
+                notes.append(f"{witness}: single ladder m={m}, 0-link absent")
+                continue
+            link = comp.out_edge(x[-1], 0)
+            if link is not None:
+                vertices2 = vertices | {link}
+                edges2 = edges | {(x[-1], 0, link)}
+                if set(comp.vertex_ids) == vertices2 and set(comp.edges) == edges2:
+                    notes.append(f"{witness}: double ladder m={m}, 0-link present")
+                    continue
+            out.add(
+                "C02",
+                (witness,),
+                f"component does not match a ladder of size m={m}",
+            )
+            continue
+        (z1, x1), (z2, x2) = fits
+        if len(z1) < len(z2):
+            (z1, x1), (z2, x2) = (z2, x2), (z1, x1)
+        m1, m2 = len(z1), len(z2)
+        if m1 != m2 + 1:
+            out.add(
+                "C02",
+                (witness,),
+                f"two ladders must have consecutive sizes, found m={m1} and m={m2}",
+            )
+            continue
+        v1, e1 = _ladder_facts(z1, x1)
+        v2, e2 = _ladder_facts(z2, x2)
+        link_edge = (x1[-1], 0, x2[-1])
+        if (
+            comp.out_edge(x1[-1], 0) == x2[-1]
+            and set(comp.vertex_ids) == v1 | v2
+            and set(comp.edges) == e1 | e2 | {link_edge}
+        ):
+            notes.append(f"{witness}: double ladder m={m1}, 0-link present")
+            continue
+        out.add(
+            "C02",
+            (witness,),
+            f"component does not match the linked double ladder m={m1}",
+        )
+    return _verdict(out.items, notes)
 
 
 def _strip_trailing_zeros(exponent: Sequence[int]) -> tuple[int, ...]:

@@ -16,7 +16,13 @@ Checks:
   coordinate nudged) the even checker agrees verdict for verdict with the
   oracle that spells the dual A5/A6 pass out a second time, every A5/A6
   detail form fires, and the queer checker's ``B0/`` violations are the even
-  checker's verdict on the positive-color subgraph.
+  checker's verdict on the positive-color subgraph,
+* the {0,1} and {0,2} classifiers agree verdict for verdict with the oracle
+  that runs them on restricted graph copies, on every queer crystal with
+  |λ| <= 7 and n <= 5, on queer tensors with |γ| + |δ| <= 5, and on seeded
+  mutants over colors 0-2 (edges deleted, added, reversed, redirected,
+  recolored, made into self-loops, or closing a color-2 cycle),
+* no checker builds a ``CrystalGraph``.
 """
 
 from __future__ import annotations
@@ -40,7 +46,12 @@ from crystals import (
     young_graph,
 )
 from crystals.graph import Vertex
-from oracles import mirrored_stembridge
+from oracles import (
+    copying_check_01_components,
+    copying_check_02_components,
+    mirrored_stembridge,
+    strict_partitions,
+)
 from reference_data import QUEER31_01_SHAPES, QUEER31_02_SHAPES
 
 
@@ -298,3 +309,113 @@ def test_folded_squares_match_the_mirrored_oracle_on_mutants():
                 assert delegated == expected, name
     for form in A5_A6_FORMS:
         assert any(re.match(form, detail) for detail in details), form
+
+
+def component_mutants(graph, seed, count):
+    """Copies of ``graph`` with one to three edge changes over colors 0-2.
+
+    An edge is deleted, added, reversed, redirected, recolored or made into a
+    self-loop, or a color-2 string is closed back onto one of its vertices,
+    which makes a cycle or a walk that runs into one; when that string's
+    vertices all have 0-edges, their targets' color-2 string is closed onto
+    the same step.
+    """
+    rng = random.Random(seed)
+    vids = graph.vertex_ids
+    for _ in range(count):
+        edges = list(graph.edges)
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(edges))
+            src, color, dst = edges[k]
+            kind = rng.choice(
+                ("delete", "add", "reverse", "redirect", "recolor", "loop", "cycle2")
+            )
+            if kind == "delete":
+                del edges[k]
+            elif kind == "add":
+                edges.append((rng.choice(vids), rng.randint(0, 2), rng.choice(vids)))
+            elif kind == "reverse":
+                edges[k] = (dst, color, src)
+            elif kind == "redirect":
+                edges[k] = (src, color, rng.choice(vids))
+            elif kind == "recolor":
+                edges[k] = (src, rng.randint(0, 2), dst)
+            elif kind == "loop":
+                edges[k] = (src, color, src)
+            else:
+                z = [rng.choice(vids)]
+                while (nxt := graph.out_edge(z[-1], 2)) is not None:
+                    z.append(nxt)
+                j = rng.randrange(len(z))
+                edges.append((z[-1], 2, z[j]))
+                x = [graph.out_edge(v, 0) for v in z]
+                if None not in x:
+                    # Close the rung targets' string too, so that a ladder
+                    # walk from the head runs on until its size bound.
+                    last = (x[-1], 2, graph.out_edge(x[-1], 2))
+                    edges = [e for e in edges if e != last]
+                    edges.append((x[-1], 2, x[j]))
+        yield CrystalGraph(graph.n, graph.vertices.values(), edges)
+
+
+def _component_verdicts_match(g, label):
+    for checker, oracle in (
+        (check_01_components, copying_check_01_components),
+        (check_02_components, copying_check_02_components),
+    ):
+        assert checker(g).to_dict() == oracle(g).to_dict(), label
+
+
+def test_component_checkers_match_the_copying_oracle():
+    for size in range(1, 8):
+        for n in range(2, 6):
+            for shape in strict_partitions(size):
+                if len(shape) <= n:
+                    _component_verdicts_match(queer_graph(shape, n), (shape, n))
+    for total in range(2, 6):
+        for left_size in range(1, total):
+            for gamma in strict_partitions(left_size):
+                for delta in strict_partitions(total - left_size):
+                    g = tensor_graphs(
+                        queer_graph(gamma, 3), queer_graph(delta, 3), queer=True
+                    )
+                    _component_verdicts_match(g, (gamma, delta))
+
+
+def test_component_checkers_match_the_copying_oracle_on_mutants():
+    bases = {
+        "queer 2,1/3": queer_graph((2, 1), 3),
+        "queer 3,1/4": queer_graph((3, 1), 4),
+        "queer 4,2,1/4": queer_graph((4, 2, 1), 4),
+        "standard 4": queer_standard_graph(4),
+        "tensor 2x1/3": tensor_graphs(
+            queer_graph((2,), 3), queer_graph((1,), 3), queer=True
+        ),
+    }
+    details = []
+    for name, base in bases.items():
+        for mutant in component_mutants(base, name, 120):
+            _component_verdicts_match(mutant, name)
+            details += [v.detail for v in check_02_components(mutant).violations]
+    assert any("well-formed ladder" in d for d in details)
+    assert any("ladder of size" in d for d in details)
+
+
+def test_no_checker_builds_a_graph(monkeypatch):
+    g = queer_graph((3, 1), 4)
+    built = []
+    init = CrystalGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CrystalGraph, "__init__", counting_init)
+    for checker in (
+        check_stembridge,
+        check_queer_regular,
+        check_01_components,
+        check_02_components,
+    ):
+        assert checker(g).ok
+    assert built == []

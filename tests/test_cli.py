@@ -19,16 +19,32 @@ Checks:
   a malformed ``CRYSTAL_THREADS`` exits 2,
 * the string subcommand prints a full operator string from top to bottom,
 * ``main`` builds its parser once per process, and repeated calls print and
-  exit exactly as calls with a freshly built parser do.
+  exit exactly as calls with a freshly built parser do,
+* ``verify`` on mutated graph files (edges, colors such as ``1p`` or colors
+  past ``n``, weights, ``n``, duplicate vertices and edges) never raises:
+  every axiom family in both modes exits 0 or 1 with a matching verdict, or
+  exits 2 with an ``error:`` line.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from crystals import components, import_json, isomorphic, queer_graph
+from crystals import (
+    components,
+    export_json,
+    import_json,
+    isomorphic,
+    queer_graph,
+    tensor_graphs,
+)
 from crystals.cli import main
 from reference_data import HOOK_STRING_432
 
@@ -591,3 +607,78 @@ def test_repeated_calls_match_fresh_runs_and_build_the_parser_once(
     assert built == [1]
     assert repeated == fresh + fresh
     assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 4, 0, 0, 0]
+
+
+FUZZ_BASES = (
+    export_json(queer_graph((2, 1), 3)),
+    export_json(
+        tensor_graphs(queer_graph((1,), 3), queer_graph((1,), 3), queer=True)
+    ),
+)
+FUZZ_COLORS = ("0", "1", "2", "3", "4", "1p", "2p")
+
+
+@st.composite
+def mutated_graph_files(draw):
+    """An exported queer crystal or tensor with one to four random edits."""
+    data = json.loads(draw(st.sampled_from(FUZZ_BASES)))
+    vertices, edges = data["vertices"], data["edges"]
+    for _ in range(draw(st.integers(1, 4))):
+        ids = [v["id"] for v in vertices]
+        kind = draw(st.sampled_from((
+            "drop edge", "add edge", "recolor", "retarget", "duplicate edge",
+            "duplicate vertex", "drop vertex", "weight", "weight length", "n",
+        )))
+        if kind == "add edge":
+            edges.append({
+                "src": draw(st.sampled_from(ids)),
+                "color": draw(st.sampled_from(FUZZ_COLORS)),
+                "dst": draw(st.sampled_from(ids)),
+            })
+        elif kind in ("drop edge", "recolor", "retarget", "duplicate edge") and edges:
+            k = draw(st.integers(0, len(edges) - 1))
+            if kind == "drop edge":
+                del edges[k]
+            elif kind == "recolor":
+                edges[k]["color"] = draw(st.sampled_from(FUZZ_COLORS))
+            elif kind == "retarget":
+                edges[k]["dst"] = draw(st.sampled_from(ids))
+            else:
+                edges.append(dict(edges[k]))
+        elif kind == "duplicate vertex":
+            vertices.append(dict(draw(st.sampled_from(vertices))))
+        elif kind == "drop vertex" and len(vertices) > 1:
+            del vertices[draw(st.integers(0, len(vertices) - 1))]
+        elif kind in ("weight", "weight length"):
+            weight = draw(st.sampled_from(vertices))["weight"]
+            if kind == "weight" and weight:
+                weight[draw(st.integers(0, len(weight) - 1))] = draw(st.integers(0, 3))
+            elif draw(st.booleans()):
+                weight.append(0)
+            elif weight:
+                weight.pop()
+        elif kind == "n":
+            data["n"] = draw(st.integers(0, 5))
+    return json.dumps(data)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mutated_graph_files())
+def test_verify_never_crashes_on_mutated_files(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        path.write_text(text, encoding="utf-8")
+        for axioms in ("stembridge", "queer", "components01", "components02"):
+            for mode in ("exhaustive", "fast"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([
+                        "verify", "--input", str(path), "--axioms", axioms,
+                        "--mode", mode,
+                    ])
+                assert code in (0, 1, 2), (axioms, mode, code)
+                if code == 2:
+                    assert err.getvalue().startswith("error:")
+                    assert out.getvalue() == ""
+                else:
+                    assert json.loads(out.getvalue())["ok"] is (code == 0)

@@ -6,7 +6,10 @@ Checks:
 * characters of constructed graphs equal the corresponding polynomials,
 * components and highest weights of a tensor square match hand-derived data,
   and the vertex-id groups counted by ``graph`` are the components' vertex
-  sets, in the same order, for model, tensor and color-restricted graphs,
+  sets, in the same order, for model, tensor and color-restricted graphs;
+  restricted to given colors, the groups are those of the color subgraph,
+* a graph built from shuffled, duplicated and parallel edges serves exactly
+  the grouped, sorted, unique edges through its four adjacency accessors,
 * tensor graphs agree with the hand-transcribed products and multiply
   characters,
 * rooted isomorphism accepts relabelings, rejects weight changes, and refuses
@@ -22,6 +25,7 @@ Checks:
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -332,3 +336,41 @@ def test_components_partition_the_vertices():
     for part in parts:
         for (src, color, dst) in part.edges:
             assert g.out_edge(src, color) == dst
+
+
+def test_component_groups_follow_only_the_given_colors():
+    graphs = [
+        queer_graph((3, 1), 4),
+        queer_standard_graph(4),
+        tensor_graphs(queer_graph((2,), 3), queer_graph((1,), 3), queer=True),
+    ]
+    for g in graphs:
+        for colors in ((0, 1), (0, 2), (1,), (0,)):
+            assert _component_groups(g, colors) == _component_groups(g.subgraph(colors))
+        assert _component_groups(g, ()) == [{vid} for vid in g.vertex_ids]
+
+
+def test_adjacency_is_the_grouped_sorted_unique_edges():
+    ids = ["a", "b", "c", "d"]
+    unique = [
+        ("a", 1, "b"), ("a", 1, "c"),  # two color-1 targets from one vertex
+        ("d", 1, "c"),  # a second color-1 source into c
+        ("a", 0, "c"), ("b", 2, "d"), ("c", "1p", "a"), ("d", 0, "d"),
+    ]
+    edges = unique + unique[:3]
+    random.Random(8).shuffle(edges)
+    g = CrystalGraph(2, [Vertex(v, v, (0, 0)) for v in reversed(ids)], edges)
+    assert g.edges == (
+        ("a", 0, "c"), ("a", 1, "b"), ("a", 1, "c"), ("b", 2, "d"),
+        ("c", "1p", "a"), ("d", 0, "d"), ("d", 1, "c"),
+    )
+    for vid in ids:
+        for color in (0, 1, 2, "1p", 3):
+            targets = tuple(sorted(d for s, c, d in unique if s == vid and c == color))
+            sources = tuple(sorted(s for s, c, d in unique if d == vid and c == color))
+            assert g.out_all(vid, color) == targets
+            assert g.in_all(vid, color) == sources
+            assert g.out_edge(vid, color) == (targets[0] if targets else None)
+            assert g.in_edge(vid, color) == (sources[0] if sources else None)
+    assert g.out_all("a", 1) == ("b", "c")
+    assert g.in_all("c", 1) == ("a", "d")
