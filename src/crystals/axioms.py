@@ -569,6 +569,8 @@ def _fit_ladder(
     if last is None:
         return None
     x.append(last)
+    if len(set(z) | set(x)) != len(z) + len(x):
+        return None  # a walk revisits a vertex, or the two walks meet
     return z, x
 
 

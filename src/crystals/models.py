@@ -21,13 +21,12 @@ from .config import Config, DEFAULT_CONFIG
 from .errors import ClosureBudgetExceeded, ParseError, ValueOutOfRange
 from .graph import Color, CrystalGraph, Vertex, Weight
 from .pairing import string_scan
-from .shifted import enumerate_yamanouchi, lower_at, raise_at
+from .shifted import lower_at, raise_at, yamanouchi_codes
 from .tableaux import (
     _Memo,
     checked_geometry,
     enumerate_codes,
     geometry,
-    pack,
     render_codes,
     weight_codes,
 )
@@ -231,8 +230,8 @@ class QueerTableauCrystal:
         return self._vertex_ids
 
     def even_highest_weights(self) -> list[int]:
-        tableaux = enumerate_yamanouchi(self.shape, self.n, limit=self._limit)
-        return [self._id(pack(t)) for t in tableaux]
+        g = checked_geometry(self.shape, self.n, True)
+        return [self._id(codes) for codes in yamanouchi_codes(g, self.n, self._limit)]
 
     def weight_of(self, vid: int) -> Weight:
         return self._weights[vid]

@@ -13,6 +13,9 @@ Each operator has one body on packed codes (:mod:`crystals.tableaux`):
 :func:`lower_at` and :func:`raise_at` edit the codes at the cell a
 :func:`~crystals.pairing.string_scan` of the reading word picked.  The
 public functions pack the tableau, run that body and unpack the result.
+The Yamanouchi enumeration, the tableaux whose raising strings all vanish,
+fills codes too (:func:`yamanouchi_codes`); :func:`enumerate_yamanouchi`
+unpacks them.
 """
 
 from __future__ import annotations
@@ -21,15 +24,13 @@ from typing import Sequence
 
 from .pairing import scan_tableau
 from .tableaux import (
-    Entry,
     Geometry,
     ShiftedTableau,
-    _keep,
+    _check_budget,
+    check_codes,
     checked_geometry,
-    pack,
     reading_key,
     unpack,
-    validate_shifted,
     with_codes,
 )
 
@@ -147,18 +148,7 @@ def enumerate_yamanouchi(
 ) -> list[ShiftedTableau]:
     """All shifted tableaux of ``shape`` whose raising strings all vanish.
 
-    Marks ignored, ``eps(t, i) == 0`` for every color exactly when the hook
-    reading word read backwards is a ballot word: every prefix holds at least
-    as many ``v`` as ``v + 1``.  Backwards, that word reads for ``k = 1, 2,
-    ...`` the unmarked entries of row ``k`` from right to left, then the
-    marked entries of column ``k`` from top to bottom.  In such a tableau row
-    ``r`` is a run of unmarked ``r`` followed by strictly increasing marked
-    values larger than ``r``, so the fillings are built by backtracking in
-    that order: the length of row ``k``'s run, then each marked value of
-    column ``k``, larger than its left neighbour and at most the entry above
-    it.  A branch stops as soon as some value outnumbers its predecessor, so
-    every completed filling is Yamanouchi.  The result is ordered
-    lexicographically by hook reading word.
+    The :func:`yamanouchi_codes` unpacked, ordered by hook reading word.
 
     Raises:
         ShapeMismatch: ``shape`` is not a strict partition.
@@ -167,48 +157,85 @@ def enumerate_yamanouchi(
             when the ``limit + 1``-st is found.
     """
     g = checked_geometry(shape, n, shifted=True)
+    return [unpack(codes, g) for codes in yamanouchi_codes(g, n, limit)]
+
+
+def yamanouchi_codes(
+    g: Geometry, n: int, limit: int | None = None
+) -> list[tuple[int, ...]]:
+    """Packed shifted tableaux of ``g``'s shape whose raising strings all vanish.
+
+    Marks ignored, ``eps(t, i) == 0`` for every color exactly when the hook
+    reading word read backwards is a ballot word: every prefix holds at least
+    as many ``v`` as ``v + 1``.  Backwards, that word reads for ``k = 1, 2,
+    ...`` the unmarked entries of row ``k`` from right to left, then the
+    marked entries of column ``k`` from top to bottom.  In such a tableau row
+    ``r`` is a run of unmarked ``r`` followed by strictly increasing marked
+    values larger than ``r``, so codes are written at the ``g.row_slices``
+    offsets by backtracking in that order: the length of row ``k``'s run,
+    then each marked value of column ``k``, larger than its left neighbour
+    and at most the entry above it.  A branch stops once some value
+    outnumbers its predecessor; each completed filling is still checked
+    full and semistandard.  The result is ordered by hook reading word.
+
+    Raises:
+        ClosureBudgetExceeded: There are more than ``limit`` tableaux; raised
+            when the ``limit + 1``-st is found.
+    """
     shape = g.shape
-    results: list[ShiftedTableau] = []
-    rows: list[list[Entry]] = [[] for _ in shape]
+    starts = [a for a, _ in g.row_slices]
+    codes = [0] * g.size
+    # filled[r - 1]: cells of row r written so far.
+    filled = [0] * len(shape)
+    results: list[tuple[int, ...]] = []
     # count[v]: letters of value v read so far; count[0] never binds.
-    count = [sum(shape)] + [0] * n
+    count = [g.size] + [0] * n
     columns = shape[0] if shape else 0
 
     def step(k: int) -> None:
         if k > columns:
-            _keep(results, validate_shifted(shape, rows, n), limit)
+            if tuple(filled) != shape:
+                raise AssertionError("Yamanouchi fill left a row short")
+            leaf = tuple(codes)
+            check_codes(leaf, g, n)
+            results.append(leaf)
+            _check_budget(results, g, limit)
             return
         if k > len(shape):
             column(k, len(shape))
             return
         if k > n:  # row k starts with the value k
             return
+        start = starts[k - 1]
         for run in range(1, min(shape[k - 1], count[k - 1] - count[k]) + 1):
-            rows[k - 1] = [Entry(k)] * run
+            codes[start + run - 1] = 2 * k
+            filled[k - 1] = run
             count[k] += run
             column(k, k - 1)
             count[k] -= run
-        rows[k - 1] = []
+        filled[k - 1] = 0
 
     def column(k: int, r: int) -> None:
         # Fill the marked cells of column k in rows r, r - 1, ..., 1; the
         # cell (r, k) is one when row r is filled to column k - 1 and goes on.
-        while r and not len(rows[r - 1]) == k - r < shape[r - 1]:
+        while r and not filled[r - 1] == k - r < shape[r - 1]:
             r -= 1
         if not r:
             step(k + 1)
             return
         high = n
         if r < len(shape) and k - r <= shape[r]:
-            high = min(high, rows[r][k - r - 1].value)
-        for v in range(rows[r - 1][-1].value + 1, high + 1):
+            high = min(high, (codes[starts[r] + k - r - 1] + 1) >> 1)
+        cell = starts[r - 1] + filled[r - 1]
+        for v in range(((codes[cell - 1] + 1) >> 1) + 1, high + 1):
             if count[v] < count[v - 1]:
-                rows[r - 1].append(Entry(v, True))
+                codes[cell] = 2 * v - 1
+                filled[r - 1] += 1
                 count[v] += 1
                 column(k, r - 1)
                 count[v] -= 1
-                rows[r - 1].pop()
+                filled[r - 1] -= 1
 
     step(1)
-    results.sort(key=lambda t: reading_key(pack(t), g))
+    results.sort(key=lambda codes: reading_key(codes, g))
     return results

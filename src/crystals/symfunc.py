@@ -2,7 +2,9 @@
 
 Characters of the tableau families give the two polynomial bases handled
 here: ordinary tableaux for ``schur`` and shifted ones for ``schur_p``.
-Basis changes are computed combinatorially — the shifted-to-ordinary
+Every enumeration here runs on packed codes (:mod:`crystals.tableaux`) and
+counts their weights, so no :class:`~crystals.tableaux.Entry` tableau is
+built.  Basis changes are computed combinatorially — the shifted-to-ordinary
 expansion by enumerating tableaux with vanishing raising strings, and
 products of the shifted basis by counting the queer highest weights of
 ``B(gamma) ⊗ B(delta)``.  No graph is built for a product, neither the
@@ -23,12 +25,12 @@ from .graph import TensorView
 from .models import QueerTableauCrystal
 from .poly import SparsePolynomial
 from .queer import queer_highest_weights
-from .shifted import enumerate_yamanouchi
+from .shifted import yamanouchi_codes
 from .tableaux import (
-    enumerate_ssht,
-    enumerate_ssyt,
+    checked_geometry,
+    enumerate_codes,
     is_strict_partition,
-    weight,
+    weight_codes,
 )
 
 Partition = tuple[int, ...]
@@ -40,6 +42,15 @@ def _strip(values: Sequence[int]) -> Partition:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def _character(
+    shape: Sequence[int], n: int, config: Config | None, shifted: bool
+) -> SparsePolynomial:
+    """Sum of ``x^weight`` over the packed tableaux of ``shape`` in 1..n."""
+    g = checked_geometry(shape, n, shifted)
+    tableaux = enumerate_codes(g, n, (config or DEFAULT_CONFIG).max_vertices)
+    return SparsePolynomial.from_weights(n, (weight_codes(c, n) for c in tableaux))
 
 
 def schur(
@@ -55,10 +66,7 @@ def schur(
         ClosureBudgetExceeded: There are more than ``config.max_vertices``
             tableaux; the enumeration stops at the first one past it.
     """
-    limit = (config or DEFAULT_CONFIG).max_vertices
-    return SparsePolynomial.from_weights(
-        n, (weight(t, n) for t in enumerate_ssyt(shape, n, limit=limit))
-    )
+    return _character(shape, n, config, shifted=False)
 
 
 def schur_p(
@@ -72,10 +80,7 @@ def schur_p(
         ClosureBudgetExceeded: There are more than ``config.max_vertices``
             tableaux; the enumeration stops at the first one past it.
     """
-    limit = (config or DEFAULT_CONFIG).max_vertices
-    return SparsePolynomial.from_weights(
-        n, (weight(t, n) for t in enumerate_ssht(shape, n, limit=limit))
-    )
+    return _character(shape, n, config, shifted=True)
 
 
 def schur_p_to_schur(
@@ -96,14 +101,12 @@ def schur_p_to_schur(
         ClosureBudgetExceeded: more than ``config.max_vertices`` tableaux
             have vanishing raising strings.
     """
-    shape = tuple(shape)
-    if shape and not is_strict_partition(shape):
-        raise ShapeMismatch(f"{shape} is not a strict partition")
     alphabet = max(sum(shape), 1)
+    g = checked_geometry(shape, alphabet, shifted=True)
     limit = (config or DEFAULT_CONFIG).max_vertices
     counts: Counter[Partition] = Counter()
-    for t in enumerate_yamanouchi(shape, alphabet, limit=limit):
-        counts[_strip(weight(t, alphabet))] += 1
+    for codes in yamanouchi_codes(g, alphabet, limit):
+        counts[_strip(weight_codes(codes, alphabet))] += 1
     if n is not None:
         for lam in counts:
             if len(lam) > n:

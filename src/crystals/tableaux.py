@@ -8,8 +8,10 @@ marked or unmarked entries).  Rows are stored bottom-to-top in French notation:
 The canonical text form lists rows bottom-to-top as bracketed lists with marks as
 trailing apostrophes, e.g. ``[[1,1,2'],[2]]``.
 
-Packed form.  The operators, the enumerations and the graph builders work on
-integer codes rather than :class:`Entry` objects: an entry is the int
+Packed form.  Inside the library every tableau is integer codes rather
+than :class:`Entry` objects; :class:`Entry` rows appear only where a
+tableau is parsed, rendered, passed to a public operator or returned from a
+public enumeration.  An entry is the int
 ``2i - 1`` for ``i'`` and ``2i`` for ``i`` (its :attr:`Entry.sort_key`, the
 doubled half-integer convention), so codes order like entries, the value is
 ``(code + 1) >> 1`` and a mark is an odd code.  A tableau is the flat tuple
@@ -20,10 +22,13 @@ each cell index, its north/east/south/west neighbour indices, the cells
 that take unmarked entries only, the row slices, and the reading order
 (hook reading if shifted, row reading if not) as ``(cell, wanted mark
 parity)`` pairs, so the reading word of ``codes`` is the cells whose code
-parity matches.  The enumerations fill codes and unpack only what they
-return.  The operator bodies and the graph builders work on codes alone;
-the public operators pack their argument and unpack their result, with one
-shared :class:`Entry` per code.
+parity matches.  One routine, :func:`check_codes`, states the
+semistandardness rules of both kinds from the geometry; the validators pack
+the rows they are given and call it.  The enumerations fill codes, and the
+public ones unpack only what they return; the characters and
+:func:`weight` count codes.  The operator bodies and the graph builders
+work on codes alone; the public operators pack their argument and unpack
+their result, with one shared :class:`Entry` per code.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     ClosureBudgetExceeded,
@@ -143,52 +148,28 @@ def is_strict_partition(shape: Sequence[int]) -> bool:
     return all(a > b for a, b in zip(shape, shape[1:])) and all(a > 0 for a in shape)
 
 
-def cells_of(t: Tableau) -> Iterator[tuple[Cell, Entry]]:
-    """Yield ``((row, col), entry)`` in row-major order, bottom row first."""
-    for r, row in enumerate(t.rows, start=1):
-        start = t.column_start(r)
-        for j, entry in enumerate(row):
-            yield (r, start + j), entry
-
-
-def has_cell(t: Tableau, r: int, c: int) -> bool:
-    if not 1 <= r <= len(t.shape):
-        return False
-    start = t.column_start(r)
-    return start <= c < start + t.shape[r - 1]
-
-
-def entry_at(t: Tableau, r: int, c: int) -> Entry | None:
-    return t.cell(r, c) if has_cell(t, r, c) else None
-
-
-def _check_shape(shape: Sequence[int], rows: Sequence[Sequence[Entry]], strict: bool) -> None:
-    if strict:
+def _check_partition(shape: Shape, shifted: bool) -> None:
+    if shifted:
         if not is_strict_partition(shape):
-            raise ShapeMismatch(f"{tuple(shape)} is not a strict partition")
+            raise ShapeMismatch(f"{shape} is not a strict partition")
     elif not is_partition(shape):
-        raise ShapeMismatch(f"{tuple(shape)} is not a partition")
+        raise ShapeMismatch(f"{shape} is not a partition")
+
+
+def _validated(
+    shape: Sequence[int], rows: Sequence[Sequence[Entry]], n: int | None, shifted: bool
+) -> Tableau:
+    """The tableau of ``rows`` once they fill ``shape`` and pass :func:`check_codes`."""
+    shape = tuple(shape)
+    _check_partition(shape, shifted)
     if len(rows) != len(shape):
-        raise ShapeMismatch(
-            f"expected {len(shape)} rows, got {len(rows)}"
-        )
+        raise ShapeMismatch(f"expected {len(shape)} rows, got {len(rows)}")
     for r, (length, row) in enumerate(zip(shape, rows), start=1):
         if len(row) != length:
-            raise ShapeMismatch(
-                f"row {r} has {len(row)} cells, expected {length}"
-            )
-
-
-def _check_values(t: Tableau, n: int | None) -> None:
-    for (r, c), entry in cells_of(t):
-        if entry.value < 1:
-            raise ValueOutOfRange(
-                f"entry {entry.render()} at cell ({r}, {c}) must be positive"
-            )
-        if n is not None and entry.value > n:
-            raise ValueOutOfRange(
-                f"entry {entry.render()} at cell ({r}, {c}) outside 1..{n}"
-            )
+            raise ShapeMismatch(f"row {r} has {len(row)} cells, expected {length}")
+    t = (ShiftedTableau if shifted else YoungTableau)(shape, tuple(tuple(row) for row in rows))
+    check_codes(pack(t), geometry(shape, shifted), n)
+    return t
 
 
 def validate_young(
@@ -205,28 +186,7 @@ def validate_young(
             message carries the 1-based cell coordinates.
         ValueOutOfRange: A marked entry appears, or a value falls outside 1..n.
     """
-    _check_shape(shape, rows, strict=False)
-    t = YoungTableau(tuple(shape), tuple(tuple(row) for row in rows))
-    for (r, c), entry in cells_of(t):
-        if entry.marked:
-            raise ValueOutOfRange(
-                f"marked entry {entry.render()} at cell ({r}, {c}) not allowed here"
-            )
-    _check_values(t, n)
-    for (r, c), entry in cells_of(t):
-        left = entry_at(t, r, c - 1)
-        if left is not None and left.value > entry.value:
-            raise RowViolation(
-                f"cells ({r}, {c - 1}) and ({r}, {c}) decrease: "
-                f"{left.render()} > {entry.render()}"
-            )
-        below = entry_at(t, r - 1, c)
-        if below is not None and below.value >= entry.value:
-            raise ColumnViolation(
-                f"cells ({r - 1}, {c}) and ({r}, {c}) do not increase: "
-                f"{below.render()} >= {entry.render()}"
-            )
-    return t
+    return _validated(shape, rows, n, shifted=False)
 
 
 def validate_shifted(
@@ -246,39 +206,7 @@ def validate_shifted(
         DiagonalMarkViolation: A marked entry on the main diagonal.
         ValueOutOfRange: A value falls outside 1..n.
     """
-    _check_shape(shape, rows, strict=True)
-    t = ShiftedTableau(tuple(shape), tuple(tuple(row) for row in rows))
-    _check_values(t, n)
-    for (r, c), entry in cells_of(t):
-        if entry.marked and r == c:
-            raise DiagonalMarkViolation(
-                f"marked entry {entry.render()} on the diagonal at ({r}, {c})"
-            )
-        left = entry_at(t, r, c - 1)
-        if left is not None:
-            if left > entry:
-                raise RowViolation(
-                    f"cells ({r}, {c - 1}) and ({r}, {c}) decrease: "
-                    f"{left.render()} > {entry.render()}"
-                )
-            if left == entry and entry.marked:
-                raise DuplicateMarkInRow(
-                    f"marked value {entry.render()} repeats in row {r} "
-                    f"at columns {c - 1} and {c}"
-                )
-        below = entry_at(t, r - 1, c)
-        if below is not None:
-            if below > entry:
-                raise ColumnViolation(
-                    f"cells ({r - 1}, {c}) and ({r}, {c}) decrease: "
-                    f"{below.render()} > {entry.render()}"
-                )
-            if below == entry and not entry.marked:
-                raise ColumnViolation(
-                    f"unmarked value {entry.render()} repeats in column {c} "
-                    f"at rows {r - 1} and {r}"
-                )
-    return t
+    return _validated(shape, rows, n, shifted=True)
 
 
 def weight(t: Tableau, n: int) -> Weight:
@@ -287,14 +215,9 @@ def weight(t: Tableau, n: int) -> Weight:
     Raises:
         ValueOutOfRange: Some entry value is not in 1..n.
     """
-    counts = [0] * n
-    for (r, c), entry in cells_of(t):
-        if not 1 <= entry.value <= n:
-            raise ValueOutOfRange(
-                f"entry {entry.render()} at cell ({r}, {c}) outside 1..{n}"
-            )
-        counts[entry.value - 1] += 1
-    return tuple(counts)
+    codes = pack(t)
+    _check_range(codes, geometry_of(t), n, f"outside 1..{n}")
+    return weight_codes(codes, n)
 
 
 def row_reading_cells(t: YoungTableau) -> tuple[tuple[Cell, Entry], ...]:
@@ -388,19 +311,14 @@ def parse_shifted(text: str, n: int | None = None) -> ShiftedTableau:
     return validate_shifted(tuple(len(row) for row in rows), rows, n)
 
 
-def _over_budget(kind: str, shape: Shape, count: int, limit: int) -> ClosureBudgetExceeded:
-    return ClosureBudgetExceeded(
-        f"enumeration of {kind} tableaux of shape {shape} reached "
-        f"{count} tableaux, over the budget of {limit} vertices"
-    )
-
-
-def _keep(results: list, tableau: Tableau, limit: int | None) -> None:
-    """Append ``tableau``; refuse the ``limit + 1``-st before enumerating on."""
-    results.append(tableau)
+def _check_budget(results: list, g: Geometry, limit: int | None) -> None:
+    """Refuse an enumeration of ``g``'s shape once it holds ``limit + 1`` results."""
     if limit is not None and len(results) > limit:
-        kind = "Young" if isinstance(tableau, YoungTableau) else "shifted"
-        raise _over_budget(kind, tableau.shape, len(results), limit)
+        kind = "shifted" if g.shifted else "Young"
+        raise ClosureBudgetExceeded(
+            f"enumeration of {kind} tableaux of shape {g.shape} reached "
+            f"{limit + 1} tableaux, over the budget of {limit} vertices"
+        )
 
 
 def enumerate_codes(
@@ -426,12 +344,6 @@ def enumerate_codes(
     codes = [0] * size
     results: list[tuple[int, ...]] = [] if size else [()]
 
-    def check_budget() -> None:
-        if limit is not None and len(results) > limit:
-            del results[limit + 1 :]
-            kind = "shifted" if g.shifted else "Young"
-            raise _over_budget(kind, g.shape, limit + 1, limit)
-
     def fill(k: int) -> None:
         west, south, step = plan[k]
         low = 1
@@ -453,11 +365,11 @@ def enumerate_codes(
         for code in range(low, top + 1, step):
             codes[k] = code
             results.append(tuple(codes))
-        check_budget()
+        _check_budget(results, g, limit)
 
     if size:
         fill(0)
-    check_budget()
+    _check_budget(results, g, limit)
     results.sort(key=lambda codes: reading_key(codes, g))
     return results
 
@@ -504,11 +416,7 @@ def checked_geometry(shape: Sequence[int], n: int, shifted: bool) -> Geometry:
         ValueOutOfRange: ``n`` is not positive.
     """
     shape = tuple(shape)
-    if shifted:
-        if shape and not is_strict_partition(shape):
-            raise ShapeMismatch(f"{shape} is not a strict partition")
-    elif shape and not is_partition(shape):
-        raise ShapeMismatch(f"{shape} is not a partition")
+    _check_partition(shape, shifted)
     if n < 1:
         raise ValueOutOfRange(f"alphabet bound must be positive, got {n}")
     return geometry(shape, shifted)
@@ -632,6 +540,66 @@ def weight_codes(codes: Sequence[int], n: int) -> Weight:
     for code in codes:
         counts[((code + 1) >> 1) - 1] += 1
     return tuple(counts)
+
+
+def _check_range(codes: Sequence[int], g: Geometry, n: int | None, low: str) -> None:
+    """Refuse a value below 1 (saying ``low``) or, unless ``n`` is None, above ``n``."""
+    for k, code in enumerate(codes):
+        if code < 1 or (n is not None and code > 2 * n):
+            why = low if code < 1 else f"outside 1..{n}"
+            raise ValueOutOfRange(f"entry {_TEXT[code]} at cell {g.coords[k]} {why}")
+
+
+def check_codes(codes: Sequence[int], g: Geometry, n: int | None) -> None:
+    """Check that ``codes`` fill ``g``'s shape semistandardly with values in ``1..n``.
+
+    The one statement of the rules of both kinds, read off ``g``: a Young
+    shape refuses every mark first; then no value lies outside ``1..n``
+    (below 1 when ``n`` is None), no cell of ``g.unmarked_only`` is marked,
+    and, cell by cell in row-major order, a code is at least its west
+    neighbour and repeats it only unmarked, and at least its south
+    neighbour and repeats it only marked.
+
+    Raises:
+        ValueOutOfRange, DiagonalMarkViolation, RowViolation,
+        DuplicateMarkInRow, ColumnViolation: as :func:`validate_young` and
+            :func:`validate_shifted` describe, for the first broken rule.
+    """
+    if not g.shifted:
+        for k, code in enumerate(codes):
+            if code & 1:
+                raise ValueOutOfRange(
+                    f"marked entry {_TEXT[code]} at cell {g.coords[k]} not allowed here"
+                )
+    _check_range(codes, g, n, "must be positive")
+    for k, code in enumerate(codes):
+        r, c = g.coords[k]
+        text, mark = _TEXT[code], code & 1
+        if mark and g.unmarked_only[k]:
+            raise DiagonalMarkViolation(f"marked entry {text} on the diagonal at ({r}, {c})")
+        # A marked code may not equal its west neighbour, an unmarked one
+        # its south neighbour (nor may any code in a Young shape, all unmarked).
+        if g.west[k] >= 0 and (left := codes[g.west[k]]) > code - mark:
+            if left > code:
+                raise RowViolation(
+                    f"cells ({r}, {c - 1}) and ({r}, {c}) decrease: {_TEXT[left]} > {text}"
+                )
+            raise DuplicateMarkInRow(
+                f"marked value {text} repeats in row {r} at columns {c - 1} and {c}"
+            )
+        if g.south[k] >= 0 and (below := codes[g.south[k]]) >= code + mark:
+            if not g.shifted:
+                raise ColumnViolation(
+                    f"cells ({r - 1}, {c}) and ({r}, {c}) do not increase: "
+                    f"{_TEXT[below]} >= {text}"
+                )
+            if below > code:
+                raise ColumnViolation(
+                    f"cells ({r - 1}, {c}) and ({r}, {c}) decrease: {_TEXT[below]} > {text}"
+                )
+            raise ColumnViolation(
+                f"unmarked value {text} repeats in column {c} at rows {r - 1} and {r}"
+            )
 
 
 def reading_key(codes: Sequence[int], g: Geometry) -> tuple[int, ...]:

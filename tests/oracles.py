@@ -18,7 +18,10 @@ Everything here is deliberately naive and independent of the code under test:
 * the tableau operators (f_i, e_i, f0, e0, phi, eps) and both tableau
   enumerations on ``Entry`` rows, with their own cell lookups and reading
   orders, as the library computed them before it moved to packed integer
-  codes.
+  codes,
+* the Young and shifted validators on ``Entry`` rows, each with its own
+  statement of the rules, as the library checked tableaux before one check
+  on packed codes served both.
 
 Tests import these oracles and assert agreement with the library; none of the
 functions below are used by the package itself.
@@ -33,8 +36,12 @@ from typing import TypeVar
 
 from crystals import (
     ClosureBudgetExceeded,
+    ColumnViolation,
     CrystalError,
     CrystalGraph,
+    DiagonalMarkViolation,
+    DuplicateMarkInRow,
+    RowViolation,
     ShapeMismatch,
     SparsePolynomial,
     TensorView,
@@ -63,7 +70,6 @@ from crystals.tableaux import (
     YoungTableau,
     is_partition,
     is_strict_partition,
-    validate_shifted,
 )
 
 T = TypeVar("T")
@@ -196,7 +202,7 @@ def profile_yamanouchi(shape: Sequence[int], n: int) -> list[ShiftedTableau]:
     results: list[ShiftedTableau] = []
     for rows in itertools.product(*row_options):
         try:
-            t = validate_shifted(shape, rows, n)
+            t = entry_validate_shifted(shape, rows, n)
         except CrystalError:
             continue
         if all(shifted_eps(t, i) == 0 for i in range(1, n)):
@@ -501,6 +507,8 @@ def _fit_ladder(comp: CrystalGraph, source: str) -> tuple[list[str], list[str]] 
     if last is None:
         return None
     x.append(last)
+    if len(set(z) | set(x)) != len(z) + len(x):
+        return None  # a walk revisits a vertex, or the two walks meet
     return z, x
 
 
@@ -1072,3 +1080,129 @@ def entry_enumerate_ssht(
     fill(1, 1)
     results.sort(key=_word_sort_key)
     return results
+
+
+# -- Entry-based validators ------------------------------------------------------
+#
+# The library's validators as they read before one semistandardness check on
+# packed codes served both kinds of tableau, copied verbatim with their shape
+# and value checks; cell lookup goes through the Entry helpers above.
+
+
+def _check_shape(shape: Sequence[int], rows: Sequence[Sequence[Entry]], strict: bool) -> None:
+    if strict:
+        if not is_strict_partition(shape):
+            raise ShapeMismatch(f"{tuple(shape)} is not a strict partition")
+    elif not is_partition(shape):
+        raise ShapeMismatch(f"{tuple(shape)} is not a partition")
+    if len(rows) != len(shape):
+        raise ShapeMismatch(
+            f"expected {len(shape)} rows, got {len(rows)}"
+        )
+    for r, (length, row) in enumerate(zip(shape, rows), start=1):
+        if len(row) != length:
+            raise ShapeMismatch(
+                f"row {r} has {len(row)} cells, expected {length}"
+            )
+
+
+def _check_values(t: Tableau, n: int | None) -> None:
+    for (r, c), entry in cells_of(t):
+        if entry.value < 1:
+            raise ValueOutOfRange(
+                f"entry {entry.render()} at cell ({r}, {c}) must be positive"
+            )
+        if n is not None and entry.value > n:
+            raise ValueOutOfRange(
+                f"entry {entry.render()} at cell ({r}, {c}) outside 1..{n}"
+            )
+
+
+def entry_validate_young(
+    shape: Sequence[int], rows: Sequence[Sequence[Entry]], n: int | None = None
+) -> YoungTableau:
+    """Build a :class:`YoungTableau`, checking semistandardness.
+
+    Rows must weakly increase left to right and columns strictly increase bottom
+    to top; marked entries are not allowed.
+
+    Raises:
+        ShapeMismatch: Shape is not a partition or rows do not match it.
+        RowViolation / ColumnViolation: An adjacent pair is out of order; the
+            message carries the 1-based cell coordinates.
+        ValueOutOfRange: A marked entry appears, or a value falls outside 1..n.
+    """
+    _check_shape(shape, rows, strict=False)
+    t = YoungTableau(tuple(shape), tuple(tuple(row) for row in rows))
+    for (r, c), entry in cells_of(t):
+        if entry.marked:
+            raise ValueOutOfRange(
+                f"marked entry {entry.render()} at cell ({r}, {c}) not allowed here"
+            )
+    _check_values(t, n)
+    for (r, c), entry in cells_of(t):
+        left = entry_at(t, r, c - 1)
+        if left is not None and left.value > entry.value:
+            raise RowViolation(
+                f"cells ({r}, {c - 1}) and ({r}, {c}) decrease: "
+                f"{left.render()} > {entry.render()}"
+            )
+        below = entry_at(t, r - 1, c)
+        if below is not None and below.value >= entry.value:
+            raise ColumnViolation(
+                f"cells ({r - 1}, {c}) and ({r}, {c}) do not increase: "
+                f"{below.render()} >= {entry.render()}"
+            )
+    return t
+
+
+def entry_validate_shifted(
+    shape: Sequence[int], rows: Sequence[Sequence[Entry]], n: int | None = None
+) -> ShiftedTableau:
+    """Build a :class:`ShiftedTableau`, checking semistandardness.
+
+    Entries weakly increase along rows and columns in the order
+    ``1' < 1 < 2' < 2 < ...``; each row repeats a marked value at most once, each
+    column repeats an unmarked value at most once, and cells on the main diagonal
+    (column equal to row) are unmarked.
+
+    Raises:
+        ShapeMismatch: Shape is not strict or rows do not match it.
+        RowViolation / ColumnViolation: Order or repetition broken along a line.
+        DuplicateMarkInRow: The same marked value twice in one row.
+        DiagonalMarkViolation: A marked entry on the main diagonal.
+        ValueOutOfRange: A value falls outside 1..n.
+    """
+    _check_shape(shape, rows, strict=True)
+    t = ShiftedTableau(tuple(shape), tuple(tuple(row) for row in rows))
+    _check_values(t, n)
+    for (r, c), entry in cells_of(t):
+        if entry.marked and r == c:
+            raise DiagonalMarkViolation(
+                f"marked entry {entry.render()} on the diagonal at ({r}, {c})"
+            )
+        left = entry_at(t, r, c - 1)
+        if left is not None:
+            if left > entry:
+                raise RowViolation(
+                    f"cells ({r}, {c - 1}) and ({r}, {c}) decrease: "
+                    f"{left.render()} > {entry.render()}"
+                )
+            if left == entry and entry.marked:
+                raise DuplicateMarkInRow(
+                    f"marked value {entry.render()} repeats in row {r} "
+                    f"at columns {c - 1} and {c}"
+                )
+        below = entry_at(t, r - 1, c)
+        if below is not None:
+            if below > entry:
+                raise ColumnViolation(
+                    f"cells ({r - 1}, {c}) and ({r}, {c}) decrease: "
+                    f"{below.render()} > {entry.render()}"
+                )
+            if below == entry and not entry.marked:
+                raise ColumnViolation(
+                    f"unmarked value {entry.render()} repeats in column {c} "
+                    f"at rows {r - 1} and {r}"
+                )
+    return t

@@ -401,6 +401,31 @@ def test_component_checkers_match_the_copying_oracle_on_mutants():
     assert any("ladder of size" in d for d in details)
 
 
+def test_ladder_with_cyclic_rails_is_rejected():
+    # Color-2 rails z0 -> z1 -> z1 and x0 -> x1 -> x1 with 0-rungs z0 -> x0
+    # and z1 -> x1: walked up to the component's size, the rails once read
+    # as a ladder of m = 5 whose repeated vertices collapsed back onto the
+    # component.
+    g = graph_of(
+        3,
+        {v: (1, 1, 0) for v in ("x0", "x1", "z0", "z1")},
+        [
+            ("z0", 2, "z1"),
+            ("z1", 2, "z1"),
+            ("x0", 2, "x1"),
+            ("x1", 2, "x1"),
+            ("z0", 0, "x0"),
+            ("z1", 0, "x1"),
+        ],
+    )
+    for checker in (check_02_components, copying_check_02_components):
+        verdict = checker(g)
+        assert not verdict.ok
+        assert [v.detail for v in verdict.violations] == [
+            "a source does not head a well-formed ladder"
+        ]
+
+
 def test_no_checker_builds_a_graph(monkeypatch):
     g = queer_graph((3, 1), 4)
     built = []

@@ -17,15 +17,38 @@ Checks:
 * the graph builders emit exactly the oracle's lowering edges, and refuse
   (``ParseError``) a lowering whose target the enumeration did not list;
 * a budget stops an enumeration at the first tableau past it, the empty
-  shape included.
+  shape included;
+* ``validate_young`` and ``validate_shifted`` return the same tableau, or
+  raise the same exception with the same message, as the Entry-based
+  validators on every filling of every shape of up to 3 cells with values
+  0..3, marked or not, and on seeded fillings of shapes of 4 to 6 cells;
+* the characters, the Schur expansion, the product and the graph builders
+  give their usual answers with ``pack``, ``unpack`` and both validators
+  made to raise wherever the package binds them, so none of them builds or
+  checks an Entry tableau.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
+import sys
+
 import pytest
 
 import oracles
-from crystals import ClosureBudgetExceeded, ParseError, queer, shifted, young
+from crystals import (
+    ClosureBudgetExceeded,
+    CrystalError,
+    ParseError,
+    product_expand,
+    queer,
+    schur,
+    schur_p,
+    schur_p_to_schur,
+    shifted,
+    young,
+)
 from crystals.models import queer_graph, shifted_graph, young_graph
 from crystals.tableaux import (
     Entry,
@@ -39,6 +62,8 @@ from crystals.tableaux import (
     render_codes,
     render_tableau,
     unpack,
+    validate_shifted,
+    validate_young,
     weight,
     weight_codes,
     with_codes,
@@ -201,3 +226,98 @@ def test_enumeration_budget_counts_the_first_tableau_past_it():
             enumerate_(shape, 3, limit=3)
         with pytest.raises(ClosureBudgetExceeded, match="reached 1 tableaux, over the budget of 0"):
             enumerate_((), 3, limit=0)
+
+
+def _outcome(validate, shape, rows, n):
+    try:
+        return validate(shape, rows, n)
+    except CrystalError as err:
+        return type(err), str(err)
+
+
+VALIDATORS = {
+    "young": (validate_young, oracles.entry_validate_young),
+    "shifted": (validate_shifted, oracles.entry_validate_shifted),
+}
+
+
+def _validators_agree(kinds, shape, rows, n, mismatches):
+    for kind in kinds:
+        validate, oracle = VALIDATORS[kind]
+        got, want = _outcome(validate, shape, rows, n), _outcome(oracle, shape, rows, n)
+        if got != want:
+            mismatches.append((kind, shape, rows, n, got, want))
+
+
+def _compositions(total):
+    if total == 0:
+        yield ()
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first, *rest)
+
+
+def test_validators_match_the_entry_oracles():
+    entries = [Entry(v, m) for v in range(4) for m in (False, True)]
+    mismatches = []
+    for size in range(4):
+        for shape in _compositions(size):
+            for filling in itertools.product(entries, repeat=size):
+                it = iter(filling)
+                rows = [[next(it) for _ in range(length)] for length in shape]
+                for n in (None, 3):
+                    _validators_agree(VALIDATORS, shape, rows, n, mismatches)
+    for shape, rows in (((2,), [[Entry(1)]]), ((1,), [[Entry(1)], [Entry(2)]]), ((1,), [])):
+        _validators_agree(VALIDATORS, shape, rows, None, mismatches)
+
+    # Seeded fillings of 4 to 6 cells: a few uniform ones, most a valid
+    # tableau of the kind with one or two cells rewritten, so that every rule
+    # is reached past the first cells.
+    rng = random.Random(9)
+    unmarked = [Entry(v) for v in range(6)]
+    entries = unmarked + [Entry(v, True) for v in range(6)]
+    for size in range(4, 7):
+        for kind, shapes, enumerate_, pool in (
+            ("young", oracles.partitions(size), enumerate_ssyt, unmarked),
+            ("shifted", oracles.strict_partitions(size), enumerate_ssht, entries),
+        ):
+            for shape in shapes:
+                valid = [t.rows for t in enumerate_(shape, max(4, len(shape)))]
+                for _ in range(300):
+                    if rng.random() < 0.2:
+                        rows = [[rng.choice(entries) for _ in range(k)] for k in shape]
+                    else:
+                        rows = [list(row) for row in rng.choice(valid)]
+                        for _ in range(rng.randint(0, 2)):
+                            r = rng.randrange(len(shape))
+                            choices = entries if rng.random() < 0.1 else pool
+                            rows[r][rng.randrange(shape[r])] = rng.choice(choices)
+                    for n in (None, 3):
+                        _validators_agree((kind,), shape, rows, n, mismatches)
+    assert not mismatches, mismatches[:5]
+
+
+def test_characters_products_and_builders_unpack_no_tableau(monkeypatch):
+    calls = {
+        "schur": lambda: schur((2, 1), 3),
+        "schur_p": lambda: schur_p((3, 1), 3),
+        "schur_p_to_schur": lambda: schur_p_to_schur((3, 1)),
+        "product_expand": lambda: product_expand((2, 1), (1,), 4),
+        "queer_graph": lambda: queer_graph((2, 1), 3).edges,
+        "shifted_graph": lambda: shifted_graph((2, 1), 3).edges,
+        "young_graph": lambda: young_graph((2, 1), 3).edges,
+    }
+    expected = {name: call() for name, call in calls.items()}
+    originals = {f.__name__: f for f in (pack, unpack, validate_shifted, validate_young)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an Entry tableau was packed, unpacked or validated")
+
+    for name, module in list(sys.modules.items()):
+        if name == "crystals" or name.startswith("crystals."):
+            for attr, original in originals.items():
+                if getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, refuse)
+    for name, call in calls.items():
+        assert call() == expected[name], name
+
