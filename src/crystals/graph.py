@@ -25,6 +25,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import Hashable, Iterable
 
 from .config import Config, DEFAULT_CONFIG
@@ -514,20 +515,32 @@ def tensor_graphs(
 
 # -- serialization ------------------------------------------------------------
 
+def _json_list(items: list[str], indent: str) -> str:
+    """Encoded items laid out as ``json.dumps(..., indent=2)`` lays out a list."""
+    return f"[\n{indent}  " + f",\n{indent}  ".join(items) + f"\n{indent}]" if items else "[]"
+
+
 def export_json(graph: CrystalGraph) -> str:
-    """Canonical JSON text (sorted vertices and edges, trailing newline)."""
-    data = {
-        "n": graph.n,
-        "vertices": [
-            {"id": v.id, "payload": v.payload, "weight": list(v.weight)}
-            for v in graph.vertices.values()
-        ],
-        "edges": [
-            {"src": src, "color": str(color), "dst": dst}
-            for src, color, dst in graph.edges
-        ],
-    }
-    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+    """Canonical JSON text (sorted vertices and edges, trailing newline).
+
+    The bytes of ``json.dumps(..., indent=2, ensure_ascii=False)``, written with
+    each distinct id, weight and color encoded once."""
+    ids = {vid: encode_basestring(vid) for vid in graph.vertices}
+    weights = {w: _json_list([*map(int.__repr__, w)], "      ")
+               for w in {v.weight for v in graph.vertices.values()}}
+    colors = {c: encode_basestring(str(c)) for c in graph.colors}
+    vertices = [
+        f'{{\n      "id": {ids[vid]},\n      "payload": {encode_basestring(v.payload)},'
+        f'\n      "weight": {weights[v.weight]}\n    }}'
+        for vid, v in graph.vertices.items()
+    ]
+    edges = [
+        f'{{\n      "src": {ids[src]},\n      "color": {colors[color]},'
+        f'\n      "dst": {ids[dst]}\n    }}'
+        for src, color, dst in graph.edges
+    ]
+    head = f'{{\n  "n": {int.__repr__(graph.n)},\n  "vertices": {_json_list(vertices, "  ")},'
+    return head + f'\n  "edges": {_json_list(edges, "  ")}\n}}\n'
 
 
 def _require(condition: bool, message: str) -> None:
@@ -540,14 +553,20 @@ def _is_count(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _entry_error(item: object, kind: str, keys: tuple[str, ...]) -> ParseError:
+    if not isinstance(item, dict):
+        return ParseError(f"{kind} entries must be objects")
+    return ParseError(f"{kind} missing key {next(k for k in keys if k not in item)!r}")
+
+
 def import_json(text: str, config: Config | None = None) -> CrystalGraph:
     """Parse graph JSON produced by :func:`export_json`.
 
     Raises:
-        ParseError: Malformed JSON or schema, including a negative or
-            boolean ``n`` or weight and an edge color that
-            :func:`color_from_str` refuses; carries the failure position
-            when the JSON itself does not parse.
+        ParseError: Malformed JSON or schema, including a negative or boolean
+            ``n`` or weight, an edge color that :func:`color_from_str` refuses
+            and an id, payload, src or dst that UTF-8 cannot encode; carries
+            the failure position when the JSON itself does not parse.
         ClosureBudgetExceeded: The file lists more than
             ``config.max_vertices`` vertices; checked before any vertex is
             read.
@@ -570,31 +589,45 @@ def import_json(text: str, config: Config | None = None) -> CrystalGraph:
         )
     vertices = []
     for item in data["vertices"]:
-        _require(isinstance(item, dict), "vertex entries must be objects")
-        for key in ("id", "payload", "weight"):
-            _require(key in item, f"vertex missing key {key!r}")
-        _require(isinstance(item["id"], str), "vertex id must be a string")
-        _require(isinstance(item["payload"], str), "vertex payload must be a string")
-        _require(
-            isinstance(item["weight"], list) and all(map(_is_count, item["weight"])),
-            f"vertex {item.get('id')!r} weight must list non-negative integers",
-        )
-        vertices.append(Vertex(item["id"], item["payload"], tuple(item["weight"])))
+        try:
+            vid, payload, weight = item["id"], item["payload"], item["weight"]
+        except (KeyError, TypeError):
+            raise _entry_error(item, "vertex", ("id", "payload", "weight")) from None
+        if not isinstance(vid, str):
+            raise ParseError("vertex id must be a string")
+        if not isinstance(payload, str):
+            raise ParseError("vertex payload must be a string")
+        if not isinstance(weight, list) or not all(map(_is_count, weight)):
+            raise ParseError(f"vertex {vid!r} weight must list non-negative integers")
+        vertices.append(Vertex(vid, payload, tuple(weight)))
     edges = []
+    colors: dict[str, Color] = {}
     for item in data["edges"]:
-        _require(isinstance(item, dict), "edge entries must be objects")
-        for key in ("src", "color", "dst"):
-            _require(key in item, f"edge missing key {key!r}")
-        _require(isinstance(item["src"], str), "edge src must be a string")
-        _require(isinstance(item["dst"], str), "edge dst must be a string")
-        _require(isinstance(item["color"], str), "edge color must be a string")
-        edges.append((item["src"], color_from_str(item["color"]), item["dst"]))
+        try:
+            src, label, dst = item["src"], item["color"], item["dst"]
+        except (KeyError, TypeError):
+            raise _entry_error(item, "edge", ("src", "color", "dst")) from None
+        if not isinstance(src, str):
+            raise ParseError("edge src must be a string")
+        if not isinstance(dst, str):
+            raise ParseError("edge dst must be a string")
+        if not isinstance(label, str):
+            raise ParseError("edge color must be a string")
+        if label not in colors:
+            colors[label] = color_from_str(label)
+        edges.append((src, colors[label], dst))
+    for field, texts in (("vertex id", [v.id for v in vertices]),
+                         ("vertex payload", [v.payload for v in vertices]),
+                         ("edge src", [e[0] for e in edges]), ("edge dst", [e[2] for e in edges])):
+        try:
+            "".join(texts).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError(f"{field} holds {exc.object[exc.start]!r}, not UTF-8 text") from None
     return CrystalGraph(data["n"], vertices, edges)
 
 
 _INT_PALETTE = {0: "green", 1: "red", 2: "blue", 3: "purple"}
 _INT_CYCLE = ("orange", "brown", "teal")
-_ODD_PALETTE = {"1p": "magenta", "2p": "cyan"}
 _ODD_CYCLE = ("magenta", "cyan", "gold", "gray")
 
 
@@ -603,8 +636,6 @@ def dot_color(color: Color) -> str:
         if color in _INT_PALETTE:
             return _INT_PALETTE[color]
         return _INT_CYCLE[(color - 4) % len(_INT_CYCLE)]
-    if color in _ODD_PALETTE:
-        return _ODD_PALETTE[color]
     digits = re.match(r"\d+", color)
     index = int(digits.group()) - 1 if digits else 0
     return _ODD_CYCLE[index % len(_ODD_CYCLE)]
@@ -616,13 +647,11 @@ def _dot_escape(text: str) -> str:
 
 def export_dot(graph: CrystalGraph) -> str:
     """Graphviz text with the fixed edge palette and payload labels."""
+    ids = {vid: f'"{_dot_escape(vid)}"' for vid in graph.vertices}
+    tails = {c: f' [color={dot_color(c)}, label="{c}"];' for c in graph.colors}
     lines = ["digraph crystal {", "  rankdir=TB;"]
-    for vertex in graph.vertices.values():
-        lines.append(f'  "{_dot_escape(vertex.id)}" [label="{_dot_escape(vertex.payload)}"];')
-    for src, color, dst in graph.edges:
-        lines.append(
-            f'  "{_dot_escape(src)}" -> "{_dot_escape(dst)}" '
-            f'[color={dot_color(color)}, label="{color}"];'
-        )
+    lines += [f'  {ids[vid]} [label="{_dot_escape(v.payload)}"];'
+              for vid, v in graph.vertices.items()]
+    lines += [f"  {ids[src]} -> {ids[dst]}{tails[color]}" for src, color, dst in graph.edges]
     lines.append("}")
     return "\n".join(lines) + "\n"

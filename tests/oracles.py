@@ -22,6 +22,9 @@ Everything here is deliberately naive and independent of the code under test:
 * the Young and shifted validators on ``Entry`` rows, each with its own
   statement of the rules, as the library checked tableaux before one check
   on packed codes served both.
+* the JSON and DOT graph writers through ``json.dumps(..., indent=2)`` and
+  per-edge escaping, as the library wrote graph files before it formatted
+  the bytes directly.
 
 Tests import these oracles and assert agreement with the library; none of the
 functions below are used by the package itself.
@@ -30,6 +33,8 @@ functions below are used by the package itself.
 from __future__ import annotations
 
 import itertools
+import json
+import re
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from typing import TypeVar
@@ -59,6 +64,7 @@ from crystals.axioms import (
     _string_data,
     _verdict,
 )
+from crystals.graph import Color
 from crystals.pairing import eps_i, first_max_position, last_max_position, m_i
 from crystals.shifted import eps as shifted_eps
 from crystals.tableaux import (
@@ -1206,3 +1212,61 @@ def entry_validate_shifted(
                     f"at rows {r - 1} and {r}"
                 )
     return t
+
+
+# -- json.dumps graph writers ------------------------------------------------------
+#
+# The library's JSON and DOT writers as they read before they formatted the
+# bytes directly, copied verbatim with the DOT palette and escaping.
+
+
+def export_json(graph: CrystalGraph) -> str:
+    """Canonical JSON text (sorted vertices and edges, trailing newline)."""
+    data = {
+        "n": graph.n,
+        "vertices": [
+            {"id": v.id, "payload": v.payload, "weight": list(v.weight)}
+            for v in graph.vertices.values()
+        ],
+        "edges": [
+            {"src": src, "color": str(color), "dst": dst}
+            for src, color, dst in graph.edges
+        ],
+    }
+    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+
+
+_INT_PALETTE = {0: "green", 1: "red", 2: "blue", 3: "purple"}
+_INT_CYCLE = ("orange", "brown", "teal")
+_ODD_PALETTE = {"1p": "magenta", "2p": "cyan"}
+_ODD_CYCLE = ("magenta", "cyan", "gold", "gray")
+
+
+def dot_color(color: Color) -> str:
+    if isinstance(color, int):
+        if color in _INT_PALETTE:
+            return _INT_PALETTE[color]
+        return _INT_CYCLE[(color - 4) % len(_INT_CYCLE)]
+    if color in _ODD_PALETTE:
+        return _ODD_PALETTE[color]
+    digits = re.match(r"\d+", color)
+    index = int(digits.group()) - 1 if digits else 0
+    return _ODD_CYCLE[index % len(_ODD_CYCLE)]
+
+
+def _dot_escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def export_dot(graph: CrystalGraph) -> str:
+    """Graphviz text with the fixed edge palette and payload labels."""
+    lines = ["digraph crystal {", "  rankdir=TB;"]
+    for vertex in graph.vertices.values():
+        lines.append(f'  "{_dot_escape(vertex.id)}" [label="{_dot_escape(vertex.payload)}"];')
+    for src, color, dst in graph.edges:
+        lines.append(
+            f'  "{_dot_escape(src)}" -> "{_dot_escape(dst)}" '
+            f'[color={dot_color(color)}, label="{color}"];'
+        )
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -11,8 +11,9 @@ Checks:
   shifted and ordinary characters, shifted-to-ordinary expansions, graph
   files given to ``verify``, tensor products and product expansions,
 * a string color outside the declared alphabet exits 2, and so does a graph
-  file with a negative weight; a nonpositive ``--n`` to ``expand`` or
-  ``string`` exits 2 saying so,
+  file with a negative weight, a lone surrogate in an id or payload (no
+  tensor file is written) or bytes that are not UTF-8; a nonpositive
+  ``--n`` to ``expand`` or ``string`` exits 2 saying so,
 * global options are accepted before the subcommand and relative outputs land
   in the requested directory,
 * the thread count and environment override never change output bytes, and
@@ -145,6 +146,34 @@ def test_verify_out_of_contract_graph_exits_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize("field", ["id", "payload"])
+def test_tensor_of_a_file_with_a_lone_surrogate_exits_two_and_writes_nothing(
+    tmp_path, capsys, field
+):
+    vertex = {"id": "a", "payload": "a", "weight": [1]}
+    vertex[field] = "\ud800"
+    factor = tmp_path / "a.json"
+    factor.write_text(json.dumps({"n": 1, "vertices": [vertex], "edges": []}) + "\n",
+                      encoding="utf-8")
+    product = tmp_path / "ab.json"
+    code, out, err = run(capsys, "graph", "--model", "tensor", "--left", str(factor),
+                         "--right", str(factor), "--out", str(product))
+    assert code == 2
+    assert out == ""
+    assert f"vertex {field}" in err and "\\ud800" in err
+    assert not product.exists()
+
+
+def test_verify_of_a_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    target = tmp_path / "raw.json"
+    target.write_bytes(b'{"n": 1, "vertices": [{"id": "a", "payload": "\xed\xa0\x80", '
+                       b'"weight": [1]}], "edges": []}\n')
+    code, out, err = run(capsys, "verify", "--input", str(target), "--axioms", "queer")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "utf-8" in err
 
 
 def test_verify_missing_file_exits_three(capsys, tmp_path):

@@ -15,7 +15,8 @@ Checks:
 * rooted isomorphism accepts relabelings, rejects weight changes, and refuses
   graphs without a unique source,
 * JSON round trips byte-identically and the importer rejects malformed input,
-  including negative or boolean numbers and colors that would not round-trip,
+  including negative or boolean numbers, colors that would not round-trip and
+  text UTF-8 cannot encode, with the message of the first failed check,
 * the DOT export colors edges by their color index,
 * vertex budgets abort construction early,
 * every raising operator adds no edge beyond its lowering operator: the
@@ -229,6 +230,36 @@ def test_import_rejects_boolean_weight():
     text = _standard2_with(lambda d: d["vertices"][0].update(weight=[True, 0]))
     with pytest.raises(ParseError):
         import_json(text)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("id", "vertex id"), ("payload", "vertex payload"), ("src", "edge src"), ("dst", "edge dst"),
+])
+def test_import_refuses_text_utf8_cannot_encode(field, message):
+    def plant(d):
+        item = d["vertices"][0] if field in ("id", "payload") else d["edges"][0]
+        item[field] = "1\udfff"
+    with pytest.raises(ParseError, match=message):
+        import_json(_standard2_with(plant))
+
+
+def test_import_reports_entry_problems_in_order():
+    cases = [
+        (lambda d: d["vertices"].append([]), "vertex entries must be objects"),
+        (lambda d: d["vertices"][0].clear(), "vertex missing key 'id'"),
+        (lambda d: d["vertices"][0].pop("weight"), "vertex missing key 'weight'"),
+        (lambda d: d["vertices"][0].update(id=1, payload=2), "vertex id must be a string"),
+        (lambda d: d["vertices"][0].update(payload=2, weight=3), "payload must be a string"),
+        (lambda d: d["vertices"][0].update(weight=[0, "1"]), "'1' weight must list"),
+        (lambda d: d["edges"].append("1"), "edge entries must be objects"),
+        (lambda d: d["edges"][0].pop("color"), "edge missing key 'color'"),
+        (lambda d: d["edges"][0].update(src=1, dst=1, color=1), "edge src must be a string"),
+        (lambda d: d["edges"][0].update(dst=1, color=1), "edge dst must be a string"),
+        (lambda d: d["edges"][0].update(color=1), "edge color must be a string"),
+    ]
+    for change, message in cases:
+        with pytest.raises(ParseError, match=message):
+            import_json(_standard2_with(change))
 
 
 @pytest.mark.parametrize("color", ["x", "-1", "", "01"])
