@@ -16,14 +16,21 @@ local shapes.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import CycleDetected
-from .graph import CrystalGraph, _component_groups, string_length_maps
+from .graph import (
+    Color,
+    CrystalGraph,
+    Weight,
+    _component_groups,
+    _index_edges,
+    string_length_maps,
+)
 
-StringMap = dict[str, int]
-Step = Callable[[str, int], str | None]
+StringList = list[int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,29 +79,52 @@ class _Collector:
     def add(self, axiom: str, vertices: tuple[str, ...], detail: str) -> None:
         self.items.append(Violation(axiom, vertices, detail))
 
+    def add_sorted(self, found: list[tuple]) -> None:
+        """Add ``(key, axiom, vertices, detail)`` entries found color by color
+        in the order of a vertex-by-vertex scan (keys start with the vertex);
+        fast mode keeps the first failing vertex's, where that scan stops."""
+        found.sort(key=itemgetter(0))
+        if found and not self.exhaustive:
+            found = [entry for entry in found if entry[0][0] == found[0][0][0]]
+        self.items += [Violation(*entry[1:]) for entry in found]
+
     @property
     def done(self) -> bool:
         return bool(self.items) and not self.exhaustive
 
 
+def _name(ids: tuple[str, ...], k: int) -> str | None:
+    return None if k < 0 else ids[k]
+
+
+def _rows(graph: CrystalGraph, lists: dict, colors) -> dict:
+    """Each color's list from ``lists``, all ``-1`` for a color without edges."""
+    none = [-1] * len(graph)
+    return {c: lists.get(c, none) for c in colors}
+
+
+def _multi_report(graph: CrystalGraph, color: Color, axiom: str, what: str,
+                  out: _Collector) -> bool:
+    """Report vertices with several edges of ``color`` out of or into them,
+    outgoing first; ``True`` when there are none."""
+    outs, ins = graph.multi_down.get(color, {}), graph.multi_up.get(color, {})
+    for k in sorted(outs.keys() | ins.keys()):
+        if k in outs:
+            out.add(axiom, (graph.vertex_ids[k],), f"{len(outs[k])} outgoing {what}")
+        if k in ins:
+            out.add(axiom, (graph.vertex_ids[k],), f"{len(ins[k])} incoming {what}")
+    return not (outs or ins)
+
+
 def _string_data(
     graph: CrystalGraph, colors: list[int], out: _Collector
-) -> tuple[dict[int, StringMap], dict[int, StringMap], dict[int, bool]]:
-    """Per-color string length maps plus A1/A2 screening."""
-    phi: dict[int, StringMap] = {}
-    eps: dict[int, StringMap] = {}
+) -> tuple[dict[int, StringList], dict[int, StringList], dict[int, bool]]:
+    """Per-color string length lists plus A1/A2 screening."""
+    phi: dict[int, StringList] = {}
+    eps: dict[int, StringList] = {}
     valid: dict[int, bool] = {}
     for color in colors:
-        clean = True
-        for vid in graph.vertex_ids:
-            outs = graph.out_all(vid, color)
-            if len(outs) > 1:
-                out.add("A2", (vid,), f"{len(outs)} outgoing edges of color {color}")
-                clean = False
-            ins = graph.in_all(vid, color)
-            if len(ins) > 1:
-                out.add("A2", (vid,), f"{len(ins)} incoming edges of color {color}")
-                clean = False
+        clean = _multi_report(graph, color, "A2", f"edges of color {color}", out)
         if clean:
             try:
                 phi[color], eps[color] = string_length_maps(graph, color)
@@ -105,61 +135,58 @@ def _string_data(
     return phi, eps, valid
 
 
+def _root_moves(weights: list[Weight], roots: Iterable[int]) -> dict[tuple[Weight, int], Weight]:
+    """Each distinct weight moved by each simple root ``alpha_r``, keyed ``(weight, r)``."""
+    moves = {}
+    for weight in set(weights):
+        for root in roots:
+            shifted = list(weight)
+            shifted[root - 1] -= 1
+            shifted[root] += 1
+            moves[weight, root] = tuple(shifted)
+    return moves
+
+
 def _check_weight_rules(
     graph: CrystalGraph,
-    phi: dict[int, StringMap],
-    eps: dict[int, StringMap],
+    phi: dict[int, StringList],
+    eps: dict[int, StringList],
     valid: dict[int, bool],
     out: _Collector,
 ) -> None:
-    n = graph.n
-    for src, color, dst in graph.edges:
-        if not isinstance(color, int) or color < 1:
-            continue
+    n, ids, weights = graph.n, graph.vertex_ids, graph.weights
+    moves = _root_moves(weights, [c for c in graph.int_colors if c < n])
+    for s, color, d in _index_edges(graph, colors=graph.int_colors):
         if color + 1 > n:
-            out.add("W1", (src, dst), f"edge color {color} outside weight range 1..{n - 1}")
-            continue
-        expected = list(graph.weight_of(src))
-        expected[color - 1] -= 1
-        expected[color] += 1
-        if tuple(expected) != graph.weight_of(dst):
-            out.add(
-                "W1",
-                (src, dst),
-                f"color {color} edge moves weight {graph.weight_of(src)} to "
-                f"{graph.weight_of(dst)}, expected {tuple(expected)}",
-            )
+            out.add("W1", (ids[s], ids[d]), f"edge color {color} outside weight range 1..{n - 1}")
+        elif (expected := moves[weights[s], color]) != weights[d]:
+            out.add("W1", (ids[s], ids[d]), f"color {color} edge moves weight {weights[s]} "
+                    f"to {weights[d]}, expected {expected}")
     for color, ok in valid.items():
         if not ok or color + 1 > n:
             continue
-        for vid in graph.vertex_ids:
-            weight = graph.weight_of(vid)
+        for k, (weight, p, e) in enumerate(zip(weights, phi[color], eps[color])):
             diff = weight[color - 1] - weight[color]
-            measured = phi[color][vid] - eps[color][vid]
-            if measured != diff:
-                out.add(
-                    "W2",
-                    (vid,),
-                    f"phi_{color} - eps_{color} = {measured}, "
-                    f"weight difference = {diff}",
-                )
+            if p - e != diff:
+                out.add("W2", (ids[k],), f"phi_{color} - eps_{color} = {p - e}, "
+                        f"weight difference = {diff}")
 
 
-def _walk(step: Step, vid: str | None, colors: tuple[int, ...]) -> str | None:
+def _walk(up: dict[int, list[int]], k: int, colors: tuple[int, ...]) -> int:
     for color in colors:
-        vid = step(vid, color)
-        if vid is None:
+        k = up[color][k]
+        if k < 0:
             break
-    return vid
+    return k
 
 
 def _check_squares(
     graph: CrystalGraph,
     usable: list[int],
-    up: Step,
-    down: Step,
-    to_top: dict[int, StringMap],
-    to_bottom: dict[int, StringMap],
+    up: dict[int, list[int]],
+    down: dict[int, list[int]],
+    to_top: dict[int, StringList],
+    to_bottom: dict[int, StringList],
     words: tuple[str, str, str, str],
     out: _Collector,
 ) -> None:
@@ -169,66 +196,48 @@ def _check_squares(
     the far corner, that corner, and the octagon prefix.
     """
     move, stat, corner, octagon = words
-    for x in graph.vertex_ids:
-        for i in usable:
-            yi = up(x, i)
-            if yi is None:
+    ids = graph.vertex_ids
+    found = []
+    for i in usable:
+        up_i, top_i, bottom_i, down_i = up[i], to_top[i], to_bottom[i], down[i]
+        edges_i = [(x, yi) for x, yi in enumerate(up_i) if yi >= 0]
+        for j in usable:
+            if j == i:
                 continue
-            for j in usable:
-                if j == i:
+            up_j, top_j, bottom_j, down_j = up[j], to_top[j], to_bottom[j], down[j]
+            for x, yi in edges_i:
+                yj = up_j[x]
+                if yj < 0:
                     continue
-                yj = up(x, j)
-                if yj is None:
-                    continue
-                d_ij = to_top[j][x] - to_top[j][yi]
+                d_ij = top_j[x] - top_j[yi]
                 if d_ij == 0:
                     # A5: the square must close, with a flat far corner.
-                    a = up(yi, j)
-                    b = up(yj, i)
-                    if a is None or b is None or a != b:
-                        out.add(
-                            "A5",
-                            (x,),
-                            f"colors {i},{j}: {move} square does not close "
-                            f"({a!r} vs {b!r})",
-                        )
-                        continue
-                    flat = to_bottom[i][a] - to_bottom[i][down(a, j)]
-                    if flat != 0:
-                        out.add(
-                            "A5",
-                            (x, a),
-                            f"colors {i},{j}: {stat}_{i} at closed square "
-                            f"{corner} = {flat}, expected 0",
-                        )
-                elif d_ij == -1 and i < j and to_top[i][x] - to_top[i][yj] == -1:
+                    a, b = up_j[yi], up_i[yj]
+                    if a < 0 or b < 0 or a != b:
+                        found.append(((x, i, j), "A5", (ids[x],), f"colors {i},{j}: {move} square "
+                                      f"does not close ({_name(ids, a)!r} vs {_name(ids, b)!r})"))
+                    elif (flat := bottom_i[a] - bottom_i[down_j[a]]) != 0:
+                        found.append(((x, i, j), "A5", (ids[x], ids[a]), f"colors {i},{j}: "
+                                      f"{stat}_{i} at closed square {corner} = {flat}, expected 0"))
+                elif d_ij == -1 and i < j and top_i[x] - top_i[yj] == -1:
                     # A6: degenerate octagon through double moves.
-                    a = _walk(up, x, (i, j, j, i))
-                    b = _walk(up, x, (j, i, i, j))
-                    if a is None or b is None or a != b:
-                        out.add(
-                            "A6",
-                            (x,),
-                            f"colors {i},{j}: {octagon}octagon does not close "
-                            f"({a!r} vs {b!r})",
-                        )
+                    a, b = _walk(up, x, (i, j, j, i)), _walk(up, x, (j, i, i, j))
+                    if a < 0 or b < 0 or a != b:
+                        found.append(((x, i, j), "A6", (ids[x],), f"colors {i},{j}: {octagon}"
+                                      f"octagon does not close ({_name(ids, a)!r} vs "
+                                      f"{_name(ids, b)!r})"))
                         continue
-                    n_ij = to_bottom[j][a] - to_bottom[j][down(a, i)]
-                    n_ji = to_bottom[i][a] - to_bottom[i][down(a, j)]
+                    n_ij = bottom_j[a] - bottom_j[down_i[a]]
+                    n_ji = bottom_i[a] - bottom_i[down_j[a]]
                     if n_ij != -1 or n_ji != -1:
-                        out.add(
-                            "A6",
-                            (x, a),
-                            f"colors {i},{j}: {stat} at octagon {corner} = "
-                            f"({n_ij}, {n_ji}), expected (-1, -1)",
-                        )
-        if out.done:
-            return
+                        found.append(((x, i, j), "A6", (ids[x], ids[a]), f"colors {i},{j}: {stat} "
+                                      f"at octagon {corner} = ({n_ij}, {n_ji}), expected (-1, -1)"))
+    out.add_sorted(found)
 
 
 def _check_even(
     graph: CrystalGraph, out: _Collector
-) -> tuple[dict[int, StringMap], dict[int, StringMap], dict[int, bool]]:
+) -> tuple[dict[int, StringList], dict[int, StringList], dict[int, bool]]:
     """Even axioms into ``out``; returns the ``(phi, eps, valid)`` it computed."""
     colors = sorted(set(range(1, graph.n)) | set(graph.int_colors))
     phi, eps, valid = _string_data(graph, colors, out)
@@ -239,41 +248,37 @@ def _check_even(
         return phi, eps, valid
 
     usable = [c for c in colors if valid.get(c)]
-    for x in graph.vertex_ids:
-        for i in usable:
-            y = graph.in_edge(x, i)
-            if y is None:
-                continue
-            # A3/A4: neighbor-color difference tables.
-            for j in usable:
-                d_eps = eps[j][x] - eps[j][y]
-                d_phi = phi[j][y] - phi[j][x]
-                expected = 2 if j == i else (-1 if abs(i - j) == 1 else 0)
+    ids = graph.vertex_ids
+    up = _rows(graph, graph.up, usable)
+    down = _rows(graph, graph.down, usable)
+    # A3/A4: neighbor-color difference tables, one color pair at a time.
+    found = []
+    for i in usable:
+        edges_i = [(x, y) for x, y in enumerate(up[i]) if y >= 0]
+        for j in usable:
+            e, p = eps[j], phi[j]
+            expected = 2 if j == i else (-1 if abs(i - j) == 1 else 0)
+            for x, y in edges_i:
+                d_eps = e[x] - e[y]
+                d_phi = p[y] - p[x]
                 if d_eps + d_phi != expected:
-                    out.add(
-                        "A3",
-                        (x,),
-                        f"raising color {i}: delta eps_{j} + delta phi_{j} = "
-                        f"{d_eps + d_phi}, expected {expected}",
-                    )
+                    found.append(((x, i, j, 0), "A3", (ids[x],), f"raising color {i}: delta eps_{j}"
+                                  f" + delta phi_{j} = {d_eps + d_phi}, expected {expected}"))
                 if j != i and (d_eps > 0 or d_phi > 0):
-                    out.add(
-                        "A4",
-                        (x,),
-                        f"raising color {i}: delta eps_{j} = {d_eps}, "
-                        f"delta phi_{j} = {d_phi}, expected both <= 0",
-                    )
-        if out.done:
-            return phi, eps, valid
+                    found.append(((x, i, j, 1), "A4", (ids[x],), f"raising color {i}: delta eps_{j}"
+                                  f" = {d_eps}, delta phi_{j} = {d_phi}, expected both <= 0"))
+    out.add_sorted(found)
+    if out.done:
+        return phi, eps, valid
 
     # The dual A5/A6 are the raising forms on the reversed graph.
     _check_squares(
-        graph, usable, graph.in_edge, graph.out_edge, eps, phi,
+        graph, usable, up, down, eps, phi,
         ("raising", "nabla phi", "top", ""), out,
     )
     if not out.done:
         _check_squares(
-            graph, usable, graph.out_edge, graph.in_edge, phi, eps,
+            graph, usable, down, up, phi, eps,
             ("lowering", "delta eps", "bottom", "lowering "), out,
         )
     return phi, eps, valid
@@ -305,175 +310,108 @@ def check_queer_regular(graph: CrystalGraph, exhaustive: bool = True) -> Verdict
     if out.done:
         return _verdict(out.items)
 
-    n = graph.n
+    n, ids, weights = graph.n, graph.vertex_ids, graph.weights
     # Weight rule for 0-edges: same root as color 1.
-    for src, color, dst in graph.edges:
-        if color != 0:
-            continue
+    moves = _root_moves(weights, (1,) if n >= 2 else ())
+    for s, _, d in _index_edges(graph, colors=(0,)):
         if n < 2:
-            out.add("W1", (src, dst), "0-edge needs at least two weight coordinates")
-            continue
-        expected = list(graph.weight_of(src))
-        expected[0] -= 1
-        expected[1] += 1
-        if tuple(expected) != graph.weight_of(dst):
-            out.add(
-                "W1",
-                (src, dst),
-                f"0-edge moves weight {graph.weight_of(src)} to "
-                f"{graph.weight_of(dst)}, expected {tuple(expected)}",
-            )
+            out.add("W1", (ids[s], ids[d]), "0-edge needs at least two weight coordinates")
+        elif (expected := moves[weights[s], 1]) != weights[d]:
+            out.add("W1", (ids[s], ids[d]),
+                    f"0-edge moves weight {weights[s]} to {weights[d]}, expected {expected}")
     if out.done:
         return _verdict(out.items)
 
     # B2: unique 0-edges.
-    for vid in graph.vertex_ids:
-        outs = graph.out_all(vid, 0)
-        if len(outs) > 1:
-            out.add("B2", (vid,), f"{len(outs)} outgoing 0-edges")
-        ins = graph.in_all(vid, 0)
-        if len(ins) > 1:
-            out.add("B2", (vid,), f"{len(ins)} incoming 0-edges")
-    if out.done:
-        return _verdict(out.items)
-
-    # B1: 0-strings have length at most 1, present exactly when weight allows.
-    for vid in graph.vertex_ids:
-        has_in = graph.in_edge(vid, 0) is not None
-        has_out = graph.out_edge(vid, 0) is not None
-        if has_in and has_out:
-            out.add("B1", (vid,), "0-path of length 2 through this vertex")
-        weight = graph.weight_of(vid)
-        positive = (weight[0] if n >= 1 else 0) + (weight[1] if n >= 2 else 0) > 0
-        if ((has_in ^ has_out)) != positive:
-            out.add(
-                "B1",
-                (vid,),
-                f"eps_0 + phi_0 = {int(has_in) + int(has_out)} but "
-                f"wt_1 + wt_2 > 0 is {positive}",
-            )
+    _multi_report(graph, 0, "B2", "0-edges", out)
     if out.done:
         return _verdict(out.items)
 
     # Structural failures on even colors were already reported through B0.
     usable = [c for c in range(1, n) if valid.get(c)]
+    down = _rows(graph, graph.down, (0, *usable))
+    up = _rows(graph, graph.up, (0, *usable))
+    # B1: 0-strings have length at most 1, present exactly when weight allows.
+    for k, (lower0, raise0, weight) in enumerate(zip(down[0], up[0], weights)):
+        has_in, has_out = raise0 >= 0, lower0 >= 0
+        if has_in and has_out:
+            out.add("B1", (ids[k],), "0-path of length 2 through this vertex")
+        positive = sum(weight[:2]) > 0
+        if (has_in ^ has_out) != positive:
+            out.add("B1", (ids[k],), f"eps_0 + phi_0 = {int(has_in) + int(has_out)} but "
+                    f"wt_1 + wt_2 > 0 is {positive}")
+    if out.done:
+        return _verdict(out.items)
 
+    zero_edges = [(x, y) for x, y in enumerate(up[0]) if y >= 0]
     # B3/B4: how the 0-move shifts even string lengths.
-    for x in graph.vertex_ids:
-        y = graph.in_edge(x, 0)
-        if y is None:
-            continue
+    for x, y in zero_edges:
         for i in usable:
             d_eps = eps[i][x] - eps[i][y]
             d_phi = phi[i][y] - phi[i][x]
             expected = 2 if i <= 1 else (-1 if i == 2 else 0)
             if d_eps + d_phi != expected:
-                out.add(
-                    "B3",
-                    (x,),
-                    f"color {i}: delta_0 eps + delta_0 phi = {d_eps + d_phi}, "
-                    f"expected {expected}",
-                )
+                out.add("B3", (ids[x],), f"color {i}: delta_0 eps + delta_0 phi = "
+                        f"{d_eps + d_phi}, expected {expected}")
             if i == 1 and not (d_eps >= 0 and d_phi > 0):
-                out.add(
-                    "B4",
-                    (x,),
-                    f"color 1: delta_0 eps = {d_eps} (need >= 0), "
-                    f"delta_0 phi = {d_phi} (need > 0)",
-                )
+                out.add("B4", (ids[x],), f"color 1: delta_0 eps = {d_eps} (need >= 0), "
+                        f"delta_0 phi = {d_phi} (need > 0)")
             elif i == 2 and not (d_eps <= 0 and d_phi <= 0):
-                out.add(
-                    "B4",
-                    (x,),
-                    f"color 2: delta_0 eps = {d_eps}, delta_0 phi = {d_phi}, "
-                    f"expected both <= 0",
-                )
+                out.add("B4", (ids[x],), f"color 2: delta_0 eps = {d_eps}, delta_0 phi = "
+                        f"{d_phi}, expected both <= 0")
             elif i >= 3 and not (d_eps == 0 and d_phi == 0):
-                out.add(
-                    "B4",
-                    (x,),
-                    f"color {i}: delta_0 eps = {d_eps}, delta_0 phi = {d_phi}, "
-                    f"expected both 0",
-                )
+                out.add("B4", (ids[x],), f"color {i}: delta_0 eps = {d_eps}, delta_0 phi = "
+                        f"{d_phi}, expected both 0")
         if out.done:
             return _verdict(out.items)
 
     # B5: squares between the 0-move and even moves.
-    for z in graph.vertex_ids:
-        down0 = graph.out_edge(z, 0)
-        if down0 is not None:
-            for i in usable:
-                if i < 2:
-                    continue
-                downi = graph.out_edge(z, i)
-                if downi is None:
-                    continue
-                a = graph.out_edge(down0, i)
-                b = graph.out_edge(downi, 0)
-                if a is None or b is None or a != b:
-                    out.add(
-                        "B5",
-                        (z,),
-                        f"color {i}: lowering square with the 0-move does not "
-                        f"close ({a!r} vs {b!r})",
-                    )
-        up0 = graph.in_edge(z, 0)
-        if up0 is not None:
-            for i in usable:
-                if i == 2:
-                    continue
-                upi = graph.in_edge(z, i)
-                if upi is None or upi == up0:
-                    continue
-                a = graph.in_edge(up0, i)
-                b = graph.in_edge(upi, 0)
-                if a is None or b is None or a != b:
-                    out.add(
-                        "B5",
-                        (z,),
-                        f"color {i}: raising square with the 0-move does not "
-                        f"close ({a!r} vs {b!r})",
-                    )
+    for z, (lower0, raise0) in enumerate(zip(down[0], up[0])):
+        for i in usable if lower0 >= 0 else ():
+            lower = down[i][z]
+            if i < 2 or lower < 0:
+                continue
+            a, b = down[i][lower0], down[0][lower]
+            if a < 0 or b < 0 or a != b:
+                out.add("B5", (ids[z],), f"color {i}: lowering square with the 0-move does "
+                        f"not close ({_name(ids, a)!r} vs {_name(ids, b)!r})")
+        for i in usable if raise0 >= 0 else ():
+            upper = up[i][z]
+            if i == 2 or upper < 0 or upper == raise0:
+                continue
+            a, b = up[i][raise0], up[0][upper]
+            if a < 0 or b < 0 or a != b:
+                out.add("B5", (ids[z],), f"color {i}: raising square with the 0-move does "
+                        f"not close ({_name(ids, a)!r} vs {_name(ids, b)!r})")
         if out.done:
             return _verdict(out.items)
 
     # B6: interaction of the 0-move with colors 1 and 2.
-    for x in graph.vertex_ids:
-        y = graph.in_edge(x, 0)
-        if y is None:
-            continue
-        if 1 in usable:
-            d_eps1 = eps[1][x] - eps[1][y]
-            if d_eps1 == 1:
-                if phi[1][x] != 0:
-                    out.add(
-                        "B6",
-                        (x,),
-                        f"delta_0 eps_1 = 1 but phi_1 = {phi[1][x]}, expected 0",
-                    )
-                if graph.in_edge(x, 1) != y:
-                    out.add(
-                        "B6",
-                        (x,),
-                        "delta_0 eps_1 = 1 but the color-1 and color-0 raising "
-                        "moves disagree",
-                    )
-        if 2 in usable:
-            d_phi2 = phi[2][y] - phi[2][x]
-        else:
-            d_phi2 = 0
+    for x, y in zero_edges:
+        if 1 in usable and eps[1][x] - eps[1][y] == 1:
+            if phi[1][x] != 0:
+                out.add("B6", (ids[x],), f"delta_0 eps_1 = 1 but phi_1 = {phi[1][x]}, expected 0")
+            if up[1][x] != y:
+                out.add("B6", (ids[x],), "delta_0 eps_1 = 1 but the color-1 and color-0 "
+                        "raising moves disagree")
+        d_phi2 = phi[2][y] - phi[2][x] if 2 in usable else 0
         phi2 = phi[2][x] if 2 in usable else 0
         if (d_phi2 == 0) != (phi2 == 0):
-            out.add(
-                "B6",
-                (x,),
-                f"delta_0 phi_2 = {d_phi2} but phi_2 = {phi2}; the two must "
-                f"vanish together",
-            )
+            out.add("B6", (ids[x],), f"delta_0 phi_2 = {d_phi2} but phi_2 = {phi2}; the two "
+                    f"must vanish together")
         if out.done:
             return _verdict(out.items)
 
     return _verdict(out.items)
+
+
+def _edges_by_source(graph: CrystalGraph, colors: tuple[int, int]) -> list[list[tuple]]:
+    """The edges of ``colors`` leaving each vertex; over a component of those
+    colors, exactly the component's edges."""
+    found: list[list[tuple]] = [[] for _ in range(len(graph))]
+    for edge in _index_edges(graph, colors=colors):
+        found[edge[0]].append(edge)
+    return found
 
 
 def check_01_components(graph: CrystalGraph) -> Verdict:
@@ -485,41 +423,32 @@ def check_01_components(graph: CrystalGraph) -> Verdict:
     """
     out = _Collector(True)
     notes: list[str] = []
+    ids = graph.vertex_ids
+    down0 = _rows(graph, graph.down, (0,))[0]
+    up1 = _rows(graph, graph.up, (1,))[1]
+    edges_at = _edges_by_source(graph, (0, 1))
     for group in _component_groups(graph, (0, 1)):
-        ids = sorted(group)
-        witness = ids[0]
-        # Every 0/1-edge at a vertex lies in its component: no copy is needed.
-        comp_edges = [(u, c, v) for u in ids for c in (0, 1) for v in graph.out_all(u, c)]
-        if len(ids) == 1 and not comp_edges:
+        witness = ids[group[0]]
+        comp_edges = [edge for u in group for edge in edges_at[u]]
+        if len(group) == 1 and not comp_edges:
             notes.append(f"{witness}: isolated vertex")
             continue
         edge_set = set(comp_edges)
-        pairs = [
-            (u, v) for (u, c, v) in comp_edges if c == 1 and (u, 0, v) in edge_set
-        ]
+        pairs = [(u, v) for (u, c, v) in comp_edges if c == 1 and (u, 0, v) in edge_set]
         if len(pairs) != 1:
-            out.add(
-                "C01",
-                (witness,),
-                f"expected exactly one parallel {{0,1}} edge pair, found {len(pairs)}",
-            )
+            out.add("C01", (witness,),
+                    f"expected exactly one parallel {{0,1}} edge pair, found {len(pairs)}")
             continue
         tail_src, tail_dst = pairs[0]
         chain = [tail_src]
-        while len(chain) <= len(ids):
-            prev = graph.in_edge(chain[0], 1)
-            if prev is None:
-                break
-            chain.insert(0, prev)
+        while len(chain) <= len(group) and up1[chain[0]] >= 0:
+            chain.insert(0, up1[chain[0]])
         a = chain + [tail_dst]
         k = len(a) - 1
-        b = [graph.out_edge(a[j], 0) for j in range(k - 1)]
-        if None in b:
-            out.add(
-                "C01",
-                (a[b.index(None)],),
-                "chain vertex lacks the required 0-edge to its shadow",
-            )
+        b = [down0[a[j]] for j in range(k - 1)]
+        if -1 in b:
+            out.add("C01", (ids[a[b.index(-1)]],),
+                    "chain vertex lacks the required 0-edge to its shadow")
             continue
         expected_vertices = set(a) | set(b)
         expected_edges = (
@@ -528,53 +457,41 @@ def check_01_components(graph: CrystalGraph) -> Verdict:
             | {(a[j], 0, b[j]) for j in range(k - 1)}
             | {(a[k - 1], 0, a[k])}
         )
-        if (
-            len(expected_vertices) != 2 * k
-            or group != expected_vertices
-            or edge_set != expected_edges
-        ):
-            out.add(
-                "C01",
-                (witness,),
-                f"component does not match the doubled-chain shape with k={k}",
-            )
+        if (len(expected_vertices) != 2 * k or set(group) != expected_vertices
+                or edge_set != expected_edges):
+            out.add("C01", (witness,),
+                    f"component does not match the doubled-chain shape with k={k}")
             continue
         notes.append(f"{witness}: doubled chain, k={k}")
     return _verdict(out.items, notes)
 
 
 def _fit_ladder(
-    graph: CrystalGraph, source: str, size: int
-) -> tuple[list[str], list[str]] | None:
+    down: dict[int, list[int]], source: int, size: int
+) -> tuple[list[int], list[int]] | None:
     """Fit ``source`` as the head of a ladder in a component of ``size`` vertices.
 
     Returns (z-chain, x-chain); ``size`` bounds a color-2 walk into a cycle.
     """
+    down0, down2 = down[0], down[2]
     z = [source]
-    while len(z) <= size:
-        nxt = graph.out_edge(z[-1], 2)
-        if nxt is None:
-            break
-        z.append(nxt)
-    x: list[str] = []
-    for zj in z:
-        rung = graph.out_edge(zj, 0)
-        if rung is None:
-            return None
-        x.append(rung)
-    for j in range(len(x) - 1):
-        if graph.out_edge(x[j], 2) != x[j + 1]:
-            return None
-    last = graph.out_edge(x[-1], 2)
-    if last is None:
+    while len(z) <= size and down2[z[-1]] >= 0:
+        z.append(down2[z[-1]])
+    x = [down0[zj] for zj in z]
+    if -1 in x:
         return None
-    x.append(last)
+    for j in range(len(x) - 1):
+        if down2[x[j]] != x[j + 1]:
+            return None
+    if down2[x[-1]] < 0:
+        return None
+    x.append(down2[x[-1]])
     if len(set(z) | set(x)) != len(z) + len(x):
         return None  # a walk revisits a vertex, or the two walks meet
     return z, x
 
 
-def _ladder_facts(z: list[str], x: list[str]) -> tuple[set[str], set]:
+def _ladder_facts(z: list[int], x: list[int]) -> tuple[set[int], set]:
     vertices = set(z) | set(x)
     edges = (
         {(z[j], 2, z[j + 1]) for j in range(len(z) - 1)}
@@ -596,90 +513,63 @@ def check_02_components(graph: CrystalGraph) -> Verdict:
     """
     out = _Collector(True)
     notes: list[str] = []
-    has_two = any(c == 2 for _, c, _ in graph.edges)
+    ids = graph.vertex_ids
+    has_two = 2 in graph.down
+    down = _rows(graph, graph.down, (0, 2))
+    up = _rows(graph, graph.up, (0, 2))
+    edges_at = _edges_by_source(graph, (0, 2))
     for group in _component_groups(graph, (0, 2)):
-        ids = sorted(group)
-        witness = ids[0]
-        comp_edges = [(u, c, v) for u in ids for c in (0, 2) for v in graph.out_all(u, c)]
-        if len(ids) == 1 and not comp_edges:
+        witness = ids[group[0]]
+        comp_edges = [edge for u in group for edge in edges_at[u]]
+        if len(group) == 1 and not comp_edges:
             notes.append(f"{witness}: isolated vertex")
             continue
         if not has_two:
-            if (
-                len(ids) == 2
-                and len(comp_edges) == 1
-                and comp_edges[0][1] == 0
-            ):
+            if len(group) == 2 and len(comp_edges) == 1 and comp_edges[0][1] == 0:
                 notes.append(f"{witness}: bare 0-edge (graph has no color-2 edges)")
-                continue
-            out.add(
-                "C02",
-                (witness,),
-                "without color-2 edges only bare 0-edges are admissible",
-            )
+            else:
+                out.add("C02", (witness,),
+                        "without color-2 edges only bare 0-edges are admissible")
             continue
-        sources = [
-            vid
-            for vid in ids
-            if not graph.in_all(vid, 0) and not graph.in_all(vid, 2)
-        ]
-        z_sources = [s for s in sources if graph.out_edge(s, 0) is not None]
+        sources = [v for v in group if up[0][v] < 0 and up[2][v] < 0]
+        z_sources = [s for s in sources if down[0][s] >= 0]
         if sources != z_sources or not 1 <= len(z_sources) <= 2:
-            out.add(
-                "C02",
-                (witness,),
-                f"expected 1 or 2 ladder heads, found sources {sources}",
-            )
+            out.add("C02", (witness,),
+                    f"expected 1 or 2 ladder heads, found sources {[ids[v] for v in sources]}")
             continue
-        fits = [_fit_ladder(graph, s, len(ids)) for s in z_sources]
+        fits = [_fit_ladder(down, s, len(group)) for s in z_sources]
         if any(f is None for f in fits):
             out.add("C02", (witness,), "a source does not head a well-formed ladder")
             continue
+        edge_set = set(comp_edges)
         if len(fits) == 1:
             z, x = fits[0]
             vertices, edges = _ladder_facts(z, x)
             m = len(z)
-            edge_set = set(comp_edges)
-            if group == vertices and edge_set == edges:
+            if set(group) == vertices and edge_set == edges:
                 notes.append(f"{witness}: single ladder m={m}, 0-link absent")
                 continue
-            link = graph.out_edge(x[-1], 0)
-            if link is not None:
-                vertices2 = vertices | {link}
-                edges2 = edges | {(x[-1], 0, link)}
-                if group == vertices2 and edge_set == edges2:
-                    notes.append(f"{witness}: double ladder m={m}, 0-link present")
-                    continue
-            out.add(
-                "C02",
-                (witness,),
-                f"component does not match a ladder of size m={m}",
-            )
+            link = down[0][x[-1]]
+            if (link >= 0 and set(group) == vertices | {link}
+                    and edge_set == edges | {(x[-1], 0, link)}):
+                notes.append(f"{witness}: double ladder m={m}, 0-link present")
+            else:
+                out.add("C02", (witness,), f"component does not match a ladder of size m={m}")
             continue
         (z1, x1), (z2, x2) = fits
         if len(z1) < len(z2):
             (z1, x1), (z2, x2) = (z2, x2), (z1, x1)
         m1, m2 = len(z1), len(z2)
         if m1 != m2 + 1:
-            out.add(
-                "C02",
-                (witness,),
-                f"two ladders must have consecutive sizes, found m={m1} and m={m2}",
-            )
+            out.add("C02", (witness,),
+                    f"two ladders must have consecutive sizes, found m={m1} and m={m2}")
             continue
         v1, e1 = _ladder_facts(z1, x1)
         v2, e2 = _ladder_facts(z2, x2)
-        link_edge = (x1[-1], 0, x2[-1])
-        if (
-            graph.out_edge(x1[-1], 0) == x2[-1]
-            and group == v1 | v2
-            and set(comp_edges) == e1 | e2 | {link_edge}
-        ):
+        if (down[0][x1[-1]] == x2[-1] and set(group) == v1 | v2
+                and edge_set == e1 | e2 | {(x1[-1], 0, x2[-1])}):
             notes.append(f"{witness}: double ladder m={m1}, 0-link present")
-            continue
-        out.add(
-            "C02",
-            (witness,),
-            f"component does not match the linked double ladder m={m1}",
-        )
+        else:
+            out.add("C02", (witness,),
+                    f"component does not match the linked double ladder m={m1}")
     return _verdict(out.items, notes)

@@ -1,32 +1,34 @@
 """Colored directed graphs of lowering operators, with queries and I/O.
 
-A :class:`CrystalGraph` stores vertices keyed by canonical payload text plus
-edges ``(src, color, dst)`` meaning the color's lowering operator maps ``src``
-to ``dst``.  Raising moves are the reversed edges.  Integer colors ``1, 2, …``
-are the even operators and color ``0`` the queer operator.  Strings like
-``"1p"`` label derived odd operators; no model builds them, so they arrive
-only from graph files.
+An edge ``(src, color, dst)`` means the color's lowering operator maps
+``src`` to ``dst``; raising moves are the reversed edges.  Integer colors
+``1, 2, …`` are the even operators and color ``0`` the queer operator.
+Strings like ``"1p"`` label derived odd operators; no model builds them, so
+they arrive only from graph files.
 
-A graph stores its vertices sorted by id and its edges sorted by
-``(src, color, dst)``, so a graph built from the same vertex and edge sets in
-any order has the same JSON and DOT bytes.  The tableau crystals are built in
+A :class:`CrystalGraph` numbers its vertices in sorted-id order.  Per color,
+the lists ``down`` and ``up`` hold each vertex's edge target and source
+(``-1`` for none); the library's graph walks read these lists.  Edges past
+one per vertex and color, which only hand-built graphs have, are listed in
+the side tables ``multi_down``/``multi_up``.  The sorted ``edges`` tuple is
+made on request, so a graph built from the same vertex and edge sets in any
+order has the same JSON and DOT bytes.  The tableau crystals are built in
 :mod:`crystals.models`.
 
 A :class:`TensorView` reads the tensor product of two crystals on demand,
 each given as a graph or as any factor with the graph's read protocol (such
-as the tableau-backed :class:`crystals.models.QueerTableauCrystal`); the
-materialized product, :func:`tensor_graphs`, is that view over every pair of
-two graphs.
+as the tableau-backed :class:`crystals.models.QueerTableauCrystal`);
+:func:`tensor_graphs` materializes the view's edges over two graphs.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
-from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring
-from typing import Hashable, Iterable
+from operator import add, itemgetter
+from typing import Hashable, Iterable, NamedTuple
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import (
@@ -67,8 +69,7 @@ def color_from_str(text: str) -> Color:
     return int(text) if match.group(1) else text
 
 
-@dataclass(frozen=True, slots=True)
-class Vertex:
+class Vertex(NamedTuple):
     """Graph vertex: canonical id, display payload, and weight vector."""
 
     id: str
@@ -77,167 +78,212 @@ class Vertex:
 
 
 class CrystalGraph:
-    """Immutable colored digraph with at most one edge per (vertex, color).
+    """Immutable colored digraph on vertices indexed in sorted-id order.
 
-    The one-edge rule is a property of crystals, not a construction
-    invariant: hand-built graphs may break it, and the axiom checkers report
-    that as an A2/B2 violation.  Accessors therefore expose both the full
-    target lists and the first-target convenience forms.
+    ``vertices`` are :class:`Vertex` values or ``(id, payload, weight)``
+    triples; repeated edges count once.  The one-edge rule is a property of
+    crystals, not a construction invariant: hand-built graphs may break it,
+    and the axiom checkers report that as an A2/B2 violation.  Accessors
+    therefore expose both the full target lists and the first-target forms.
+    Errors name the first offender in sorted order.
     """
 
-    __slots__ = ("n", "vertices", "edges", "_out", "_in")
+    __slots__ = ("n", "vertex_ids", "payloads", "weights", "index",
+                 "down", "up", "multi_down", "multi_up")
 
     def __init__(self, n: int, vertices: Iterable[Vertex], edges: Iterable[Edge]) -> None:
         if n < 0:
             raise DimensionMismatch(f"weight length must be non-negative, got {n}")
         self.n = n
-        ordered = sorted(vertices, key=lambda v: v.id)
-        self.vertices: dict[str, Vertex] = {}
-        for vertex in ordered:
-            if vertex.id in self.vertices:
-                raise ParseError(f"duplicate vertex id {vertex.id!r}")
-            if len(vertex.weight) != n:
-                raise DimensionMismatch(
-                    f"vertex {vertex.id!r} has weight of length "
-                    f"{len(vertex.weight)}, expected {n}"
-                )
-            self.vertices[vertex.id] = vertex
-        unique = sorted(set(edges), key=lambda e: (e[0], color_key(e[1]), e[2]))
-        self.edges: tuple[Edge, ...] = tuple(unique)
-        self._out: dict[str, dict[Color, tuple[str, ...]]] = {v: {} for v in self.vertices}
-        self._in: dict[str, dict[Color, tuple[str, ...]]] = {v: {} for v in self.vertices}
-        for src, color, dst in unique:
-            if src not in self._out:
-                raise ParseError(f"edge source {src!r} is not a vertex")
-            if dst not in self._in:
-                raise ParseError(f"edge target {dst!r} is not a vertex")
-            targets = self._out[src]
-            targets[color] = targets.get(color, ()) + (dst,)
-            sources = self._in[dst]
-            sources[color] = sources.get(color, ()) + (src,)
+        rows = sorted(vertices, key=itemgetter(0))
+        self.vertex_ids: tuple[str, ...] = tuple(map(itemgetter(0), rows))
+        self.payloads: list[str] = [*map(itemgetter(1), rows)]
+        self.weights: list[Weight] = [*map(itemgetter(2), rows)]
+        index = self.index = {vid: k for k, vid in enumerate(self.vertex_ids)}
+        if len(index) != len(rows) or not set(map(len, self.weights)) <= {n}:
+            _vertex_error(n, rows)
+        edges = edges if isinstance(edges, (list, tuple)) else [*edges]
+        lists: dict[Color, tuple[list[int], list[int]]] = {}
+        extra: tuple[dict, dict] = ({}, {})  # color -> vertex -> all targets (sources)
+        try:
+            for src, color, dst in edges:
+                s, d = index[src], index[dst]
+                if color not in lists:
+                    lists[color] = ([-1] * len(rows), [-1] * len(rows))
+                down, up = lists[color]
+                if down[s] < 0:
+                    down[s] = d
+                elif down[s] != d:
+                    extra[0].setdefault(color, {}).setdefault(s, {down[s]}).add(d)
+                if up[d] < 0:
+                    up[d] = s
+                elif up[d] != s:
+                    extra[1].setdefault(color, {}).setdefault(d, {up[d]}).add(s)
+        except KeyError:
+            _edge_error(index, edges)
+        order = sorted(lists, key=color_key)
+        self.down: dict[Color, list[int]] = {c: lists[c][0] for c in order}
+        self.up: dict[Color, list[int]] = {c: lists[c][1] for c in order}
+        self.multi_down, self.multi_up = extra
+        for table, firsts in zip(extra, (self.down, self.up)):
+            for color, ends in table.items():
+                for k, targets in ends.items():
+                    ends[k] = tuple(sorted(targets))
+                    firsts[color][k] = ends[k][0]
 
     # -- accessors ---------------------------------------------------------
 
     @property
-    def vertex_ids(self) -> tuple[str, ...]:
-        return tuple(self.vertices)
-
-    @property
     def colors(self) -> tuple[Color, ...]:
-        return tuple(sorted({e[1] for e in self.edges}, key=color_key))
+        return tuple(self.down)
 
     @property
     def int_colors(self) -> tuple[int, ...]:
         return tuple(c for c in self.colors if isinstance(c, int) and c >= 1)
 
+    @property
+    def vertices(self) -> dict[str, Vertex]:
+        """Each id's :class:`Vertex`, made on request."""
+        return {row[0]: Vertex(*row)
+                for row in zip(self.vertex_ids, self.payloads, self.weights)}
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """All edges sorted by ``(src, color, dst)``, made on request."""
+        ids = self.vertex_ids
+        return tuple([(ids[s], c, ids[d]) for s, c, d in _index_edges(self)])
+
     def weight_of(self, vid: str) -> Weight:
-        return self.vertices[vid].weight
+        return self.weights[self.index[vid]]
 
     def payload_of(self, vid: str) -> str:
-        return self.vertices[vid].payload
+        return self.payloads[self.index[vid]]
+
+    def _ends(self, firsts: dict, multi: dict, vid: str, color: Color) -> tuple[str, ...]:
+        k = self.index[vid]
+        row = firsts.get(color)
+        if row is None or row[k] < 0:
+            return ()
+        return tuple(self.vertex_ids[t] for t in multi.get(color, {}).get(k, (row[k],)))
 
     def out_all(self, vid: str, color: Color) -> tuple[str, ...]:
-        return self._out[vid].get(color, ())
+        return self._ends(self.down, self.multi_down, vid, color)
 
     def in_all(self, vid: str, color: Color) -> tuple[str, ...]:
-        return self._in[vid].get(color, ())
+        return self._ends(self.up, self.multi_up, vid, color)
 
     def out_edge(self, vid: str, color: Color) -> str | None:
-        targets = self._out[vid].get(color)
-        return targets[0] if targets else None
+        return next(iter(self.out_all(vid, color)), None)
 
     def in_edge(self, vid: str, color: Color) -> str | None:
-        sources = self._in[vid].get(color)
-        return sources[0] if sources else None
-
-    def out_colors(self, vid: str) -> tuple[Color, ...]:
-        return tuple(sorted(self._out[vid], key=color_key))
+        return next(iter(self.in_all(vid, color)), None)
 
     def edge_counts(self) -> dict[Color, int]:
-        counts: dict[Color, int] = {}
-        for _, color, _ in self.edges:
-            counts[color] = counts.get(color, 0) + 1
-        return {c: counts[c] for c in sorted(counts, key=color_key)}
+        return {c: len(row) - row.count(-1) + sum(
+                    len(t) - 1 for t in self.multi_down.get(c, {}).values())
+                for c, row in self.down.items()}
 
     def string_maps(self, color: Color) -> tuple[dict[str, int], dict[str, int]]:
-        """``(phi, eps)`` of every vertex; see :func:`string_length_maps`."""
-        return string_length_maps(self, color)
+        """``(phi, eps)`` keyed by vertex id; see :func:`string_length_maps`."""
+        phi, eps = string_length_maps(self, color)
+        return dict(zip(self.vertex_ids, phi)), dict(zip(self.vertex_ids, eps))
 
     def even_highest_weights(self) -> list[str]:
         """Vertices with no incoming edge of a color ``1..n-1``."""
         return highest_weights(self, range(1, self.n))
 
-    def subgraph(self, colors: Iterable[Color]) -> "CrystalGraph":
-        """Same vertices, edges restricted to the given colors."""
-        keep = set(colors)
-        return CrystalGraph(
-            self.n,
-            self.vertices.values(),
-            [e for e in self.edges if e[1] in keep],
-        )
-
-    def restrict(self, vertex_ids: Iterable[str]) -> "CrystalGraph":
-        """Induced subgraph on the given vertices."""
-        keep = set(vertex_ids)
-        return CrystalGraph(
-            self.n,
-            [self.vertices[v] for v in keep],
-            [e for e in self.edges if e[0] in keep and e[2] in keep],
-        )
-
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.vertex_ids)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CrystalGraph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-        )
+        return all(getattr(self, key) == getattr(other, key) for key in (
+            "n", "vertex_ids", "payloads", "weights", "down", "multi_down"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"CrystalGraph(n={self.n}, vertices={len(self.vertices)}, "
-            f"edges={len(self.edges)})"
+            f"CrystalGraph(n={self.n}, vertices={len(self)}, "
+            f"edges={sum(self.edge_counts().values())})"
         )
+
+
+def _vertex_error(n: int, rows: list) -> None:
+    """Raise for the first duplicate id or wrong weight length in sorted order."""
+    seen = set()
+    for vid, _, weight in rows:
+        if vid in seen:
+            raise ParseError(f"duplicate vertex id {vid!r}")
+        if len(weight) != n:
+            raise DimensionMismatch(
+                f"vertex {vid!r} has weight of length {len(weight)}, expected {n}"
+            )
+        seen.add(vid)
+
+
+def _edge_error(index: dict[str, int], edges: Iterable[Edge]) -> None:
+    """Raise for the first edge in sorted order with an unknown endpoint."""
+    for src, _, dst in sorted(set(edges), key=lambda e: (e[0], color_key(e[1]), e[2])):
+        if src not in index:
+            raise ParseError(f"edge source {src!r} is not a vertex")
+        if dst not in index:
+            raise ParseError(f"edge target {dst!r} is not a vertex")
+
+
+def _index_edges(
+    graph: CrystalGraph,
+    vertices: Iterable[int] | None = None,
+    colors: Iterable[Color] | None = None,
+) -> list[tuple[int, Color, int]]:
+    """``(src, color, dst)`` indices of the edges leaving ``vertices``
+    (default all, ascending), of ``colors`` (default all), in sorted order."""
+    keep = graph.down if colors is None else [c for c in graph.down if c in colors]
+    rows = [(c, graph.down[c], graph.multi_down.get(c)) for c in keep]
+    found = []
+    for s in range(len(graph)) if vertices is None else vertices:
+        for c, row, multi in rows:
+            if row[s] < 0:
+                continue
+            if multi and s in multi:
+                found += [(s, c, t) for t in multi[s]]
+            else:
+                found.append((s, c, row[s]))
+    return found
 
 
 # -- string walks ------------------------------------------------------------
 
-def string_length_maps(
-    graph: CrystalGraph, color: Color
-) -> tuple[dict[str, int], dict[str, int]]:
-    """``(phi, eps)`` for every vertex at once, by path decomposition.
+def string_length_maps(graph: CrystalGraph, color: Color) -> tuple[list[int], list[int]]:
+    """``(phi, eps)`` of every vertex at once, as lists by vertex index, by
+    path decomposition along the first edges of ``color``.
 
     Raises:
         CycleDetected: Some monochromatic walk closes a cycle.
     """
-    phi: dict[str, int] = {}
-    eps: dict[str, int] = {}
-    for vid in graph.vertex_ids:
-        if graph.in_edge(vid, color) is not None:
-            continue
-        chain = [vid]
-        seen = {vid}
-        cur = vid
-        while (nxt := graph.out_edge(cur, color)) is not None:
-            if nxt in seen:
+    size = len(graph)
+    if color not in graph.down:
+        return [0] * size, [0] * size
+    down, ids = graph.down[color], graph.vertex_ids
+    phi = [-1] * size
+    eps = [0] * size
+    walk = [-1] * size  # the head of the walk that last passed each vertex
+    for head in [k for k, source in enumerate(graph.up[color]) if source < 0]:
+        chain = [head]
+        walk[head] = cur = head
+        while (cur := down[cur]) >= 0:
+            if walk[cur] == head:
                 raise CycleDetected(
-                    f"color {color} walk from {vid!r} revisits {nxt!r}"
+                    f"color {color} walk from {ids[head]!r} revisits {ids[cur]!r}"
                 )
-            seen.add(nxt)
-            chain.append(nxt)
-            cur = nxt
+            walk[cur] = head
+            chain.append(cur)
         last = len(chain) - 1
         for k, node in enumerate(chain):
             eps[node] = k
             phi[node] = last - k
-    for vid in graph.vertex_ids:
-        if vid not in phi:
-            # Only vertices inside head-free cycles stay unassigned.
-            raise CycleDetected(f"color {color} cycle through {vid!r}")
+    if -1 in phi:
+        # Only vertices inside head-free cycles stay unassigned.
+        raise CycleDetected(f"color {color} cycle through {ids[phi.index(-1)]!r}")
     return phi, eps
 
 
@@ -245,35 +291,50 @@ def string_length_maps(
 
 def _component_groups(
     graph: CrystalGraph, colors: Iterable[Color] | None = None
-) -> list[set[str]]:
-    """Vertex ids of each weakly connected component, ordered by smallest id;
-    with ``colors`` given, only edges of those colors connect vertices."""
-    keep = None if colors is None else set(colors)
-    neighbors: dict[str, set[str]] = {v: set() for v in graph.vertex_ids}
-    for src, color, dst in graph.edges:
-        if keep is None or color in keep:
-            neighbors[src].add(dst)
-            neighbors[dst].add(src)
-    seen: set[str] = set()
-    groups: list[set[str]] = []
-    for vid in graph.vertex_ids:
-        if vid in seen:
+) -> list[list[int]]:
+    """Ascending vertex indices of each weakly connected component, ordered
+    by smallest index; with ``colors`` given, only edges of those colors
+    connect vertices."""
+    keep = graph.down if colors is None else [c for c in colors if c in graph.down]
+    rows = [graph.down[c] for c in keep] + [graph.up[c] for c in keep]
+    extra: dict[int, list[int]] = {}
+    for table in (graph.multi_down, graph.multi_up):
+        for c in keep:
+            for k, ends in table.get(c, {}).items():
+                extra.setdefault(k, []).extend(ends)
+    seen = bytearray(len(graph))
+    groups = []
+    for start in range(len(graph)):
+        if seen[start]:
             continue
-        group = {vid}
-        stack = [vid]
-        while stack:
-            for other in neighbors[stack.pop()]:
-                if other not in group:
-                    group.add(other)
-                    stack.append(other)
-        seen |= group
-        groups.append(group)
+        seen[start] = 1
+        group = [start]
+        for v in group:  # grows while it is read
+            for row in rows:
+                w = row[v]
+                if w >= 0 and not seen[w]:
+                    seen[w] = 1
+                    group.append(w)
+            for w in extra.get(v, ()):
+                if not seen[w]:
+                    seen[w] = 1
+                    group.append(w)
+        groups.append(sorted(group))
     return groups
 
 
 def components(graph: CrystalGraph) -> list[CrystalGraph]:
     """The copying public form: components as new graphs, ordered by smallest id."""
-    return [graph.restrict(group) for group in _component_groups(graph)]
+    ids, payloads, weights = graph.vertex_ids, graph.payloads, graph.weights
+    return [CrystalGraph(graph.n, [(ids[k], payloads[k], weights[k]) for k in group],
+                         [(ids[s], c, ids[d]) for s, c, d in _index_edges(graph, group)])
+            for group in _component_groups(graph)]
+
+
+def _sources(graph: CrystalGraph, colors: Iterable[Color]) -> list[int]:
+    """Vertices with no incoming edge of any of ``colors``."""
+    rows = [graph.up[c] for c in colors if c in graph.up]
+    return [k for k in range(len(graph)) if all(row[k] < 0 for row in rows)]
 
 
 def highest_weights(
@@ -284,22 +345,16 @@ def highest_weights(
     ``colors=None`` uses every integer color >= 1 present in the graph.
     """
     palette = tuple(colors) if colors is not None else graph.int_colors
-    return [
-        vid
-        for vid in graph.vertex_ids
-        if all(not graph.in_all(vid, c) for c in palette)
-    ]
+    return [graph.vertex_ids[k] for k in _sources(graph, palette)]
 
 
 def character(graph: CrystalGraph) -> SparsePolynomial:
     """Monomial sum of all vertex weights."""
-    return SparsePolynomial.from_weights(
-        graph.n, (v.weight for v in graph.vertices.values())
-    )
+    return SparsePolynomial.from_weights(graph.n, graph.weights)
 
 
-def _unique_source(graph: CrystalGraph) -> str:
-    sources = [vid for vid in graph.vertex_ids if not graph._in[vid]]
+def _unique_source(graph: CrystalGraph) -> int:
+    sources = _sources(graph, graph.colors)
     if len(sources) != 1:
         raise MultipleSources(
             f"expected exactly one source vertex, found {len(sources)}"
@@ -320,42 +375,39 @@ def isomorphic(g1: CrystalGraph, g2: CrystalGraph) -> bool:
     """
     root1 = _unique_source(g1)
     root2 = _unique_source(g2)
-    if g1.n != g2.n or len(g1) != len(g2) or len(g1.edges) != len(g2.edges):
+    if g1.n != g2.n or len(g1) != len(g2) or g1.weights[root1] != g2.weights[root2]:
         return False
-    if g1.weight_of(root1) != g2.weight_of(root2):
-        return False
-    mapping = {root1: root2}
-    reverse = {root2: root1}
+    mapping, reverse = [-1] * len(g1), [-1] * len(g2)
+    mapping[root1], reverse[root2] = root2, root1
     queue = [root1]
     while queue:
         u1 = queue.pop()
-        u2 = mapping[u1]
-        if g1.out_colors(u1) != g2.out_colors(u2):
+        out1, out2 = _index_edges(g1, (u1,)), _index_edges(g2, (mapping[u1],))
+        colors = [c for _, c, _ in out1]
+        if colors != [c for _, c, _ in out2] or len(set(colors)) != len(colors):
             return False
-        for color in g1.out_colors(u1):
-            t1s = g1.out_all(u1, color)
-            t2s = g2.out_all(u2, color)
-            if len(t1s) != 1 or len(t2s) != 1:
+        for (_, _, t1), (_, _, t2) in zip(out1, out2):
+            if mapping[t1] not in (-1, t2) or reverse[t2] not in (-1, t1):
                 return False
-            t1, t2 = t1s[0], t2s[0]
-            if mapping.get(t1, t2) != t2 or reverse.get(t2, t1) != t1:
-                return False
-            if t1 not in mapping:
-                if g1.weight_of(t1) != g2.weight_of(t2):
+            if mapping[t1] < 0:
+                if g1.weights[t1] != g2.weights[t2]:
                     return False
-                mapping[t1] = t2
-                reverse[t2] = t1
+                mapping[t1], reverse[t2] = t2, t1
                 queue.append(t1)
-    if len(mapping) != len(g1) or len(reverse) != len(g2):
-        return False
-    relabeled = {(mapping[s], c, mapping[d]) for s, c, d in g1.edges}
-    return relabeled == set(g2.edges)
+    # Every vertex is mapped, and the edges of each are matched one to one.
+    return -1 not in mapping
 
 
 # -- tensor product -----------------------------------------------------------
 
 def _wrap_factor(payload: str) -> str:
     return f"({payload})" if "⊗" in payload else payload
+
+
+def _check_lengths(g1, g2) -> int:
+    if g1.n != g2.n:
+        raise DimensionMismatch(f"cannot tensor graphs with weight lengths {g1.n} and {g2.n}")
+    return g1.n
 
 
 Pair = tuple[Hashable, Hashable]
@@ -391,11 +443,7 @@ class TensorView:
     __slots__ = ("n", "left", "right", "queer", "even_colors", "_phi_left", "_eps_right")
 
     def __init__(self, g1, g2, queer: bool = False) -> None:
-        if g1.n != g2.n:
-            raise DimensionMismatch(
-                f"cannot tensor graphs with weight lengths {g1.n} and {g2.n}"
-            )
-        self.n = g1.n
+        self.n = _check_lengths(g1, g2)
         self.left = g1
         self.right = g2
         self.queer = queer
@@ -482,35 +530,49 @@ def tensor_graphs(
 ) -> CrystalGraph:
     """Tensor product graph on the full cartesian product of vertices.
 
-    Materializes :class:`TensorView` over every pair; vertex ids are the
-    view's payloads.
+    Has the edges of :class:`TensorView` over every pair, read from the two
+    graphs' lists; vertex ids are the view's payloads.
 
     Raises:
         DimensionMismatch: The two graphs have different weight lengths.
         ClosureBudgetExceeded: ``len(g1) * len(g2)`` exceeds
-            ``config.max_vertices``; checked before the product is built.
+            ``config.max_vertices``; checked before any string length is
+            computed.
         CycleDetected: A factor has a malformed monochromatic cycle.
     """
     config = config or DEFAULT_CONFIG
-    view = TensorView(g1, g2, queer)
+    _check_lengths(g1, g2)
     size = len(g1) * len(g2)
     if size > config.max_vertices:
         raise ClosureBudgetExceeded(
             f"tensor product of {len(g1)} x {len(g2)} = {size} vertices "
             f"exceeds {config.max_vertices} vertices"
         )
-    pair_id = {
-        pair: view.payload_of(pair)
-        for pair in itertools.product(g1.vertex_ids, g2.vertex_ids)
-    }
-    vertices = [Vertex(pid, pid, view.weight_of(pair)) for pair, pid in pair_id.items()]
-    edges: list[Edge] = []
-    for pair, src in pair_id.items():
-        for color in view.colors:
-            target = view.out_edge(pair, color)
-            if target is not None:
-                edges.append((src, color, pair_id[target]))
-    return CrystalGraph(view.n, vertices, edges)
+    width = len(g2)
+    right = [_wrap_factor(p) for p in g2.payloads]
+    ids = [f"{_wrap_factor(p)}⊗{q}" for p in g1.payloads for q in right]
+    weights = [tuple(map(add, w1, w2)) for w1 in g1.weights for w2 in g2.weights]
+    even = sorted({c for c in (*g1.down, *g2.down) if isinstance(c, int) and c >= 1})
+    # Per color, ``(phi, eps)``: a move acts on the left factor of ``(a, b)``
+    # exactly when ``eps[b] < phi[a]``.
+    rules = [(c, string_length_maps(g1, c)[0]) for c in even]
+    rules = [(c, phi, string_length_maps(g2, c)[1]) for c, phi in rules]
+    if queer:
+        # The 0-move acts on the left exactly when wt_1 = wt_2 = 0 on the right.
+        rules.append((0, [1] * len(g1), [1 if any(w[:2]) else 0 for w in g2.weights]))
+    none1, none2 = [-1] * len(g1), [-1] * width
+    edges = []
+    for color, phi, eps in rules:
+        down1, down2 = g1.down.get(color, none1), g2.down.get(color, none2)
+        for a, (bound, t1) in enumerate(zip(phi, down1)):
+            base = a * width
+            for b, (e, t2) in enumerate(zip(eps, down2)):
+                if e < bound:
+                    if t1 >= 0:
+                        edges.append((ids[base + b], color, ids[t1 * width + b]))
+                elif t2 >= 0:
+                    edges.append((ids[base + b], color, ids[base + t2]))
+    return CrystalGraph(g1.n, zip(ids, ids, weights), edges)
 
 
 # -- serialization ------------------------------------------------------------
@@ -525,19 +587,18 @@ def export_json(graph: CrystalGraph) -> str:
 
     The bytes of ``json.dumps(..., indent=2, ensure_ascii=False)``, written with
     each distinct id, weight and color encoded once."""
-    ids = {vid: encode_basestring(vid) for vid in graph.vertices}
-    weights = {w: _json_list([*map(int.__repr__, w)], "      ")
-               for w in {v.weight for v in graph.vertices.values()}}
-    colors = {c: encode_basestring(str(c)) for c in graph.colors}
+    ids = [*map(encode_basestring, graph.vertex_ids)]
+    weights = {w: _json_list([*map(int.__repr__, w)], "      ") for w in set(graph.weights)}
+    colors = {c: encode_basestring(str(c)) for c in graph.down}
     vertices = [
-        f'{{\n      "id": {ids[vid]},\n      "payload": {encode_basestring(v.payload)},'
-        f'\n      "weight": {weights[v.weight]}\n    }}'
-        for vid, v in graph.vertices.items()
+        f'{{\n      "id": {vid},\n      "payload": {encode_basestring(payload)},'
+        f'\n      "weight": {weights[weight]}\n    }}'
+        for vid, payload, weight in zip(ids, graph.payloads, graph.weights)
     ]
     edges = [
-        f'{{\n      "src": {ids[src]},\n      "color": {colors[color]},'
-        f'\n      "dst": {ids[dst]}\n    }}'
-        for src, color, dst in graph.edges
+        f'{{\n      "src": {ids[s]},\n      "color": {colors[c]},'
+        f'\n      "dst": {ids[d]}\n    }}'
+        for s, c, d in _index_edges(graph)
     ]
     head = f'{{\n  "n": {int.__repr__(graph.n)},\n  "vertices": {_json_list(vertices, "  ")},'
     return head + f'\n  "edges": {_json_list(edges, "  ")}\n}}\n'
@@ -553,14 +614,46 @@ def _is_count(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _entry_error(item: object, kind: str, keys: tuple[str, ...]) -> ParseError:
-    if not isinstance(item, dict):
-        return ParseError(f"{kind} entries must be objects")
-    return ParseError(f"{kind} missing key {next(k for k in keys if k not in item)!r}")
+def _columns(items: list, keys: tuple[str, ...]) -> list[list] | None:
+    """The values of each key across ``items``; ``None`` unless every item is
+    an object holding every key."""
+    try:
+        return [[item[key] for item in items] for key in keys]
+    except (KeyError, TypeError):
+        return None
+
+
+def _typed(values: Iterable, kind: type) -> bool:
+    """Every value has type ``kind``: JSON gives ``bool``, ``float`` and ``str``
+    values their own types, so a boolean is not an integer here."""
+    return set(map(type, values)) <= {kind}
+
+
+def _first_bad_entry(items: list, kind: str) -> None:
+    """Raise for the first malformed vertex or edge entry in file order."""
+    keys = ("id", "payload", "weight") if kind == "vertex" else ("src", "color", "dst")
+    for item in items:
+        _require(isinstance(item, dict), f"{kind} entries must be objects")
+        for key in keys:
+            _require(key in item, f"{kind} missing key {key!r}")
+        first, second, third = (item[key] for key in keys)
+        if kind == "vertex":
+            _require(isinstance(first, str), "vertex id must be a string")
+            _require(isinstance(second, str), "vertex payload must be a string")
+            _require(isinstance(third, list) and all(map(_is_count, third)),
+                     f"vertex {first!r} weight must list non-negative integers")
+        else:
+            _require(isinstance(first, str), "edge src must be a string")
+            _require(isinstance(third, str), "edge dst must be a string")
+            _require(isinstance(second, str), "edge color must be a string")
+            color_from_str(second)
 
 
 def import_json(text: str, config: Config | None = None) -> CrystalGraph:
     """Parse graph JSON produced by :func:`export_json`.
+
+    Each field is checked with one test over all entries; only a file that
+    fails one is read entry by entry, for the first problem in file order.
 
     Raises:
         ParseError: Malformed JSON or schema, including a negative or boolean
@@ -584,46 +677,31 @@ def import_json(text: str, config: Config | None = None) -> CrystalGraph:
     limit = (config or DEFAULT_CONFIG).max_vertices
     if len(data["vertices"]) > limit:
         raise ClosureBudgetExceeded(
-            f"graph file lists {len(data['vertices'])} vertices, "
+            f"import_json: graph file lists {len(data['vertices'])} vertices, "
             f"over the budget of {limit} vertices"
         )
-    vertices = []
-    for item in data["vertices"]:
-        try:
-            vid, payload, weight = item["id"], item["payload"], item["weight"]
-        except (KeyError, TypeError):
-            raise _entry_error(item, "vertex", ("id", "payload", "weight")) from None
-        if not isinstance(vid, str):
-            raise ParseError("vertex id must be a string")
-        if not isinstance(payload, str):
-            raise ParseError("vertex payload must be a string")
-        if not isinstance(weight, list) or not all(map(_is_count, weight)):
-            raise ParseError(f"vertex {vid!r} weight must list non-negative integers")
-        vertices.append(Vertex(vid, payload, tuple(weight)))
-    edges = []
-    colors: dict[str, Color] = {}
-    for item in data["edges"]:
-        try:
-            src, label, dst = item["src"], item["color"], item["dst"]
-        except (KeyError, TypeError):
-            raise _entry_error(item, "edge", ("src", "color", "dst")) from None
-        if not isinstance(src, str):
-            raise ParseError("edge src must be a string")
-        if not isinstance(dst, str):
-            raise ParseError("edge dst must be a string")
-        if not isinstance(label, str):
-            raise ParseError("edge color must be a string")
-        if label not in colors:
-            colors[label] = color_from_str(label)
-        edges.append((src, colors[label], dst))
-    for field, texts in (("vertex id", [v.id for v in vertices]),
-                         ("vertex payload", [v.payload for v in vertices]),
-                         ("edge src", [e[0] for e in edges]), ("edge dst", [e[2] for e in edges])):
+    columns = _columns(data["vertices"], ("id", "payload", "weight"))
+    ids, payloads, weights = columns or ([], [], [])
+    coords = [*chain.from_iterable(weights)] if _typed(weights, list) else [-1]
+    if (columns is None or not _typed(ids, str) or not _typed(payloads, str)
+            or not _typed(coords, int) or min(coords, default=0) < 0):
+        _first_bad_entry(data["vertices"], "vertex")
+    columns = _columns(data["edges"], ("src", "color", "dst"))
+    if columns is None or not all(_typed(column, str) for column in columns):
+        _first_bad_entry(data["edges"], "edge")
+    srcs, labels, dsts = columns
+    colors = {label: color_from_str(label) for label in dict.fromkeys(labels)}
+    for field, texts in (("vertex id", ids), ("vertex payload", payloads),
+                         ("edge src", srcs), ("edge dst", dsts)):
         try:
             "".join(texts).encode("utf-8")
         except UnicodeEncodeError as exc:
             raise ParseError(f"{field} holds {exc.object[exc.start]!r}, not UTF-8 text") from None
-    return CrystalGraph(data["n"], vertices, edges)
+    return CrystalGraph(
+        data["n"],
+        zip(ids, payloads, map(tuple, weights)),
+        [*zip(srcs, map(colors.__getitem__, labels), dsts)],
+    )
 
 
 _INT_PALETTE = {0: "green", 1: "red", 2: "blue", 3: "purple"}
@@ -647,11 +725,11 @@ def _dot_escape(text: str) -> str:
 
 def export_dot(graph: CrystalGraph) -> str:
     """Graphviz text with the fixed edge palette and payload labels."""
-    ids = {vid: f'"{_dot_escape(vid)}"' for vid in graph.vertices}
-    tails = {c: f' [color={dot_color(c)}, label="{c}"];' for c in graph.colors}
+    ids = [f'"{_dot_escape(vid)}"' for vid in graph.vertex_ids]
+    tails = {c: f' [color={dot_color(c)}, label="{c}"];' for c in graph.down}
     lines = ["digraph crystal {", "  rankdir=TB;"]
-    lines += [f'  {ids[vid]} [label="{_dot_escape(v.payload)}"];'
-              for vid, v in graph.vertices.items()]
-    lines += [f"  {ids[src]} -> {ids[dst]}{tails[color]}" for src, color, dst in graph.edges]
+    lines += [f'  {vid} [label="{_dot_escape(payload)}"];'
+              for vid, payload in zip(ids, graph.payloads)]
+    lines += [f"  {ids[s]} -> {ids[d]}{tails[c]}" for s, c, d in _index_edges(graph)]
     lines.append("}")
     return "\n".join(lines) + "\n"

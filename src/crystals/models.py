@@ -109,7 +109,7 @@ def _tableau_graph(
     vertices = []
     edges = []
     for codes, tid in ids.items():
-        vertices.append(Vertex(tid, tid, weight_codes(codes, n)))
+        vertices.append((tid, tid, weight_codes(codes, n)))
         down = string_scan(codes, g.reading, n).down
         for i in range(1, n):
             if down[i] >= 0:

@@ -12,9 +12,13 @@ Everything here is deliberately naive and independent of the code under test:
 * partition generators built on itertools-style recursion,
 * the even axiom checker with its raising and lowering A5/A6 passes written
   out as two separate copies,
-* the {0,1} and {0,2} component classifiers on restricted graph copies
-  (``subgraph``, then one ``restrict`` per component), as the library ran
-  them before it walked the components on the graph itself,
+* graph copies restricted to some colors (``subgraph``) or to some vertices
+  (``restrict``), and the components as induced copies of the groups a
+  union-find over the edge tuple finds, as the library's ``CrystalGraph``
+  methods and ``components`` made them before the integer-indexed core,
+* the {0,1} and {0,2} component classifiers on those copies (``subgraph``,
+  then one ``restrict`` per component), as the library ran them before it
+  walked the components on the graph itself,
 * the tableau operators (f_i, e_i, f0, e0, phi, eps) and both tableau
   enumerations on ``Entry`` rows, with their own cell lookups and reading
   orders, as the library computed them before it moved to packed integer
@@ -51,7 +55,6 @@ from crystals import (
     SparsePolynomial,
     TensorView,
     ValueOutOfRange,
-    components,
     enumerate_ssht,
     queer_graph,
     queer_highest_weights,
@@ -254,6 +257,8 @@ def mirrored_stembridge(graph, exhaustive: bool = True):
     _check_weight_rules(graph, phi, eps, valid, out)
     if out.done:
         return _verdict(out.items)
+    # The library keeps string lengths as lists by vertex index.
+    phi, eps = ({c: dict(zip(graph.vertex_ids, m)) for c, m in maps.items()} for maps in (phi, eps))
 
     usable = [c for c in colors if valid.get(c)]
     for x in graph.vertex_ids:
@@ -414,6 +419,50 @@ def mirrored_stembridge(graph, exhaustive: bool = True):
     return _verdict(out.items)
 
 
+def subgraph(graph: CrystalGraph, colors) -> CrystalGraph:
+    """Same vertices, edges restricted to the given colors."""
+    keep = set(colors)
+    return CrystalGraph(
+        graph.n,
+        graph.vertices.values(),
+        [e for e in graph.edges if e[1] in keep],
+    )
+
+
+def restrict(graph: CrystalGraph, vertex_ids) -> CrystalGraph:
+    """Induced subgraph on the given vertices."""
+    keep = set(vertex_ids)
+    vertices = graph.vertices
+    return CrystalGraph(
+        graph.n,
+        [vertices[v] for v in keep],
+        [e for e in graph.edges if e[0] in keep and e[2] in keep],
+    )
+
+
+def copying_components(graph: CrystalGraph) -> list[CrystalGraph]:
+    """Weakly connected components as induced copies (what ``restrict`` makes
+    of each group, with one pass over the edges for all of them), ordered by
+    smallest id; the groups come from a union-find over ``graph.edges``."""
+    edges = graph.edges
+    parent = {vid: vid for vid in graph.vertex_ids}
+
+    def root(vid: str) -> str:
+        while parent[vid] != vid:
+            parent[vid] = vid = parent[parent[vid]]
+        return vid
+
+    for src, _, dst in edges:
+        a, b = sorted((root(src), root(dst)))
+        parent[b] = a
+    groups: dict[str, tuple[list, list]] = {}
+    for vertex in graph.vertices.values():
+        groups.setdefault(root(vertex.id), ([], []))[0].append(vertex)
+    for edge in edges:
+        groups[root(edge[0])][1].append(edge)
+    return [CrystalGraph(graph.n, *parts) for _, parts in sorted(groups.items())]
+
+
 def _component_witness(comp: CrystalGraph) -> str:
     return comp.vertex_ids[0]
 
@@ -429,8 +478,8 @@ def copying_check_01_components(graph: CrystalGraph) -> Verdict:
     """
     out = _Collector(True)
     notes: list[str] = []
-    sub = graph.subgraph([0, 1])
-    for comp in components(sub):
+    sub = subgraph(graph, [0, 1])
+    for comp in copying_components(sub):
         witness = _component_witness(comp)
         if len(comp) == 1 and not comp.edges:
             notes.append(f"{witness}: isolated vertex")
@@ -543,8 +592,8 @@ def copying_check_02_components(graph: CrystalGraph) -> Verdict:
     out = _Collector(True)
     notes: list[str] = []
     has_two = any(c == 2 for _, c, _ in graph.edges)
-    sub = graph.subgraph([0, 2])
-    for comp in components(sub):
+    sub = subgraph(graph, [0, 2])
+    for comp in copying_components(sub):
         witness = _component_witness(comp)
         if len(comp) == 1 and not comp.edges:
             notes.append(f"{witness}: isolated vertex")

@@ -50,7 +50,9 @@ from oracles import (
     copying_check_01_components,
     copying_check_02_components,
     mirrored_stembridge,
+    restrict,
     strict_partitions,
+    subgraph,
 )
 from reference_data import QUEER31_01_SHAPES, QUEER31_02_SHAPES
 
@@ -99,8 +101,8 @@ def test_verdict_serialization(queer31):
     verdict = check_queer_regular(queer31)
     data = verdict.to_dict()
     assert data == {"ok": True, "violations": [], "notes": []}
-    broken = queer31.restrict(
-        [v for v in queer31.vertex_ids if v != "[[2,3',3],[3]]"]
+    broken = restrict(
+        queer31, [v for v in queer31.vertex_ids if v != "[[2,3',3],[3]]"]
     )
     data = check_queer_regular(broken).to_dict()
     assert data["ok"] is False
@@ -289,8 +291,8 @@ def test_folded_squares_match_the_mirrored_oracle_on_mutants():
     details = []
     for name, base in bases.items():
         for mutant in seeded_mutants(base, name, 40):
-            even = mutant.subgraph(
-                [c for c in mutant.colors if isinstance(c, int) and c >= 1]
+            even = subgraph(
+                mutant, [c for c in mutant.colors if isinstance(c, int) and c >= 1]
             )
             for exhaustive in (True, False):
                 verdict = check_stembridge(mutant, exhaustive)

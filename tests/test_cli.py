@@ -407,11 +407,31 @@ def test_verify_budget_refuses_a_larger_file(tmp_path, capsys):
     )
     assert code == 4
     assert out == ""
-    assert "8 vertices" in err
+    assert "import_json: graph file lists 8 vertices, over the budget of 5 vertices" in err
     code, _, _ = run(
         capsys, "--max-vertices", "8", "verify", "--input", str(source), "--axioms", "queer"
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda d: d["vertices"][1].update(weight=[True, 0]), "vertex '2' weight must list"),
+    (lambda d: d["vertices"][0].update(weight=[-1, 0]), "vertex '1' weight must list"),
+    (lambda d: d["vertices"][1].update(weight=[0, 1.5]), "vertex '2' weight must list"),
+    (lambda d: d["vertices"][0].update(weight=["1", 0]), "vertex '1' weight must list"),
+    (lambda d: d.update(n=True), "'n' must be a non-negative integer"),
+])
+def test_verify_refuses_weights_that_are_not_counts(tmp_path, capsys, change, message):
+    source = tmp_path / "s2.json"
+    code, _, _ = run(capsys, "graph", "--model", "standard", "--n", "2", "--out", str(source))
+    assert code == 0
+    data = json.loads(source.read_text(encoding="utf-8"))
+    change(data)
+    source.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--input", str(source), "--axioms", "stembridge")
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_tensor_budget_exits_four(tmp_path, capsys):

@@ -5,9 +5,11 @@ Checks:
 * construction output is fully deterministic and independent of thread count,
 * characters of constructed graphs equal the corresponding polynomials,
 * components and highest weights of a tensor square match hand-derived data,
-  and the vertex-id groups counted by ``graph`` are the components' vertex
-  sets, in the same order, for model, tensor and color-restricted graphs;
-  restricted to given colors, the groups are those of the color subgraph,
+  and the vertex-index groups counted by ``graph`` are the components'
+  vertices, in the same order, for model, tensor and color-restricted
+  graphs; restricted to given colors, the groups are those of the color
+  subgraph, and ``components`` equals the ``restrict`` copies of the
+  union-find oracle on queer crystals and queer tensors,
 * a graph built from shuffled, duplicated and parallel edges serves exactly
   the grouped, sorted, unique edges through its four adjacency accessors,
 * tensor graphs agree with the hand-transcribed products and multiply
@@ -53,12 +55,13 @@ from crystals import (
     tensor_graphs,
     young_graph,
 )
+import crystals.graph
 from crystals import queer, shifted, young
 from crystals.graph import Vertex, _component_groups, string_length_maps
 from crystals.shifted import eps as shifted_eps
 from crystals.shifted import phi as shifted_phi
 from crystals.tableaux import enumerate_ssht, enumerate_ssyt, parse_shifted, render_tableau
-from oracles import partitions, strict_partitions
+from oracles import copying_components, partitions, strict_partitions, subgraph
 from reference_data import (
     queer31_graph,
     shifted31_graph,
@@ -139,6 +142,20 @@ def test_tensor_rejects_mismatched_alphabets():
 
     with pytest.raises(DimensionMismatch):
         tensor_graphs(standard_graph(2), standard_graph(3))
+
+
+def test_tensor_budget_is_checked_before_string_lengths(monkeypatch):
+    from crystals import DimensionMismatch
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("string lengths computed before the budget check")
+
+    g = queer_graph((2, 1), 3)
+    monkeypatch.setattr(crystals.graph, "string_length_maps", refuse)
+    with pytest.raises(ClosureBudgetExceeded, match="8 x 8 = 64 vertices exceeds 63"):
+        tensor_graphs(g, g, queer=True, config=Config(max_vertices=63))
+    with pytest.raises(DimensionMismatch):
+        tensor_graphs(standard_graph(2), g, config=Config(max_vertices=1))
 
 
 def test_isomorphic_accepts_relabeling():
@@ -251,6 +268,11 @@ def test_import_reports_entry_problems_in_order():
         (lambda d: d["vertices"][0].update(id=1, payload=2), "vertex id must be a string"),
         (lambda d: d["vertices"][0].update(payload=2, weight=3), "payload must be a string"),
         (lambda d: d["vertices"][0].update(weight=[0, "1"]), "'1' weight must list"),
+        # A bad weight comes first in the file, before a malformed entry.
+        (lambda d: (d["vertices"][0].update(weight=[0, -1]), d["vertices"][1].update(id=2)),
+         "'1' weight must list"),
+        (lambda d: (d["vertices"][1].update(weight=[0, -1]), d["vertices"][0].update(id=2)),
+         "vertex id must be a string"),
         (lambda d: d["edges"].append("1"), "edge entries must be objects"),
         (lambda d: d["edges"][0].pop("color"), "edge missing key 'color'"),
         (lambda d: d["edges"][0].update(src=1, dst=1, color=1), "edge src must be a string"),
@@ -328,10 +350,10 @@ def test_raising_operators_add_no_edge_beyond_lowering(size, n):
 def test_string_length_maps_agree_with_tableau_statistics(shifted31):
     for i in (1, 2):
         lengths = string_length_maps(shifted31, i)
-        for vid in shifted31.vertex_ids:
+        for k, vid in enumerate(shifted31.vertex_ids):
             t = parse_shifted(shifted31.payload_of(vid))
-            assert lengths[0][vid] == shifted_phi(t, i)
-            assert lengths[1][vid] == shifted_eps(t, i)
+            assert lengths[0][k] == shifted_phi(t, i)
+            assert lengths[1][k] == shifted_eps(t, i)
 
 
 def test_component_groups_are_the_components_vertex_sets():
@@ -351,12 +373,27 @@ def test_component_groups_are_the_components_vertex_sets():
         for a, b in (((1,), (1,)), ((2,), (1,)), ((2, 1), (1,)))
         for q in (False, True)
     ]
-    graphs.append(shifted_graph((3, 1), 3).subgraph([1]))
+    graphs.append(subgraph(shifted_graph((3, 1), 3), [1]))
     for g in graphs:
         groups = _component_groups(g)
-        assert groups == [set(part.vertex_ids) for part in components(g)]
+        assert [[g.vertex_ids[k] for k in group] for group in groups] == [
+            list(part.vertex_ids) for part in components(g)
+        ]
         assert len(groups) == len(components(g))
     assert {len(_component_groups(g)) for g in graphs} > {1}
+
+
+def test_components_match_the_restrict_oracle():
+    graphs = [queer_graph(shape, n) for size in range(1, 6) for n in range(2, 5)
+              for shape in strict_partitions(size)]
+    graphs += [
+        tensor_graphs(queer_graph(a, n), queer_graph(b, n), queer=True)
+        for a, b, n in (((1,), (1,), 2), ((1,), (1,), 3), ((2,), (1,), 3), ((2, 1), (1,), 3),
+                        ((2,), (2,), 4), ((2, 1), (2,), 3))
+    ]
+    for g in graphs:
+        assert components(g) == copying_components(g)
+    assert {len(components(g)) for g in graphs} > {1}
 
 
 def test_components_partition_the_vertices():
@@ -377,8 +414,8 @@ def test_component_groups_follow_only_the_given_colors():
     ]
     for g in graphs:
         for colors in ((0, 1), (0, 2), (1,), (0,)):
-            assert _component_groups(g, colors) == _component_groups(g.subgraph(colors))
-        assert _component_groups(g, ()) == [{vid} for vid in g.vertex_ids]
+            assert _component_groups(g, colors) == _component_groups(subgraph(g, colors))
+        assert _component_groups(g, ()) == [[k] for k in range(len(g))]
 
 
 def test_adjacency_is_the_grouped_sorted_unique_edges():

@@ -90,7 +90,8 @@ def test_tableau_factor_reads_like_the_queer_graph(shape, n):
                 assert (None if lazy is None else name(lazy)) == edge
         for color, (phi, eps) in strings.items():
             graph_phi, graph_eps = string_length_maps(graph, color)
-            assert (phi[vid], eps[vid]) == (graph_phi[tid], graph_eps[tid])
+            k = graph.index[tid]
+            assert (phi[vid], eps[vid]) == (graph_phi[k], graph_eps[k])
 
 
 def _strict_pairs(limit):
