@@ -14,6 +14,9 @@ Checks:
   file with a negative weight, a lone surrogate in an id or payload (no
   tensor file is written) or bytes that are not UTF-8; a nonpositive
   ``--n`` to ``expand`` or ``string`` exits 2 saying so,
+* ``verify`` exits 2 naming the vertex for a weight of ``true``, ``-1``,
+  ``1.5`` or ``"1"``, and for ``"n": true``; its budget refusal names
+  ``import_json``, the count and the budget,
 * global options are accepted before the subcommand and relative outputs land
   in the requested directory,
 * the thread count and environment override never change output bytes, and

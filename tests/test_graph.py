@@ -13,12 +13,14 @@ Checks:
 * a graph built from shuffled, duplicated and parallel edges serves exactly
   the grouped, sorted, unique edges through its four adjacency accessors,
 * tensor graphs agree with the hand-transcribed products and multiply
-  characters,
+  characters, and an over-budget tensor is refused before any string
+  length is computed (mismatched weight lengths still come first),
 * rooted isomorphism accepts relabelings, rejects weight changes, and refuses
   graphs without a unique source,
 * JSON round trips byte-identically and the importer rejects malformed input,
   including negative or boolean numbers, colors that would not round-trip and
-  text UTF-8 cannot encode, with the message of the first failed check,
+  text UTF-8 cannot encode, with the message of the first failed check in
+  file order,
 * the DOT export colors edges by their color index,
 * vertex budgets abort construction early,
 * every raising operator adds no edge beyond its lowering operator: the
@@ -61,7 +63,7 @@ from crystals.graph import Vertex, _component_groups, string_length_maps
 from crystals.shifted import eps as shifted_eps
 from crystals.shifted import phi as shifted_phi
 from crystals.tableaux import enumerate_ssht, enumerate_ssyt, parse_shifted, render_tableau
-from oracles import copying_components, partitions, strict_partitions, subgraph
+from oracles import copying_components, partitions, restrict, strict_partitions, subgraph
 from reference_data import (
     queer31_graph,
     shifted31_graph,
@@ -392,7 +394,9 @@ def test_components_match_the_restrict_oracle():
                         ((2,), (2,), 4), ((2, 1), (2,), 3))
     ]
     for g in graphs:
-        assert components(g) == copying_components(g)
+        parts = components(g)
+        assert parts == copying_components(g)
+        assert parts == [restrict(g, part.vertex_ids) for part in parts]
     assert {len(components(g)) for g in graphs} > {1}
 
 
