@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 verification found violations, 2 invalid input
 (shape, parse, or truncation risk), 3 I/O failure, 4 vertex budget
 exceeded.  Counts and summaries go to stdout, diagnostics to stderr, and
 machine-readable output is JSON.  Every file written ends with a trailing
-newline.  ``--threads`` and ``CRYSTAL_THREADS`` are validated but change
-nothing.
+newline.  :func:`main` checks the global options into one :class:`Config`
+before any command runs, so a bad one exits 2 for every command.
+``--threads`` and ``CRYSTAL_THREADS`` are validated but change nothing.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import (
     CrystalError,
     IndexOutOfRange,
     ParseError,
-    ValueOutOfRange,
 )
 from .graph import (
     CrystalGraph,
@@ -51,6 +51,7 @@ from .models import (
 from .shifted import enumerate_yamanouchi, lower, raise_
 from .symfunc import product_expand, render_expansion, schur, schur_p, schur_p_to_schur
 from .tableaux import (
+    _check_alphabet,
     enumerate_ssht,
     enumerate_ssyt,
     parse_shifted,
@@ -97,10 +98,10 @@ def _config(args: argparse.Namespace) -> Config:
     return config
 
 
-def _out_path(args: argparse.Namespace, out: str) -> Path:
+def _out_path(config: Config, out: str) -> Path:
     path = Path(out)
     if not path.is_absolute():
-        path = _config(args).output_dir / path
+        path = config.output_dir / path
     return path
 
 
@@ -108,17 +109,17 @@ def _format_weight(weight: tuple[int, ...]) -> str:
     return "(" + ",".join(str(w) for w in weight) + ")"
 
 
-def cmd_enum(args: argparse.Namespace) -> int:
+def cmd_enum(args: argparse.Namespace, config: Config) -> int:
     shape = parse_shape(args.shape)
     enumerate_ = {
         "ssyt": enumerate_ssyt,
         "ssht": enumerate_ssht,
         "yam": enumerate_yamanouchi,
     }[args.kind]
-    tableaux = enumerate_(shape, args.n, limit=_config(args).max_vertices)
+    tableaux = enumerate_(shape, args.n, limit=config.max_vertices)
     lines = "".join(render_tableau(t) + "\n" for t in tableaux)
     if args.out:
-        _out_path(args, args.out).write_text(lines, encoding="utf-8")
+        _out_path(config, args.out).write_text(lines, encoding="utf-8")
     else:
         sys.stdout.write(lines)
     print(len(tableaux))
@@ -129,8 +130,7 @@ def _load_graph(path: str, config: Config) -> CrystalGraph:
     return import_json(Path(path).read_text(encoding="utf-8"), config)
 
 
-def _build_model(args: argparse.Namespace) -> CrystalGraph:
-    config = _config(args)
+def _build_model(args: argparse.Namespace, config: Config) -> CrystalGraph:
     if args.model == "tensor":
         if not args.left or not args.right:
             raise ParseError("tensor model needs --left and --right graph files")
@@ -153,10 +153,10 @@ def _build_model(args: argparse.Namespace) -> CrystalGraph:
     return builders[args.model](shape, args.n, config)
 
 
-def cmd_graph(args: argparse.Namespace) -> int:
-    graph = _build_model(args)
+def cmd_graph(args: argparse.Namespace, config: Config) -> int:
+    graph = _build_model(args, config)
     payload = export_dot(graph) if args.format == "dot" else export_json(graph)
-    _out_path(args, args.out).write_text(payload, encoding="utf-8")
+    _out_path(config, args.out).write_text(payload, encoding="utf-8")
     counts = graph.edge_counts()
     print(f"vertices: {len(graph)}")
     print(
@@ -180,8 +180,8 @@ _CHECKERS: dict[str, Callable[..., Verdict]] = {
 }
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.input, _config(args))
+def cmd_verify(args: argparse.Namespace, config: Config) -> int:
+    graph = _load_graph(args.input, config)
     checker = _CHECKERS[args.axioms]
     if args.axioms in ("stembridge", "queer"):
         verdict = checker(graph, exhaustive=args.mode == "exhaustive")
@@ -191,29 +191,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict.ok else EXIT_VIOLATIONS
 
 
-def _check_alphabet(n: int | None) -> None:
-    if n is not None and n < 1:
-        raise ValueOutOfRange(f"alphabet bound must be positive, got {n}")
-
-
-def cmd_expand(args: argparse.Namespace) -> int:
+def cmd_expand(args: argparse.Namespace, config: Config) -> int:
     _check_alphabet(args.n)
     gamma = parse_shape(args.gamma)
-    expansion = schur_p_to_schur(gamma, args.n, _config(args))
+    expansion = schur_p_to_schur(gamma, args.n, config)
     print(render_expansion(expansion, "s"))
     return EXIT_OK
 
 
-def cmd_product(args: argparse.Namespace) -> int:
+def cmd_product(args: argparse.Namespace, config: Config) -> int:
     gamma = parse_shape(args.gamma)
     delta = parse_shape(args.delta)
-    expansion = product_expand(gamma, delta, args.n, _config(args))
+    expansion = product_expand(gamma, delta, args.n, config)
     print(render_expansion(expansion, "P"))
     return EXIT_OK
 
 
-def cmd_char(args: argparse.Namespace) -> int:
-    config = _config(args)
+def cmd_char(args: argparse.Namespace, config: Config) -> int:
     if args.model == "standard":
         polynomial = character(queer_standard_graph(args.n, config))
     else:
@@ -228,7 +222,7 @@ def cmd_char(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_string(args: argparse.Namespace) -> int:
+def cmd_string(args: argparse.Namespace, config: Config) -> int:
     _check_alphabet(args.n)
     if args.n is not None and args.i >= args.n:
         raise IndexOutOfRange(
@@ -355,7 +349,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _config(args))
     except ClosureBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

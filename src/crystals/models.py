@@ -8,7 +8,8 @@ run on packed tableaux (:mod:`crystals.tableaux`) and call the packed
 operator bodies directly.
 
 :class:`QueerTableauCrystal` is the queer crystal of a shape without the
-graph: it moves tableaux through the operators only when asked, for a
+graph: it checks its shape and alphabet when constructed, and moves
+tableaux through the operators only when asked, for a
 :class:`~crystals.graph.TensorView` factor.
 """
 
@@ -23,25 +24,18 @@ from .graph import Color, CrystalGraph, Vertex, Weight
 from .pairing import string_scan
 from .shifted import lower_at, raise_at, yamanouchi_codes
 from .tableaux import (
+    _check_alphabet,
     _Memo,
     checked_geometry,
     enumerate_codes,
-    geometry,
     render_codes,
     weight_codes,
 )
 
 
-def standard_graph(n: int, config: Config | None = None) -> CrystalGraph:
-    """The standard crystal: vertices ``1..n``, color ``i`` edge ``i -> i+1``.
-
-    Raises:
-        ValueOutOfRange: ``n`` is not positive.
-        ClosureBudgetExceeded: ``n`` is more than ``config.max_vertices``;
-            checked before any vertex is made.
-    """
-    if n < 1:
-        raise ValueOutOfRange(f"alphabet bound must be positive, got {n}")
+def _standard_graph(n: int, config: Config | None, queer_edge: bool) -> CrystalGraph:
+    """:func:`standard_graph`, plus the edge ``1 -> 2`` of color 0 if ``queer_edge``."""
+    _check_alphabet(n)
     limit = (config or DEFAULT_CONFIG).max_vertices
     if n > limit:
         raise ClosureBudgetExceeded(
@@ -52,7 +46,20 @@ def standard_graph(n: int, config: Config | None = None) -> CrystalGraph:
         for v in range(1, n + 1)
     ]
     edges = [(str(i), i, str(i + 1)) for i in range(1, n)]
+    if queer_edge and n >= 2:
+        edges.append(("1", 0, "2"))
     return CrystalGraph(n, vertices, edges)
+
+
+def standard_graph(n: int, config: Config | None = None) -> CrystalGraph:
+    """The standard crystal: vertices ``1..n``, color ``i`` edge ``i -> i+1``.
+
+    Raises:
+        ValueOutOfRange: ``n`` is not positive.
+        ClosureBudgetExceeded: ``n`` is more than ``config.max_vertices``;
+            checked before any vertex is made.
+    """
+    return _standard_graph(n, config, queer_edge=False)
 
 
 def queer_standard_graph(n: int, config: Config | None = None) -> CrystalGraph:
@@ -62,11 +69,7 @@ def queer_standard_graph(n: int, config: Config | None = None) -> CrystalGraph:
         ValueOutOfRange: ``n`` is not positive.
         ClosureBudgetExceeded: ``n`` is more than ``config.max_vertices``.
     """
-    base = standard_graph(n, config)
-    edges = list(base.edges)
-    if n >= 2:
-        edges.append(("1", 0, "2"))
-    return CrystalGraph(n, base.vertices.values(), edges)
+    return _standard_graph(n, config, queer_edge=True)
 
 
 def _tableau_graph(
@@ -176,7 +179,7 @@ class QueerTableauCrystal:
     Raises:
         ValueOutOfRange: ``n < 2`` (the 0-move writes the value 2).
         ShapeMismatch: ``shape`` is not a strict partition; raised by the
-            first enumeration.
+            constructor.
         ClosureBudgetExceeded: An enumeration passed ``config.max_vertices``
             tableaux.
     """
@@ -185,15 +188,15 @@ class QueerTableauCrystal:
         self, shape: Sequence[int], n: int, config: Config | None = None
     ) -> None:
         _check_queer_alphabet(n)
+        g = self._geometry = checked_geometry(shape, n, True)
         self.n = n
-        self.shape = tuple(shape)
+        self.shape = g.shape
         self.colors: tuple[Color, ...] = tuple(range(n))
         self._limit = (config or DEFAULT_CONFIG).max_vertices
         self._vertex_ids: list[int] | None = None
         self._codes: list[tuple[int, ...]] = []
         self._weights: list[Weight] = []
         self._ids: dict[tuple[int, ...], int] = {}
-        g = self._geometry = geometry(self.shape, True)
         codes = self._codes.__getitem__
         scan = _Memo(lambda v: string_scan(codes(v), g.reading, n))
 
@@ -223,15 +226,15 @@ class QueerTableauCrystal:
     @property
     def vertex_ids(self) -> list[int]:
         if self._vertex_ids is None:
-            g = checked_geometry(self.shape, self.n, True)
             self._vertex_ids = [
-                self._id(codes) for codes in enumerate_codes(g, self.n, self._limit)
+                self._id(codes)
+                for codes in enumerate_codes(self._geometry, self.n, self._limit)
             ]
         return self._vertex_ids
 
     def even_highest_weights(self) -> list[int]:
-        g = checked_geometry(self.shape, self.n, True)
-        return [self._id(codes) for codes in yamanouchi_codes(g, self.n, self._limit)]
+        yamanouchi = yamanouchi_codes(self._geometry, self.n, self._limit)
+        return [self._id(codes) for codes in yamanouchi]
 
     def weight_of(self, vid: int) -> Weight:
         return self._weights[vid]

@@ -3,14 +3,15 @@
 A polynomial in variables ``x1..xn`` is stored as a map from length-``n``
 exponent vectors to non-zero integer coefficients.  All arithmetic is exact;
 terms render in graded reverse lexicographic order, largest first, e.g.
-``x1^3*x2 + 2*x1^2*x2*x3``.
+``x1^3*x2 + 2*x1^2*x2*x3``.  The class offers what the characters and
+expansions use: sums, products, coefficients, comparison and rendering.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimensionMismatch, IndexOutOfRange
+from .errors import DimensionMismatch
 
 Exponent = tuple[int, ...]
 
@@ -118,37 +119,6 @@ class SparsePolynomial:
 
     def coefficient(self, exponent: Sequence[int]) -> int:
         return self.terms.get(tuple(exponent), 0)
-
-    def evaluate(self, values: Sequence[int]) -> int:
-        """Evaluate at integer values, one per variable."""
-        if len(values) != self.n:
-            raise DimensionMismatch(
-                f"expected {self.n} values, got {len(values)}"
-            )
-        total = 0
-        for exponent, coefficient in self.terms.items():
-            prod = coefficient
-            for value, power in zip(values, exponent):
-                prod *= value**power
-            total += prod
-        return total
-
-    def swap_adjacent(self, index: int) -> "SparsePolynomial":
-        """Exchange variables ``x<index>`` and ``x<index+1>``, 1-based."""
-        if not 1 <= index <= self.n - 1:
-            raise IndexOutOfRange(f"swap index {index} outside 1..{self.n - 1}")
-        j = index - 1
-        terms: dict[Exponent, int] = {}
-        for exponent, coefficient in self.terms.items():
-            swapped = list(exponent)
-            swapped[j], swapped[j + 1] = swapped[j + 1], swapped[j]
-            key = tuple(swapped)
-            terms[key] = terms.get(key, 0) + coefficient
-        return SparsePolynomial(self.n, terms)
-
-    def is_symmetric(self) -> bool:
-        """True when invariant under every adjacent-variable swap."""
-        return all(self.swap_adjacent(i) == self for i in range(1, self.n))
 
     def sorted_terms(self) -> list[tuple[Exponent, int]]:
         """Terms in descending grevlex order."""

@@ -1,21 +1,24 @@
-"""The queer operator pair and the odd operators derived from it.
+"""The queer operator pair, and the reflections that carry it to odd positions.
 
 On a shifted tableau the queer lowering move turns the rightmost ``1`` of the
 bottom row into a ``2`` (on the main diagonal) or ``2'`` (off it); the raising
 move inverts this.  Values ``1`` and ``2'`` only ever occur in the bottom row,
 so the moves are two-sided inverses.  Both have one body on packed codes
-(:func:`f0_codes`, :func:`e0_codes`).
+(:func:`f0_codes`, :func:`e0_codes`).  A 0-string has at most two
+elements, so its string lengths are just whether :func:`f0` and :func:`e0`
+are defined.
 
 On a graph, or on a lazy tensor view of two graphs, longer-range odd
 operators are conjugates of the 0-move by walks along even strings: ``S_i``
 reflects a vertex across its ``i``-string, words of reflections compose
 right-to-left, and the ``k``-th odd lowering operator is the 0-move
-conjugated by the ``k``-th reflection word.
+conjugated by the ``k``-th reflection word (:func:`odd_word`).
+:func:`queer_highest_weights` applies the raising conjugates.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import IndexOutOfRange, StringTruncated
 from .graph import CrystalGraph, Pair, TensorView
@@ -68,14 +71,6 @@ def e0_codes(codes: tuple[int, ...]) -> tuple[int, ...] | None:
     return None
 
 
-def phi0(t: ShiftedTableau) -> int:
-    return 0 if f0(t) is None else 1
-
-
-def eps0(t: ShiftedTableau) -> int:
-    return 0 if e0(t) is None else 1
-
-
 # -- graph-level odd operators -------------------------------------------------
 
 def weyl_s(graph: CrystalGraph | TensorView, vid: VertexId, i: int) -> VertexId:
@@ -120,36 +115,6 @@ def odd_word(k: int) -> tuple[int, ...]:
     if k < 1:
         raise IndexOutOfRange(f"odd index must be at least 1, got {k}")
     return tuple(range(2, k + 1)) + tuple(range(1, k))
-
-
-def _conjugated_0_move(
-    graph: CrystalGraph, vid: str, k: int, move: Callable[[str, int], str | None]
-) -> str | None:
-    """``move`` along color 0, conjugated by the ``k``-th reflection word."""
-    if not 1 <= k <= graph.n - 1:
-        raise IndexOutOfRange(f"odd index {k} outside 1..{graph.n - 1}")
-    word = odd_word(k)
-    moved = move(apply_weyl_word(graph, vid, word), 0)
-    if moved is None:
-        return None
-    return apply_weyl_word(graph, moved, tuple(reversed(word)))
-
-
-def odd_f(graph: CrystalGraph, vid: str, k: int) -> str | None:
-    """The ``k``-th odd lowering operator; ``odd_f(C, v, 1)`` is the 0-move.
-
-    Returns ``None`` when the conjugated 0-move is undefined.
-
-    Raises:
-        IndexOutOfRange: ``k`` outside ``1..n-1``.
-        StringTruncated: A reflection walk left the graph.
-    """
-    return _conjugated_0_move(graph, vid, k, graph.out_edge)
-
-
-def odd_e(graph: CrystalGraph, vid: str, k: int) -> str | None:
-    """The ``k``-th odd raising operator, inverse to :func:`odd_f`."""
-    return _conjugated_0_move(graph, vid, k, graph.in_edge)
 
 
 def queer_highest_weights(graph: CrystalGraph | TensorView) -> list[VertexId]:

@@ -8,6 +8,10 @@ marked or unmarked entries).  Rows are stored bottom-to-top in French notation:
 The canonical text form lists rows bottom-to-top as bracketed lists with marks as
 trailing apostrophes, e.g. ``[[1,1,2'],[2]]``.
 
+The reading orders are public as cells only: :func:`row_reading_cells` and
+:func:`hook_reading_cells` list ``((row, column), entry)`` pairs, and the
+reading word is their entries.
+
 Packed form.  Inside the library every tableau is integer codes rather
 than :class:`Entry` objects; :class:`Entry` rows appear only where a
 tableau is parsed, rendered, passed to a public operator or returned from a
@@ -102,12 +106,6 @@ class YoungTableau:
     shape: Shape
     rows: Rows
 
-    def cell(self, r: int, c: int) -> Entry:
-        return self.rows[r - 1][c - 1]
-
-    def column_start(self, r: int) -> int:
-        return 1
-
     def render(self) -> str:
         return render_tableau(self)
 
@@ -121,12 +119,6 @@ class ShiftedTableau:
 
     shape: Shape
     rows: Rows
-
-    def cell(self, r: int, c: int) -> Entry:
-        return self.rows[r - 1][c - r]
-
-    def column_start(self, r: int) -> int:
-        return r
 
     def render(self) -> str:
         return render_tableau(self)
@@ -227,10 +219,6 @@ def row_reading_cells(t: YoungTableau) -> tuple[tuple[Cell, Entry], ...]:
     return tuple((g.coords[c], flat[c]) for c, _ in g.reading)
 
 
-def row_reading_word(t: YoungTableau) -> Word:
-    return tuple(entry for _, entry in row_reading_cells(t))
-
-
 def hook_reading_cells(t: ShiftedTableau) -> tuple[tuple[Cell, Entry], ...]:
     """Cells in hook reading order.
 
@@ -241,20 +229,6 @@ def hook_reading_cells(t: ShiftedTableau) -> tuple[tuple[Cell, Entry], ...]:
     g = geometry_of(t)
     flat = [entry for row in t.rows for entry in row]
     return tuple((g.coords[c], flat[c]) for c, marked in g.reading if flat[c].marked == marked)
-
-
-def hook_reading_word(t: ShiftedTableau) -> Word:
-    return tuple(entry for _, entry in hook_reading_cells(t))
-
-
-def reading_cells(t: Tableau) -> tuple[tuple[Cell, Entry], ...]:
-    if isinstance(t, YoungTableau):
-        return row_reading_cells(t)
-    return hook_reading_cells(t)
-
-
-def reading_word(t: Tableau) -> Word:
-    return tuple(entry for _, entry in reading_cells(t))
 
 
 def render_tableau(t: Tableau) -> str:
@@ -417,9 +391,14 @@ def checked_geometry(shape: Sequence[int], n: int, shifted: bool) -> Geometry:
     """
     shape = tuple(shape)
     _check_partition(shape, shifted)
-    if n < 1:
-        raise ValueOutOfRange(f"alphabet bound must be positive, got {n}")
+    _check_alphabet(n)
     return geometry(shape, shifted)
+
+
+def _check_alphabet(n: int | None) -> None:
+    """Refuse an alphabet bound ``n`` below 1; ``None`` declares no bound."""
+    if n is not None and n < 1:
+        raise ValueOutOfRange(f"alphabet bound must be positive, got {n}")
 
 
 # -- packed form -----------------------------------------------------------------

@@ -23,6 +23,11 @@ Everything here is deliberately naive and independent of the code under test:
   enumerations on ``Entry`` rows, with their own cell lookups and reading
   orders, as the library computed them before it moved to packed integer
   codes,
+* the odd lowering and raising operators on a graph, as the 0-move
+  conjugated by a reflection word, which the library applies only inside
+  its highest-weight search,
+* evaluation and adjacent-variable swaps of a polynomial, for the
+  specialization and symmetry checks of the characters,
 * the Young and shifted validators on ``Entry`` rows, each with its own
   statement of the rules, as the library checked tableaux before one check
   on packed codes served both.
@@ -49,7 +54,9 @@ from crystals import (
     CrystalError,
     CrystalGraph,
     DiagonalMarkViolation,
+    DimensionMismatch,
     DuplicateMarkInRow,
+    IndexOutOfRange,
     RowViolation,
     ShapeMismatch,
     SparsePolynomial,
@@ -69,6 +76,7 @@ from crystals.axioms import (
 )
 from crystals.graph import Color
 from crystals.pairing import eps_i, first_max_position, last_max_position, m_i
+from crystals.queer import apply_weyl_word, odd_word
 from crystals.shifted import eps as shifted_eps
 from crystals.tableaux import (
     Cell,
@@ -714,6 +722,38 @@ def greedy_p_expansion(poly: SparsePolynomial) -> dict[tuple[int, ...], int]:
     raise AssertionError("expansion did not terminate")  # pragma: no cover
 
 
+def evaluate(poly: SparsePolynomial, values: Sequence[int]) -> int:
+    """Evaluate ``poly`` at integer values, one per variable."""
+    if len(values) != poly.n:
+        raise DimensionMismatch(f"expected {poly.n} values, got {len(values)}")
+    total = 0
+    for exponent, coefficient in poly.terms.items():
+        prod = coefficient
+        for value, power in zip(values, exponent):
+            prod *= value**power
+        total += prod
+    return total
+
+
+def swap_adjacent(poly: SparsePolynomial, index: int) -> SparsePolynomial:
+    """Exchange variables ``x<index>`` and ``x<index+1>``, 1-based."""
+    if not 1 <= index <= poly.n - 1:
+        raise IndexOutOfRange(f"swap index {index} outside 1..{poly.n - 1}")
+    j = index - 1
+    terms: dict[tuple[int, ...], int] = {}
+    for exponent, coefficient in poly.terms.items():
+        swapped = list(exponent)
+        swapped[j], swapped[j + 1] = swapped[j + 1], swapped[j]
+        key = tuple(swapped)
+        terms[key] = terms.get(key, 0) + coefficient
+    return SparsePolynomial(poly.n, terms)
+
+
+def is_symmetric(poly: SparsePolynomial) -> bool:
+    """True when ``poly`` is invariant under every adjacent-variable swap."""
+    return all(swap_adjacent(poly, i) == poly for i in range(1, poly.n))
+
+
 def materialized_product(
     gamma: Sequence[int], delta: Sequence[int], n: int
 ) -> dict[tuple[int, ...], int]:
@@ -765,10 +805,20 @@ def strict_partitions(total: int, cap: int | None = None) -> Iterator[tuple[int,
 # part of the packed geometry is shared with the code under test.
 
 
+def column_start(t: Tableau, r: int) -> int:
+    """Column of the first cell of row ``r``: ``r`` if shifted, else 1."""
+    return r if isinstance(t, ShiftedTableau) else 1
+
+
+def cell_entry(t: Tableau, r: int, c: int) -> Entry:
+    """The entry at ``(r, c)``, which must be a cell of ``t``."""
+    return t.rows[r - 1][c - column_start(t, r)]
+
+
 def cells_of(t: Tableau) -> Iterator[tuple[Cell, Entry]]:
     """Yield ``((row, col), entry)`` in row-major order, bottom row first."""
     for r, row in enumerate(t.rows, start=1):
-        start = t.column_start(r)
+        start = column_start(t, r)
         for j, entry in enumerate(row):
             yield (r, start + j), entry
 
@@ -776,19 +826,19 @@ def cells_of(t: Tableau) -> Iterator[tuple[Cell, Entry]]:
 def has_cell(t: Tableau, r: int, c: int) -> bool:
     if not 1 <= r <= len(t.shape):
         return False
-    start = t.column_start(r)
+    start = column_start(t, r)
     return start <= c < start + t.shape[r - 1]
 
 
 def entry_at(t: Tableau, r: int, c: int) -> Entry | None:
-    return t.cell(r, c) if has_cell(t, r, c) else None
+    return cell_entry(t, r, c) if has_cell(t, r, c) else None
 
 
 def replace_cells(t: Tableau, updates: dict[Cell, Entry]) -> Tableau:
     """Return a copy of ``t`` with the given cells replaced (no validation)."""
     new_rows = []
     for r, row in enumerate(t.rows, start=1):
-        start = t.column_start(r)
+        start = column_start(t, r)
         new_rows.append(
             tuple(
                 updates.get((r, start + j), entry) for j, entry in enumerate(row)
@@ -819,10 +869,10 @@ def hook_reading_cells(t: ShiftedTableau) -> tuple[tuple[Cell, Entry], ...]:
     out: list[tuple[Cell, Entry]] = []
     for i in range(top, 0, -1):
         for r in range(1, len(t.shape) + 1):
-            if has_cell(t, r, i) and t.cell(r, i).marked:
-                out.append(((r, i), t.cell(r, i)))
+            if has_cell(t, r, i) and cell_entry(t, r, i).marked:
+                out.append(((r, i), cell_entry(t, r, i)))
         if i <= len(t.shape):
-            start = t.column_start(i)
+            start = column_start(t, i)
             for j, entry in enumerate(t.rows[i - 1]):
                 if not entry.marked:
                     out.append(((i, start + j), entry))
@@ -855,7 +905,7 @@ def _in_class(entry: Entry | None, value: int) -> bool:
 
 def _ribbon_head(t: ShiftedTableau, cell: Cell) -> Cell:
     """Walk northwest along the ribbon of ``cell``'s value to its head."""
-    value = t.cell(*cell).value
+    value = cell_entry(t, *cell).value
     r, c = cell
     while True:
         if _in_class(entry_at(t, r + 1, c), value):
@@ -868,7 +918,7 @@ def _ribbon_head(t: ShiftedTableau, cell: Cell) -> Cell:
 
 def _ribbon_tail_cells(t: ShiftedTableau, cell: Cell) -> list[Cell]:
     """Cells from ``cell`` walking southeast along its value's ribbon."""
-    value = t.cell(*cell).value
+    value = cell_entry(t, *cell).value
     r, c = cell
     out = [(r, c)]
     while True:
@@ -901,7 +951,7 @@ def shifted_lower(t: ShiftedTableau, i: int) -> ShiftedTableau | None:
         if north is None or north > Entry(i + 1):
             return replace_cells(t, {(r, c): Entry(i + 1)})
         head = _ribbon_head(t, (r + 1, c))
-        if t.cell(*head).marked:
+        if cell_entry(t, *head).marked:
             return replace_cells(
                 t, {(r, c): Entry(i + 1, True), head: Entry(i + 1)}
             )
@@ -913,7 +963,7 @@ def shifted_lower(t: ShiftedTableau, i: int) -> ShiftedTableau | None:
         return replace_cells(t, {(r, c): Entry(i + 1, True)})
     changed = replace_cells(t, {(r, c): Entry(i)})
     for cell in _ribbon_tail_cells(changed, (r, c)):
-        if changed.cell(*cell) != Entry(i):
+        if cell_entry(changed, *cell) != Entry(i):
             continue
         neighbor = entry_at(changed, cell[0], cell[1] + 1)
         if neighbor != Entry(i) and neighbor != Entry(i + 1, True):
@@ -942,7 +992,7 @@ def shifted_raise(t: ShiftedTableau, i: int) -> ShiftedTableau | None:
             return replace_cells(t, {(r, c): Entry(i)})
         changed = replace_cells(t, {(r, c): Entry(i + 1, True)})
         for cell in _ribbon_tail_cells(changed, (r, c)):
-            if changed.cell(*cell) != Entry(i + 1, True):
+            if cell_entry(changed, *cell) != Entry(i + 1, True):
                 continue
             neighbor = entry_at(changed, cell[0] - 1, cell[1])
             if neighbor != Entry(i) and neighbor != Entry(i + 1, True):
@@ -1014,6 +1064,36 @@ def queer_e0(t: ShiftedTableau) -> ShiftedTableau | None:
     if t.shape and t.rows[0] and t.rows[0][0] == Entry(2):
         return replace_cells(t, {(1, 1): Entry(1)})
     return None
+
+
+def _conjugated_0_move(
+    graph: CrystalGraph, vid: str, k: int, move: Callable[[str, int], str | None]
+) -> str | None:
+    """``move`` along color 0, conjugated by the ``k``-th reflection word."""
+    if not 1 <= k <= graph.n - 1:
+        raise IndexOutOfRange(f"odd index {k} outside 1..{graph.n - 1}")
+    word = odd_word(k)
+    moved = move(apply_weyl_word(graph, vid, word), 0)
+    if moved is None:
+        return None
+    return apply_weyl_word(graph, moved, tuple(reversed(word)))
+
+
+def odd_f(graph: CrystalGraph, vid: str, k: int) -> str | None:
+    """The ``k``-th odd lowering operator; ``odd_f(C, v, 1)`` is the 0-move.
+
+    Returns ``None`` when the conjugated 0-move is undefined.
+
+    Raises:
+        IndexOutOfRange: ``k`` outside ``1..n-1``.
+        StringTruncated: A reflection walk left the graph.
+    """
+    return _conjugated_0_move(graph, vid, k, graph.out_edge)
+
+
+def odd_e(graph: CrystalGraph, vid: str, k: int) -> str | None:
+    """The ``k``-th odd raising operator, inverse to :func:`odd_f`."""
+    return _conjugated_0_move(graph, vid, k, graph.in_edge)
 
 
 def _word_sort_key(t: Tableau) -> tuple[int, ...]:

@@ -18,7 +18,9 @@ Checks:
   ``1.5`` or ``"1"``, and for ``"n": true``; its budget refusal names
   ``import_json``, the count and the budget,
 * global options are accepted before the subcommand and relative outputs land
-  in the requested directory,
+  in the requested directory; every subcommand, ``string`` included, exits 2
+  on a nonpositive ``--max-vertices`` without output or files, and reports
+  it before a bad subcommand argument,
 * the thread count and environment override never change output bytes, and
   a malformed ``CRYSTAL_THREADS`` exits 2,
 * the string subcommand prints a full operator string from top to bottom,
@@ -551,6 +553,34 @@ def test_thread_flag_and_env_do_not_change_bytes(tmp_path, capsys, monkeypatch):
     )
     outputs.append(target.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize(
+    "command", ["enum", "graph", "verify", "expand", "product", "char", "string"]
+)
+def test_every_command_refuses_a_bad_global_option(tmp_path, capsys, command):
+    source = tmp_path / "input.json"
+    source.write_text(export_json(queer_graph((2, 1), 3)), encoding="utf-8")
+    argv = {
+        "enum": ["enum", "ssht", "--shape", "2,1", "--n", "3", "--out", str(tmp_path / "t.txt")],
+        "graph": ["graph", "--model", "queer", "--shape", "2,1", "--n", "3",
+                  "--out", str(tmp_path / "g.json")],
+        "verify": ["verify", "--input", str(source), "--axioms", "queer"],
+        "expand": ["expand", "--gamma", "3,1"],
+        "product": ["product", "--gamma", "2,1", "--delta", "1", "--n", "3"],
+        "char": ["char", "--model", "standard", "--n", "3"],
+        "string": ["string", "--tableau", "[[1,2]]", "--i", "1"],
+    }[command]
+    code, out, err = run(capsys, "--max-vertices", "0", *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: max_vertices must be positive, got 0\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["input.json"]
+
+
+def test_a_bad_global_option_is_reported_before_a_bad_argument(capsys):
+    code, out, err = run(capsys, "--max-vertices", "0", "expand", "--gamma", "1", "--n", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: max_vertices must be positive, got 0\n"
 
 
 def test_expand_subcommand(capsys):

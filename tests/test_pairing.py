@@ -4,12 +4,17 @@ Checks:
 * the prefix surplus, its maximum, and the suffix surplus agree with
   recompute-from-scratch oracles on random words,
 * first/last maximizing prefix lengths agree with linear scans of all prefixes,
+* the one-pass ``string_scan`` of every color at once agrees with the
+  prefix and suffix oracles on every word of length at most 7 over the
+  values 1..4, and on every marking of the words of length at most 4,
 * the one-pass stack pairing matches repeated adjacent-pair cancellation,
 * structural facts: free lows precede free highs, counts tie out with the
   prefix statistics, and marks never influence any of it.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +27,7 @@ from crystals.pairing import (
     last_max_position,
     m_i,
     m_i_prefix,
+    string_scan,
 )
 from oracles import (
     brute_cancel_pairs,
@@ -108,3 +114,42 @@ def test_small_worked_example():
     assert result.pairs == ((1, 2), (5, 6))
     assert result.free_low == (3,)
     assert result.free_high == (4,)
+
+
+_SCAN_ORACLE: dict = {}
+
+
+def _scan_oracle(word, i):
+    """The four brute statistics of color ``i``, remembered by what they read.
+
+    They count only the letters ``i`` and ``i + 1``, so words with the same
+    letters of those two values at the same positions share one result.
+    """
+    key = (i, tuple(1 if e.value == i else -1 if e.value == i + 1 else 0 for e in word))
+    if key not in _SCAN_ORACLE:
+        _SCAN_ORACLE[key] = (
+            brute_max_prefix_statistic(word, i),
+            brute_suffix_statistic(word, i),
+            brute_first_max(word, i),
+            brute_last_max(word, i),
+        )
+    return _SCAN_ORACLE[key]
+
+
+def test_string_scan_matches_the_oracles_on_every_small_word():
+    """``string_scan`` reading every cell in order, with the mark equal to
+    the code's parity, so the reading word is the codes themselves."""
+    checked = 0
+    for codes_of_letters, longest in (((2, 4, 6, 8), 7), (range(1, 9), 4)):
+        for length in range(longest + 1):
+            for codes in itertools.product(codes_of_letters, repeat=length):
+                word = tuple(Entry((c + 1) >> 1, bool(c & 1)) for c in codes)
+                scan = string_scan(codes, [(k, c & 1) for k, c in enumerate(codes)], 5)
+                for i in range(1, 6):
+                    phi, eps, first, last = _scan_oracle(word, i)
+                    assert scan.phi[i] == phi, (codes, i)
+                    assert scan.eps(i) == eps, (codes, i)
+                    assert scan.down[i] == (first - 1 if first else -1), (codes, i)
+                    assert scan.up[i] == (last if last < length else -1), (codes, i)
+                checked += 1
+    assert checked == sum(4**k for k in range(8)) + sum(8**k for k in range(5))

@@ -33,6 +33,7 @@ from crystals.shifted import eps, lower, phi, raise_
 from oracles import (
     apply_until_none,
     brute_yamanouchi,
+    cell_entry,
     profile_yamanouchi,
     strict_partitions,
 )
@@ -148,7 +149,7 @@ def test_diagonal_mark_never_appears():
                 result = move(t, i)
                 if result is not None:
                     for r in range(1, len(result.shape) + 1):
-                        assert not result.cell(r, r).marked
+                        assert not cell_entry(result, r, r).marked
 
 
 @pytest.mark.parametrize("total", range(0, 6))

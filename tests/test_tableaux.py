@@ -4,7 +4,9 @@ Checks:
 * the total order on marked/unmarked entries and its sort key,
 * parse/render round trips for entries, words, and both tableau families,
 * every validation error class fires on a matching bad filling,
-* reading words follow rows (unshifted) and the column-then-row hook order,
+* reading words, read off the library's reading cells, follow rows
+  (unshifted) and the column-then-row hook order, and the hook order agrees
+  with the oracle's,
 * enumeration counts match brute-force filtering and dimension formulas,
 * an enumeration limit stops at the first tableau past it.
 """
@@ -38,14 +40,15 @@ from crystals import (
     validate_young,
     weight,
 )
-from crystals.tableaux import (
-    hook_reading_cells,
-    hook_reading_word,
-    reading_word,
-    row_reading_word,
-)
+from crystals.tableaux import hook_reading_cells, row_reading_cells
+from oracles import reading_word
 
 entries = st.builds(Entry, value=st.integers(1, 5), marked=st.booleans())
+
+
+def word_of(cells):
+    """The reading word of a reading order given as ``(cell, entry)`` pairs."""
+    return tuple(entry for _, entry in cells)
 
 
 def test_entry_order_interleaves_marked_before_unmarked():
@@ -137,17 +140,17 @@ def test_weight_counts_values_ignoring_marks():
 
 def test_row_reading_word_top_row_first():
     t = parse_young("[[1,2,2],[2,3]]")
-    assert render_word(row_reading_word(t)) == "2 3 1 2 2"
+    assert render_word(word_of(row_reading_cells(t))) == "2 3 1 2 2"
 
 
 def test_hook_reading_word_small_example():
     t = parse_shifted("[[1,1,2'],[2]]")
-    assert render_word(hook_reading_word(t)) == "2' 2 1 1"
+    assert render_word(word_of(hook_reading_cells(t))) == "2' 2 1 1"
 
 
 def test_hook_reading_word_marked_up_column_then_row():
     t = parse_shifted("[[1,1,4',4],[2,4',5'],[4,5]]")
-    word = hook_reading_word(t)
+    word = word_of(hook_reading_cells(t))
     assert render_word(word) == "5' 4' 4' 4 5 2 1 1 4"
     cells = [cell for cell, _ in hook_reading_cells(t)]
     assert cells == [
@@ -165,7 +168,7 @@ def test_hook_reading_word_marked_up_column_then_row():
 
 def test_hook_reading_word_is_a_permutation_of_the_cells():
     for t in enumerate_ssht((3, 2), 3):
-        word = hook_reading_word(t)
+        word = word_of(hook_reading_cells(t))
         assert len(word) == 5
         assert sorted(weight(t, 3)) == sorted(
             sum(1 for e in word if e.value == v) for v in (1, 2, 3)
@@ -230,4 +233,4 @@ def test_ssht_round_trips_and_revalidates(data):
     t = data.draw(st.sampled_from(pool))
     assert parse_shifted(render_tableau(t), n) == t
     assert validate_shifted(shape, t.rows, n) == t
-    assert reading_word(t) == hook_reading_word(t)
+    assert reading_word(t) == word_of(hook_reading_cells(t))

@@ -6,7 +6,8 @@ Checks:
   ``tensor_graphs`` on the same factors,
 * the tableau-backed factor ``QueerTableauCrystal`` has the vertices,
   weights, moves, string lengths and even highest weights of ``queer_graph``
-  for every strict shape of size at most 4 and alphabet up to 4,
+  for every strict shape of size at most 4 and alphabet up to 4, and refuses
+  a shape that is not strict, or too small an alphabet, when constructed,
 * the queer highest weights found on the view, which only visits the highest
   weights of the left factor times the right factor, are the queer highest
   weights of the materialized tensor, for every strict pair of total size at
@@ -22,7 +23,9 @@ import pytest
 
 from crystals import (
     QueerTableauCrystal,
+    ShapeMismatch,
     TensorView,
+    ValueOutOfRange,
     product_expand,
     queer_graph,
     queer_highest_weights,
@@ -92,6 +95,16 @@ def test_tableau_factor_reads_like_the_queer_graph(shape, n):
             graph_phi, graph_eps = string_length_maps(graph, color)
             k = graph.index[tid]
             assert (phi[vid], eps[vid]) == (graph_phi[k], graph_eps[k])
+
+
+@pytest.mark.parametrize(
+    "shape, n, error",
+    [((2, 2), 3, ShapeMismatch), ((1, 2), 3, ShapeMismatch), ((2, 1), 1, ValueOutOfRange)],
+    ids=["equal-rows", "increasing", "alphabet-1"],
+)
+def test_tableau_factor_checks_its_input_when_constructed(shape, n, error):
+    with pytest.raises(error):
+        QueerTableauCrystal(shape, n)
 
 
 def _strict_pairs(limit):
