@@ -12,12 +12,20 @@ simple root ``alpha_i``, and string lengths satisfy
 ``check_queer_regular`` layers the 0-color axioms on top; the two component
 checkers classify the {0,1}- and {0,2}-colored subgraphs against their known
 local shapes.
+
+A checker reports its violations phase by phase: A1/A2, W1/W2, A3/A4, the
+raising A5/A6 and the lowering A5/A6, then for the queer checker the 0-edge
+W1, B2, B1, B3/B4, B5 and B6.  Fast mode (``exhaustive=False``) reports only
+the first failing phase, and in A3-A6 and B3-B6, which are read vertex by
+vertex, only that phase's first failing vertex; :func:`_verdict` is where it
+stops.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Generator, Iterable, Iterator
 from dataclasses import dataclass
+from itertools import groupby
 from operator import itemgetter
 
 from .errors import CycleDetected
@@ -65,32 +73,38 @@ class Verdict:
         }
 
 
-def _verdict(violations: list[Violation], notes: list[str] | None = None) -> Verdict:
-    return Verdict(not violations, tuple(violations), tuple(notes or ()))
+# Violation groups in report order; the even checker returns its ``(phi, eps)``.
+Groups = Generator[list[Violation], None, tuple[dict[int, StringList], dict[int, StringList]]]
 
 
-class _Collector:
-    """Accumulates violations; in fast mode one violation stops the caller."""
+def _verdict(groups: Iterable[list[Violation]], exhaustive: bool,
+             notes: list[str] | None = None) -> Verdict:
+    """The verdict on ``groups`` of violations read in report order; in fast
+    mode the first group that holds any is the last one read."""
+    found: list[Violation] = []
+    for group in groups:
+        found += group
+        if found and not exhaustive:
+            break
+    return Verdict(not found, tuple(found), tuple(notes or ()))
 
-    def __init__(self, exhaustive: bool) -> None:
-        self.exhaustive = exhaustive
-        self.items: list[Violation] = []
 
-    def add(self, axiom: str, vertices: tuple[str, ...], detail: str) -> None:
-        self.items.append(Violation(axiom, vertices, detail))
+def _by_vertex(found: list[tuple]) -> Iterator[list[Violation]]:
+    """Groups of ``(key, axiom, vertices, detail)`` entries, found color by
+    color, per vertex in the order of a vertex-by-vertex scan (keys start
+    with the vertex)."""
+    found.sort(key=itemgetter(0))
+    for _, entries in groupby(found, key=lambda entry: entry[0][0]):
+        yield [Violation(*entry[1:]) for entry in entries]
 
-    def add_sorted(self, found: list[tuple]) -> None:
-        """Add ``(key, axiom, vertices, detail)`` entries found color by color
-        in the order of a vertex-by-vertex scan (keys start with the vertex);
-        fast mode keeps the first failing vertex's, where that scan stops."""
-        found.sort(key=itemgetter(0))
-        if found and not self.exhaustive:
-            found = [entry for entry in found if entry[0][0] == found[0][0][0]]
-        self.items += [Violation(*entry[1:]) for entry in found]
 
-    @property
-    def done(self) -> bool:
-        return bool(self.items) and not self.exhaustive
+def _prefixed(groups: Groups, prefix: str) -> Groups:
+    """``groups`` with ``prefix`` on every axiom id; returns what they return."""
+    try:
+        while True:
+            yield [Violation(prefix + v.axiom, v.vertices, v.detail) for v in next(groups)]
+    except StopIteration as stop:
+        return stop.value
 
 
 def _name(ids: tuple[str, ...], k: int) -> str | None:
@@ -103,36 +117,35 @@ def _rows(graph: CrystalGraph, lists: dict, colors) -> dict:
     return {c: lists.get(c, none) for c in colors}
 
 
-def _multi_report(graph: CrystalGraph, color: Color, axiom: str, what: str,
-                  out: _Collector) -> bool:
-    """Report vertices with several edges of ``color`` out of or into them,
-    outgoing first; ``True`` when there are none."""
+def _multi_report(graph: CrystalGraph, color: Color, axiom: str, what: str) -> list[Violation]:
+    """Vertices with several edges of ``color`` out of or into them, outgoing first."""
     outs, ins = graph.multi_down.get(color, {}), graph.multi_up.get(color, {})
+    ids, found = graph.vertex_ids, []
     for k in sorted(outs.keys() | ins.keys()):
         if k in outs:
-            out.add(axiom, (graph.vertex_ids[k],), f"{len(outs[k])} outgoing {what}")
+            found.append(Violation(axiom, (ids[k],), f"{len(outs[k])} outgoing {what}"))
         if k in ins:
-            out.add(axiom, (graph.vertex_ids[k],), f"{len(ins[k])} incoming {what}")
-    return not (outs or ins)
+            found.append(Violation(axiom, (ids[k],), f"{len(ins[k])} incoming {what}"))
+    return found
 
 
 def _string_data(
-    graph: CrystalGraph, colors: list[int], out: _Collector
-) -> tuple[dict[int, StringList], dict[int, StringList], dict[int, bool]]:
-    """Per-color string length lists plus A1/A2 screening."""
+    graph: CrystalGraph, colors: list[int]
+) -> tuple[dict[int, StringList], dict[int, StringList], list[Violation]]:
+    """Per-color string length lists of the colors that pass A1/A2, and the
+    A1/A2 violations of the others."""
     phi: dict[int, StringList] = {}
     eps: dict[int, StringList] = {}
-    valid: dict[int, bool] = {}
+    found: list[Violation] = []
     for color in colors:
-        clean = _multi_report(graph, color, "A2", f"edges of color {color}", out)
-        if clean:
+        multi = _multi_report(graph, color, "A2", f"edges of color {color}")
+        found += multi
+        if not multi:
             try:
                 phi[color], eps[color] = string_length_maps(graph, color)
             except CycleDetected as exc:
-                out.add("A1", (), str(exc))
-                clean = False
-        valid[color] = clean
-    return phi, eps, valid
+                found.append(Violation("A1", (), str(exc)))
+    return phi, eps, found
 
 
 def _root_moves(weights: list[Weight], roots: Iterable[int]) -> dict[tuple[Weight, int], Weight]:
@@ -147,29 +160,29 @@ def _root_moves(weights: list[Weight], roots: Iterable[int]) -> dict[tuple[Weigh
     return moves
 
 
-def _check_weight_rules(
-    graph: CrystalGraph,
-    phi: dict[int, StringList],
-    eps: dict[int, StringList],
-    valid: dict[int, bool],
-    out: _Collector,
-) -> None:
+def _weight_rules(
+    graph: CrystalGraph, phi: dict[int, StringList], eps: dict[int, StringList]
+) -> list[Violation]:
+    """W1 on the even edges, then W2 on the colors with string lengths."""
     n, ids, weights = graph.n, graph.vertex_ids, graph.weights
     moves = _root_moves(weights, [c for c in graph.int_colors if c < n])
+    found = []
     for s, color, d in _index_edges(graph, colors=graph.int_colors):
         if color + 1 > n:
-            out.add("W1", (ids[s], ids[d]), f"edge color {color} outside weight range 1..{n - 1}")
+            found.append(Violation("W1", (ids[s], ids[d]),
+                                   f"edge color {color} outside weight range 1..{n - 1}"))
         elif (expected := moves[weights[s], color]) != weights[d]:
-            out.add("W1", (ids[s], ids[d]), f"color {color} edge moves weight {weights[s]} "
-                    f"to {weights[d]}, expected {expected}")
-    for color, ok in valid.items():
-        if not ok or color + 1 > n:
+            found.append(Violation("W1", (ids[s], ids[d]), f"color {color} edge moves weight "
+                                   f"{weights[s]} to {weights[d]}, expected {expected}"))
+    for color in phi:
+        if color + 1 > n:
             continue
         for k, (weight, p, e) in enumerate(zip(weights, phi[color], eps[color])):
             diff = weight[color - 1] - weight[color]
             if p - e != diff:
-                out.add("W2", (ids[k],), f"phi_{color} - eps_{color} = {p - e}, "
-                        f"weight difference = {diff}")
+                found.append(Violation("W2", (ids[k],), f"phi_{color} - eps_{color} = {p - e}, "
+                                       f"weight difference = {diff}"))
+    return found
 
 
 def _walk(up: dict[int, list[int]], k: int, colors: tuple[int, ...]) -> int:
@@ -188,9 +201,9 @@ def _check_squares(
     to_top: dict[int, StringList],
     to_bottom: dict[int, StringList],
     words: tuple[str, str, str, str],
-    out: _Collector,
-) -> None:
-    """A5/A6 along ``up`` moves, guarded by ``to_top`` string lengths.
+) -> list[tuple]:
+    """A5/A6 along ``up`` moves, guarded by ``to_top`` string lengths, as
+    :func:`_by_vertex` entries.
 
     ``words`` name the direction in the details: the move, the statistic at
     the far corner, that corner, and the octagon prefix.
@@ -201,6 +214,8 @@ def _check_squares(
     for i in usable:
         up_i, top_i, bottom_i, down_i = up[i], to_top[i], to_bottom[i], down[i]
         edges_i = [(x, yi) for x, yi in enumerate(up_i) if yi >= 0]
+        if not edges_i:
+            continue
         for j in usable:
             if j == i:
                 continue
@@ -232,22 +247,19 @@ def _check_squares(
                     if n_ij != -1 or n_ji != -1:
                         found.append(((x, i, j), "A6", (ids[x], ids[a]), f"colors {i},{j}: {stat} "
                                       f"at octagon {corner} = ({n_ij}, {n_ji}), expected (-1, -1)"))
-    out.add_sorted(found)
+    return found
 
 
-def _check_even(
-    graph: CrystalGraph, out: _Collector
-) -> tuple[dict[int, StringList], dict[int, StringList], dict[int, bool]]:
-    """Even axioms into ``out``; returns the ``(phi, eps, valid)`` it computed."""
-    colors = sorted(set(range(1, graph.n)) | set(graph.int_colors))
-    phi, eps, valid = _string_data(graph, colors, out)
-    if out.done:
-        return phi, eps, valid
-    _check_weight_rules(graph, phi, eps, valid, out)
-    if out.done:
-        return phi, eps, valid
+def _even_groups(graph: CrystalGraph) -> Groups:
+    """The even axioms' violation groups; returns the ``(phi, eps)`` lists of
+    the colors that pass A1/A2."""
+    # A color without edges matters only through the vertices' weights.
+    colors = sorted({*range(1, graph.n if len(graph) else 0), *graph.int_colors})
+    phi, eps, found = _string_data(graph, colors)
+    yield found
+    yield _weight_rules(graph, phi, eps)
 
-    usable = [c for c in colors if valid.get(c)]
+    usable = list(phi)
     ids = graph.vertex_ids
     up = _rows(graph, graph.up, usable)
     down = _rows(graph, graph.down, usable)
@@ -255,6 +267,8 @@ def _check_even(
     found = []
     for i in usable:
         edges_i = [(x, y) for x, y in enumerate(up[i]) if y >= 0]
+        if not edges_i:
+            continue
         for j in usable:
             e, p = eps[j], phi[j]
             expected = 2 if j == i else (-1 if abs(i - j) == 1 else 0)
@@ -267,21 +281,14 @@ def _check_even(
                 if j != i and (d_eps > 0 or d_phi > 0):
                     found.append(((x, i, j, 1), "A4", (ids[x],), f"raising color {i}: delta eps_{j}"
                                   f" = {d_eps}, delta phi_{j} = {d_phi}, expected both <= 0"))
-    out.add_sorted(found)
-    if out.done:
-        return phi, eps, valid
+    yield from _by_vertex(found)
 
     # The dual A5/A6 are the raising forms on the reversed graph.
-    _check_squares(
-        graph, usable, up, down, eps, phi,
-        ("raising", "nabla phi", "top", ""), out,
-    )
-    if not out.done:
-        _check_squares(
-            graph, usable, down, up, phi, eps,
-            ("lowering", "delta eps", "bottom", "lowering "), out,
-        )
-    return phi, eps, valid
+    yield from _by_vertex(_check_squares(
+        graph, usable, up, down, eps, phi, ("raising", "nabla phi", "top", "")))
+    yield from _by_vertex(_check_squares(
+        graph, usable, down, up, phi, eps, ("lowering", "delta eps", "bottom", "lowering ")))
+    return phi, eps
 
 
 def check_stembridge(graph: CrystalGraph, exhaustive: bool = True) -> Verdict:
@@ -290,9 +297,103 @@ def check_stembridge(graph: CrystalGraph, exhaustive: bool = True) -> Verdict:
     In exhaustive mode every applicable vertex is checked and all failures
     returned; otherwise the first failing phase stops the scan.
     """
-    out = _Collector(exhaustive)
-    _check_even(graph, out)
-    return _verdict(out.items)
+    return _verdict(_even_groups(graph), exhaustive)
+
+
+def _queer_groups(graph: CrystalGraph) -> Iterator[list[Violation]]:
+    phi, eps = yield from _prefixed(_even_groups(graph), "B0/")
+    n, ids, weights = graph.n, graph.vertex_ids, graph.weights
+    # Weight rule for 0-edges: same root as color 1.
+    moves = _root_moves(weights, (1,) if n >= 2 else ())
+    found = []
+    for s, _, d in _index_edges(graph, colors=(0,)):
+        if n < 2:
+            found.append(Violation("W1", (ids[s], ids[d]),
+                                   "0-edge needs at least two weight coordinates"))
+        elif (expected := moves[weights[s], 1]) != weights[d]:
+            found.append(Violation("W1", (ids[s], ids[d]), f"0-edge moves weight {weights[s]} "
+                                   f"to {weights[d]}, expected {expected}"))
+    yield found
+    # B2: unique 0-edges.
+    yield _multi_report(graph, 0, "B2", "0-edges")
+
+    # Structural failures on even colors were already reported through B0.
+    usable = [c for c in phi if c < n]
+    down = _rows(graph, graph.down, (0, *usable))
+    up = _rows(graph, graph.up, (0, *usable))
+    # B1: 0-strings have length at most 1, present exactly when weight allows.
+    found = []
+    for k, (lower0, raise0, weight) in enumerate(zip(down[0], up[0], weights)):
+        has_in, has_out = raise0 >= 0, lower0 >= 0
+        if has_in and has_out:
+            found.append(Violation("B1", (ids[k],), "0-path of length 2 through this vertex"))
+        positive = sum(weight[:2]) > 0
+        if (has_in ^ has_out) != positive:
+            found.append(Violation("B1", (ids[k],), f"eps_0 + phi_0 = {int(has_in) + int(has_out)}"
+                                   f" but wt_1 + wt_2 > 0 is {positive}"))
+    yield found
+
+    zero_edges = [(x, y) for x, y in enumerate(up[0]) if y >= 0]
+    # B3/B4: how the 0-move shifts even string lengths.
+    for x, y in zero_edges:
+        found = []
+        for i in usable:
+            d_eps = eps[i][x] - eps[i][y]
+            d_phi = phi[i][y] - phi[i][x]
+            expected = 2 if i <= 1 else (-1 if i == 2 else 0)
+            if d_eps + d_phi != expected:
+                found.append(Violation("B3", (ids[x],), f"color {i}: delta_0 eps + delta_0 phi = "
+                                       f"{d_eps + d_phi}, expected {expected}"))
+            if i == 1 and not (d_eps >= 0 and d_phi > 0):
+                found.append(Violation("B4", (ids[x],), f"color 1: delta_0 eps = {d_eps} "
+                                       f"(need >= 0), delta_0 phi = {d_phi} (need > 0)"))
+            elif i == 2 and not (d_eps <= 0 and d_phi <= 0):
+                found.append(Violation("B4", (ids[x],), f"color 2: delta_0 eps = {d_eps}, "
+                                       f"delta_0 phi = {d_phi}, expected both <= 0"))
+            elif i >= 3 and not (d_eps == 0 and d_phi == 0):
+                found.append(Violation("B4", (ids[x],), f"color {i}: delta_0 eps = {d_eps}, "
+                                       f"delta_0 phi = {d_phi}, expected both 0"))
+        yield found
+
+    # B5: squares between the 0-move and even moves.
+    for z, (lower0, raise0) in enumerate(zip(down[0], up[0])):
+        found = []
+        for i in usable if lower0 >= 0 else ():
+            lower = down[i][z]
+            if i < 2 or lower < 0:
+                continue
+            a, b = down[i][lower0], down[0][lower]
+            if a < 0 or b < 0 or a != b:
+                found.append(Violation("B5", (ids[z],), f"color {i}: lowering square with the "
+                                       f"0-move does not close ({_name(ids, a)!r} vs "
+                                       f"{_name(ids, b)!r})"))
+        for i in usable if raise0 >= 0 else ():
+            upper = up[i][z]
+            if i == 2 or upper < 0 or upper == raise0:
+                continue
+            a, b = up[i][raise0], up[0][upper]
+            if a < 0 or b < 0 or a != b:
+                found.append(Violation("B5", (ids[z],), f"color {i}: raising square with the "
+                                       f"0-move does not close ({_name(ids, a)!r} vs "
+                                       f"{_name(ids, b)!r})"))
+        yield found
+
+    # B6: interaction of the 0-move with colors 1 and 2.
+    for x, y in zero_edges:
+        found = []
+        if 1 in usable and eps[1][x] - eps[1][y] == 1:
+            if phi[1][x] != 0:
+                found.append(Violation("B6", (ids[x],), f"delta_0 eps_1 = 1 but phi_1 = "
+                                       f"{phi[1][x]}, expected 0"))
+            if up[1][x] != y:
+                found.append(Violation("B6", (ids[x],), "delta_0 eps_1 = 1 but the color-1 and "
+                                       "color-0 raising moves disagree"))
+        d_phi2 = phi[2][y] - phi[2][x] if 2 in usable else 0
+        phi2 = phi[2][x] if 2 in usable else 0
+        if (d_phi2 == 0) != (phi2 == 0):
+            found.append(Violation("B6", (ids[x],), f"delta_0 phi_2 = {d_phi2} but phi_2 = "
+                                   f"{phi2}; the two must vanish together"))
+        yield found
 
 
 def check_queer_regular(graph: CrystalGraph, exhaustive: bool = True) -> Verdict:
@@ -304,114 +405,30 @@ def check_queer_regular(graph: CrystalGraph, exhaustive: bool = True) -> Verdict
     (B5), and the two color-1/color-2 implications (B6), plus the 0-edge
     weight rule.
     """
-    out = _Collector(exhaustive)
-    phi, eps, valid = _check_even(graph, out)
-    out.items = [Violation(f"B0/{v.axiom}", v.vertices, v.detail) for v in out.items]
-    if out.done:
-        return _verdict(out.items)
-
-    n, ids, weights = graph.n, graph.vertex_ids, graph.weights
-    # Weight rule for 0-edges: same root as color 1.
-    moves = _root_moves(weights, (1,) if n >= 2 else ())
-    for s, _, d in _index_edges(graph, colors=(0,)):
-        if n < 2:
-            out.add("W1", (ids[s], ids[d]), "0-edge needs at least two weight coordinates")
-        elif (expected := moves[weights[s], 1]) != weights[d]:
-            out.add("W1", (ids[s], ids[d]),
-                    f"0-edge moves weight {weights[s]} to {weights[d]}, expected {expected}")
-    if out.done:
-        return _verdict(out.items)
-
-    # B2: unique 0-edges.
-    _multi_report(graph, 0, "B2", "0-edges", out)
-    if out.done:
-        return _verdict(out.items)
-
-    # Structural failures on even colors were already reported through B0.
-    usable = [c for c in range(1, n) if valid.get(c)]
-    down = _rows(graph, graph.down, (0, *usable))
-    up = _rows(graph, graph.up, (0, *usable))
-    # B1: 0-strings have length at most 1, present exactly when weight allows.
-    for k, (lower0, raise0, weight) in enumerate(zip(down[0], up[0], weights)):
-        has_in, has_out = raise0 >= 0, lower0 >= 0
-        if has_in and has_out:
-            out.add("B1", (ids[k],), "0-path of length 2 through this vertex")
-        positive = sum(weight[:2]) > 0
-        if (has_in ^ has_out) != positive:
-            out.add("B1", (ids[k],), f"eps_0 + phi_0 = {int(has_in) + int(has_out)} but "
-                    f"wt_1 + wt_2 > 0 is {positive}")
-    if out.done:
-        return _verdict(out.items)
-
-    zero_edges = [(x, y) for x, y in enumerate(up[0]) if y >= 0]
-    # B3/B4: how the 0-move shifts even string lengths.
-    for x, y in zero_edges:
-        for i in usable:
-            d_eps = eps[i][x] - eps[i][y]
-            d_phi = phi[i][y] - phi[i][x]
-            expected = 2 if i <= 1 else (-1 if i == 2 else 0)
-            if d_eps + d_phi != expected:
-                out.add("B3", (ids[x],), f"color {i}: delta_0 eps + delta_0 phi = "
-                        f"{d_eps + d_phi}, expected {expected}")
-            if i == 1 and not (d_eps >= 0 and d_phi > 0):
-                out.add("B4", (ids[x],), f"color 1: delta_0 eps = {d_eps} (need >= 0), "
-                        f"delta_0 phi = {d_phi} (need > 0)")
-            elif i == 2 and not (d_eps <= 0 and d_phi <= 0):
-                out.add("B4", (ids[x],), f"color 2: delta_0 eps = {d_eps}, delta_0 phi = "
-                        f"{d_phi}, expected both <= 0")
-            elif i >= 3 and not (d_eps == 0 and d_phi == 0):
-                out.add("B4", (ids[x],), f"color {i}: delta_0 eps = {d_eps}, delta_0 phi = "
-                        f"{d_phi}, expected both 0")
-        if out.done:
-            return _verdict(out.items)
-
-    # B5: squares between the 0-move and even moves.
-    for z, (lower0, raise0) in enumerate(zip(down[0], up[0])):
-        for i in usable if lower0 >= 0 else ():
-            lower = down[i][z]
-            if i < 2 or lower < 0:
-                continue
-            a, b = down[i][lower0], down[0][lower]
-            if a < 0 or b < 0 or a != b:
-                out.add("B5", (ids[z],), f"color {i}: lowering square with the 0-move does "
-                        f"not close ({_name(ids, a)!r} vs {_name(ids, b)!r})")
-        for i in usable if raise0 >= 0 else ():
-            upper = up[i][z]
-            if i == 2 or upper < 0 or upper == raise0:
-                continue
-            a, b = up[i][raise0], up[0][upper]
-            if a < 0 or b < 0 or a != b:
-                out.add("B5", (ids[z],), f"color {i}: raising square with the 0-move does "
-                        f"not close ({_name(ids, a)!r} vs {_name(ids, b)!r})")
-        if out.done:
-            return _verdict(out.items)
-
-    # B6: interaction of the 0-move with colors 1 and 2.
-    for x, y in zero_edges:
-        if 1 in usable and eps[1][x] - eps[1][y] == 1:
-            if phi[1][x] != 0:
-                out.add("B6", (ids[x],), f"delta_0 eps_1 = 1 but phi_1 = {phi[1][x]}, expected 0")
-            if up[1][x] != y:
-                out.add("B6", (ids[x],), "delta_0 eps_1 = 1 but the color-1 and color-0 "
-                        "raising moves disagree")
-        d_phi2 = phi[2][y] - phi[2][x] if 2 in usable else 0
-        phi2 = phi[2][x] if 2 in usable else 0
-        if (d_phi2 == 0) != (phi2 == 0):
-            out.add("B6", (ids[x],), f"delta_0 phi_2 = {d_phi2} but phi_2 = {phi2}; the two "
-                    f"must vanish together")
-        if out.done:
-            return _verdict(out.items)
-
-    return _verdict(out.items)
+    return _verdict(_queer_groups(graph), exhaustive)
 
 
-def _edges_by_source(graph: CrystalGraph, colors: tuple[int, int]) -> list[list[tuple]]:
-    """The edges of ``colors`` leaving each vertex; over a component of those
-    colors, exactly the component's edges."""
-    found: list[list[tuple]] = [[] for _ in range(len(graph))]
+def _classify_components(graph: CrystalGraph, colors: tuple[int, int], axiom: str,
+                         classify) -> Verdict:
+    """Note each isolated vertex of the ``colors`` subgraph, and run
+    ``classify(group, edges)`` on every other component: it returns
+    ``(ok, vertex, text)``, a note on ``vertex`` or the violation there."""
+    ids = graph.vertex_ids
+    edges_at: list[list[tuple]] = [[] for _ in range(len(graph))]
     for edge in _index_edges(graph, colors=colors):
-        found[edge[0]].append(edge)
-    return found
+        edges_at[edge[0]].append(edge)
+    found, notes = [], []
+    for group in _component_groups(graph, colors):
+        comp_edges = [edge for u in group for edge in edges_at[u]]
+        if len(group) == 1 and not comp_edges:
+            notes.append(f"{ids[group[0]]}: isolated vertex")
+            continue
+        ok, vertex, text = classify(group, comp_edges)
+        if ok:
+            notes.append(f"{ids[vertex]}: {text}")
+        else:
+            found.append(Violation(axiom, (ids[vertex],), text))
+    return _verdict([found], True, notes)
 
 
 def check_01_components(graph: CrystalGraph) -> Verdict:
@@ -421,24 +438,16 @@ def check_01_components(graph: CrystalGraph) -> Verdict:
     final edge is doubled by a parallel 0-edge, together with a shadow chain
     ``b_0 .. b_{k-2}`` attached by 0-edges ``a_j -> b_j``.
     """
-    out = _Collector(True)
-    notes: list[str] = []
-    ids = graph.vertex_ids
     down0 = _rows(graph, graph.down, (0,))[0]
     up1 = _rows(graph, graph.up, (1,))[1]
-    edges_at = _edges_by_source(graph, (0, 1))
-    for group in _component_groups(graph, (0, 1)):
-        witness = ids[group[0]]
-        comp_edges = [edge for u in group for edge in edges_at[u]]
-        if len(group) == 1 and not comp_edges:
-            notes.append(f"{witness}: isolated vertex")
-            continue
+
+    def classify(group: list[int], comp_edges: list[tuple]) -> tuple[bool, int, str]:
+        witness = group[0]
         edge_set = set(comp_edges)
         pairs = [(u, v) for (u, c, v) in comp_edges if c == 1 and (u, 0, v) in edge_set]
         if len(pairs) != 1:
-            out.add("C01", (witness,),
+            return (False, witness,
                     f"expected exactly one parallel {{0,1}} edge pair, found {len(pairs)}")
-            continue
         tail_src, tail_dst = pairs[0]
         chain = [tail_src]
         while len(chain) <= len(group) and up1[chain[0]] >= 0:
@@ -447,9 +456,7 @@ def check_01_components(graph: CrystalGraph) -> Verdict:
         k = len(a) - 1
         b = [down0[a[j]] for j in range(k - 1)]
         if -1 in b:
-            out.add("C01", (ids[a[b.index(-1)]],),
-                    "chain vertex lacks the required 0-edge to its shadow")
-            continue
+            return False, a[b.index(-1)], "chain vertex lacks the required 0-edge to its shadow"
         expected_vertices = set(a) | set(b)
         expected_edges = (
             {(a[j], 1, a[j + 1]) for j in range(k)}
@@ -459,11 +466,10 @@ def check_01_components(graph: CrystalGraph) -> Verdict:
         )
         if (len(expected_vertices) != 2 * k or set(group) != expected_vertices
                 or edge_set != expected_edges):
-            out.add("C01", (witness,),
-                    f"component does not match the doubled-chain shape with k={k}")
-            continue
-        notes.append(f"{witness}: doubled chain, k={k}")
-    return _verdict(out.items, notes)
+            return False, witness, f"component does not match the doubled-chain shape with k={k}"
+        return True, witness, f"doubled chain, k={k}"
+
+    return _classify_components(graph, (0, 1), "C01", classify)
 
 
 def _fit_ladder(
@@ -511,65 +517,49 @@ def check_02_components(graph: CrystalGraph) -> Verdict:
     occurred and whether the optional 0-link is present.  When the whole
     graph has no color-2 edges, a bare 0-edge pair is the degenerate ladder.
     """
-    out = _Collector(True)
-    notes: list[str] = []
     ids = graph.vertex_ids
     has_two = 2 in graph.down
     down = _rows(graph, graph.down, (0, 2))
     up = _rows(graph, graph.up, (0, 2))
-    edges_at = _edges_by_source(graph, (0, 2))
-    for group in _component_groups(graph, (0, 2)):
-        witness = ids[group[0]]
-        comp_edges = [edge for u in group for edge in edges_at[u]]
-        if len(group) == 1 and not comp_edges:
-            notes.append(f"{witness}: isolated vertex")
-            continue
+
+    def classify(group: list[int], comp_edges: list[tuple]) -> tuple[bool, int, str]:
+        witness = group[0]
         if not has_two:
             if len(group) == 2 and len(comp_edges) == 1 and comp_edges[0][1] == 0:
-                notes.append(f"{witness}: bare 0-edge (graph has no color-2 edges)")
-            else:
-                out.add("C02", (witness,),
-                        "without color-2 edges only bare 0-edges are admissible")
-            continue
+                return True, witness, "bare 0-edge (graph has no color-2 edges)"
+            return False, witness, "without color-2 edges only bare 0-edges are admissible"
         sources = [v for v in group if up[0][v] < 0 and up[2][v] < 0]
         z_sources = [s for s in sources if down[0][s] >= 0]
         if sources != z_sources or not 1 <= len(z_sources) <= 2:
-            out.add("C02", (witness,),
+            return (False, witness,
                     f"expected 1 or 2 ladder heads, found sources {[ids[v] for v in sources]}")
-            continue
         fits = [_fit_ladder(down, s, len(group)) for s in z_sources]
         if any(f is None for f in fits):
-            out.add("C02", (witness,), "a source does not head a well-formed ladder")
-            continue
+            return False, witness, "a source does not head a well-formed ladder"
         edge_set = set(comp_edges)
         if len(fits) == 1:
             z, x = fits[0]
             vertices, edges = _ladder_facts(z, x)
             m = len(z)
             if set(group) == vertices and edge_set == edges:
-                notes.append(f"{witness}: single ladder m={m}, 0-link absent")
-                continue
+                return True, witness, f"single ladder m={m}, 0-link absent"
             link = down[0][x[-1]]
             if (link >= 0 and set(group) == vertices | {link}
                     and edge_set == edges | {(x[-1], 0, link)}):
-                notes.append(f"{witness}: double ladder m={m}, 0-link present")
-            else:
-                out.add("C02", (witness,), f"component does not match a ladder of size m={m}")
-            continue
+                return True, witness, f"double ladder m={m}, 0-link present"
+            return False, witness, f"component does not match a ladder of size m={m}"
         (z1, x1), (z2, x2) = fits
         if len(z1) < len(z2):
             (z1, x1), (z2, x2) = (z2, x2), (z1, x1)
         m1, m2 = len(z1), len(z2)
         if m1 != m2 + 1:
-            out.add("C02", (witness,),
+            return (False, witness,
                     f"two ladders must have consecutive sizes, found m={m1} and m={m2}")
-            continue
         v1, e1 = _ladder_facts(z1, x1)
         v2, e2 = _ladder_facts(z2, x2)
         if (down[0][x1[-1]] == x2[-1] and set(group) == v1 | v2
                 and edge_set == e1 | e2 | {(x1[-1], 0, x2[-1])}):
-            notes.append(f"{witness}: double ladder m={m1}, 0-link present")
-        else:
-            out.add("C02", (witness,),
-                    f"component does not match the linked double ladder m={m1}")
-    return _verdict(out.items, notes)
+            return True, witness, f"double ladder m={m1}, 0-link present"
+        return False, witness, f"component does not match the linked double ladder m={m1}"
+
+    return _classify_components(graph, (0, 2), "C02", classify)

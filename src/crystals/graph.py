@@ -649,6 +649,43 @@ def _first_bad_entry(items: list, kind: str) -> None:
             color_from_str(second)
 
 
+_WS = r"[ \t\n\r]*"  # JSON's whitespace; re's \s takes characters JSON refuses
+_HEAD = re.compile(_WS.join(["", r"\{", '"n"', ":", "(0|[1-9][0-9]{0,8})", ",", '"vertices"', ":",
+                             r"\["]))
+_GAP = re.compile(f"{_WS}(,?){_WS}")
+_DECODER = json.JSONDecoder()
+# Characters: json.loads reads a shorter file in about 15 ms or less, and its
+# refusal names the exact vertex count.
+_SCAN_FLOOR = 1 << 20
+
+
+def _lists_over(text: str, limit: int) -> bool:
+    """Whether a graph file lists more than ``limit`` vertices, read off its
+    first ``limit + 1`` vertex entries when it opens with ``"n"`` and then
+    ``"vertices"``, as :func:`export_json` writes it.
+
+    ``False`` when the scan cannot follow the file, when the file is under
+    ``_SCAN_FLOOR`` characters, or when the rest is too short to hold the
+    entries still missing: an entry takes at least the 34 characters of
+    ``{"id":"","payload":"","weight":[]}`` and two per weight coordinate
+    past the first.
+    """
+    if len(text) < _SCAN_FLOOR or (head := _HEAD.match(text)) is None:
+        return False
+    n = int(head[1])
+    least = 33 + 2 * n if n else 34
+    decode, pos = _DECODER.raw_decode, head.end()
+    for count in range(limit + 1):
+        gap = _GAP.match(text, pos)
+        if len(text) - pos < least * (limit + 1 - count) or bool(gap[1]) != bool(count):
+            return False
+        try:
+            pos = decode(text, gap.end())[1]
+        except ValueError:  # malformed JSON, or an integer past Python's digit limit
+            return False
+    return True
+
+
 def import_json(text: str, config: Config | None = None) -> CrystalGraph:
     """Parse graph JSON produced by :func:`export_json`.
 
@@ -662,8 +699,14 @@ def import_json(text: str, config: Config | None = None) -> CrystalGraph:
             the failure position when the JSON itself does not parse.
         ClosureBudgetExceeded: The file lists more than
             ``config.max_vertices`` vertices; checked before any vertex is
-            read.
+            read, and for a file of ``_SCAN_FLOOR`` characters or more that
+            opens as :func:`export_json` writes, before more than
+            ``config.max_vertices + 1`` vertex entries are parsed.
     """
+    limit = (config or DEFAULT_CONFIG).max_vertices
+    if _lists_over(text, limit):
+        raise ClosureBudgetExceeded(f"import_json: graph file lists at least {limit + 1} "
+                                    f"vertices, over the budget of {limit} vertices")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -674,7 +717,6 @@ def import_json(text: str, config: Config | None = None) -> CrystalGraph:
     _require(_is_count(data["n"]), "'n' must be a non-negative integer")
     _require(isinstance(data["vertices"], list), "'vertices' must be a list")
     _require(isinstance(data["edges"], list), "'edges' must be a list")
-    limit = (config or DEFAULT_CONFIG).max_vertices
     if len(data["vertices"]) > limit:
         raise ClosureBudgetExceeded(
             f"import_json: graph file lists {len(data['vertices'])} vertices, "

@@ -67,13 +67,7 @@ from crystals import (
     queer_highest_weights,
     schur_p,
 )
-from crystals.axioms import (
-    Verdict,
-    _Collector,
-    _check_weight_rules,
-    _string_data,
-    _verdict,
-)
+from crystals.axioms import Verdict, Violation
 from crystals.graph import Color
 from crystals.pairing import eps_i, first_max_position, last_max_position, m_i
 from crystals.queer import apply_weyl_word, odd_word
@@ -248,6 +242,95 @@ def _lower_path(graph, vid: str, colors: tuple[int, ...]) -> str | None:
     return cur
 
 
+class Collector:
+    """Violations in report order; in fast mode one violation stops the caller."""
+
+    def __init__(self, exhaustive: bool) -> None:
+        self.exhaustive = exhaustive
+        self.items: list[Violation] = []
+
+    def add(self, axiom: str, vertices: tuple[str, ...], detail: str) -> None:
+        self.items.append(Violation(axiom, vertices, detail))
+
+    @property
+    def done(self) -> bool:
+        return bool(self.items) and not self.exhaustive
+
+    def verdict(self, notes: list[str] | None = None) -> Verdict:
+        return Verdict(not self.items, tuple(self.items), tuple(notes or ()))
+
+
+def _walk_length(graph, vid: str, color, step) -> int | None:
+    """Moves of ``color`` from ``vid`` along ``step`` (``graph.out_edge`` or
+    ``graph.in_edge``) until none is defined; ``None`` when the walk comes
+    back to ``vid`` first."""
+    cur, length = vid, 0
+    while (cur := step(cur, color)) is not None:
+        length += 1
+        if cur == vid or length > len(graph):
+            return None
+    return length
+
+
+def definition_string_data(graph, colors, out: Collector):
+    """A2 and A1 color by color, from the definitions, and the string lengths.
+
+    A2: no vertex has two edges of one color out of it or into it.  A1: no
+    walk along a color returns to its start; once A2 holds, such walks are
+    exactly the cycles, and the smallest vertex id on one names it.  For the
+    colors that pass both, ``phi`` and ``eps`` count the lowering and raising
+    moves from each vertex, keyed by color and then vertex id.
+    """
+    phi: dict = {}
+    eps: dict = {}
+    for color in colors:
+        clean = True
+        for vid in graph.vertex_ids:
+            for way, ends in (("outgoing", graph.out_all(vid, color)),
+                              ("incoming", graph.in_all(vid, color))):
+                if len(ends) > 1:
+                    out.add("A2", (vid,), f"{len(ends)} {way} edges of color {color}")
+                    clean = False
+        if not clean:
+            continue
+        down = {vid: _walk_length(graph, vid, color, graph.out_edge) for vid in graph.vertex_ids}
+        on_cycle = [vid for vid, length in down.items() if length is None]
+        if on_cycle:
+            out.add("A1", (), f"color {color} cycle through {on_cycle[0]!r}")
+            continue
+        phi[color] = down
+        eps[color] = {vid: _walk_length(graph, vid, color, graph.in_edge)
+                      for vid in graph.vertex_ids}
+    return phi, eps
+
+
+def definition_weight_rules(graph, phi, eps, out: Collector) -> None:
+    """W1: a color-``i`` edge moves weight by ``alpha_i = e_i - e_{i+1}``;
+    W2: ``phi_i - eps_i = wt_i - wt_{i+1}`` on the colors of ``phi``."""
+    n = graph.n
+    for src, color, dst in graph.edges:
+        if not isinstance(color, int) or color < 1:
+            continue
+        if color >= n:
+            out.add("W1", (src, dst), f"edge color {color} outside weight range 1..{n - 1}")
+            continue
+        before, after = graph.weight_of(src), graph.weight_of(dst)
+        expected = tuple(w - (k == color - 1) + (k == color) for k, w in enumerate(before))
+        if after != expected:
+            out.add("W1", (src, dst),
+                    f"color {color} edge moves weight {before} to {after}, expected {expected}")
+    for color in phi:
+        if color >= n:
+            continue
+        for vid in graph.vertex_ids:
+            weight = graph.weight_of(vid)
+            measured = phi[color][vid] - eps[color][vid]
+            diff = weight[color - 1] - weight[color]
+            if measured != diff:
+                out.add("W2", (vid,), f"phi_{color} - eps_{color} = {measured}, "
+                        f"weight difference = {diff}")
+
+
 def mirrored_stembridge(graph, exhaustive: bool = True):
     """The even checker with its dual A5/A6 pass written out a second time.
 
@@ -257,18 +340,16 @@ def mirrored_stembridge(graph, exhaustive: bool = True):
     fast-mode stop and detail string is spelled out independently of the
     package's folded routine, so the two must agree verdict for verdict.
     """
-    out = _Collector(exhaustive)
-    colors = sorted(set(range(1, graph.n)) | set(graph.int_colors))
-    phi, eps, valid = _string_data(graph, colors, out)
+    out = Collector(exhaustive)
+    colors = sorted({*range(1, graph.n), *(c for c in graph.colors if isinstance(c, int) and c)})
+    phi, eps = definition_string_data(graph, colors, out)
     if out.done:
-        return _verdict(out.items)
-    _check_weight_rules(graph, phi, eps, valid, out)
+        return out.verdict()
+    definition_weight_rules(graph, phi, eps, out)
     if out.done:
-        return _verdict(out.items)
-    # The library keeps string lengths as lists by vertex index.
-    phi, eps = ({c: dict(zip(graph.vertex_ids, m)) for c, m in maps.items()} for maps in (phi, eps))
+        return out.verdict()
 
-    usable = [c for c in colors if valid.get(c)]
+    usable = [c for c in colors if c in phi]
     for x in graph.vertex_ids:
         for i in usable:
             y = graph.in_edge(x, i)
@@ -299,7 +380,7 @@ def mirrored_stembridge(graph, exhaustive: bool = True):
                         f"delta phi_{j} = {d_phi}, expected both <= 0",
                     )
         if out.done:
-            return _verdict(out.items)
+            return out.verdict()
 
     for x in graph.vertex_ids:
         for i in usable:
@@ -361,7 +442,7 @@ def mirrored_stembridge(graph, exhaustive: bool = True):
                                     f"({n_ij}, {n_ji}), expected (-1, -1)",
                                 )
         if out.done:
-            return _verdict(out.items)
+            return out.verdict()
 
     # Dual forms, phrased through lowering moves.
     for x in graph.vertex_ids:
@@ -422,9 +503,9 @@ def mirrored_stembridge(graph, exhaustive: bool = True):
                                     f"({d_ij}, {d_ji}), expected (-1, -1)",
                                 )
         if out.done:
-            return _verdict(out.items)
+            return out.verdict()
 
-    return _verdict(out.items)
+    return out.verdict()
 
 
 def subgraph(graph: CrystalGraph, colors) -> CrystalGraph:
@@ -484,7 +565,7 @@ def copying_check_01_components(graph: CrystalGraph) -> Verdict:
     final edge is doubled by a parallel 0-edge, together with a shadow chain
     ``b_0 .. b_{k-2}`` attached by 0-edges ``a_j -> b_j``.
     """
-    out = _Collector(True)
+    out = Collector(True)
     notes: list[str] = []
     sub = subgraph(graph, [0, 1])
     for comp in copying_components(sub):
@@ -546,7 +627,7 @@ def copying_check_01_components(graph: CrystalGraph) -> Verdict:
             )
             continue
         notes.append(f"{witness}: doubled chain, k={k}")
-    return _verdict(out.items, notes)
+    return out.verdict(notes)
 
 
 def _fit_ladder(comp: CrystalGraph, source: str) -> tuple[list[str], list[str]] | None:
@@ -597,7 +678,7 @@ def copying_check_02_components(graph: CrystalGraph) -> Verdict:
     occurred and whether the optional 0-link is present.  When the whole
     graph has no color-2 edges, a bare 0-edge pair is the degenerate ladder.
     """
-    out = _Collector(True)
+    out = Collector(True)
     notes: list[str] = []
     has_two = any(c == 2 for _, c, _ in graph.edges)
     sub = subgraph(graph, [0, 2])
@@ -683,7 +764,7 @@ def copying_check_02_components(graph: CrystalGraph) -> Verdict:
             (witness,),
             f"component does not match the linked double ladder m={m1}",
         )
-    return _verdict(out.items, notes)
+    return out.verdict(notes)
 
 
 def _strip_trailing_zeros(exponent: Sequence[int]) -> tuple[int, ...]:

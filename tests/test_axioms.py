@@ -11,10 +11,16 @@ Checks:
 * deleting a zero edge out of the source breaks the pairing axiom,
 * the component classifiers report the hand-derived chain and ladder shapes,
 * fast mode agrees with exhaustive mode on the overall verdict while
-  reporting no more violations,
+  reporting no more violations; on the seeded mutants below, whose swaps
+  let fast mode reach A3-A6 and B3-B6, for both the even and the queer
+  checker, it reports a prefix of the exhaustive violations, empty only when
+  they are, within one group (a phase, and in A3-A6 and B3-B6 one vertex of
+  it), and the first exhaustive violation past it opens another group,
 * on seeded mutants (an edge dropped, added or retargeted, or a weight
-  coordinate nudged) the even checker agrees verdict for verdict with the
-  oracle that spells the dual A5/A6 pass out a second time, every A5/A6
+  coordinate nudged, or two same-color edge targets swapped keeping every
+  weight and string length) the even checker agrees verdict for verdict with
+  the oracle that spells the dual A5/A6 pass out a second time and has its
+  own A1/A2 and W1/W2 phases written from the definitions, every A5/A6
   detail form fires, and the queer checker's ``B0/`` violations are the even
   checker's verdict on the positive-color subgraph,
 * the {0,1} and {0,2} classifiers agree verdict for verdict with the oracle
@@ -22,6 +28,8 @@ Checks:
   |λ| <= 7 and n <= 5, on queer tensors with |γ| + |δ| <= 5, and on seeded
   mutants over colors 0-2 (edges deleted, added, reversed, redirected,
   recolored, made into self-loops, or closing a color-2 cycle),
+* a graph with n = 3,000 and no edges, with no vertex or with one, checks
+  in under a second: colors without edges cost no color pairs,
 * no checker builds a ``CrystalGraph``.
 """
 
@@ -29,6 +37,7 @@ from __future__ import annotations
 
 import random
 import re
+import time
 
 import pytest
 
@@ -276,8 +285,8 @@ def seeded_mutants(graph, seed, count):
         )
 
 
-def test_folded_squares_match_the_mirrored_oracle_on_mutants():
-    bases = {
+def even_mutant_bases():
+    return {
         "queer 2,1/3": queer_graph((2, 1), 3),
         "queer 3,1/4": queer_graph((3, 1), 4),
         "queer 3,2/4": queer_graph((3, 2), 4),
@@ -288,9 +297,13 @@ def test_folded_squares_match_the_mirrored_oracle_on_mutants():
             queer_graph((2,), 3), queer_graph((1,), 3), queer=True
         ),
     }
+
+
+def test_folded_squares_match_the_mirrored_oracle_on_mutants():
+    bases = even_mutant_bases()
     details = []
     for name, base in bases.items():
-        for mutant in seeded_mutants(base, name, 40):
+        for mutant in [*seeded_mutants(base, name, 40), *string_keeping_swaps(base, name, 20)]:
             even = subgraph(
                 mutant, [c for c in mutant.colors if isinstance(c, int) and c >= 1]
             )
@@ -311,6 +324,63 @@ def test_folded_squares_match_the_mirrored_oracle_on_mutants():
                 assert delegated == expected, name
     for form in A5_A6_FORMS:
         assert any(re.match(form, detail) for detail in details), form
+
+
+PHASES = {"A1": "A1/A2", "A2": "A1/A2", "W1": "W1/W2", "W2": "W1/W2", "A3": "A3/A4",
+          "A4": "A3/A4", "B3": "B3/B4", "B4": "B3/B4"}
+READ_BY_VERTEX = {"A3/A4", "raising A5/A6", "lowering A5/A6", "B3/B4", "B5", "B6"}
+
+
+def fast_mode_group(violation):
+    """The phase of a violation, with its first vertex where the phase is read
+    vertex by vertex; the lowering A5/A6 details say "lowering" or "bottom"."""
+    axiom = violation.axiom.removeprefix("B0/")
+    prefix = violation.axiom[: len(violation.axiom) - len(axiom)]
+    phase = PHASES.get(axiom, axiom)
+    if axiom in ("A5", "A6"):
+        lowering = "lowering" in violation.detail or "bottom" in violation.detail
+        phase = f"{'lowering' if lowering else 'raising'} A5/A6"
+    return prefix + phase, violation.vertices[0] if phase in READ_BY_VERTEX else None
+
+
+def string_keeping_swaps(graph, seed, count):
+    """Copies of ``graph`` with the targets of two edges of one color swapped,
+    where the sources share their weight and their place in their strings:
+    every weight and string length stays, so only A3-A6 and B3-B6 can fail."""
+    rng = random.Random(seed)
+    edges = list(graph.edges)
+    buckets = {}
+    for k, (src, color, _) in enumerate(edges):
+        eps, up = 0, src
+        while (up := graph.in_edge(up, color)) is not None:
+            eps += 1
+        buckets.setdefault((color, graph.weight_of(src), eps), []).append(k)
+    pairs = [ks for ks in buckets.values() if len(ks) > 1]
+    for _ in range(count if pairs else 0):
+        k, m = rng.sample(rng.choice(pairs), 2)
+        swapped = list(edges)
+        swapped[k] = (edges[k][0], edges[k][1], edges[m][2])
+        swapped[m] = (edges[m][0], edges[m][1], edges[k][2])
+        yield CrystalGraph(graph.n, graph.vertices.values(), swapped)
+
+
+def test_fast_mode_stops_at_the_first_failing_group_on_mutants():
+    cuts = set()
+    for name, base in even_mutant_bases().items():
+        for mutant in [*seeded_mutants(base, name, 40), *string_keeping_swaps(base, name, 20)]:
+            for checker in (check_stembridge, check_queer_regular):
+                full = checker(mutant, exhaustive=True).violations
+                fast = checker(mutant, exhaustive=False).violations
+                assert fast == full[: len(fast)], name
+                assert bool(fast) == bool(full), name
+                assert len({fast_mode_group(v) for v in fast}) <= 1, name
+                if len(full) > len(fast):
+                    cut, after = fast_mode_group(fast[-1]), fast_mode_group(full[len(fast)])
+                    assert after != cut, name
+                    cuts.add((cut[0].removeprefix("B0/")[0], after[0] == cut[0]))
+    # The cut falls between phases, and between vertices of an A and a B phase.
+    assert {("A", True), ("B", True)} <= cuts
+    assert any(not same_phase for _, same_phase in cuts)
 
 
 def component_mutants(graph, seed, count):
@@ -426,6 +496,23 @@ def test_ladder_with_cyclic_rails_is_rejected():
         assert [v.detail for v in verdict.violations] == [
             "a source does not head a well-formed ladder"
         ]
+
+
+def test_colors_without_edges_cost_no_color_pairs():
+    # Every color 1..n-1 is checked, but a color with no edge takes part in
+    # no difference table or square: n = 3,000 colors check in well under a
+    # second, where a loop over all color pairs takes several.
+    n = 3000
+    graphs = [
+        CrystalGraph(n, [], []),
+        CrystalGraph(n, [Vertex("v", "v", (0,) * n)], []),
+    ]
+    start = time.perf_counter()
+    for g in graphs:
+        for exhaustive in (True, False):
+            assert check_stembridge(g, exhaustive).ok
+            assert check_queer_regular(g, exhaustive).ok
+    assert time.perf_counter() - start < 1.0
 
 
 def test_no_checker_builds_a_graph(monkeypatch):

@@ -16,7 +16,11 @@ Checks:
   ``--n`` to ``expand`` or ``string`` exits 2 saying so,
 * ``verify`` exits 2 naming the vertex for a weight of ``true``, ``-1``,
   ``1.5`` or ``"1"``, and for ``"n": true``; its budget refusal names
-  ``import_json``, the count and the budget,
+  ``import_json``, the count and the budget, and on a file of a megabyte or
+  more comes from the entries up to the budget, with ``json.loads`` never
+  called, so such a file cut off after them is refused for its size,
+* ``verify`` on a graph with no vertex and n = 10^9 exits 0 for every axiom
+  family and mode,
 * global options are accepted before the subcommand and relative outputs land
   in the requested directory; every subcommand, ``string`` included, exits 2
   on a nonpositive ``--max-vertices`` without output or files, and reports
@@ -43,7 +47,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crystals.graph
 from crystals import (
+    CrystalGraph,
     components,
     export_json,
     import_json,
@@ -417,6 +423,52 @@ def test_verify_budget_refuses_a_larger_file(tmp_path, capsys):
         capsys, "--max-vertices", "8", "verify", "--input", str(source), "--axioms", "queer"
     )
     assert code == 0
+
+
+def isolated_vertices_file(path, count):
+    """A canonical graph file of ``count`` isolated vertices of weight (0, 0);
+    20,000 of them make about 1.9 MB."""
+    vertices = [(f"v{k:05}", "", (0, 0)) for k in range(count)]
+    path.write_text(export_json(CrystalGraph(2, vertices, [])), encoding="utf-8")
+    return path
+
+
+def test_verify_budget_refuses_a_large_file_before_parsing_it(tmp_path, capsys, monkeypatch):
+    source = isolated_vertices_file(tmp_path / "wide.json", 20000)
+    text = source.read_text(encoding="utf-8")
+    code, out, _ = run(capsys, "--max-vertices", "20000", "verify", "--input", str(source),
+                       "--axioms", "stembridge")
+    assert (code, json.loads(out)["ok"]) == (0, True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads parsed the whole file")
+
+    monkeypatch.setattr(crystals.graph.json, "loads", refuse)
+    for budget in ("5", "19999"):
+        code, out, err = run(capsys, "--max-vertices", budget, "verify", "--input", str(source),
+                             "--axioms", "queer")
+        assert code == 4 and out == ""
+        assert (f"import_json: graph file lists at least {int(budget) + 1} vertices, "
+                f"over the budget of {budget} vertices") in err
+    # Only the entries up to the budget are read: a file cut off after them
+    # is refused for its size, and exits 2 as malformed when within budget.
+    source.write_text(text[: text.index('"v19990"')], encoding="utf-8")
+    assert run(capsys, "--max-vertices", "5", "verify", "--input", str(source),
+               "--axioms", "queer")[0] == 4
+    monkeypatch.undo()
+    assert run(capsys, "verify", "--input", str(source), "--axioms", "queer")[0] == 2
+
+
+def test_verify_empty_graph_with_huge_n_exits_zero(tmp_path, capsys):
+    # No vertex, so nothing may cost n: not the colors 1..n-1, not the pairs.
+    source = tmp_path / "empty.json"
+    source.write_text('{"n": 1000000000, "vertices": [], "edges": []}', encoding="utf-8")
+    for axioms in ("stembridge", "queer", "components01", "components02"):
+        for mode in ("exhaustive", "fast"):
+            code, out, _ = run(capsys, "verify", "--input", str(source), "--axioms", axioms,
+                               "--mode", mode)
+            assert code == 0, (axioms, mode)
+            assert json.loads(out) == {"ok": True, "violations": [], "notes": []}
 
 
 @pytest.mark.parametrize("change, message", [

@@ -7,11 +7,15 @@ Checks:
 * the benchmark's tracer (``perfbench/tracer.py``, which wraps library
   functions by module and name) installs on the library and restores it, so
   a deleted or renamed function it probes fails here rather than in a traced
-  benchmark run.
+  benchmark run,
+* every name a ``crystals`` submodule imports is used in that module (the
+  package's ``__init__.py`` re-exports, so it is exempt), so a deletion
+  leaves no dead import behind.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -43,3 +47,21 @@ def test_benchmark_tracer_installs_and_restores():
         assert crystals.check_stembridge is checker
     finally:
         del sys.modules[spec.name]
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(Path(crystals.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
+    assert unused == []
