@@ -72,14 +72,14 @@ def parse_shape(text: str) -> tuple[int, ...]:
     """Parse a comma-separated weakly descending shape like ``"3,1"``.
 
     Raises:
-        ParseError: empty, non-integer, non-positive, or increasing input.
+        ParseError: empty, non-ASCII-integer, too long, non-positive, or increasing input.
     """
-    parts = [p.strip() for p in text.split(",")]
-    values = []
-    for part in parts:
-        if not part.isdigit() or int(part) < 1:
-            raise ParseError(f"shape parts must be positive integers, got {text!r}")
-        values.append(int(part))
+    try:  # ASCII digits only: str.isdigit also takes "²" and "٣"
+        values = [int(p) if p.isascii() and p.strip().isdigit() else 0 for p in text.split(",")]
+    except ValueError:  # a part past Python's digit limit
+        values = [0]
+    if min(values) < 1:
+        raise ParseError(f"shape parts must be positive integers, got {text!r}")
     if any(a < b for a, b in zip(values, values[1:])):
         raise ParseError(f"shape must be descending, got {text!r}")
     return tuple(values)

@@ -59,14 +59,17 @@ def color_from_str(text: str) -> Color:
     """Inverse of ``str`` on colors: ``"0"``, ``"1"``, … or an odd ``"1p"``, ….
 
     Raises:
-        ParseError: ``text`` is not such a color, e.g. ``"-1"`` or ``"01"``.
+        ParseError: ``text`` is not such a color (``"-1"``, ``"01"``, past Python's digit limit).
     """
     match = _COLOR.fullmatch(text)
     if match is None:
         raise ParseError(
             f"edge color {text!r} is neither an integer nor a label like '1p'"
         )
-    return int(text) if match.group(1) else text
+    try:
+        return int(text) if match.group(1) else text
+    except ValueError:  # past Python's integer digit limit
+        raise ParseError(f"edge color of {len(text)} digits is past Python's limit") from None
 
 
 class Vertex(NamedTuple):
@@ -469,39 +472,28 @@ class TensorView:
         w2 = self.right.weight_of(pair[1])
         return tuple(a + b for a, b in zip(w1, w2))
 
-    def _acts_left(self, pair: Pair, color: Color, lowering: bool) -> bool | None:
-        """Which factor the move acts on; ``None`` for a color without moves."""
-        if color == 0:
-            if not self.queer:
-                return None
-            return not any(self.right.weight_of(pair[1])[:2])
-        if color not in self._eps_right:
+    def _move(self, pair: Pair, color: Color, lowering: bool) -> Pair | None:
+        """``pair``'s lowering (or raising) move of ``color``, by the rule above."""
+        b1, b2 = pair
+        if color == 0 and self.queer:
+            on_left = not any(self.right.weight_of(b2)[:2])
+        elif color in self._eps_right:
+            eps = self._eps_right[color][b2]
+            phi = self._phi_left[color][b1]
+            on_left = eps < phi if lowering else eps <= phi
+        else:
             return None
-        eps = self._eps_right[color][pair[1]]
-        phi = self._phi_left[color][pair[0]]
-        return eps < phi if lowering else eps <= phi
+        factor, b = (self.left, b1) if on_left else (self.right, b2)
+        moved = factor.out_edge(b, color) if lowering else factor.in_edge(b, color)
+        if moved is None:
+            return None
+        return (moved, b2) if on_left else (b1, moved)
 
     def out_edge(self, pair: Pair, color: Color) -> Pair | None:
-        on_left = self._acts_left(pair, color, lowering=True)
-        if on_left is None:
-            return None
-        b1, b2 = pair
-        if on_left:
-            target = self.left.out_edge(b1, color)
-            return None if target is None else (target, b2)
-        target = self.right.out_edge(b2, color)
-        return None if target is None else (b1, target)
+        return self._move(pair, color, lowering=True)
 
     def in_edge(self, pair: Pair, color: Color) -> Pair | None:
-        on_left = self._acts_left(pair, color, lowering=False)
-        if on_left is None:
-            return None
-        b1, b2 = pair
-        if on_left:
-            source = self.left.in_edge(b1, color)
-            return None if source is None else (source, b2)
-        source = self.right.in_edge(b2, color)
-        return None if source is None else (b1, source)
+        return self._move(pair, color, lowering=False)
 
     def even_highest_weights(self) -> list[Pair]:
         """Pairs with no incoming even edge, without visiting the whole product.
@@ -681,7 +673,7 @@ def _lists_over(text: str, limit: int) -> bool:
             return False
         try:
             pos = decode(text, gap.end())[1]
-        except ValueError:  # malformed JSON, or an integer past Python's digit limit
+        except (ValueError, RecursionError):  # malformed JSON, or past Python's limits
             return False
     return True
 
@@ -693,10 +685,11 @@ def import_json(text: str, config: Config | None = None) -> CrystalGraph:
     fails one is read entry by entry, for the first problem in file order.
 
     Raises:
-        ParseError: Malformed JSON or schema, including a negative or boolean
-            ``n`` or weight, an edge color that :func:`color_from_str` refuses
-            and an id, payload, src or dst that UTF-8 cannot encode; carries
-            the failure position when the JSON itself does not parse.
+        ParseError: Malformed JSON or schema, including an integer or a nesting
+            past Python's limits, a negative or boolean ``n`` or weight, an edge
+            color that :func:`color_from_str` refuses and an id, payload, src or
+            dst that UTF-8 cannot encode; carries the failure position when the
+            JSON itself does not parse.
         ClosureBudgetExceeded: The file lists more than
             ``config.max_vertices`` vertices; checked before any vertex is
             read, and for a file of ``_SCAN_FLOOR`` characters or more that
@@ -711,6 +704,8 @@ def import_json(text: str, config: Config | None = None) -> CrystalGraph:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from None
+    except (ValueError, RecursionError):  # Python's integer digit limit or recursion limit
+        raise ParseError("invalid JSON: an integer or a nesting past Python's limits") from None
     _require(isinstance(data, dict), "top level must be an object")
     for key in ("n", "vertices", "edges"):
         _require(key in data, f"missing key {key!r}")

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from . import queer, young
 from .config import Config, DEFAULT_CONFIG
-from .errors import ClosureBudgetExceeded, ParseError, ValueOutOfRange
+from .errors import ClosureBudgetExceeded, ValueOutOfRange
 from .graph import Color, CrystalGraph, Vertex, Weight
 from .pairing import string_scan
 from .shifted import lower_at, raise_at, yamanouchi_codes
@@ -93,7 +93,7 @@ def _tableau_graph(
         ClosureBudgetExceeded: More than ``config.max_vertices`` tableaux;
             the enumeration stops at the first one past the budget.
         ParseError: Some ``f(t)`` is not an enumerated tableau, that is, the
-            enumeration is not closed under lowering.
+            enumeration is not closed under lowering; ``CrystalGraph`` refuses it.
     """
     config = config or DEFAULT_CONFIG
     g = checked_geometry(shape, n, shifted_shape)
@@ -102,13 +102,6 @@ def _tableau_graph(
         codes: render_codes(codes, g)
         for codes in enumerate_codes(g, n, config.max_vertices)
     }
-
-    def target(codes: tuple[int, ...]) -> str:
-        tid = ids.get(codes)
-        if tid is None:
-            raise ParseError(f"edge target {render_codes(codes, g)!r} is not a vertex")
-        return tid
-
     vertices = []
     edges = []
     for codes, tid in ids.items():
@@ -116,9 +109,10 @@ def _tableau_graph(
         down = string_scan(codes, g.reading, n).down
         for i in range(1, n):
             if down[i] >= 0:
-                edges.append((tid, i, target(lower(codes, g, i, down[i]))))
+                moved = lower(codes, g, i, down[i])
+                edges.append((tid, i, ids.get(moved) or render_codes(moved, g)))
         if queer_move and (moved := queer.f0_codes(codes)) is not None:
-            edges.append((tid, 0, target(moved)))
+            edges.append((tid, 0, ids.get(moved) or render_codes(moved, g)))
     return CrystalGraph(n, vertices, edges)
 
 

@@ -4,9 +4,9 @@ All statistics disregard marks: an entry counts by its value only.  Positions ar
 1-based; for a word ``w`` of length ``N`` the prefix of length ``r`` is
 ``w[0:r]``, with ``r = 0`` denoting the empty prefix.
 
-:func:`string_scan` computes the same statistics for every color at once on
-a packed reading word (see :mod:`crystals.tableaux`), which is how the
-tableau operators read them.
+:func:`string_scan` gives the statistics of every color in one pass over a packed
+reading word (see :mod:`crystals.tableaux`); every statistic here but the bracket
+pairs of :func:`classify_pairs` reads it, on the ``Entry`` word packed, for a color >= 0.
 """
 
 from __future__ import annotations
@@ -18,33 +18,28 @@ from .errors import IndexOutOfRange
 from .tableaux import Geometry, Tableau, Word, geometry_of, pack
 
 
+def _word_scan(word: Word, i: int) -> StringScan:
+    """:func:`string_scan` of ``word`` packed, reading every letter in order."""
+    if i < 0:
+        raise IndexOutOfRange(f"color must be non-negative, got {i}")
+    codes = [2 * e.value - e.marked for e in word]
+    return string_scan(codes, [(k, code & 1) for k, code in enumerate(codes)], i)
+
+
 def m_i_prefix(word: Word, i: int, r: int) -> int:
     """Count of value ``i`` minus count of value ``i + 1`` in the length-``r`` prefix.
 
     Raises:
-        IndexOutOfRange: ``r`` is negative or exceeds the word length.
+        IndexOutOfRange: ``r`` is outside ``0..len(word)``, or ``i`` is negative.
     """
     if not 0 <= r <= len(word):
-        raise IndexOutOfRange(
-            f"prefix length {r} outside 0..{len(word)}"
-        )
-    low = sum(1 for e in word[:r] if e.value == i)
-    high = sum(1 for e in word[:r] if e.value == i + 1)
-    return low - high
+        raise IndexOutOfRange(f"prefix length {r} outside 0..{len(word)}")
+    return _word_scan(word[:r], i).balance[i]
 
 
 def m_i(word: Word, i: int) -> int:
     """Maximum of :func:`m_i_prefix` over all prefixes, including the empty one."""
-    best = 0
-    running = 0
-    for e in word:
-        if e.value == i:
-            running += 1
-        elif e.value == i + 1:
-            running -= 1
-        if running > best:
-            best = running
-    return best
+    return _word_scan(word, i).phi[i]
 
 
 def eps_i(word: Word, i: int) -> int:
@@ -52,48 +47,18 @@ def eps_i(word: Word, i: int) -> int:
 
     The empty suffix contributes 0, so the result is never negative.
     """
-    best = 0
-    running = 0
-    for e in reversed(word):
-        if e.value == i + 1:
-            running += 1
-        elif e.value == i:
-            running -= 1
-        if running > best:
-            best = running
-    return best
+    return _word_scan(word, i).eps(i)
 
 
 def first_max_position(word: Word, i: int) -> int:
     """Smallest prefix length attaining :func:`m_i` (0 when the maximum is 0)."""
-    best = 0
-    best_r = 0
-    running = 0
-    for r, e in enumerate(word, start=1):
-        if e.value == i:
-            running += 1
-        elif e.value == i + 1:
-            running -= 1
-        if running > best:
-            best = running
-            best_r = r
-    return best_r
+    return _word_scan(word, i).down[i] + 1
 
 
 def last_max_position(word: Word, i: int) -> int:
     """Largest prefix length attaining :func:`m_i`."""
-    best = 0
-    best_r = 0
-    running = 0
-    for r, e in enumerate(word, start=1):
-        if e.value == i:
-            running += 1
-        elif e.value == i + 1:
-            running -= 1
-        if running >= best:
-            best = running
-            best_r = r
-    return best_r
+    up = _word_scan(word, i).up[i]
+    return len(word) if up < 0 else up
 
 
 @dataclass(frozen=True, slots=True)

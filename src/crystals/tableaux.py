@@ -84,19 +84,30 @@ class Entry:
         return self.render()
 
 
-_ENTRY_RE = re.compile(r"(\d+)('?)")
+_ENTRY_RE = re.compile(r"([0-9]+)('?)")  # ASCII digits: \d takes any Unicode digit
 
 Row = tuple[Entry, ...]
 Rows = tuple[Row, ...]
 Word = tuple[Entry, ...]
 
 
+def _entry_of(text: str, position: int | None = None) -> Entry:
+    """The entry ``text`` spells in ASCII digits and an optional mark; a
+    :class:`ParseError` for none, or for a value past Python's digit limit."""
+    try:
+        if match := _ENTRY_RE.fullmatch(text.strip()):
+            return Entry(int(match.group(1)), match.group(2) == "'")
+    except ValueError:  # past Python's integer digit limit
+        pass
+    raise ParseError(f"invalid entry {text.strip()!r}", position)
+
+
 def parse_entry(text: str) -> Entry:
     """Parse ``"3"`` or ``"3'"`` into an :class:`Entry`."""
-    match = _ENTRY_RE.fullmatch(text.strip())
-    if match is None or int(match.group(1)) < 1:
+    entry = _entry_of(text)
+    if entry.value < 1:
         raise ParseError(f"invalid entry {text!r}")
-    return Entry(int(match.group(1)), match.group(2) == "'")
+    return entry
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,14 +270,7 @@ def _parse_rows(text: str) -> list[list[Entry]]:
         if j < 0:
             raise ParseError("unterminated row", pos + i)
         body = inner[i + 1 : j].strip()
-        row: list[Entry] = []
-        if body:
-            for piece in body.split(","):
-                match = _ENTRY_RE.fullmatch(piece.strip())
-                if match is None:
-                    raise ParseError(f"invalid entry {piece.strip()!r}", pos + i)
-                row.append(Entry(int(match.group(1)), match.group(2) == "'"))
-        rows.append(row)
+        rows.append([_entry_of(piece, pos + i) for piece in body.split(",")] if body else [])
         i = j + 1
         while i < len(inner) and inner[i] in ", ":
             i += 1

@@ -19,6 +19,10 @@ Everything here is deliberately naive and independent of the code under test:
 * the {0,1} and {0,2} component classifiers on those copies (``subgraph``,
   then one ``restrict`` per component), as the library ran them before it
   walked the components on the graph itself,
+* the word statistics (``m_i_prefix``, ``m_i``, ``eps_i``,
+  ``first_max_position``, ``last_max_position``) as one loop each over an
+  ``Entry`` word, as the library computed them before they read its one-pass
+  ``string_scan``,
 * the tableau operators (f_i, e_i, f0, e0, phi, eps) and both tableau
   enumerations on ``Entry`` rows, with their own cell lookups and reading
   orders, as the library computed them before it moved to packed integer
@@ -69,7 +73,6 @@ from crystals import (
 )
 from crystals.axioms import Verdict, Violation
 from crystals.graph import Color
-from crystals.pairing import eps_i, first_max_position, last_max_position, m_i
 from crystals.queer import apply_weyl_word, odd_word
 from crystals.shifted import eps as shifted_eps
 from crystals.tableaux import (
@@ -84,6 +87,84 @@ from crystals.tableaux import (
 )
 
 T = TypeVar("T")
+
+
+def m_i_prefix(word: Word, i: int, r: int) -> int:
+    """Count of value ``i`` minus count of value ``i + 1`` in the length-``r`` prefix.
+
+    Raises:
+        IndexOutOfRange: ``r`` is negative or exceeds the word length.
+    """
+    if not 0 <= r <= len(word):
+        raise IndexOutOfRange(
+            f"prefix length {r} outside 0..{len(word)}"
+        )
+    low = sum(1 for e in word[:r] if e.value == i)
+    high = sum(1 for e in word[:r] if e.value == i + 1)
+    return low - high
+
+
+def m_i(word: Word, i: int) -> int:
+    """Maximum of :func:`m_i_prefix` over all prefixes, including the empty one."""
+    best = 0
+    running = 0
+    for e in word:
+        if e.value == i:
+            running += 1
+        elif e.value == i + 1:
+            running -= 1
+        if running > best:
+            best = running
+    return best
+
+
+def eps_i(word: Word, i: int) -> int:
+    """Maximum over suffixes of the count of ``i + 1`` minus the count of ``i``.
+
+    The empty suffix contributes 0, so the result is never negative.
+    """
+    best = 0
+    running = 0
+    for e in reversed(word):
+        if e.value == i + 1:
+            running += 1
+        elif e.value == i:
+            running -= 1
+        if running > best:
+            best = running
+    return best
+
+
+def first_max_position(word: Word, i: int) -> int:
+    """Smallest prefix length attaining :func:`m_i` (0 when the maximum is 0)."""
+    best = 0
+    best_r = 0
+    running = 0
+    for r, e in enumerate(word, start=1):
+        if e.value == i:
+            running += 1
+        elif e.value == i + 1:
+            running -= 1
+        if running > best:
+            best = running
+            best_r = r
+    return best_r
+
+
+def last_max_position(word: Word, i: int) -> int:
+    """Largest prefix length attaining :func:`m_i`."""
+    best = 0
+    best_r = 0
+    running = 0
+    for r, e in enumerate(word, start=1):
+        if e.value == i:
+            running += 1
+        elif e.value == i + 1:
+            running -= 1
+        if running >= best:
+            best = running
+            best_r = r
+    return best_r
 
 
 def brute_prefix_statistic(word: Word, i: int, r: int) -> int:

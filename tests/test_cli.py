@@ -21,6 +21,12 @@ Checks:
   called, so such a file cut off after them is refused for its size,
 * ``verify`` on a graph with no vertex and n = 10^9 exits 0 for every axiom
   family and mode,
+* ``verify`` and ``graph --model tensor`` exit 2 without writing a file on a
+  graph file with an integer ``n`` or an edge color past Python's digit
+  limit, or with arrays nested past its recursion limit, also where the
+  budget scan of a large file meets the nesting,
+* shape parts and tableau entries take ASCII digits only, and a part or
+  entry past Python's digit limit exits 2,
 * global options are accepted before the subcommand and relative outputs land
   in the requested directory; every subcommand, ``string`` included, exits 2
   on a nonpositive ``--max-vertices`` without output or files, and reports
@@ -469,6 +475,46 @@ def test_verify_empty_graph_with_huge_n_exits_zero(tmp_path, capsys):
                                "--mode", mode)
             assert code == 0, (axioms, mode)
             assert json.loads(out) == {"ok": True, "violations": [], "notes": []}
+
+
+_PAST_INT_LIMIT = "1" + "0" * 5000  # past Python's default limit of 4,300 digits for int()
+
+
+@pytest.mark.parametrize("text, options", [
+    ('{"n": %s, "vertices": [], "edges": []}' % _PAST_INT_LIMIT, ()),
+    ('{"n": 1, "vertices": %s, "edges": []}' % ("[" * 5000 + "]" * 5000), ()),
+    # Canonical head and over 1 MiB, so the budget scan reads the first entry.
+    ('{\n  "n": 1,\n  "vertices": [%s],\n  "edges": []\n}' % ("[" * 700000 + "]" * 700000),
+     ("--max-vertices", "5")),
+    ('{"n": 1, "vertices": [{"id": "a", "payload": "a", "weight": [1]}], '
+     '"edges": [{"src": "a", "color": "%s", "dst": "a"}]}' % _PAST_INT_LIMIT, ()),
+], ids=["integer", "nesting", "nesting past the scan", "edge color"])
+def test_graph_files_past_pythons_limits_exit_two(tmp_path, capsys, text, options):
+    source = tmp_path / "limits.json"
+    source.write_text(text, encoding="utf-8")
+    product = tmp_path / "product.json"
+    for argv in (("verify", "--input", str(source), "--axioms", "queer"),
+                 ("graph", "--model", "tensor", "--left", str(source), "--right", str(source),
+                  "--out", str(product))):
+        code, out, err = run(capsys, *options, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and "Traceback" not in err, argv
+    assert not product.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("enum", "ssht", "--shape", "²", "--n", "2"),
+    ("enum", "ssht", "--shape", "٣,١", "--n", "3"),
+    ("enum", "ssyt", "--shape", _PAST_INT_LIMIT, "--n", "3"),
+    ("product", "--gamma", "2", "--delta", "¹", "--n", "3"),
+    ("product", "--gamma", _PAST_INT_LIMIT, "--delta", "1", "--n", "3"),
+    ("string", "--tableau", "[[١,٢]]", "--i", "1"),
+    ("string", "--kind", "ssyt", "--tableau", f"[[{_PAST_INT_LIMIT}]]", "--i", "1"),
+])
+def test_counts_in_shapes_and_tableaux_take_ascii_digits_only(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
 
 
 @pytest.mark.parametrize("change, message", [

@@ -10,7 +10,10 @@ Checks:
   benchmark run,
 * every name a ``crystals`` submodule imports is used in that module (the
   package's ``__init__.py`` re-exports, so it is exempt), so a deletion
-  leaves no dead import behind.
+  leaves no dead import behind,
+* ``tests/oracles.py`` imports nothing from ``crystals.pairing``, directly or
+  through the package's re-exports, so the oracles that check the word
+  statistics and the operators built on them share no code with them.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from pathlib import Path
 import crystals
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
 def test_every_export_resolves():
@@ -65,3 +69,19 @@ def test_every_import_is_used():
                 continue
             unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
     assert unused == []
+
+
+def test_oracles_import_nothing_from_pairing():
+    def from_pairing(name: str) -> bool:
+        module = getattr(getattr(crystals, name, None), "__module__", None)
+        return name == "pairing" or module == "crystals.pairing"
+
+    found = []
+    for node in ast.walk(ast.parse(ORACLES.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith("crystals.pairing")]
+        elif isinstance(node, ast.ImportFrom) and node.module == "crystals.pairing":
+            found += [f"crystals.pairing.{a.name}" for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "crystals":
+            found += [f"crystals.{a.name}" for a in node.names if from_pairing(a.name)]
+    assert found == []

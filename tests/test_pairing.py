@@ -4,12 +4,14 @@ Checks:
 * the prefix surplus, its maximum, and the suffix surplus agree with
   recompute-from-scratch oracles on random words,
 * first/last maximizing prefix lengths agree with linear scans of all prefixes,
-* the one-pass ``string_scan`` of every color at once agrees with the
-  prefix and suffix oracles on every word of length at most 7 over the
-  values 1..4, and on every marking of the words of length at most 4,
+* the one-pass ``string_scan`` of every color at once, and the five word
+  statistics, which read it, agree with the prefix and suffix oracles on
+  every word of length at most 7 over the values 1..4, and on every marking
+  of the words of length at most 4, at every color and prefix length,
 * the one-pass stack pairing matches repeated adjacent-pair cancellation,
 * structural facts: free lows precede free highs, counts tie out with the
-  prefix statistics, and marks never influence any of it.
+  prefix statistics, and marks never influence any of it,
+* a prefix length outside the word, or a negative color, is refused.
 """
 
 from __future__ import annotations
@@ -101,6 +103,11 @@ def test_prefix_bounds_checked():
         m_i_prefix(word, 1, 3)
     with pytest.raises(IndexOutOfRange):
         m_i_prefix(word, 1, -1)
+    for statistic in (m_i, eps_i, first_max_position, last_max_position):
+        with pytest.raises(IndexOutOfRange):
+            statistic(word, -1)
+    with pytest.raises(IndexOutOfRange):
+        m_i_prefix(word, -1, 1)
 
 
 def test_small_worked_example():
@@ -120,7 +127,9 @@ _SCAN_ORACLE: dict = {}
 
 
 def _scan_oracle(word, i):
-    """The four brute statistics of color ``i``, remembered by what they read.
+    """The brute statistics of color ``i``, remembered by what they read: the
+    maximum, suffix and first and last maximal prefix, then the statistic of
+    every prefix length.
 
     They count only the letters ``i`` and ``i + 1``, so words with the same
     letters of those two values at the same positions share one result.
@@ -132,13 +141,16 @@ def _scan_oracle(word, i):
             brute_suffix_statistic(word, i),
             brute_first_max(word, i),
             brute_last_max(word, i),
+            [brute_prefix_statistic(word, i, r) for r in range(len(word) + 1)],
         )
     return _SCAN_ORACLE[key]
 
 
 def test_string_scan_matches_the_oracles_on_every_small_word():
     """``string_scan`` reading every cell in order, with the mark equal to
-    the code's parity, so the reading word is the codes themselves."""
+    the code's parity, so the reading word is the codes themselves; and the
+    five word statistics, which read a scan of the ``Entry`` word, at every
+    color and every prefix length."""
     checked = 0
     for codes_of_letters, longest in (((2, 4, 6, 8), 7), (range(1, 9), 4)):
         for length in range(longest + 1):
@@ -146,10 +158,16 @@ def test_string_scan_matches_the_oracles_on_every_small_word():
                 word = tuple(Entry((c + 1) >> 1, bool(c & 1)) for c in codes)
                 scan = string_scan(codes, [(k, c & 1) for k, c in enumerate(codes)], 5)
                 for i in range(1, 6):
-                    phi, eps, first, last = _scan_oracle(word, i)
+                    phi, eps, first, last, prefixes = _scan_oracle(word, i)
                     assert scan.phi[i] == phi, (codes, i)
                     assert scan.eps(i) == eps, (codes, i)
                     assert scan.down[i] == (first - 1 if first else -1), (codes, i)
                     assert scan.up[i] == (last if last < length else -1), (codes, i)
+                    assert m_i(word, i) == phi, (codes, i)
+                    assert eps_i(word, i) == eps, (codes, i)
+                    assert first_max_position(word, i) == first, (codes, i)
+                    assert last_max_position(word, i) == last, (codes, i)
+                    assert [m_i_prefix(word, i, r) for r in range(length + 1)] == prefixes, (
+                        codes, i)
                 checked += 1
     assert checked == sum(4**k for k in range(8)) + sum(8**k for k in range(5))

@@ -68,7 +68,8 @@ def test_entry_render_parse_round_trip(e):
     assert parse_entry(e.render()) == e
 
 
-@pytest.mark.parametrize("text", ["", "0", "3''", "x", "-1", "2x"])
+@pytest.mark.parametrize("text", ["", "0", "3''", "x", "-1", "2x", "²", "٣'",
+                                  pytest.param("1" + "0" * 5000, id="past-int-digit-limit")])
 def test_parse_entry_rejects_garbage(text):
     with pytest.raises(ParseError):
         parse_entry(text)
