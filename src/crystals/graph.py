@@ -13,7 +13,8 @@ one per vertex and color, which only hand-built graphs have, are listed in
 the side tables ``multi_down``/``multi_up``.  The sorted ``edges`` tuple is
 made on request, so a graph built from the same vertex and edge sets in any
 order has the same JSON and DOT bytes.  The tableau crystals are built in
-:mod:`crystals.models`.
+:mod:`crystals.models`; they and :func:`tensor_graphs` hand their edges to
+:meth:`CrystalGraph._indexed` as per-color target indices.
 
 A :class:`TensorView` reads the tensor product of two crystals on demand,
 each given as a graph or as any factor with the graph's read protocol (such
@@ -28,7 +29,7 @@ import re
 from itertools import chain
 from json.encoder import encode_basestring
 from operator import add, itemgetter
-from typing import Hashable, Iterable, NamedTuple
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import (
@@ -84,11 +85,12 @@ class CrystalGraph:
     """Immutable colored digraph on vertices indexed in sorted-id order.
 
     ``vertices`` are :class:`Vertex` values or ``(id, payload, weight)``
-    triples; repeated edges count once.  The one-edge rule is a property of
-    crystals, not a construction invariant: hand-built graphs may break it,
-    and the axiom checkers report that as an A2/B2 violation.  Accessors
-    therefore expose both the full target lists and the first-target forms.
-    Errors name the first offender in sorted order.
+    triples; repeated edges count once.  The builders, which hold target
+    indices already, use :meth:`_indexed` instead.  The one-edge rule is a
+    property of crystals, not a construction invariant: hand-built graphs may
+    break it, and the axiom checkers report that as an A2/B2 violation.
+    Accessors therefore expose both the full target lists and the
+    first-target forms.  Errors name the first offender in sorted order.
     """
 
     __slots__ = ("n", "vertex_ids", "payloads", "weights", "index",
@@ -133,6 +135,49 @@ class CrystalGraph:
                 for k, targets in ends.items():
                     ends[k] = tuple(sorted(targets))
                     firsts[color][k] = ends[k][0]
+
+    @classmethod
+    def _indexed(cls, n: int, ids: list[str], payloads: list[str], weights: list[Weight],
+                 down: dict[Color, list[int]],
+                 strays: Sequence[tuple[int, Color, str]] = ()) -> CrystalGraph:
+        """``CrystalGraph(n, zip(ids, payloads, weights), edges)`` from rows in
+        any order and, per color, each row's edge target as a row index (``-1``
+        for none), as the model and tensor builders hold them.
+
+        ``strays`` are ``(row, color, target id)`` edges to no row.  Strays, a
+        repeated id, a weight of another length and two sources of one target
+        go through ``__init__``, which refuses the first three and lists the
+        last in ``multi_up``.
+        """
+        size = len(ids)
+        order = sorted(range(size), key=ids.__getitem__)
+        rank = [0] * size + [-1]  # rank[-1] keeps "no target" at -1
+        for new, old in enumerate(order):
+            rank[old] = new
+        self = cls.__new__(cls)
+        self.n = n
+        self.vertex_ids = tuple(map(ids.__getitem__, order))
+        self.payloads = [*map(payloads.__getitem__, order)]
+        self.weights = [*map(weights.__getitem__, order)]
+        self.index = {vid: k for k, vid in enumerate(self.vertex_ids)}
+        self.down, self.up, self.multi_down, self.multi_up = {}, {}, {}, {}
+        clean = not strays and len(self.index) == size and set(map(len, self.weights)) <= {n}
+        for color in sorted(down, key=color_key) if clean else ():
+            if down[color].count(-1) == size:
+                continue
+            row = [*map(rank.__getitem__, map(down[color].__getitem__, order))]
+            up = [-1] * (size + 1)  # up[-1] takes the writes of "no target"
+            for s, d in enumerate(row):
+                up[d] = s
+            up.pop()
+            if up.count(-1) != row.count(-1):
+                clean = False
+                break
+            self.down[color], self.up[color] = row, up
+        if clean:
+            return self
+        edges = [(ids[s], c, ids[d]) for c, row in down.items() for s, d in enumerate(row) if d >= 0]
+        return cls(n, zip(ids, payloads, weights), edges + [(ids[s], c, d) for s, c, d in strays])
 
     # -- accessors ---------------------------------------------------------
 
@@ -337,7 +382,9 @@ def components(graph: CrystalGraph) -> list[CrystalGraph]:
 def _sources(graph: CrystalGraph, colors: Iterable[Color]) -> list[int]:
     """Vertices with no incoming edge of any of ``colors``."""
     rows = [graph.up[c] for c in colors if c in graph.up]
-    return [k for k in range(len(graph)) if all(row[k] < 0 for row in rows)]
+    if not rows:
+        return [*range(len(graph))]
+    return [k for k, column in enumerate(zip(*rows)) if max(column) < 0]
 
 
 def highest_weights(
@@ -553,18 +600,16 @@ def tensor_graphs(
         # The 0-move acts on the left exactly when wt_1 = wt_2 = 0 on the right.
         rules.append((0, [1] * len(g1), [1 if any(w[:2]) else 0 for w in g2.weights]))
     none1, none2 = [-1] * len(g1), [-1] * width
-    edges = []
+    down = {}
     for color, phi, eps in rules:
         down1, down2 = g1.down.get(color, none1), g2.down.get(color, none2)
+        targets = down[color] = []
         for a, (bound, t1) in enumerate(zip(phi, down1)):
-            base = a * width
-            for b, (e, t2) in enumerate(zip(eps, down2)):
-                if e < bound:
-                    if t1 >= 0:
-                        edges.append((ids[base + b], color, ids[t1 * width + b]))
-                elif t2 >= 0:
-                    edges.append((ids[base + b], color, ids[base + t2]))
-    return CrystalGraph(g1.n, zip(ids, ids, weights), edges)
+            base, left = a * width, t1 * width
+            targets += [(left + b if t1 >= 0 else -1) if e < bound
+                        else (base + t2 if t2 >= 0 else -1)
+                        for b, (e, t2) in enumerate(zip(eps, down2))]
+    return CrystalGraph._indexed(g1.n, ids, ids, weights, down)
 
 
 # -- serialization ------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Ready-made crystal graphs: the standard crystals and the tableau crystals.
 
 A tableau crystal's vertices are all tableaux of its shape, so each
-constructor enumerates them once and adds the edge ``t -> f(t)`` for every
-lowering operator ``f`` defined at ``t``.  Raising operators are the inverse
-moves and add no edge.  Vertex ids are the canonical tableau text.  Both
-run on packed tableaux (:mod:`crystals.tableaux`) and call the packed
-operator bodies directly.
+constructor enumerates them once, in the order they are filled, and adds
+the edge ``t -> f(t)`` for every lowering operator ``f`` defined at ``t``.
+Raising operators are the inverse moves and add no edge.  Vertex ids are
+the canonical tableau text.  The builder runs on packed tableaux
+(:mod:`crystals.tableaux`), calls the packed operator bodies directly and
+hands each edge to ``CrystalGraph._indexed`` as its target's index.
 
 :class:`QueerTableauCrystal` is the queer crystal of a shape without the
 graph: it checks its shape and alphabet when constructed, and moves
@@ -83,9 +84,10 @@ def _tableau_graph(
     each color ``1..n-1`` where ``f_i`` is defined, and ``t -> f0(t)`` too
     when ``queer_move`` is set.
 
-    Works on packed codes: each tableau is rendered once as its id, its
-    reading word is scanned once for the lowering cell of every color, and
-    each target is looked up by its codes.
+    Works on packed codes in the order they are enumerated: each tableau is
+    rendered once as its id, its reading word is scanned once for the
+    lowering cell of every color, and each target's index is looked up by
+    its codes.
 
     Raises:
         ShapeMismatch: ``shape`` is not a (strict) partition.
@@ -98,22 +100,24 @@ def _tableau_graph(
     config = config or DEFAULT_CONFIG
     g = checked_geometry(shape, n, shifted_shape)
     lower = lower_at if shifted_shape else young.lower_at
-    ids = {
-        codes: render_codes(codes, g)
-        for codes in enumerate_codes(g, n, config.max_vertices)
-    }
-    vertices = []
-    edges = []
-    for codes, tid in ids.items():
-        vertices.append((tid, tid, weight_codes(codes, n)))
-        down = string_scan(codes, g.reading, n).down
-        for i in range(1, n):
-            if down[i] >= 0:
-                moved = lower(codes, g, i, down[i])
-                edges.append((tid, i, ids.get(moved) or render_codes(moved, g)))
+    tableaux = enumerate_codes(g, n, config.max_vertices)
+    index = {codes: k for k, codes in enumerate(tableaux)}
+    down = {i: [-1] * len(tableaux) for i in range(0 if queer_move else 1, n)}
+    rows = [(i, down[i]) for i in range(1, n)]
+    strays = []  # lowerings that leave the enumeration
+    for k, codes in enumerate(tableaux):
+        cells = string_scan(codes, g.reading, n).down
+        moves = [(i, row, lower(codes, g, i, cells[i])) for i, row in rows if cells[i] >= 0]
         if queer_move and (moved := queer.f0_codes(codes)) is not None:
-            edges.append((tid, 0, ids.get(moved) or render_codes(moved, g)))
-    return CrystalGraph(n, vertices, edges)
+            moves.append((0, down[0], moved))
+        for i, row, moved in moves:
+            if (t := index.get(moved)) is None:
+                strays.append((k, i, render_codes(moved, g)))
+            else:
+                row[k] = t
+    ids = [render_codes(codes, g) for codes in tableaux]
+    weights = [weight_codes(codes, n) for codes in tableaux]
+    return CrystalGraph._indexed(n, ids, ids, weights, down, strays)
 
 
 def young_graph(

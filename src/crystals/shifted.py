@@ -27,9 +27,8 @@ from .tableaux import (
     Geometry,
     ShiftedTableau,
     _check_budget,
+    _in_reading_order,
     check_codes,
-    checked_geometry,
-    reading_key,
     unpack,
     with_codes,
 )
@@ -156,8 +155,7 @@ def enumerate_yamanouchi(
         ClosureBudgetExceeded: There are more than ``limit`` tableaux; raised
             when the ``limit + 1``-st is found.
     """
-    g = checked_geometry(shape, n, shifted=True)
-    return [unpack(codes, g) for codes in yamanouchi_codes(g, n, limit)]
+    return _in_reading_order(yamanouchi_codes, shape, n, limit, shifted=True)
 
 
 def yamanouchi_codes(
@@ -176,7 +174,9 @@ def yamanouchi_codes(
     then each marked value of column ``k``, larger than its left neighbour
     and at most the entry above it.  A branch stops once some value
     outnumbers its predecessor; each completed filling is still checked
-    full and semistandard.  The result is ordered by hook reading word.
+    full and semistandard.  A ballot word on ``|shape|`` letters uses at
+    most ``|shape|`` values, so no value past ``min(n, |shape|)`` is tried.
+    The result is in the order the fillings complete.
 
     Raises:
         ClosureBudgetExceeded: There are more than ``limit`` tableaux; raised
@@ -188,8 +188,9 @@ def yamanouchi_codes(
     # filled[r - 1]: cells of row r written so far.
     filled = [0] * len(shape)
     results: list[tuple[int, ...]] = []
+    values = min(n, g.size)
     # count[v]: letters of value v read so far; count[0] never binds.
-    count = [g.size] + [0] * n
+    count = [g.size] + [0] * values
     columns = shape[0] if shape else 0
 
     def step(k: int) -> None:
@@ -204,7 +205,7 @@ def yamanouchi_codes(
         if k > len(shape):
             column(k, len(shape))
             return
-        if k > n:  # row k starts with the value k
+        if k > values:  # row k starts with the value k
             return
         start = starts[k - 1]
         for run in range(1, min(shape[k - 1], count[k - 1] - count[k]) + 1):
@@ -223,7 +224,7 @@ def yamanouchi_codes(
         if not r:
             step(k + 1)
             return
-        high = n
+        high = values
         if r < len(shape) and k - r <= shape[r]:
             high = min(high, (codes[starts[r] + k - r - 1] + 1) >> 1)
         cell = starts[r - 1] + filled[r - 1]
@@ -237,5 +238,4 @@ def yamanouchi_codes(
                 filled[r - 1] -= 1
 
     step(1)
-    results.sort(key=lambda codes: reading_key(codes, g))
     return results

@@ -127,7 +127,9 @@ def product_expand(
 
     Counts the queer highest weights of ``B(gamma) ⊗ B(delta)`` over an
     ``n``-letter alphabet, grouped by weight.  With ``n`` at least
-    ``sum(gamma) + sum(delta)`` the counts expand the product completely.
+    ``sum(gamma) + sum(delta)`` the counts expand the product completely, so
+    a larger ``n`` is searched as that sum (or 2, the smallest queer
+    alphabet), and its cost does not grow with ``n``.
 
     No graph is built.  The product commutes, so the shape with more cells
     is put on the left.  Both factors are
@@ -149,6 +151,7 @@ def product_expand(
     for shape in (gamma, delta):
         if not is_strict_partition(tuple(shape)):
             raise ShapeMismatch(f"{tuple(shape)} is not a strict partition")
+    n = min(n, max(sum(gamma) + sum(delta), 2))
     if sum(delta) > sum(gamma):
         gamma, delta = delta, gamma
     product = TensorView(

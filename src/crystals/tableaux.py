@@ -302,13 +302,15 @@ def _check_budget(results: list, g: Geometry, limit: int | None) -> None:
 def enumerate_codes(
     g: Geometry, n: int, limit: int | None = None
 ) -> list[tuple[int, ...]]:
-    """Packed tableaux of ``g``'s shape with values at most ``n``, in reading order.
+    """Packed tableaux of ``g``'s shape with values at most ``n``, in the
+    order they are filled.
 
     Cells are filled in row-major order with every code allowed by the west
     and south neighbours (weakly larger, and a repeat only of an unmarked
     code along a row or a marked one up a column); cells that take unmarked
-    entries only step through even codes.  The result is sorted by reading
-    word, stably, so ties keep the filling order.
+    entries only step through even codes.  The last cell takes no more
+    codes than the budget has room for, so at most ``limit + 1`` tableaux
+    are ever held, however large ``n`` is.
 
     Raises:
         ClosureBudgetExceeded: More than ``limit`` tableaux; raised once the
@@ -340,7 +342,10 @@ def enumerate_codes(
                 codes[k] = code
                 fill(k + 1)
             return
-        for code in range(low, top + 1, step):
+        stop = top + 1
+        if limit is not None:  # room for the limit + 1-st tableau, no more
+            stop = min(stop, low + step * (limit + 1 - len(results)))
+        for code in range(low, stop, step):
             codes[k] = code
             results.append(tuple(codes))
         _check_budget(results, g, limit)
@@ -348,7 +353,6 @@ def enumerate_codes(
     if size:
         fill(0)
     _check_budget(results, g, limit)
-    results.sort(key=lambda codes: reading_key(codes, g))
     return results
 
 
@@ -365,8 +369,7 @@ def enumerate_ssyt(
         ClosureBudgetExceeded: There are more than ``limit`` tableaux; raised
             when the ``limit + 1``-st is found.
     """
-    g = checked_geometry(shape, n, shifted=False)
-    return [unpack(codes, g) for codes in enumerate_codes(g, n, limit)]
+    return _in_reading_order(enumerate_codes, shape, n, limit, shifted=False)
 
 
 def enumerate_ssht(
@@ -382,8 +385,18 @@ def enumerate_ssht(
         ClosureBudgetExceeded: There are more than ``limit`` tableaux; raised
             when the ``limit + 1``-st is found.
     """
-    g = checked_geometry(shape, n, shifted=True)
-    return [unpack(codes, g) for codes in enumerate_codes(g, n, limit)]
+    return _in_reading_order(enumerate_codes, shape, n, limit, shifted=True)
+
+
+def _in_reading_order(
+    fill: Callable, shape: Sequence[int], n: int, limit: int | None, shifted: bool
+) -> list[Tableau]:
+    """``fill(g, n, limit)`` for ``shape``, unpacked and sorted by reading word
+    (stably, so ties keep the filling order), as the public enumerations print."""
+    g = checked_geometry(shape, n, shifted)
+    tableaux = fill(g, n, limit)
+    tableaux.sort(key=lambda c: reading_key(c, g))
+    return [unpack(c, g) for c in tableaux]
 
 
 def checked_geometry(shape: Sequence[int], n: int, shifted: bool) -> Geometry:

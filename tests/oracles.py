@@ -37,7 +37,14 @@ Everything here is deliberately naive and independent of the code under test:
   on packed codes served both.
 * the JSON and DOT graph writers through ``json.dumps(..., indent=2)`` and
   per-edge escaping, as the library wrote graph files before it formatted
-  the bytes directly.
+  the bytes directly,
+* the tableau and tensor graph builders as they assembled graphs before
+  they handed per-color target indices to ``CrystalGraph._indexed``: one
+  ``(src id, color, dst id)`` string triple per edge, through the public
+  ``CrystalGraph(n, vertices, edges)``.  They run the library's enumeration
+  and operator bodies, because the assembly is what they check; the lowering
+  cells come from :func:`first_max_position` rather than the library's
+  one-pass scan.
 
 Tests import these oracles and assert agreement with the library; none of the
 functions below are used by the package itself.
@@ -50,6 +57,7 @@ import json
 import re
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
+from operator import add
 from typing import TypeVar
 
 from crystals import (
@@ -71,19 +79,27 @@ from crystals import (
     queer_highest_weights,
     schur_p,
 )
+from crystals import queer, young
 from crystals.axioms import Verdict, Violation
-from crystals.graph import Color
+from crystals.config import DEFAULT_CONFIG, Config
+from crystals.graph import Color, _check_lengths, _wrap_factor, string_length_maps
 from crystals.queer import apply_weyl_word, odd_word
 from crystals.shifted import eps as shifted_eps
+from crystals.shifted import lower_at
 from crystals.tableaux import (
     Cell,
     Entry,
+    Geometry,
     ShiftedTableau,
     Tableau,
     Word,
     YoungTableau,
+    checked_geometry,
+    enumerate_codes,
     is_partition,
     is_strict_partition,
+    render_codes,
+    weight_codes,
 )
 
 T = TypeVar("T")
@@ -1561,3 +1577,95 @@ def export_dot(graph: CrystalGraph) -> str:
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# -- string-edge graph builders ----------------------------------------------------
+#
+# The library's tableau and tensor builders as they read when every edge was
+# a string triple and ``CrystalGraph.__init__`` looked both ends up again,
+# copied verbatim but for the one line that takes the lowering cells.
+
+
+def _lowering_cells(codes: tuple[int, ...], g: Geometry, n: int) -> list[int]:
+    """Per color ``0..n-1``, the cell of the letter ending the first maximal
+    prefix of the reading word of ``codes`` (``-1`` when there is none)."""
+    read = [c for c, marked in g.reading if codes[c] & 1 == marked]
+    word = [Entry((codes[c] + 1) >> 1, bool(codes[c] & 1)) for c in read]
+    positions = [first_max_position(word, i) for i in range(1, n)]
+    return [-1] + [read[r - 1] if r else -1 for r in positions]
+
+
+def string_edge_tableau_graph(
+    shifted_shape: bool,
+    shape: Sequence[int],
+    n: int,
+    config: Config | None,
+    queer_move: bool = False,
+) -> CrystalGraph:
+    """The graph on all tableaux of ``shape`` with an edge ``t -> f_i(t)`` for
+    each color ``1..n-1`` where ``f_i`` is defined, and ``t -> f0(t)`` too
+    when ``queer_move`` is set; ``CrystalGraph`` refuses an ``f(t)`` outside
+    the enumeration."""
+    config = config or DEFAULT_CONFIG
+    g = checked_geometry(shape, n, shifted_shape)
+    lower = lower_at if shifted_shape else young.lower_at
+    ids = {
+        codes: render_codes(codes, g)
+        for codes in enumerate_codes(g, n, config.max_vertices)
+    }
+    vertices = []
+    edges = []
+    for codes, tid in ids.items():
+        vertices.append((tid, tid, weight_codes(codes, n)))
+        down = _lowering_cells(codes, g, n)
+        for i in range(1, n):
+            if down[i] >= 0:
+                moved = lower(codes, g, i, down[i])
+                edges.append((tid, i, ids.get(moved) or render_codes(moved, g)))
+        if queer_move and (moved := queer.f0_codes(codes)) is not None:
+            edges.append((tid, 0, ids.get(moved) or render_codes(moved, g)))
+    return CrystalGraph(n, vertices, edges)
+
+
+def string_edge_tensor_graphs(
+    g1: CrystalGraph,
+    g2: CrystalGraph,
+    queer: bool = False,
+    config: Config | None = None,
+) -> CrystalGraph:
+    """Tensor product graph on the full cartesian product of vertices, with
+    the edges of :class:`TensorView` over every pair; vertex ids are the
+    view's payloads."""
+    config = config or DEFAULT_CONFIG
+    _check_lengths(g1, g2)
+    size = len(g1) * len(g2)
+    if size > config.max_vertices:
+        raise ClosureBudgetExceeded(
+            f"tensor product of {len(g1)} x {len(g2)} = {size} vertices "
+            f"exceeds {config.max_vertices} vertices"
+        )
+    width = len(g2)
+    right = [_wrap_factor(p) for p in g2.payloads]
+    ids = [f"{_wrap_factor(p)}⊗{q}" for p in g1.payloads for q in right]
+    weights = [tuple(map(add, w1, w2)) for w1 in g1.weights for w2 in g2.weights]
+    even = sorted({c for c in (*g1.down, *g2.down) if isinstance(c, int) and c >= 1})
+    # Per color, ``(phi, eps)``: a move acts on the left factor of ``(a, b)``
+    # exactly when ``eps[b] < phi[a]``.
+    rules = [(c, string_length_maps(g1, c)[0]) for c in even]
+    rules = [(c, phi, string_length_maps(g2, c)[1]) for c, phi in rules]
+    if queer:
+        # The 0-move acts on the left exactly when wt_1 = wt_2 = 0 on the right.
+        rules.append((0, [1] * len(g1), [1 if any(w[:2]) else 0 for w in g2.weights]))
+    none1, none2 = [-1] * len(g1), [-1] * width
+    edges = []
+    for color, phi, eps in rules:
+        down1, down2 = g1.down.get(color, none1), g2.down.get(color, none2)
+        for a, (bound, t1) in enumerate(zip(phi, down1)):
+            base = a * width
+            for b, (e, t2) in enumerate(zip(eps, down2)):
+                if e < bound:
+                    if t1 >= 0:
+                        edges.append((ids[base + b], color, ids[t1 * width + b]))
+                elif t2 >= 0:
+                    edges.append((ids[base + b], color, ids[base + t2]))
+    return CrystalGraph(g1.n, zip(ids, ids, weights), edges)

@@ -17,7 +17,9 @@ Checks:
 * the graph builders emit exactly the oracle's lowering edges, and refuse
   (``ParseError``) a lowering whose target the enumeration did not list;
 * a budget stops an enumeration at the first tableau past it, the empty
-  shape included;
+  shape included, and the enumeration never holds more than one tableau
+  past it however large the alphabet is; the Yamanouchi enumeration tries
+  no value past the number of cells;
 * ``validate_young`` and ``validate_shifted`` return the same tableau, or
   raise the same exception with the same message, as the Entry-based
   validators on every filling of every shape of up to 3 cells with values
@@ -36,11 +38,13 @@ import sys
 
 import pytest
 
+import crystals.tableaux
 import oracles
 from crystals import (
     ClosureBudgetExceeded,
     CrystalError,
     ParseError,
+    enumerate_yamanouchi,
     product_expand,
     queer,
     schur,
@@ -54,6 +58,7 @@ from crystals.tableaux import (
     Entry,
     ShiftedTableau,
     YoungTableau,
+    enumerate_codes,
     enumerate_ssht,
     enumerate_ssyt,
     geometry,
@@ -226,6 +231,26 @@ def test_enumeration_budget_counts_the_first_tableau_past_it():
             enumerate_(shape, 3, limit=3)
         with pytest.raises(ClosureBudgetExceeded, match="reached 1 tableaux, over the budget of 0"):
             enumerate_((), 3, limit=0)
+
+
+def test_enumeration_holds_no_more_than_one_tableau_past_the_budget(monkeypatch):
+    held = []
+    check = crystals.tableaux._check_budget
+
+    def record(results, g, limit):
+        held.append(len(results))
+        check(results, g, limit)
+
+    monkeypatch.setattr(crystals.tableaux, "_check_budget", record)
+    for shape, shifted_shape in (((1,), False), ((2, 1), False), ((2, 1), True), ((3,), True)):
+        with pytest.raises(ClosureBudgetExceeded, match="reached 4 tableaux, over the budget of 3"):
+            enumerate_codes(geometry(shape, shifted_shape), 10**6, limit=3)
+    assert held and max(held) <= 4
+
+
+def test_yamanouchi_enumeration_does_not_grow_with_the_alphabet():
+    assert enumerate_yamanouchi((2, 1), 10**15) == enumerate_yamanouchi((2, 1), 3)
+    assert enumerate_yamanouchi((4, 2, 1), 10**15) == enumerate_yamanouchi((4, 2, 1), 7)
 
 
 def _outcome(validate, shape, rows, n):

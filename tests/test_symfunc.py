@@ -16,6 +16,9 @@ Checks:
   four variables for every strict pair of total size 7 or 8,
 * it never calls ``queer_graph`` or constructs a ``CrystalGraph``, and it
   refuses non-strict shapes and alphabets smaller than 2,
+* on the benchmark's product pairs it gives the materialized search's answer
+  for every alphabet from the total size m to m + 3, and it never builds a
+  factor over more than m letters, so a huge alphabet costs what m does,
 * staircase shapes are exactly the ones with coinciding characters, and every
   non-staircase shape admits at least two fillings killed by all raising
   operators,
@@ -191,6 +194,37 @@ def test_product_equals_the_materialized_factor_search():
     assert cases == 59
 
 
+# The ``product`` benchmark's pairs: total size 4 to 6, both sides of size
+# at least 2, or delta = (1) with a total of 5 or 6.
+BENCHMARK_PAIRS = [
+    (gamma, delta)
+    for gamma, delta in _strict_pairs(range(4, 7))
+    if min(sum(gamma), sum(delta)) >= 2 or (delta == (1,) and sum(gamma) >= 4)
+]
+
+
+def test_product_past_the_total_size_searches_the_total_size(monkeypatch):
+    assert len(BENCHMARK_PAIRS) == 18
+    built = []
+
+    class Recording(crystals.models.QueerTableauCrystal):
+        def __init__(self, shape, n, config=None):
+            built.append(n)
+            super().__init__(shape, n, config)
+
+    monkeypatch.setattr(crystals.symfunc, "QueerTableauCrystal", Recording)
+    for gamma, delta in BENCHMARK_PAIRS:
+        m = sum(gamma) + sum(delta)
+        for n in range(m, m + 4):
+            built.clear()
+            assert product_expand(gamma, delta, n) == materialized_product(gamma, delta, n), (
+                gamma, delta, n)
+            assert built == [m, m]
+    built.clear()
+    assert product_expand((2, 1), (1,), 10**8) == {(3, 1): 1}
+    assert built == [4, 4]
+
+
 def test_product_in_four_variables_matches_greedy_oracle_to_size_eight():
     pairs = _strict_pairs((7, 8))
     assert len(pairs) == 56
@@ -209,6 +243,7 @@ def test_product_builds_no_graph(monkeypatch):
     monkeypatch.setattr(crystals.models, "queer_graph", refuse)
     monkeypatch.setattr(crystals.symfunc, "queer_graph", refuse, raising=False)
     monkeypatch.setattr(crystals.graph.CrystalGraph, "__init__", refuse)
+    monkeypatch.setattr(crystals.graph.CrystalGraph, "_indexed", refuse)
     monkeypatch.setattr(crystals.graph, "string_length_maps", refuse)
     assert product_expand((3, 1), (2,), 6) == {(5, 1): 1, (4, 2): 2, (3, 2, 1): 1}
     assert product_expand((1,), (4, 2), 7) == product_expand((4, 2), (1,), 7)
