@@ -5,8 +5,9 @@ constructor enumerates them once, in the order they are filled, and adds
 the edge ``t -> f(t)`` for every lowering operator ``f`` defined at ``t``.
 Raising operators are the inverse moves and add no edge.  Vertex ids are
 the canonical tableau text.  The builder runs on packed tableaux
-(:mod:`crystals.tableaux`), calls the packed operator bodies directly and
-hands each edge to ``CrystalGraph._indexed`` as its target's index.
+(:mod:`crystals.tableaux`), reads lowering cells and weight off one pass per
+tableau, calls the packed operator bodies directly and hands each edge to
+``CrystalGraph._indexed`` as its target's index.
 
 :class:`QueerTableauCrystal` is the queer crystal of a shape without the
 graph: it checks its shape and alphabet when constructed, and moves
@@ -22,7 +23,7 @@ from . import queer, young
 from .config import Config, DEFAULT_CONFIG
 from .errors import ClosureBudgetExceeded, ValueOutOfRange
 from .graph import Color, CrystalGraph, Vertex, Weight
-from .pairing import string_scan
+from .pairing import _lowering_scan, string_scan
 from .shifted import lower_at, raise_at, yamanouchi_codes
 from .tableaux import (
     _check_alphabet,
@@ -85,9 +86,9 @@ def _tableau_graph(
     when ``queer_move`` is set.
 
     Works on packed codes in the order they are enumerated: each tableau is
-    rendered once as its id, its reading word is scanned once for the
-    lowering cell of every color, and each target's index is looked up by
-    its codes.
+    rendered once as its id, one forward pass over its reading word gives
+    the lowering cell of every color and the weight, and each target's
+    index is looked up by its codes as the color is lowered.
 
     Raises:
         ShapeMismatch: ``shape`` is not a (strict) partition.
@@ -105,18 +106,20 @@ def _tableau_graph(
     down = {i: [-1] * len(tableaux) for i in range(0 if queer_move else 1, n)}
     rows = [(i, down[i]) for i in range(1, n)]
     strays = []  # lowerings that leave the enumeration
+    weights = []
     for k, codes in enumerate(tableaux):
-        cells = string_scan(codes, g.reading, n).down
-        moves = [(i, row, lower(codes, g, i, cells[i])) for i, row in rows if cells[i] >= 0]
+        cells, weight = _lowering_scan(codes, g.reading, n)
+        weights.append(weight)
+        for i, row in rows:
+            if cells[i] >= 0:
+                row[k] = t = index.get(moved := lower(codes, g, i, cells[i]), -1)
+                if t < 0:
+                    strays.append((k, i, render_codes(moved, g)))
         if queer_move and (moved := queer.f0_codes(codes)) is not None:
-            moves.append((0, down[0], moved))
-        for i, row, moved in moves:
-            if (t := index.get(moved)) is None:
-                strays.append((k, i, render_codes(moved, g)))
-            else:
-                row[k] = t
+            down[0][k] = t = index.get(moved, -1)
+            if t < 0:
+                strays.append((k, 0, render_codes(moved, g)))
     ids = [render_codes(codes, g) for codes in tableaux]
-    weights = [weight_codes(codes, n) for codes in tableaux]
     return CrystalGraph._indexed(n, ids, ids, weights, down, strays)
 
 

@@ -12,6 +12,7 @@ pairs of :func:`classify_pairs` reads it, on the ``Entry`` word packed, for a co
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .errors import IndexOutOfRange
@@ -165,6 +166,27 @@ def string_scan(
         if up[v] < 0:
             up[v] = c
     return StringScan(best, run, down, up)
+
+
+def _lowering_scan(
+    codes: Sequence[int], reading: Sequence[tuple[int, int]], n: int
+) -> tuple[list[int], tuple[int, ...]]:
+    """:func:`string_scan`'s ``down`` and the weight of ``codes`` with values in ``1..n``,
+    from a pass that tracks nothing else; the count of ``v`` sums ``run[v..n]``."""
+    run = [0] * (n + 1)
+    best = [0] * (n + 1)
+    down = [-1] * (n + 1)
+    for c, marked in reading:
+        v = codes[c]
+        if v & 1 == marked:
+            v = (v + 1) >> 1
+            r = run[v] + 1
+            run[v] = r
+            if r > best[v]:
+                best[v] = r
+                down[v] = c
+            run[v - 1] -= 1
+    return down, tuple(accumulate(run[n:0:-1]))[::-1]
 
 
 def scan_tableau(t: Tableau, i: int) -> tuple[tuple[int, ...], Geometry, StringScan]:

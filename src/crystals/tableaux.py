@@ -254,14 +254,14 @@ def render_word(word: Word) -> str:
 
 
 def _parse_rows(text: str) -> list[list[Entry]]:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
+    """Rows of ``[[1,2'],[3]]`` text; errors give offsets into ``text`` as given."""
+    body = text.strip()
+    if not (body.startswith("[") and body.endswith("]")):
         raise ParseError("tableau text must be wrapped in brackets", 0)
-    inner = text[1:-1].strip()
-    if not inner:
-        return []
+    inner = body[1:-1]
+    pos = len(text) - len(text.lstrip()) + 1 + len(inner) - len(inner.lstrip())  # of inner[0]
+    inner = inner.strip()
     rows: list[list[Entry]] = []
-    pos = text.index(inner[0]) if inner else 1
     i = 0
     while i < len(inner):
         if inner[i] != "[":
@@ -269,8 +269,12 @@ def _parse_rows(text: str) -> list[list[Entry]]:
         j = inner.find("]", i)
         if j < 0:
             raise ParseError("unterminated row", pos + i)
-        body = inner[i + 1 : j].strip()
-        rows.append([_entry_of(piece, pos + i) for piece in body.split(",")] if body else [])
+        entries = inner[i + 1 : j]
+        row, at = [], pos + i + 1  # at: the offset of each piece in text
+        for piece in entries.split(",") if entries.strip() else ():
+            row.append(_entry_of(piece, at + len(piece) - len(piece.lstrip())))
+            at += len(piece) + 1
+        rows.append(row)
         i = j + 1
         while i < len(inner) and inner[i] in ", ":
             i += 1

@@ -13,7 +13,10 @@ Checks:
   leaves no dead import behind,
 * ``tests/oracles.py`` imports nothing from ``crystals.pairing``, directly or
   through the package's re-exports, so the oracles that check the word
-  statistics and the operators built on them share no code with them.
+  statistics and the operators built on them share no code with them,
+* every ``crystals`` module parses with the grammar of the oldest Python
+  ``pyproject.toml`` admits, which refuses ``except*`` and PEP 695 generics,
+  so syntax newer than the declared floor fails here whatever runs the tests.
 """
 
 from __future__ import annotations
@@ -21,13 +24,17 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
+
+import pytest
 
 import crystals
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def test_every_export_resolves():
@@ -85,3 +92,15 @@ def test_oracles_import_nothing_from_pairing():
         elif isinstance(node, ast.ImportFrom) and node.module == "crystals":
             found += [f"crystals.{a.name}" for a in node.names if from_pairing(a.name)]
     assert found == []
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    text = PYPROJECT.read_text(encoding="utf-8")
+    floor = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', text).groups()))
+    assert floor == (3, 10)
+    for newer in ("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  "def first[T](items: list[T]) -> T:\n    return items[0]\n"):
+        with pytest.raises(SyntaxError):
+            ast.parse(newer, feature_version=floor)
+    for path in sorted(Path(crystals.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=floor)

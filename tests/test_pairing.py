@@ -7,7 +7,9 @@ Checks:
 * the one-pass ``string_scan`` of every color at once, and the five word
   statistics, which read it, agree with the prefix and suffix oracles on
   every word of length at most 7 over the values 1..4, and on every marking
-  of the words of length at most 4, at every color and prefix length,
+  of the words of length at most 4, at every color and prefix length; on the
+  same words the tableau builder's lowering-only pass gives the same first
+  maximal prefixes and the weight ``weight_codes`` gives,
 * the one-pass stack pairing matches repeated adjacent-pair cancellation,
 * structural facts: free lows precede free highs, counts tie out with the
   prefix statistics, and marks never influence any of it,
@@ -23,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from crystals import Entry, IndexOutOfRange
 from crystals.pairing import (
+    _lowering_scan,
     classify_pairs,
     eps_i,
     first_max_position,
@@ -31,6 +34,7 @@ from crystals.pairing import (
     m_i_prefix,
     string_scan,
 )
+from crystals.tableaux import weight_codes
 from oracles import (
     brute_cancel_pairs,
     brute_first_max,
@@ -150,19 +154,23 @@ def test_string_scan_matches_the_oracles_on_every_small_word():
     """``string_scan`` reading every cell in order, with the mark equal to
     the code's parity, so the reading word is the codes themselves; and the
     five word statistics, which read a scan of the ``Entry`` word, at every
-    color and every prefix length."""
+    color and every prefix length; and ``_lowering_scan``'s cells and weight."""
     checked = 0
     for codes_of_letters, longest in (((2, 4, 6, 8), 7), (range(1, 9), 4)):
         for length in range(longest + 1):
             for codes in itertools.product(codes_of_letters, repeat=length):
                 word = tuple(Entry((c + 1) >> 1, bool(c & 1)) for c in codes)
-                scan = string_scan(codes, [(k, c & 1) for k, c in enumerate(codes)], 5)
+                reading = [(k, c & 1) for k, c in enumerate(codes)]
+                scan = string_scan(codes, reading, 5)
+                cells, weight = _lowering_scan(codes, reading, 5)
+                assert weight == weight_codes(codes, 5), codes
                 for i in range(1, 6):
                     phi, eps, first, last, prefixes = _scan_oracle(word, i)
                     assert scan.phi[i] == phi, (codes, i)
                     assert scan.eps(i) == eps, (codes, i)
                     assert scan.down[i] == (first - 1 if first else -1), (codes, i)
                     assert scan.up[i] == (last if last < length else -1), (codes, i)
+                    assert cells[i] == scan.down[i], (codes, i)
                     assert m_i(word, i) == phi, (codes, i)
                     assert eps_i(word, i) == eps, (codes, i)
                     assert first_max_position(word, i) == first, (codes, i)

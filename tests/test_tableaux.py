@@ -96,13 +96,14 @@ def test_parse_shifted_round_trip():
 
 @pytest.mark.parametrize(
     "text, position",
-    [("1,2", 0), ("[[1,2]", None), ("[[1,?]]", None)],
+    [("1,2", 0), ("[[1,2]", 1), ("[[1,?]]", 4), ("[[1,2]],[[3]]", 6), ("[[1],[2,?]]", 8),
+     ("  [[1,?]]", 6), ("[[1, ?]]", 5), ("[ [1],\t[2]]", 6)],
 )
 def test_parse_reports_positions(text, position):
+    """The position is the offset, in the text as given, of the row or entry refused."""
     with pytest.raises(ParseError) as info:
         parse_young(text)
-    if position is not None:
-        assert info.value.position == position
+    assert info.value.position == position
 
 
 def test_validate_young_errors():
