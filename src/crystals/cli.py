@@ -36,8 +36,8 @@ from .graph import (
     CrystalGraph,
     character,
     _component_groups,
-    export_dot,
-    export_json,
+    _dot_chunks,
+    _json_chunks,
     highest_weights,
     import_json,
     tensor_graphs,
@@ -155,14 +155,14 @@ def _build_model(args: argparse.Namespace, config: Config) -> CrystalGraph:
 
 def cmd_graph(args: argparse.Namespace, config: Config) -> int:
     graph = _build_model(args, config)
-    payload = export_dot(graph) if args.format == "dot" else export_json(graph)
-    _out_path(config, args.out).write_text(payload, encoding="utf-8")
+    chunks = (_dot_chunks if args.format == "dot" else _json_chunks)(graph)
+    with _out_path(config, args.out).open("w", encoding="utf-8") as out:
+        out.writelines(chunks)
     counts = graph.edge_counts()
     print(f"vertices: {len(graph)}")
     print(
         "edges:",
-        " ".join(f"{color}:{counts[color]}" for color in sorted(counts, key=str))
-        or "none",
+        " ".join(f"{color}:{count}" for color, count in counts.items()) or "none",
     )
     print(f"components: {len(_component_groups(graph))}")
     weights = sorted(

@@ -12,9 +12,11 @@ the lists ``down`` and ``up`` hold each vertex's edge target and source
 one per vertex and color, which only hand-built graphs have, are listed in
 the side tables ``multi_down``/``multi_up``.  The sorted ``edges`` tuple is
 made on request, so a graph built from the same vertex and edge sets in any
-order has the same JSON and DOT bytes.  The tableau crystals are built in
-:mod:`crystals.models`; they and :func:`tensor_graphs` hand their edges to
-:meth:`CrystalGraph._indexed` as per-color target indices.
+order has the same JSON and DOT bytes; the writers make that text a block of
+vertices and their out-edges at a time, so a file is written without holding
+it whole.  The tableau crystals are built in :mod:`crystals.models`; they and
+:func:`tensor_graphs` hand their edges to :meth:`CrystalGraph._indexed` as
+per-color target indices.
 
 A :class:`TensorView` reads the tensor product of two crystals on demand,
 each given as a graph or as any factor with the graph's read protocol (such
@@ -29,7 +31,7 @@ import re
 from itertools import chain
 from json.encoder import encode_basestring
 from operator import add, itemgetter
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import (
@@ -614,9 +616,43 @@ def tensor_graphs(
 
 # -- serialization ------------------------------------------------------------
 
-def _json_list(items: list[str], indent: str) -> str:
-    """Encoded items laid out as ``json.dumps(..., indent=2)`` lays out a list."""
-    return f"[\n{indent}  " + f",\n{indent}  ".join(items) + f"\n{indent}]" if items else "[]"
+_CHUNK = 1024  # vertices per piece that the writers yield
+
+
+def _blocks(graph: CrystalGraph) -> list[range]:
+    """The vertex indices in ascending ranges of at most ``_CHUNK``."""
+    return [range(a, min(a + _CHUNK, len(graph))) for a in range(0, len(graph), _CHUNK)]
+
+
+def _json_list(pieces: Iterable[list[str]], indent: str) -> Iterator[str]:
+    """Encoded items laid out as ``json.dumps(..., indent=2)`` lays out a list,
+    yielded a non-empty piece of them at a time."""
+    sep = f"[\n{indent}  "
+    for items in pieces:
+        if items:
+            yield sep + f",\n{indent}  ".join(items)
+            sep = f",\n{indent}  "
+    yield f"\n{indent}]" if sep[0] == "," else "[]"
+
+
+def _json_chunks(graph: CrystalGraph) -> Iterator[str]:
+    """The text of :func:`export_json`: the vertex entries and then the edges
+    leaving each of :func:`_blocks`, one piece per block."""
+    ids = [*map(encode_basestring, graph.vertex_ids)]
+    weights = {w: "".join(_json_list([[*map(int.__repr__, w)]], "      "))
+               for w in set(graph.weights)}
+    colors = {c: encode_basestring(str(c)) for c in graph.down}
+    yield f'{{\n  "n": {int.__repr__(graph.n)},\n  "vertices": '
+    yield from _json_list(([
+        f'{{\n      "id": {ids[k]},\n      "payload": {encode_basestring(graph.payloads[k])},'
+        f'\n      "weight": {weights[graph.weights[k]]}\n    }}' for k in block]
+        for block in _blocks(graph)), "  ")
+    yield ',\n  "edges": '
+    yield from _json_list(([
+        f'{{\n      "src": {ids[s]},\n      "color": {colors[c]},'
+        f'\n      "dst": {ids[d]}\n    }}' for s, c, d in _index_edges(graph, block)]
+        for block in _blocks(graph)), "  ")
+    yield "\n}\n"
 
 
 def export_json(graph: CrystalGraph) -> str:
@@ -624,21 +660,7 @@ def export_json(graph: CrystalGraph) -> str:
 
     The bytes of ``json.dumps(..., indent=2, ensure_ascii=False)``, written with
     each distinct id, weight and color encoded once."""
-    ids = [*map(encode_basestring, graph.vertex_ids)]
-    weights = {w: _json_list([*map(int.__repr__, w)], "      ") for w in set(graph.weights)}
-    colors = {c: encode_basestring(str(c)) for c in graph.down}
-    vertices = [
-        f'{{\n      "id": {vid},\n      "payload": {encode_basestring(payload)},'
-        f'\n      "weight": {weights[weight]}\n    }}'
-        for vid, payload, weight in zip(ids, graph.payloads, graph.weights)
-    ]
-    edges = [
-        f'{{\n      "src": {ids[s]},\n      "color": {colors[c]},'
-        f'\n      "dst": {ids[d]}\n    }}'
-        for s, c, d in _index_edges(graph)
-    ]
-    head = f'{{\n  "n": {int.__repr__(graph.n)},\n  "vertices": {_json_list(vertices, "  ")},'
-    return head + f'\n  "edges": {_json_list(edges, "  ")}\n}}\n'
+    return "".join(_json_chunks(graph))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -805,13 +827,20 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def _dot_chunks(graph: CrystalGraph) -> Iterator[str]:
+    """The text of :func:`export_dot`: the vertex lines and then the edges
+    leaving each of :func:`_blocks`, one piece per block."""
+    ids = [f'"{_dot_escape(vid)}"' for vid in graph.vertex_ids]
+    tails = {c: f' [color={dot_color(c)}, label="{_dot_escape(str(c))}"];\n' for c in graph.down}
+    yield "digraph crystal {\n  rankdir=TB;\n"
+    for block in _blocks(graph):
+        yield "".join([f'  {ids[k]} [label="{_dot_escape(graph.payloads[k])}"];\n' for k in block])
+    for block in _blocks(graph):
+        yield "".join([f"  {ids[s]} -> {ids[d]}{tails[c]}"
+                       for s, c, d in _index_edges(graph, block)])
+    yield "}\n"
+
+
 def export_dot(graph: CrystalGraph) -> str:
     """Graphviz text with the fixed edge palette and payload labels."""
-    ids = [f'"{_dot_escape(vid)}"' for vid in graph.vertex_ids]
-    tails = {c: f' [color={dot_color(c)}, label="{c}"];' for c in graph.down}
-    lines = ["digraph crystal {", "  rankdir=TB;"]
-    lines += [f'  {vid} [label="{_dot_escape(payload)}"];'
-              for vid, payload in zip(ids, graph.payloads)]
-    lines += [f"  {ids[s]} -> {ids[d]}{tails[c]}" for s, c, d in _index_edges(graph)]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(_dot_chunks(graph))

@@ -1573,7 +1573,7 @@ def export_dot(graph: CrystalGraph) -> str:
     for src, color, dst in graph.edges:
         lines.append(
             f'  "{_dot_escape(src)}" -> "{_dot_escape(dst)}" '
-            f'[color={dot_color(color)}, label="{color}"];'
+            f'[color={dot_color(color)}, label="{_dot_escape(str(color))}"];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

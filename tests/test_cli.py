@@ -33,6 +33,10 @@ Checks:
   it before a bad subcommand argument,
 * the thread count and environment override never change output bytes, and
   a malformed ``CRYSTAL_THREADS`` exits 2,
+* ``graph`` lists its edge counts by color in numeric order, writes its
+  file without calling ``export_json`` or ``export_dot``, leaves an existing
+  ``--out`` file alone when it exits 2 or 4, and grows a fresh interpreter's
+  peak memory by under three times the size of the file it writes,
 * the string subcommand prints a full operator string from top to bottom,
 * ``main`` builds its parser once per process, and repeated calls print and
   exit exactly as calls with a freshly built parser do,
@@ -47,12 +51,16 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crystals.cli
 import crystals.graph
 from crystals import (
     CrystalGraph,
@@ -65,6 +73,7 @@ from crystals import (
 )
 from crystals.cli import main
 from reference_data import HOOK_STRING_432
+import oracles
 
 
 def run(capsys, *argv):
@@ -318,6 +327,73 @@ def test_graph_dot_format(tmp_path, capsys):
     dot = target.read_text(encoding="utf-8")
     assert dot.startswith("digraph")
     assert "green" in dot and "red" in dot
+
+
+def test_graph_summary_lists_colors_in_numeric_order(tmp_path, capsys):
+    code, out, _ = run(capsys, "graph", "--model", "standard", "--n", "12",
+                       "--out", str(tmp_path / "standard.json"))
+    assert code == 0
+    assert "edges: " + " ".join(f"{c}:1" for c in range(12)) + "\n" in out
+
+
+def _refuse_whole_text(graph):
+    raise AssertionError("the graph command built the whole file text")
+
+
+@pytest.mark.parametrize("form", ["json", "dot"])
+def test_graph_streams_the_file_without_building_its_whole_text(tmp_path, capsys, monkeypatch,
+                                                                 form):
+    for name in ("export_json", "export_dot"):
+        monkeypatch.setattr(crystals.graph, name, _refuse_whole_text)
+        monkeypatch.setattr(crystals.cli, name, _refuse_whole_text, raising=False)
+    target = tmp_path / f"queer.{form}"
+    code, _, err = run(capsys, "graph", "--model", "queer", "--shape", "4,2,1", "--n", "5",
+                       "--format", form, "--out", str(target))
+    assert code == 0 and err == ""
+    writer = oracles.export_dot if form == "dot" else oracles.export_json
+    assert target.read_bytes() == writer(queer_graph((4, 2, 1), 5)).encode("utf-8")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--max-vertices", "5", "graph", "--model", "shifted", "--shape", "3,1", "--n", "3"], 4),
+    (["graph", "--model", "shifted", "--shape", "1,3", "--n", "3"], 2),
+])
+def test_graph_refusals_leave_an_existing_out_file_alone(tmp_path, capsys, argv, code):
+    target = tmp_path / "kept.json"
+    target.write_bytes(b"kept\n")
+    assert run(capsys, *argv, "--out", str(target))[0] == code
+    assert target.read_bytes() == b"kept\n"
+
+
+_PEAK = """import sys
+from crystals.cli import main
+if len(sys.argv) > 1:
+    main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+def _child_peak_kib(*argv: str) -> int:
+    """The peak RSS in KiB of a fresh interpreter that imports the CLI and runs
+    ``argv``, as the child reads it for its own address space.  Its
+    ``ru_maxrss`` would not do: Linux carries the spawning process's peak
+    over ``exec`` into it, and ``RUSAGE_CHILDREN`` keeps every earlier child's."""
+    source = str(Path(crystals.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _PEAK, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    return int(done.stdout.split()[-1])
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+def test_graph_peak_memory_tracks_the_graph_not_the_file(tmp_path):
+    target = tmp_path / "queer52.json"
+    baseline = _child_peak_kib()
+    peak = _child_peak_kib("graph", "--model", "queer", "--shape", "5,2", "--n", "5",
+                           "--out", str(target))
+    # Holding the text and its encoded bytes whole costs about 6 times the file.
+    assert (peak - baseline) * 1024 < 3 * target.stat().st_size
 
 
 def test_output_dir_resolves_relative_paths(tmp_path, capsys):

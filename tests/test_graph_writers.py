@@ -7,8 +7,11 @@ Checks:
   models and a queer tensor,
 * and on hand-built graphs whose ids and payloads hold quotes, backslashes,
   control characters, DEL, primes, tensor signs and a non-BMP character,
-  with n = 0, no vertices, no edges, odd colors ``1p`` and ``12p``, and
-  color labels no graph file can hold,
+  with n = 0, no vertices, no edges, odd colors ``1p`` and ``12p``,
+  multi-edges, vertex blocks without out-edges, and color labels no graph
+  file can hold,
+* all of this also when the writers work in blocks of 1, 2 or 3 vertices,
+* a DOT color label escapes quotes and backslashes as ids and payloads do,
 * every graph file written imports back to a graph that writes the same text.
 """
 
@@ -18,6 +21,8 @@ from functools import partial
 from itertools import zip_longest
 
 import pytest
+
+import crystals.graph
 
 from crystals import (
     CrystalGraph,
@@ -72,6 +77,12 @@ def _hand_built():
         1, [Vertex("u", "u", (0,)), Vertex("v", "v", (1,))],
         [("u", "1p", "v"), ("v", "12p", "u"), ("u", "12p", "u")],
     )
+    three = [Vertex(vid, vid, (0,)) for vid in "abc"]
+    yield "multi-edges", CrystalGraph(
+        1, three, [("a", 1, "b"), ("a", 1, "c"), ("b", 1, "c"), ("c", 2, "a"), ("c", 2, "b")])
+    seven = [Vertex(f"v{k}", f"v{k}", (k,)) for k in range(7)]
+    yield "first block without out-edges", CrystalGraph(
+        1, seven, [("v4", 1, "v5"), ("v6", 1, "v0"), ("v6", "1p", "v2")])
 
 
 def _first_difference(new: str, old: str) -> tuple[int, str | None, str | None] | None:
@@ -91,6 +102,25 @@ def test_writers_match_the_json_dumps_writers(name, build):
     assert _first_difference(text, oracles.export_json(graph)) is None
     assert _first_difference(export_dot(graph), oracles.export_dot(graph)) is None
     assert _first_difference(export_json(import_json(text)), text) is None
+
+
+@pytest.mark.parametrize("name, build", GRAPHS, ids=[name for name, _ in GRAPHS])
+def test_writers_match_the_json_dumps_writers_in_small_blocks(name, build, monkeypatch):
+    graph = build()
+    json_text, dot_text = oracles.export_json(graph), oracles.export_dot(graph)
+    for size in (1, 2, 3):
+        monkeypatch.setattr(crystals.graph, "_CHUNK", size)
+        assert _first_difference(export_json(graph), json_text) is None, size
+        assert _first_difference(export_dot(graph), dot_text) is None, size
+
+
+@pytest.mark.parametrize("label, line", [
+    ('a"b', '  "u" -> "v" [color=magenta, label="a\\"b"];'),
+    ("x\\y", '  "u" -> "v" [color=magenta, label="x\\\\y"];'),
+])
+def test_dot_escapes_color_labels(label, line):
+    graph = CrystalGraph(1, [Vertex("u", "u", (0,)), Vertex("v", "v", (1,))], [("u", label, "v")])
+    assert export_dot(graph).split("\n")[4] == line
 
 
 @pytest.mark.parametrize("label", ['a"b', "p", "x\\y", "é\n"])
