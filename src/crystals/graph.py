@@ -16,7 +16,7 @@ order has the same JSON and DOT bytes; the writers make that text a block of
 vertices and their out-edges at a time, so a file is written without holding
 it whole.  The tableau crystals are built in :mod:`crystals.models`; they and
 :func:`tensor_graphs` hand their edges to :meth:`CrystalGraph._indexed` as
-per-color target indices.
+per-color target indices.  Both constructors assemble the lists in one step.
 
 A :class:`TensorView` reads the tensor product of two crystals on demand,
 each given as a graph or as any factor with the graph's read protocol (such
@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import chain
+from collections import deque
+from itertools import chain, repeat
 from json.encoder import encode_basestring
-from operator import add, itemgetter
+from operator import add, itemgetter, setitem
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .config import Config, DEFAULT_CONFIG
@@ -88,9 +89,10 @@ class CrystalGraph:
 
     ``vertices`` are :class:`Vertex` values or ``(id, payload, weight)``
     triples; repeated edges count once.  The builders, which hold target
-    indices already, use :meth:`_indexed` instead.  The one-edge rule is a
-    property of crystals, not a construction invariant: hand-built graphs may
-    break it, and the axiom checkers report that as an A2/B2 violation.
+    indices already, use :meth:`_indexed`; only :meth:`_place` and
+    :meth:`_link` set the fields.  The one-edge rule is a property of
+    crystals, not a construction invariant: hand-built graphs may break it,
+    and the axiom checkers report that as an A2/B2 violation.
     Accessors therefore expose both the full target lists and the
     first-target forms.  Errors name the first offender in sorted order.
     """
@@ -99,6 +101,42 @@ class CrystalGraph:
                  "down", "up", "multi_down", "multi_up")
 
     def __init__(self, n: int, vertices: Iterable[Vertex], edges: Iterable[Edge]) -> None:
+        self._place(n, vertices)
+        index = self.index
+        edges = edges if isinstance(edges, (list, tuple)) else [*edges]
+        down: dict[Color, list[int]] = {}
+        extra: dict[Color, list[tuple[int, int]]] = {}  # (src, dst) past a row's first target
+        try:
+            for src, color, dst in edges:
+                s, d = index[src], index[dst]
+                row = down.get(color) or down.setdefault(color, [-1] * len(index))
+                if row[s] < 0:
+                    row[s] = d
+                elif row[s] != d:
+                    extra.setdefault(color, []).append((s, d))
+        except KeyError:
+            _edge_error(index, edges)
+        self._link(down, extra)
+
+    @classmethod
+    def _indexed(cls, n: int, ids: list[str], payloads: list[str], weights: list[Weight],
+                 down: dict[Color, list[int]],
+                 strays: Sequence[tuple[int, Color, str]] = ()) -> CrystalGraph:
+        """``CrystalGraph(n, zip(ids, payloads, weights), edges)`` from rows in
+        any order and, per color, each row's target row (``-1`` for none);
+        ``strays``, ``(row, color, target id)`` edges to no row, are refused."""
+        self = cls.__new__(cls)
+        self._place(n, zip(ids, payloads, weights))
+        _edge_error(self.index, [(ids[s], c, d) for s, c, d in strays])
+        rank = [*map(self.index.__getitem__, ids), -1]  # rank[-1] keeps "no target" at -1
+        order = sorted(range(len(ids)), key=rank.__getitem__)
+        self._link({c: [*map(rank.__getitem__, map(row.__getitem__, order))]
+                    for c, row in down.items()}, {})
+        return self
+
+    def _place(self, n: int, vertices: Iterable[Vertex]) -> None:
+        """Set the vertex fields from the rows sorted by id.  Refuses the first
+        repeated id or wrong weight length."""
         if n < 0:
             raise DimensionMismatch(f"weight length must be non-negative, got {n}")
         self.n = n
@@ -106,80 +144,35 @@ class CrystalGraph:
         self.vertex_ids: tuple[str, ...] = tuple(map(itemgetter(0), rows))
         self.payloads: list[str] = [*map(itemgetter(1), rows)]
         self.weights: list[Weight] = [*map(itemgetter(2), rows)]
-        index = self.index = {vid: k for k, vid in enumerate(self.vertex_ids)}
-        if len(index) != len(rows) or not set(map(len, self.weights)) <= {n}:
-            _vertex_error(n, rows)
-        edges = edges if isinstance(edges, (list, tuple)) else [*edges]
-        lists: dict[Color, tuple[list[int], list[int]]] = {}
-        extra: tuple[dict, dict] = ({}, {})  # color -> vertex -> all targets (sources)
-        try:
-            for src, color, dst in edges:
-                s, d = index[src], index[dst]
-                if color not in lists:
-                    lists[color] = ([-1] * len(rows), [-1] * len(rows))
-                down, up = lists[color]
-                if down[s] < 0:
-                    down[s] = d
-                elif down[s] != d:
-                    extra[0].setdefault(color, {}).setdefault(s, {down[s]}).add(d)
-                if up[d] < 0:
-                    up[d] = s
-                elif up[d] != s:
-                    extra[1].setdefault(color, {}).setdefault(d, {up[d]}).add(s)
-        except KeyError:
-            _edge_error(index, edges)
-        order = sorted(lists, key=color_key)
-        self.down: dict[Color, list[int]] = {c: lists[c][0] for c in order}
-        self.up: dict[Color, list[int]] = {c: lists[c][1] for c in order}
-        self.multi_down, self.multi_up = extra
-        for table, firsts in zip(extra, (self.down, self.up)):
-            for color, ends in table.items():
-                for k, targets in ends.items():
-                    ends[k] = tuple(sorted(targets))
-                    firsts[color][k] = ends[k][0]
-
-    @classmethod
-    def _indexed(cls, n: int, ids: list[str], payloads: list[str], weights: list[Weight],
-                 down: dict[Color, list[int]],
-                 strays: Sequence[tuple[int, Color, str]] = ()) -> CrystalGraph:
-        """``CrystalGraph(n, zip(ids, payloads, weights), edges)`` from rows in
-        any order and, per color, each row's edge target as a row index (``-1``
-        for none), as the model and tensor builders hold them.
-
-        ``strays`` are ``(row, color, target id)`` edges to no row.  Strays, a
-        repeated id, a weight of another length and two sources of one target
-        go through ``__init__``, which refuses the first three and lists the
-        last in ``multi_up``.
-        """
-        size = len(ids)
-        order = sorted(range(size), key=ids.__getitem__)
-        rank = [0] * size + [-1]  # rank[-1] keeps "no target" at -1
-        for new, old in enumerate(order):
-            rank[old] = new
-        self = cls.__new__(cls)
-        self.n = n
-        self.vertex_ids = tuple(map(ids.__getitem__, order))
-        self.payloads = [*map(payloads.__getitem__, order)]
-        self.weights = [*map(weights.__getitem__, order)]
         self.index = {vid: k for k, vid in enumerate(self.vertex_ids)}
+        if len(self.index) != len(rows) or not set(map(len, self.weights)) <= {n}:
+            _vertex_error(n, rows)
+
+    def _link(self, down: dict[Color, list[int]], extra: dict[Color, list]) -> None:
+        """Set ``down`` and ``up``, and the side tables of each color with a
+        multi-edge, from each color's first-target row (``-1`` for none; colors
+        without edges are dropped) and its ``(src, dst)`` edges past those."""
+        size = len(self.vertex_ids)
         self.down, self.up, self.multi_down, self.multi_up = {}, {}, {}, {}
-        clean = not strays and len(self.index) == size and set(map(len, self.weights)) <= {n}
-        for color in sorted(down, key=color_key) if clean else ():
-            if down[color].count(-1) == size:
+        for color in sorted(down, key=color_key):
+            row = down[color]
+            if (bare := row.count(-1)) == size:
                 continue
-            row = [*map(rank.__getitem__, map(down[color].__getitem__, order))]
             up = [-1] * (size + 1)  # up[-1] takes the writes of "no target"
-            for s, d in enumerate(row):
-                up[d] = s
+            deque(map(setitem, repeat(up), row, range(size)), 0)
             up.pop()
-            if up.count(-1) != row.count(-1):
-                clean = False
-                break
+            if color in extra or up.count(-1) != bare:  # a multi-edge
+                ends: tuple[dict, dict] = ({}, {})  # vertex -> all targets (sources)
+                for s, d in chain(enumerate(row), extra.get(color, ())):
+                    if d >= 0:
+                        ends[0].setdefault(s, set()).add(d)
+                        ends[1].setdefault(d, set()).add(s)
+                for firsts, table, found in zip((row, up), (self.multi_down, self.multi_up), ends):
+                    for k, others in found.items():
+                        firsts[k] = min(others)
+                    if multi := {k: tuple(sorted(v)) for k, v in found.items() if len(v) > 1}:
+                        table[color] = multi
             self.down[color], self.up[color] = row, up
-        if clean:
-            return self
-        edges = [(ids[s], c, ids[d]) for c, row in down.items() for s, d in enumerate(row) if d >= 0]
-        return cls(n, zip(ids, payloads, weights), edges + [(ids[s], c, d) for s, c, d in strays])
 
     # -- accessors ---------------------------------------------------------
 
@@ -475,9 +468,10 @@ class TensorView:
     ``(phi, eps)`` maps of a color, indexed by vertex) and
     ``even_highest_weights()``, such as
     :class:`crystals.models.QueerTableauCrystal`, which moves tableaux only
-    when asked.  Vertices are ``(left id, right id)`` pairs, and the view
-    offers the same read protocol, so the odd operators and the queer
-    highest-weight search run on it directly.
+    when asked.  Vertices are ``(left id, right id)`` pairs.  The view offers
+    what the odd operators and the queer highest-weight search read (``n``,
+    ``weight_of``, ``out_edge``, ``in_edge``, ``even_highest_weights()``), so
+    they run on it directly; it is not itself a factor.
 
     For an even color ``i`` the lowering move acts on the left factor when
     ``eps_i(b2) < phi_i(b1)`` and the raising move when
@@ -504,10 +498,6 @@ class TensorView:
         ))
         self._phi_left = {c: g1.string_maps(c)[0] for c in self.even_colors}
         self._eps_right = {c: g2.string_maps(c)[1] for c in self.even_colors}
-
-    @property
-    def colors(self) -> tuple[int, ...]:
-        return ((0,) if self.queer else ()) + self.even_colors
 
     def payload_of(self, pair: Pair) -> str:
         """The factor payloads joined by ``⊗``, nested products in parentheses."""
@@ -579,6 +569,8 @@ def tensor_graphs(
         ClosureBudgetExceeded: ``len(g1) * len(g2)`` exceeds
             ``config.max_vertices``; checked before any string length is
             computed.
+        ParseError: A factor has two edges of one color out of one vertex (the
+            first color, then vertex, is named); checked after the budget.
         CycleDetected: A factor has a malformed monochromatic cycle.
     """
     config = config or DEFAULT_CONFIG
@@ -589,6 +581,13 @@ def tensor_graphs(
             f"tensor product of {len(g1)} x {len(g2)} = {size} vertices "
             f"exceeds {config.max_vertices} vertices"
         )
+    for side, g in (("left", g1), ("right", g2)):
+        if g.multi_down:
+            color = min(g.multi_down, key=color_key)
+            k = min(g.multi_down[color])
+            raise ParseError(f"{side} tensor factor is not a crystal: vertex "
+                             f"{g.vertex_ids[k]!r} has {len(g.multi_down[color][k])} "
+                             f"outgoing edges of color {color}")
     width = len(g2)
     right = [_wrap_factor(p) for p in g2.payloads]
     ids = [f"{_wrap_factor(p)}⊗{q}" for p in g1.payloads for q in right]

@@ -191,7 +191,6 @@ class QueerTableauCrystal:
         _check_queer_alphabet(n)
         g = self._geometry = checked_geometry(shape, n, True)
         self.n = n
-        self.shape = g.shape
         self.colors: tuple[Color, ...] = tuple(range(n))
         self._limit = (config or DEFAULT_CONFIG).max_vertices
         self._vertex_ids: list[int] | None = None

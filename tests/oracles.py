@@ -44,7 +44,11 @@ Everything here is deliberately naive and independent of the code under test:
   ``CrystalGraph(n, vertices, edges)``.  They run the library's enumeration
   and operator bodies, because the assembly is what they check; the lowering
   cells come from :func:`first_max_position` rather than the library's
-  one-pass scan.
+  one-pass scan,
+* the vertex order and the ``down``, ``up``, ``multi_down`` and ``multi_up``
+  tables of a ``CrystalGraph`` built by one loop over the edge triples, as
+  its constructor built them before both constructors shared one assembly
+  step that works out ``up`` from the first-target rows.
 
 Tests import these oracles and assert agreement with the library; none of the
 functions below are used by the package itself.
@@ -57,7 +61,7 @@ import json
 import re
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
-from operator import add
+from operator import add, itemgetter
 from typing import TypeVar
 
 from crystals import (
@@ -82,7 +86,15 @@ from crystals import (
 from crystals import queer, young
 from crystals.axioms import Verdict, Violation
 from crystals.config import DEFAULT_CONFIG, Config
-from crystals.graph import Color, _check_lengths, _wrap_factor, string_length_maps
+from crystals.graph import (
+    Color,
+    Edge,
+    Vertex,
+    _check_lengths,
+    _wrap_factor,
+    color_key,
+    string_length_maps,
+)
 from crystals.queer import apply_weyl_word, odd_word
 from crystals.shifted import eps as shifted_eps
 from crystals.shifted import lower_at
@@ -1669,3 +1681,43 @@ def string_edge_tensor_graphs(
                 elif t2 >= 0:
                     edges.append((ids[base + b], color, ids[base + t2]))
     return CrystalGraph(g1.n, zip(ids, ids, weights), edges)
+
+
+# -- one-loop graph tables ------------------------------------------------------------
+#
+# ``CrystalGraph.__init__``'s table-building loop as it read before the
+# constructors shared ``_place`` and ``_link``, copied verbatim.
+
+
+def edge_loop_tables(
+    n: int, vertices: Sequence[Vertex], edges: Sequence[Edge]
+) -> tuple[tuple[str, ...], dict, dict, dict, dict]:
+    """``(vertex_ids, down, up, multi_down, multi_up)`` of
+    ``CrystalGraph(n, vertices, edges)``, for vertices and edges it accepts."""
+    rows = sorted(vertices, key=itemgetter(0))
+    vertex_ids = tuple(map(itemgetter(0), rows))
+    index = {vid: k for k, vid in enumerate(vertex_ids)}
+    lists: dict[Color, tuple[list[int], list[int]]] = {}
+    extra: tuple[dict, dict] = ({}, {})  # color -> vertex -> all targets (sources)
+    for src, color, dst in edges:
+        s, d = index[src], index[dst]
+        if color not in lists:
+            lists[color] = ([-1] * len(rows), [-1] * len(rows))
+        down, up = lists[color]
+        if down[s] < 0:
+            down[s] = d
+        elif down[s] != d:
+            extra[0].setdefault(color, {}).setdefault(s, {down[s]}).add(d)
+        if up[d] < 0:
+            up[d] = s
+        elif up[d] != s:
+            extra[1].setdefault(color, {}).setdefault(d, {up[d]}).add(s)
+    order = sorted(lists, key=color_key)
+    downs = {c: lists[c][0] for c in order}
+    ups = {c: lists[c][1] for c in order}
+    for table, firsts in zip(extra, (downs, ups)):
+        for color, ends in table.items():
+            for k, targets in ends.items():
+                ends[k] = tuple(sorted(targets))
+                firsts[color][k] = ends[k][0]
+    return vertex_ids, downs, ups, extra[0], extra[1]

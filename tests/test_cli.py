@@ -37,6 +37,8 @@ Checks:
   file without calling ``export_json`` or ``export_dot``, leaves an existing
   ``--out`` file alone when it exits 2 or 4, and grows a fresh interpreter's
   peak memory by under three times the size of the file it writes,
+* ``graph --model tensor`` exits 2 with one ``error:`` line on a factor with
+  two edges of one color out of one vertex, and leaves ``--out`` alone,
 * the string subcommand prints a full operator string from top to bottom,
 * ``main`` builds its parser once per process, and repeated calls print and
   exit exactly as calls with a freshly built parser do,
@@ -362,6 +364,21 @@ def test_graph_refusals_leave_an_existing_out_file_alone(tmp_path, capsys, argv,
     target = tmp_path / "kept.json"
     target.write_bytes(b"kept\n")
     assert run(capsys, *argv, "--out", str(target))[0] == code
+    assert target.read_bytes() == b"kept\n"
+
+
+def test_tensor_of_a_factor_with_a_multi_edge_exits_2_and_leaves_out_alone(tmp_path, capsys):
+    factor = tmp_path / "c2.json"
+    factor.write_text(export_json(CrystalGraph(
+        2, [("a", "a", (1, 0)), ("b", "b", (0, 1)), ("c", "c", (0, 1))],
+        [("a", 0, "b"), ("a", 0, "c")])), encoding="utf-8")
+    target = tmp_path / "t.json"
+    target.write_bytes(b"kept\n")
+    code, out, err = run(capsys, "graph", "--model", "tensor", "--left", str(factor),
+                         "--right", str(factor), "--queer", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == ("error: left tensor factor is not a crystal: "
+                   "vertex 'a' has 2 outgoing edges of color 0\n")
     assert target.read_bytes() == b"kept\n"
 
 

@@ -13,11 +13,21 @@ Checks:
 * the tableau builder does so without the full ``string_scan`` or
   ``weight_codes``, which are made to raise in :mod:`crystals.models`: one
   lowering-only pass per tableau gives its lowering cells and weight,
-* a lowering that leaves the enumeration is refused with the oracle's
-  message, which names the first such edge in ``(src, color, dst)`` order,
+* a lowering, or a queer 0-move, that leaves the enumeration is refused with
+  the oracle's message, which names the first such edge in
+  ``(src, color, dst)`` order,
 * a tensor factor with a repeated payload, whose product repeats an id, is
   refused with the oracle's message, and one whose product has two sources
   of one target keeps them in ``multi_up`` as the oracle does,
+* a tensor factor with two edges of one color out of one vertex is refused,
+  naming the first color and then vertex, left factor first, after the
+  budget check and before any string length is computed,
+* on random graphs of at most 8 vertices, listed out of id order, with
+  colors 0, 1, 2 and ``"1p"``, repeated edges, self-loops, multi-targets and
+  two-source targets, ``CrystalGraph`` and ``CrystalGraph._indexed`` on the
+  first-target rows give the vertex order and the ``down``, ``up``,
+  ``multi_down`` and ``multi_up`` tables of the one-loop reference
+  (:func:`oracles.edge_loop_tables`),
 * the public enumerations, which sort what the packed enumerations return
   in filling order, list tableaux in strictly increasing reading word.
 """
@@ -25,12 +35,18 @@ Checks:
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import crystals.graph
 import crystals.models
+import crystals.queer
 import oracles
 from crystals import (
+    ClosureBudgetExceeded,
+    Config,
     CrystalError,
     CrystalGraph,
+    ParseError,
     enumerate_ssht,
     enumerate_ssyt,
     enumerate_yamanouchi,
@@ -136,6 +152,16 @@ def test_builders_refuse_the_first_stray_lowering_as_the_oracle_does(monkeypatch
     assert "is not a vertex" in message
     assert (kind, message) == _refusal(
         oracles.string_edge_tableau_graph, True, shape, n, None, queer_move=queer_move)
+    if queer_move:  # the 0-move leaves the enumeration; the lowerings do not
+        f0 = crystals.queer.f0_codes
+        monkeypatch.setattr(crystals.models, "lower_at", lower_at)
+        monkeypatch.setattr(oracles, "lower_at", lower_at)
+        monkeypatch.setattr(crystals.queer, "f0_codes", lambda codes: (
+            None if (moved := f0(codes)) is None else with_codes(moved, 0, 99)))
+        kind, message = _refusal(build, shape, n)
+        assert "is not a vertex" in message
+        assert (kind, message) == _refusal(
+            oracles.string_edge_tableau_graph, True, shape, n, None, queer_move=True)
 
 
 def test_tensor_of_factors_with_a_repeated_payload_is_refused_as_the_oracle_does():
@@ -155,6 +181,26 @@ def test_tensor_with_two_sources_of_one_target_keeps_both_as_the_oracle_does():
     assert_same_graph(new, oracles.string_edge_tensor_graphs(g1, g2))
 
 
+def test_tensor_of_a_factor_with_a_multi_edge_is_refused(monkeypatch):
+    vertices = [("a", "a", (1, 0)), ("b", "b", (0, 1)), ("c", "c", (0, 1)), ("d", "d", (0, 1))]
+    plain = CrystalGraph(2, vertices[:2], [("a", 1, "b")])
+    forked = CrystalGraph(2, vertices, [("b", 1, "c"), ("b", 1, "d"), ("a", 1, "b"),
+                                        ("c", 0, "a"), ("c", 0, "b"), ("a", 0, "b"),
+                                        ("a", 0, "c"), ("a", 0, "d")])
+    with pytest.raises(ClosureBudgetExceeded):
+        tensor_graphs(plain, forked, config=Config(max_vertices=7))
+
+    def refuse(*args):
+        raise AssertionError("a string length was computed")
+
+    monkeypatch.setattr(crystals.graph, "string_length_maps", refuse)
+    for g1, g2, side in ((plain, forked, "right"), (forked, forked, "left")):
+        with pytest.raises(ParseError) as caught:
+            tensor_graphs(g1, g2, queer=True)
+        assert str(caught.value) == (f"{side} tensor factor is not a crystal: "
+                                     "vertex 'a' has 3 outgoing edges of color 0")
+
+
 def test_tensor_ids_that_the_factor_order_does_not_sort_are_sorted():
     # The product's ids are the factors' payloads, which run against their ids.
     g1 = CrystalGraph(2, [("1", "z", (1, 0)), ("2", "a", (0, 1))], [("1", 1, "2")])
@@ -163,6 +209,49 @@ def test_tensor_ids_that_the_factor_order_does_not_sort_are_sorted():
     assert list(new.vertex_ids) == ["a⊗b", "a⊗y", "z⊗b", "z⊗y"]
     assert_same_graph(new, oracles.string_edge_tensor_graphs(g1, g2))
     assert_same_graph(new, oracles.string_edge_tensor_graphs(g1, g2))
+
+
+@st.composite
+def small_graphs(draw) -> tuple[list, list]:
+    """Vertices out of id order and edges among them, with repeats, self-loops,
+    multi-targets and two-source targets."""
+    ids = draw(st.permutations([f"v{k}" for k in range(draw(st.integers(0, 8)))]))
+    vertices = [(vid, f"p{vid}", (k % 3, 1)) for k, vid in enumerate(ids)]
+    if not ids:
+        return vertices, []
+    ends = st.sampled_from(ids)
+    edges = draw(st.lists(st.tuples(ends, st.sampled_from([0, 1, 2, "1p"]), ends), max_size=16))
+    return vertices, edges + draw(st.lists(st.sampled_from(edges), max_size=4) if edges
+                                  else st.just([]))
+
+
+def _tables(graph: CrystalGraph) -> tuple:
+    return (graph.vertex_ids, [*graph.down], graph.down, graph.up, graph.multi_down,
+            graph.multi_up)
+
+
+def _reference(n: int, vertices: list, edges: list) -> tuple:
+    ids, down, up, multi_down, multi_up = oracles.edge_loop_tables(n, vertices, edges)
+    return ids, [*down], down, up, multi_down, multi_up
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_graphs())
+def test_both_constructors_assemble_the_tables_of_the_one_loop_reference(graph):
+    vertices, edges = graph
+    assert _tables(CrystalGraph(2, vertices, edges)) == _reference(2, vertices, edges)
+    ids = [vid for vid, _, _ in vertices]
+    row_of = {vid: k for k, vid in enumerate(ids)}
+    rows = {5: [-1] * len(ids)}  # a color without edges is dropped
+    firsts = []
+    for src, color, dst in edges:
+        row = rows.setdefault(color, [-1] * len(ids))
+        if row[row_of[src]] < 0:
+            row[row_of[src]] = row_of[dst]
+            firsts.append((src, color, dst))
+    indexed = CrystalGraph._indexed(2, ids, [p for _, p, _ in vertices],
+                                    [w for _, _, w in vertices], rows)
+    assert _tables(indexed) == _reference(2, vertices, firsts)
 
 
 def _strictly_increasing(keys: list) -> bool:

@@ -1,0 +1,91 @@
+"""Refusal paths that the rest of the suite does not reach.
+
+Checks:
+* ``graph --model tensor`` without ``--left``/``--right``, ``graph --model
+  standard`` without ``--n``, ``graph --model young`` without ``--shape`` and
+  ``char --model young`` without ``--shape`` each exit 2 with one ``error:``
+  line naming what is missing, and print nothing on stdout,
+* the queer checker reports a 0-edge on a graph of one weight coordinate as
+  W1 in both modes,
+* the {0,2} component checker refuses a component of two 0-edges out of one
+  vertex in a graph without color-2 edges,
+* ``weyl_s`` refuses a color outside ``1..n-1`` and a string that the graph
+  cuts short, and ``odd_word(0)`` is refused,
+* ``CrystalGraph`` refuses a negative weight length,
+* ``highest_weights`` of a graph without edges of a color ``>= 1`` lists
+  every vertex.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from crystals import (
+    CrystalGraph,
+    DimensionMismatch,
+    IndexOutOfRange,
+    StringTruncated,
+    check_02_components,
+    check_queer_regular,
+    highest_weights,
+)
+from crystals.cli import main
+from crystals.queer import odd_word, weyl_s
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["graph", "--model", "tensor", "--left", "a.json"],
+     "tensor model needs --left and --right graph files"),
+    (["graph", "--model", "tensor", "--right", "b.json"],
+     "tensor model needs --left and --right graph files"),
+    (["graph", "--model", "standard"], "standard model needs --n"),
+    (["graph", "--model", "young", "--n", "3"], "young model needs --shape and --n"),
+    (["char", "--model", "young", "--n", "3"], "young model needs --shape"),
+])
+def test_model_commands_refuse_missing_arguments(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out", str(tmp_path / "g.json")] if argv[0] == "graph"
+                else argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_zero_edge_without_two_weight_coordinates_breaks_w1():
+    graph = CrystalGraph(1, [("a", "a", (1,)), ("b", "b", (1,))], [("a", 0, "b")])
+    for exhaustive in (False, True):
+        assert check_queer_regular(graph, exhaustive=exhaustive).to_dict() == {
+            "ok": False, "notes": [], "violations": [{
+                "axiom": "W1", "vertices": ["a", "b"],
+                "detail": "0-edge needs at least two weight coordinates"}]}
+
+
+def test_two_zero_edges_without_color_two_are_no_02_component():
+    graph = CrystalGraph(2, [("a", "a", (1, 0)), ("b", "b", (0, 1)), ("c", "c", (0, 1))],
+                         [("a", 0, "b"), ("a", 0, "c")])
+    assert check_02_components(graph).to_dict() == {
+        "ok": False, "notes": [], "violations": [{
+            "axiom": "C02", "vertices": ["a"],
+            "detail": "without color-2 edges only bare 0-edges are admissible"}]}
+
+
+def test_weyl_reflections_refuse_bad_colors_and_cut_strings():
+    cut = CrystalGraph(3, [("a", "a", (2, 0, 0)), ("b", "b", (1, 1, 0))], [("a", 1, "b")])
+    for color in (0, 3):
+        with pytest.raises(IndexOutOfRange, match=f"reflection index {color} outside 1..2"):
+            weyl_s(cut, "a", color)
+    with pytest.raises(StringTruncated, match="reflection S_1 from 'a' ran off the graph at 'b'"):
+        weyl_s(cut, "a", 1)
+    with pytest.raises(IndexOutOfRange, match="odd index must be at least 1, got 0"):
+        odd_word(0)
+
+
+def test_negative_weight_length_is_refused():
+    with pytest.raises(DimensionMismatch, match="weight length must be non-negative, got -1"):
+        CrystalGraph(-1, [], [])
+
+
+def test_highest_weights_without_even_edges_are_every_vertex():
+    vertices = [("b", "b", (0, 1)), ("a", "a", (1, 0))]
+    assert highest_weights(CrystalGraph(2, vertices, [])) == ["a", "b"]
+    assert highest_weights(CrystalGraph(2, vertices, [("a", 0, "b")])) == ["a", "b"]
