@@ -15,7 +15,7 @@ from .axioms import (
     check_queer_regular,
     check_stembridge,
 )
-from .config import Config, resolve_threads
+from .config import Config
 from .errors import (
     ClosureBudgetExceeded,
     ColumnViolation,
@@ -72,11 +72,9 @@ from .tableaux import (
     YoungTableau,
     enumerate_ssht,
     enumerate_ssyt,
-    parse_entry,
     parse_shifted,
     parse_young,
     render_tableau,
-    render_word,
     validate_shifted,
     validate_young,
     weight,
@@ -126,7 +124,6 @@ __all__ = [
     "import_json",
     "is_staircase",
     "isomorphic",
-    "parse_entry",
     "parse_shifted",
     "parse_young",
     "product_expand",
@@ -135,8 +132,6 @@ __all__ = [
     "queer_standard_graph",
     "render_expansion",
     "render_tableau",
-    "render_word",
-    "resolve_threads",
     "schur",
     "schur_p",
     "schur_p_to_schur",

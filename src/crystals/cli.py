@@ -6,7 +6,7 @@ exceeded.  Counts and summaries go to stdout, diagnostics to stderr, and
 machine-readable output is JSON.  Every file written ends with a trailing
 newline.  :func:`main` checks the global options into one :class:`Config`
 before any command runs, so a bad one exits 2 for every command.
-``--threads`` and ``CRYSTAL_THREADS`` are validated but change nothing.
+``--threads`` must be positive but changes nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .axioms import (
     check_queer_regular,
     check_stembridge,
 )
-from .config import Config, resolve_threads
+from .config import Config
 from .errors import (
     ClosureBudgetExceeded,
     CrystalError,
@@ -89,12 +89,11 @@ def _config(args: argparse.Namespace) -> Config:
     kwargs = {}
     if args.max_vertices is not None:
         kwargs["max_vertices"] = args.max_vertices
-    if args.threads is not None:
-        kwargs["threads"] = args.threads
     if args.output_dir is not None:
         kwargs["output_dir"] = Path(args.output_dir)
     config = Config(**kwargs)
-    resolve_threads(config)  # refuses a malformed CRYSTAL_THREADS (exit 2)
+    if args.threads is not None and args.threads < 1:
+        raise ParseError(f"threads must be positive, got {args.threads}")
     return config
 
 
@@ -256,11 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="vertex budget for every command: graphs, graph files, "
         "enumerations, characters, expansions and products",
     )
-    parser.add_argument(
+    parser.add_argument(  # kept only because perfbench/run.py passes it
         "--threads",
         type=int,
         default=None,
-        help="accepted and validated, but changes nothing (builds use one thread)",
+        help="must be positive, but changes nothing (builds use one thread)",
     )
     parser.add_argument(
         "--output-dir", default=None, help="directory for relative output paths"

@@ -455,6 +455,17 @@ def _check_lengths(g1, g2) -> int:
     return g1.n
 
 
+def _check_factors(g1, g2) -> None:
+    """Refuse a factor graph with two edges of one color out of one vertex."""
+    for side, g in (("left", g1), ("right", g2)):
+        if multi := getattr(g, "multi_down", None):
+            color = min(multi, key=color_key)
+            k = min(multi[color])
+            raise ParseError(f"{side} tensor factor is not a crystal: vertex "
+                             f"{g.vertex_ids[k]!r} has {len(multi[color][k])} "
+                             f"outgoing edges of color {color}")
+
+
 Pair = tuple[Hashable, Hashable]
 """A ``(left id, right id)`` vertex of a :class:`TensorView`."""
 
@@ -483,6 +494,8 @@ class TensorView:
 
     Raises:
         DimensionMismatch: The two factors have different weight lengths.
+        ParseError: A factor graph has two edges of one color out of one
+            vertex, named as :func:`tensor_graphs` names it.
         CycleDetected: A factor graph has a malformed monochromatic cycle.
     """
 
@@ -490,6 +503,7 @@ class TensorView:
 
     def __init__(self, g1, g2, queer: bool = False) -> None:
         self.n = _check_lengths(g1, g2)
+        _check_factors(g1, g2)
         self.left = g1
         self.right = g2
         self.queer = queer
@@ -581,13 +595,7 @@ def tensor_graphs(
             f"tensor product of {len(g1)} x {len(g2)} = {size} vertices "
             f"exceeds {config.max_vertices} vertices"
         )
-    for side, g in (("left", g1), ("right", g2)):
-        if g.multi_down:
-            color = min(g.multi_down, key=color_key)
-            k = min(g.multi_down[color])
-            raise ParseError(f"{side} tensor factor is not a crystal: vertex "
-                             f"{g.vertex_ids[k]!r} has {len(g.multi_down[color][k])} "
-                             f"outgoing edges of color {color}")
+    _check_factors(g1, g2)
     width = len(g2)
     right = [_wrap_factor(p) for p in g2.payloads]
     ids = [f"{_wrap_factor(p)}⊗{q}" for p in g1.payloads for q in right]

@@ -102,14 +102,6 @@ def _entry_of(text: str, position: int | None = None) -> Entry:
     raise ParseError(f"invalid entry {text.strip()!r}", position)
 
 
-def parse_entry(text: str) -> Entry:
-    """Parse ``"3"`` or ``"3'"`` into an :class:`Entry`."""
-    entry = _entry_of(text)
-    if entry.value < 1:
-        raise ParseError(f"invalid entry {text!r}")
-    return entry
-
-
 @dataclass(frozen=True, slots=True)
 class YoungTableau:
     """Left-justified filling; row ``r`` occupies columns ``1..shape[r-1]``."""
@@ -247,10 +239,6 @@ def render_tableau(t: Tableau) -> str:
         "[" + ",".join(entry.render() for entry in row) + "]" for row in t.rows
     )
     return f"[{rows}]"
-
-
-def render_word(word: Word) -> str:
-    return " ".join(entry.render() for entry in word)
 
 
 def _parse_rows(text: str) -> list[list[Entry]]:

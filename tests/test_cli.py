@@ -31,8 +31,9 @@ Checks:
   in the requested directory; every subcommand, ``string`` included, exits 2
   on a nonpositive ``--max-vertices`` without output or files, and reports
   it before a bad subcommand argument,
-* the thread count and environment override never change output bytes, and
-  a malformed ``CRYSTAL_THREADS`` exits 2,
+* ``--threads`` never changes output bytes or stdout, and ``CRYSTAL_THREADS``
+  is not read, so a malformed value changes nothing either; a nonpositive
+  ``--threads`` exits 2 saying so, after a nonpositive ``--max-vertices``,
 * ``graph`` lists its edge counts by color in numeric order, writes its
   file without calling ``export_json`` or ``export_dot``, leaves an existing
   ``--out`` file alone when it exits 2 or 4, and grows a fresh interpreter's
@@ -277,25 +278,6 @@ def test_expand_budget_exits_four(capsys):
     assert code == 4
     assert out == ""
     assert "reached 6 tableaux" in err
-
-
-def test_malformed_thread_env_exits_two(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CRYSTAL_THREADS", "abc")
-    code, out, err = run(
-        capsys,
-        "graph",
-        "--model",
-        "shifted",
-        "--shape",
-        "2,1",
-        "--n",
-        "3",
-        "--out",
-        str(tmp_path / "never.json"),
-    )
-    assert code == 2
-    assert out == ""
-    assert "CRYSTAL_THREADS" in err
 
 
 def test_graph_prints_the_number_of_components(tmp_path, capsys):
@@ -706,44 +688,29 @@ def test_tensor_model_from_files(tmp_path, capsys):
 
 
 def test_thread_flag_and_env_do_not_change_bytes(tmp_path, capsys, monkeypatch):
-    outputs = []
-    for k, threads in enumerate(("1", "4")):
-        target = tmp_path / f"g{k}.json"
-        code, _, _ = run(
-            capsys,
-            "--threads",
-            threads,
-            "graph",
-            "--model",
-            "shifted",
-            "--shape",
-            "3,1",
-            "--n",
-            "3",
-            "--out",
-            str(target),
-        )
-        assert code == 0
-        outputs.append(target.read_bytes())
-    monkeypatch.setenv("CRYSTAL_THREADS", "3")
-    target = tmp_path / "g-env.json"
-    assert (
-        run(
-            capsys,
-            "graph",
-            "--model",
-            "shifted",
-            "--shape",
-            "3,1",
-            "--n",
-            "3",
-            "--out",
-            str(target),
-        )[0]
-        == 0
-    )
-    outputs.append(target.read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
+    # --threads is checked but unused; CRYSTAL_THREADS is not read at all.
+    target = tmp_path / "g.json"
+    argv = ["graph", "--model", "shifted", "--shape", "3,1", "--n", "3", "--out", str(target)]
+    runs = []
+    cases = [(None, []), (None, ["--threads", "2"]), ("abc", []), ("0", ["--threads", "4"])]
+    for env, flag in cases:
+        if env is None:
+            monkeypatch.delenv("CRYSTAL_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("CRYSTAL_THREADS", env)
+        runs.append((*run(capsys, *flag, *argv), target.read_bytes()))
+    assert runs[0][0] == 0
+    assert runs == [runs[0]] * len(runs)
+
+
+def test_a_nonpositive_thread_count_exits_two_after_the_budget_check(tmp_path, capsys):
+    target = tmp_path / "never.json"
+    argv = ["graph", "--model", "shifted", "--shape", "2,1", "--n", "3", "--out", str(target)]
+    assert run(capsys, "--threads", "0", *argv) == (
+        2, "", "error: threads must be positive, got 0\n")
+    assert run(capsys, "--max-vertices", "0", "--threads", "0", *argv) == (
+        2, "", "error: max_vertices must be positive, got 0\n")
+    assert not target.exists()
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,8 @@
 
 Checks:
 * the basic chain models have the expected vertices, edges, and single source,
-* construction output is fully deterministic and independent of thread count,
+* construction output is fully deterministic, ``Config`` has no thread
+  setting, and ``resolve_threads`` ignores ``CRYSTAL_THREADS``,
 * characters of constructed graphs equal the corresponding polynomials,
 * components and highest weights of a tensor square match hand-derived data,
   and the vertex-index groups counted by ``graph`` are the components'
@@ -15,8 +16,9 @@ Checks:
 * tensor graphs agree with the hand-transcribed products and multiply
   characters, and an over-budget tensor is refused before any string
   length is computed (mismatched weight lengths still come first),
-* rooted isomorphism accepts relabelings, rejects weight changes, and refuses
-  graphs without a unique source,
+* rooted isomorphism accepts relabelings, rejects weight changes, different
+  or repeated out-edge colors, and two colors that meet at one target in one
+  graph only, and refuses graphs without a unique source,
 * JSON round trips byte-identically and the importer rejects malformed input,
   including negative or boolean numbers, colors that would not round-trip and
   text UTF-8 cannot encode, with the message of the first failed check in
@@ -29,7 +31,9 @@ Checks:
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 import random
 
 import pytest
@@ -49,7 +53,6 @@ from crystals import (
     isomorphic,
     queer_graph,
     queer_standard_graph,
-    resolve_threads,
     schur,
     schur_p,
     shifted_graph,
@@ -58,6 +61,7 @@ from crystals import (
     young_graph,
 )
 import crystals.graph
+from crystals.config import resolve_threads
 from crystals import queer, shifted, young
 from crystals.graph import Vertex, _component_groups, string_length_maps
 from crystals.shifted import eps as shifted_eps
@@ -92,18 +96,17 @@ def test_queer_standard_chain_adds_zero_edge():
 
 
 def test_construction_is_deterministic_across_threads():
-    texts = []
-    for threads in (1, 3):
-        g = shifted_graph((3, 1), 3, config=Config(threads=threads))
-        texts.append(export_json(g))
+    # Every build runs on one thread, and Config has no thread setting.
+    texts = [export_json(shifted_graph((3, 1), 3)) for _ in range(2)]
     assert texts[0] == texts[1]
+    assert [f.name for f in dataclasses.fields(Config)] == ["max_vertices", "output_dir"]
+    with pytest.raises(TypeError):
+        Config(threads=3)
 
 
-def test_thread_resolution_prefers_environment(monkeypatch):
+def test_thread_resolution_ignores_environment(monkeypatch):
     monkeypatch.setenv("CRYSTAL_THREADS", "7")
-    assert resolve_threads(Config(threads=2)) == 7
-    monkeypatch.delenv("CRYSTAL_THREADS")
-    assert resolve_threads(Config(threads=2)) == 2
+    assert resolve_threads() == (os.cpu_count() or 1)
 
 
 def test_characters_match_polynomials():
@@ -194,6 +197,23 @@ def test_isomorphic_rejects_weight_change():
 
 def test_isomorphic_rejects_shape_difference():
     assert not isomorphic(standard_graph(2), young_graph((2,), 2))
+
+
+def test_isomorphic_rejects_different_or_repeated_out_colors():
+    vertices = [("s", "s", (1, 0)), ("t", "t", (0, 1)), ("u", "u", (0, 1))]
+    down1 = CrystalGraph(2, vertices[:2], [("s", 1, "t")])
+    down0 = CrystalGraph(2, vertices[:2], [("s", 0, "t")])
+    assert not isomorphic(down1, down0)
+    forked = CrystalGraph(2, vertices, [("s", 1, "t"), ("s", 1, "u")])
+    assert not isomorphic(forked, forked)
+
+
+def test_isomorphic_rejects_two_colors_that_meet_in_one_graph_only():
+    vertices = [(vid, vid, (0, 0, 0)) for vid in "stu"]
+    meet = CrystalGraph(3, vertices, [("s", 1, "t"), ("s", 2, "t"), ("t", 1, "u")])
+    part = CrystalGraph(3, vertices, [("s", 1, "t"), ("s", 2, "u"), ("t", 1, "u")])
+    assert not isomorphic(meet, part)
+    assert not isomorphic(part, meet)
 
 
 def test_isomorphic_requires_unique_source():

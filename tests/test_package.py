@@ -8,6 +8,8 @@ Checks:
   functions by module and name) installs on the library and restores it, so
   a deleted or renamed function it probes fails here rather than in a traced
   benchmark run,
+* every ``from crystals... import name`` in ``perfbench/*.py`` resolves, so
+  deleting a name the benchmark harness still imports fails here,
 * every name a ``crystals`` submodule imports is used in that module (the
   package's ``__init__.py`` re-exports, so it is exempt), so a deletion
   leaves no dead import behind,
@@ -32,7 +34,8 @@ import pytest
 
 import crystals
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = BENCHMARK / "tracer.py"
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -58,6 +61,23 @@ def test_benchmark_tracer_installs_and_restores():
         assert crystals.check_stembridge is checker
     finally:
         del sys.modules[spec.name]
+
+
+def test_every_benchmark_import_resolves():
+    checked, missing = [], []
+    for path in sorted(BENCHMARK.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.partition(".")[0] == "crystals"):
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                checked.append(name)
+                if not hasattr(module, alias.name):
+                    missing.append(f"{path.name}:{node.lineno} {name}")
+    assert "crystals.config.resolve_threads" in checked
+    assert missing == []
 
 
 def test_every_import_is_used():

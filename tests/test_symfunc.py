@@ -22,7 +22,10 @@ Checks:
 * staircase shapes are exactly the ones with coinciding characters, and every
   non-staircase shape admits at least two fillings killed by all raising
   operators,
-* rendering of expansions and polynomials.
+* rendering of expansions and polynomials,
+* a polynomial refuses a negative variable count, an exponent of the wrong
+  length or with a negative entry, and a sum or product of polynomials in
+  different numbers of variables, each with its own message.
 """
 
 from __future__ import annotations
@@ -294,3 +297,22 @@ def test_polynomial_rendering_round_trip():
     assert poly.render() == "x1^2 + x1*x2 + x2^2"
     assert schur_p((1,), 2).render() == "x1 + x2"
     assert SparsePolynomial.zero(2).render() == "0"
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SparsePolynomial(-1), "variable count must be non-negative, got -1"),
+        (lambda: SparsePolynomial(2, {(1, 0, 0): 1}), "exponent (1, 0, 0) has 3 entries, expected 2"),
+        (lambda: SparsePolynomial(2, {(1, -1): 1}), "exponent (1, -1) has a negative entry"),
+        (lambda: SparsePolynomial.zero(2) + SparsePolynomial.zero(3),
+         "cannot combine polynomials in 2 and 3 variables"),
+        (lambda: SparsePolynomial.zero(3) * SparsePolynomial.zero(2),
+         "cannot combine polynomials in 3 and 2 variables"),
+    ],
+    ids=["negative-n", "exponent-length", "negative-exponent", "add", "mul"],
+)
+def test_polynomial_refuses_mismatched_dimensions(make, message):
+    with pytest.raises(DimensionMismatch) as caught:
+        make()
+    assert str(caught.value) == message

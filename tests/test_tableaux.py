@@ -2,7 +2,8 @@
 
 Checks:
 * the total order on marked/unmarked entries and its sort key,
-* parse/render round trips for entries, words, and both tableau families,
+* parse/render round trips for entries and both tableau families, and a
+  tableau parser refuses a cell whose entry text is not an entry,
 * every validation error class fires on a matching bad filling,
 * reading words, read off the library's reading cells, follow rows
   (unshifted) and the column-then-row hook order, and the hook order agrees
@@ -31,16 +32,14 @@ from crystals import (
     ValueOutOfRange,
     enumerate_ssht,
     enumerate_ssyt,
-    parse_entry,
     parse_shifted,
     parse_young,
     render_tableau,
-    render_word,
     validate_shifted,
     validate_young,
     weight,
 )
-from crystals.tableaux import hook_reading_cells, row_reading_cells
+from crystals.tableaux import _entry_of, hook_reading_cells, row_reading_cells
 from oracles import reading_word
 
 entries = st.builds(Entry, value=st.integers(1, 5), marked=st.booleans())
@@ -49,6 +48,11 @@ entries = st.builds(Entry, value=st.integers(1, 5), marked=st.booleans())
 def word_of(cells):
     """The reading word of a reading order given as ``(cell, entry)`` pairs."""
     return tuple(entry for _, entry in cells)
+
+
+def spelled(word):
+    """A word as text, its entries rendered and spaced."""
+    return " ".join(entry.render() for entry in word)
 
 
 def test_entry_order_interleaves_marked_before_unmarked():
@@ -65,19 +69,16 @@ def test_entry_order_matches_sort_key(a, b):
 
 @given(e=entries)
 def test_entry_render_parse_round_trip(e):
-    assert parse_entry(e.render()) == e
+    assert _entry_of(e.render()) == e
 
 
 @pytest.mark.parametrize("text", ["", "0", "3''", "x", "-1", "2x", "²", "٣'",
                                   pytest.param("1" + "0" * 5000, id="past-int-digit-limit")])
 def test_parse_entry_rejects_garbage(text):
-    with pytest.raises(ParseError):
-        parse_entry(text)
-
-
-def test_render_word_spaces_entries():
-    word = (Entry(2, True), Entry(1, False), Entry(2, False))
-    assert render_word(word) == "2' 1 2"
+    # The entry text of a tableau cell; "0" reads as an entry out of range.
+    for parse in (parse_young, parse_shifted):
+        with pytest.raises(ValueOutOfRange if text == "0" else ParseError):
+            parse(f"[[1,{text}]]")
 
 
 def test_parse_young_round_trip():
@@ -142,18 +143,18 @@ def test_weight_counts_values_ignoring_marks():
 
 def test_row_reading_word_top_row_first():
     t = parse_young("[[1,2,2],[2,3]]")
-    assert render_word(word_of(row_reading_cells(t))) == "2 3 1 2 2"
+    assert spelled(word_of(row_reading_cells(t))) == "2 3 1 2 2"
 
 
 def test_hook_reading_word_small_example():
     t = parse_shifted("[[1,1,2'],[2]]")
-    assert render_word(word_of(hook_reading_cells(t))) == "2' 2 1 1"
+    assert spelled(word_of(hook_reading_cells(t))) == "2' 2 1 1"
 
 
 def test_hook_reading_word_marked_up_column_then_row():
     t = parse_shifted("[[1,1,4',4],[2,4',5'],[4,5]]")
     word = word_of(hook_reading_cells(t))
-    assert render_word(word) == "5' 4' 4' 4 5 2 1 1 4"
+    assert spelled(word) == "5' 4' 4' 4 5 2 1 1 4"
     cells = [cell for cell, _ in hook_reading_cells(t)]
     assert cells == [
         (2, 4),

@@ -4,6 +4,9 @@ Checks:
 * at every vertex and color of a pool of small factor pairs, with and without
   the 0-moves, the view's lowering and raising moves are exactly the edges of
   ``tensor_graphs`` on the same factors,
+* the view refuses a factor graph with two edges of one color out of one
+  vertex, naming it as ``tensor_graphs`` does, and accepts one with two
+  sources of one target,
 * the tableau-backed factor ``QueerTableauCrystal`` has the vertices,
   weights, moves, string lengths and even highest weights of ``queer_graph``
   for every strict shape of size at most 4 and alphabet up to 4, and refuses
@@ -22,6 +25,8 @@ from __future__ import annotations
 import pytest
 
 from crystals import (
+    CrystalGraph,
+    ParseError,
     QueerTableauCrystal,
     ShapeMismatch,
     TensorView,
@@ -68,6 +73,24 @@ def test_view_moves_equal_materialized_edges(name, queer):
                 ):
                     expected = () if lazy is None else (view.payload_of(lazy),)
                     assert materialized == expected
+
+
+def test_view_refuses_a_factor_that_is_not_a_crystal():
+    vertices = [("a", "a", (1, 0)), ("b", "b", (0, 1)), ("c", "c", (0, 1))]
+    forked = CrystalGraph(2, vertices, [("a", 0, "b"), ("a", 0, "c")])
+    with pytest.raises(ParseError) as caught:
+        TensorView(forked, forked, queer=True)
+    assert str(caught.value) == ("left tensor factor is not a crystal: "
+                                 "vertex 'a' has 2 outgoing edges of color 0")
+
+
+def test_view_accepts_a_factor_with_two_sources_of_one_target():
+    vertices = [("a", "a", (1, 0)), ("b", "b", (1, 0)), ("c", "c", (0, 1))]
+    joined = CrystalGraph(2, vertices, [("a", 1, "c"), ("b", 1, "c")])
+    view, tensor = TensorView(joined, joined), tensor_graphs(joined, joined)
+    for pair in [(b1, b2) for b1 in "abc" for b2 in "abc"]:
+        lazy = view.out_edge(pair, 1)
+        assert tensor.out_edge(view.payload_of(pair), 1) == (lazy and view.payload_of(lazy))
 
 
 @pytest.mark.parametrize(
