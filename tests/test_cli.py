@@ -692,7 +692,7 @@ def test_thread_flag_and_env_do_not_change_bytes(tmp_path, capsys, monkeypatch):
     target = tmp_path / "g.json"
     argv = ["graph", "--model", "shifted", "--shape", "3,1", "--n", "3", "--out", str(target)]
     runs = []
-    cases = [(None, []), (None, ["--threads", "2"]), ("abc", []), ("0", ["--threads", "4"])]
+    cases = [(None, []), (None, ["--threads", "2"]), ("0", ["--threads", "4"])]
     for env, flag in cases:
         if env is None:
             monkeypatch.delenv("CRYSTAL_THREADS", raising=False)
@@ -701,6 +701,19 @@ def test_thread_flag_and_env_do_not_change_bytes(tmp_path, capsys, monkeypatch):
         runs.append((*run(capsys, *flag, *argv), target.read_bytes()))
     assert runs[0][0] == 0
     assert runs == [runs[0]] * len(runs)
+
+
+def test_malformed_thread_env_is_ignored(tmp_path, capsys, monkeypatch):
+    # A malformed CRYSTAL_THREADS once exited 2; it is no longer read.
+    target = tmp_path / "g.json"
+    argv = ["graph", "--model", "shifted", "--shape", "3,1", "--n", "3", "--out", str(target)]
+    monkeypatch.delenv("CRYSTAL_THREADS", raising=False)
+    plain = (*run(capsys, *argv), target.read_bytes())
+    monkeypatch.setenv("CRYSTAL_THREADS", "abc")
+    malformed = (*run(capsys, *argv), target.read_bytes())
+    assert plain[0] == 0
+    assert plain[2] == ""
+    assert malformed == plain
 
 
 def test_a_nonpositive_thread_count_exits_two_after_the_budget_check(tmp_path, capsys):
