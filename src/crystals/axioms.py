@@ -23,7 +23,7 @@ stops.
 
 from __future__ import annotations
 
-from collections.abc import Generator, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -73,12 +73,7 @@ class Verdict:
         }
 
 
-# Violation groups in report order; the even checker returns its ``(phi, eps)``.
-Groups = Generator[list[Violation], None, tuple[dict[int, StringList], dict[int, StringList]]]
-
-
-def _verdict(groups: Iterable[list[Violation]], exhaustive: bool,
-             notes: list[str] | None = None) -> Verdict:
+def _verdict(groups: Iterable[list[Violation]], exhaustive: bool) -> Verdict:
     """The verdict on ``groups`` of violations read in report order; in fast
     mode the first group that holds any is the last one read."""
     found: list[Violation] = []
@@ -86,25 +81,16 @@ def _verdict(groups: Iterable[list[Violation]], exhaustive: bool,
         found += group
         if found and not exhaustive:
             break
-    return Verdict(not found, tuple(found), tuple(notes or ()))
+    return Verdict(not found, tuple(found))
 
 
 def _by_vertex(found: list[tuple]) -> Iterator[list[Violation]]:
-    """Groups of ``(key, axiom, vertices, detail)`` entries, found color by
-    color, per vertex in the order of a vertex-by-vertex scan (keys start
+    """The ``(key, axiom, vertices, detail)`` entries found color by color,
+    grouped per vertex in the order of a vertex-by-vertex scan (keys start
     with the vertex)."""
     found.sort(key=itemgetter(0))
     for _, entries in groupby(found, key=lambda entry: entry[0][0]):
         yield [Violation(*entry[1:]) for entry in entries]
-
-
-def _prefixed(groups: Groups, prefix: str) -> Groups:
-    """``groups`` with ``prefix`` on every axiom id; returns what they return."""
-    try:
-        while True:
-            yield [Violation(prefix + v.axiom, v.vertices, v.detail) for v in next(groups)]
-    except StopIteration as stop:
-        return stop.value
 
 
 def _name(ids: tuple[str, ...], k: int) -> str | None:
@@ -129,15 +115,17 @@ def _multi_report(graph: CrystalGraph, color: Color, axiom: str, what: str) -> l
     return found
 
 
-def _string_data(
-    graph: CrystalGraph, colors: list[int]
-) -> tuple[dict[int, StringList], dict[int, StringList], list[Violation]]:
-    """Per-color string length lists of the colors that pass A1/A2, and the
-    A1/A2 violations of the others."""
+StringData = tuple[list[Violation], dict[int, StringList], dict[int, StringList]]
+
+
+def _string_data(graph: CrystalGraph) -> StringData:
+    """The A1/A2 violations of the even colors, and the per-color string
+    length lists ``phi, eps`` of the colors that pass A1/A2."""
     phi: dict[int, StringList] = {}
     eps: dict[int, StringList] = {}
     found: list[Violation] = []
-    for color in colors:
+    # A color without edges matters only through the vertices' weights.
+    for color in sorted({*range(1, graph.n if len(graph) else 0), *graph.int_colors}):
         multi = _multi_report(graph, color, "A2", f"edges of color {color}")
         found += multi
         if not multi:
@@ -145,7 +133,7 @@ def _string_data(
                 phi[color], eps[color] = string_length_maps(graph, color)
             except CycleDetected as exc:
                 found.append(Violation("A1", (), str(exc)))
-    return phi, eps, found
+    return found, phi, eps
 
 
 def _root_moves(weights: list[Weight], roots: Iterable[int]) -> dict[tuple[Weight, int], Weight]:
@@ -250,12 +238,9 @@ def _check_squares(
     return found
 
 
-def _even_groups(graph: CrystalGraph) -> Groups:
-    """The even axioms' violation groups; returns the ``(phi, eps)`` lists of
-    the colors that pass A1/A2."""
-    # A color without edges matters only through the vertices' weights.
-    colors = sorted({*range(1, graph.n if len(graph) else 0), *graph.int_colors})
-    phi, eps, found = _string_data(graph, colors)
+def _even_groups(graph: CrystalGraph, strings: StringData) -> Iterator[list[Violation]]:
+    """The even axioms' violation groups, read off ``strings`` from :func:`_string_data`."""
+    found, phi, eps = strings
     yield found
     yield _weight_rules(graph, phi, eps)
 
@@ -288,7 +273,6 @@ def _even_groups(graph: CrystalGraph) -> Groups:
         graph, usable, up, down, eps, phi, ("raising", "nabla phi", "top", "")))
     yield from _by_vertex(_check_squares(
         graph, usable, down, up, phi, eps, ("lowering", "delta eps", "bottom", "lowering ")))
-    return phi, eps
 
 
 def check_stembridge(graph: CrystalGraph, exhaustive: bool = True) -> Verdict:
@@ -297,11 +281,14 @@ def check_stembridge(graph: CrystalGraph, exhaustive: bool = True) -> Verdict:
     In exhaustive mode every applicable vertex is checked and all failures
     returned; otherwise the first failing phase stops the scan.
     """
-    return _verdict(_even_groups(graph), exhaustive)
+    return _verdict(_even_groups(graph, _string_data(graph)), exhaustive)
 
 
 def _queer_groups(graph: CrystalGraph) -> Iterator[list[Violation]]:
-    phi, eps = yield from _prefixed(_even_groups(graph), "B0/")
+    strings = _string_data(graph)
+    for group in _even_groups(graph, strings):
+        yield [Violation("B0/" + v.axiom, v.vertices, v.detail) for v in group]
+    _, phi, eps = strings
     n, ids, weights = graph.n, graph.vertex_ids, graph.weights
     # Weight rule for 0-edges: same root as color 1.
     moves = _root_moves(weights, (1,) if n >= 2 else ())
@@ -428,7 +415,7 @@ def _classify_components(graph: CrystalGraph, colors: tuple[int, int], axiom: st
             notes.append(f"{ids[vertex]}: {text}")
         else:
             found.append(Violation(axiom, (ids[vertex],), text))
-    return _verdict([found], True, notes)
+    return Verdict(not found, tuple(found), tuple(notes))
 
 
 def check_01_components(graph: CrystalGraph) -> Verdict:

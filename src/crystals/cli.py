@@ -43,6 +43,7 @@ from .graph import (
     tensor_graphs,
 )
 from .models import (
+    _check_queer_alphabet,
     queer_graph,
     queer_standard_graph,
     shifted_graph,
@@ -213,10 +214,9 @@ def cmd_char(args: argparse.Namespace, config: Config) -> int:
         if args.shape is None:
             raise ParseError(f"{args.model} model needs --shape")
         shape = parse_shape(args.shape)
-        if args.model == "young":
-            polynomial = schur(shape, args.n, config)
-        else:
-            polynomial = schur_p(shape, args.n, config)
+        if args.model == "queer":
+            _check_queer_alphabet(args.n)
+        polynomial = (schur if args.model == "young" else schur_p)(shape, args.n, config)
     print(polynomial.render())
     return EXIT_OK
 

@@ -13,7 +13,9 @@ Checks:
 * a string color outside the declared alphabet exits 2, and so does a graph
   file with a negative weight, a lone surrogate in an id or payload (no
   tensor file is written) or bytes that are not UTF-8; a nonpositive
-  ``--n`` to ``expand`` or ``string`` exits 2 saying so,
+  ``--n`` to ``expand`` or ``string`` exits 2 saying so, and so does
+  ``char --model queer`` on an alphabet of 1, naming the alphabet before
+  the shape as ``graph`` does, while the shifted character there is ``x1``,
 * ``verify`` exits 2 naming the vertex for a weight of ``true``, ``-1``,
   ``1.5`` or ``"1"``, and for ``"n": true``; its budget refusal names
   ``import_json``, the count and the budget, and on a file of a megabyte or
@@ -797,6 +799,16 @@ def test_char_subcommands(capsys):
     code, out, _ = run(capsys, "char", "--model", "standard", "--n", "3")
     assert code == 0
     assert out.strip() == "x1 + x2 + x3"
+
+
+@pytest.mark.parametrize("shape", ["1", "2,2"])
+def test_queer_char_refuses_an_alphabet_of_one(tmp_path, capsys, shape):
+    message = "error: queer crystal needs an alphabet of at least 2, got 1\n"
+    assert run(capsys, "char", "--model", "queer", "--shape", shape, "--n", "1") == (2, "", message)
+    out = tmp_path / "g.json"
+    graph = ("graph", "--model", "queer", "--shape", shape, "--n", "1", "--out", str(out))
+    assert run(capsys, *graph) == (2, "", message) and not out.exists()
+    assert run(capsys, "char", "--model", "shifted", "--shape", "1", "--n", "1") == (0, "x1\n", "")
 
 
 def test_string_subcommand_walks_the_full_string(capsys):

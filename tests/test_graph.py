@@ -19,6 +19,7 @@ Checks:
 * rooted isomorphism accepts relabelings, rejects weight changes, different
   or repeated out-edge colors, and two colors that meet at one target in one
   graph only, and refuses graphs without a unique source,
+* a graph is never equal to an object that is not a graph,
 * JSON round trips byte-identically and the importer rejects malformed input,
   including negative or boolean numbers, colors that would not round-trip and
   text UTF-8 cannot encode, with the message of the first failed check in
@@ -220,6 +221,12 @@ def test_isomorphic_requires_unique_source():
     g = tensor_graphs(standard_graph(2), standard_graph(2))
     with pytest.raises(MultipleSources):
         isomorphic(g, g)
+
+
+def test_graph_is_not_equal_to_other_types():
+    empty = CrystalGraph(0, [], [])
+    assert (empty == 1) is False
+    assert empty == CrystalGraph(0, [], [])
 
 
 def test_json_round_trip_is_byte_identical(queer31):

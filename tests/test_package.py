@@ -18,7 +18,11 @@ Checks:
   statistics and the operators built on them share no code with them,
 * every ``crystals`` module parses with the grammar of the oldest Python
   ``pyproject.toml`` admits, which refuses ``except*`` and PEP 695 generics,
-  so syntax newer than the declared floor fails here whatever runs the tests.
+  so syntax newer than the declared floor fails here whatever runs the tests,
+* ``perfbench/make_expected.py`` in compare mode passes its cross-checks and
+  finds every benchmark job's exit code, stdout and file digest equal to the
+  committed tables, so a change to any answer the benchmark checks fails
+  here.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -124,3 +130,11 @@ def test_sources_parse_at_the_declared_python_floor():
             ast.parse(newer, feature_version=floor)
     for path in sorted(Path(crystals.__file__).parent.glob("*.py")):
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=floor)
+
+
+def test_benchmark_answers_match_the_committed_tables():
+    done = subprocess.run([sys.executable, str(BENCHMARK / "make_expected.py")],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "cross-checks passed; tables match"

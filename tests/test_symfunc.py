@@ -22,7 +22,12 @@ Checks:
 * staircase shapes are exactly the ones with coinciding characters, and every
   non-staircase shape admits at least two fillings killed by all raising
   operators,
-* rendering of expansions and polynomials,
+* rendering of expansions and polynomials, ``str`` included, with a
+  constant term rendered as its coefficient,
+* a polynomial multiplies by an integer from either side, is false exactly
+  when zero, merges exponent keys that are equal as tuples, and refuses to
+  add, subtract or multiply anything but a polynomial or an integer (and is
+  never equal to one),
 * a polynomial refuses a negative variable count, an exponent of the wrong
   length or with a negative entry, and a sum or product of polynomials in
   different numbers of variables, each with its own message.
@@ -297,6 +302,26 @@ def test_polynomial_rendering_round_trip():
     assert poly.render() == "x1^2 + x1*x2 + x2^2"
     assert schur_p((1,), 2).render() == "x1 + x2"
     assert SparsePolynomial.zero(2).render() == "0"
+    assert str(poly) == poly.render()
+    assert schur((), 2).render() == "1"
+
+
+def test_polynomial_arithmetic_with_other_types():
+    poly = schur((1,), 2)
+    assert 3 * poly == poly * 3
+    assert (3 * poly).render() == "3*x1 + 3*x2"
+    assert bool(poly) and not bool(SparsePolynomial.zero(2))
+    for combine in (lambda: poly + 1, lambda: poly - 1, lambda: poly * "x"):
+        with pytest.raises(TypeError):
+            combine()
+    assert (poly == 1) is False
+
+
+def test_polynomial_merges_exponent_keys_equal_as_tuples():
+    merged = SparsePolynomial(1, {(1,): 1, range(1, 2): -1})
+    assert merged == SparsePolynomial.zero(1)
+    assert merged.terms == {}
+    assert SparsePolynomial(1, {(1,): 1, range(1, 2): 1}).render() == "2*x1"
 
 
 @pytest.mark.parametrize(
