@@ -7,16 +7,17 @@ Strings like ``"1p"`` label derived odd operators; no model builds them, so
 they arrive only from graph files.
 
 A :class:`CrystalGraph` numbers its vertices in sorted-id order.  Per color,
-the lists ``down`` and ``up`` hold each vertex's edge target and source
-(``-1`` for none); the library's graph walks read these lists.  Edges past
-one per vertex and color, which only hand-built graphs have, are listed in
-the side tables ``multi_down``/``multi_up``.  The sorted ``edges`` tuple is
-made on request, so a graph built from the same vertex and edge sets in any
-order has the same JSON and DOT bytes; the writers make that text a block of
-vertices and their out-edges at a time, so a file is written without holding
-it whole.  The tableau crystals are built in :mod:`crystals.models`; they and
-:func:`tensor_graphs` hand their edges to :meth:`CrystalGraph._indexed` as
-per-color target indices.  Both constructors assemble the lists in one step.
+the lists ``down`` and ``up`` hold each vertex's smallest edge target and
+source (``-1`` for none); the graph walks and ``out_edge``/``in_edge`` read
+these lists.  Edges past one per vertex and color, which only hand-built
+graphs have, are listed in the side tables ``multi_down``/``multi_up``.  The
+sorted ``edges`` tuple is made on request, so a graph built from the same
+vertex and edge sets in any order has the same JSON and DOT bytes; the
+writers make that text a block of vertices and their out-edges at a time, so
+a file is written without holding it whole.  The tableau crystals are built
+in :mod:`crystals.models`; they and :func:`tensor_graphs` hand their edges
+to :meth:`CrystalGraph._indexed` as per-color target indices.  Both
+constructors assemble the lists in one step.
 
 A :class:`TensorView` reads the tensor product of two crystals on demand,
 each given as a graph or as any factor with the graph's read protocol (such
@@ -92,9 +93,8 @@ class CrystalGraph:
     indices already, use :meth:`_indexed`; only :meth:`_place` and
     :meth:`_link` set the fields.  The one-edge rule is a property of
     crystals, not a construction invariant: hand-built graphs may break it,
-    and the axiom checkers report that as an A2/B2 violation.
-    Accessors therefore expose both the full target lists and the
-    first-target forms.  Errors name the first offender in sorted order.
+    and the axiom checkers report that as an A2/B2 violation.  Errors name
+    the first offender in sorted order.
     """
 
     __slots__ = ("n", "vertex_ids", "payloads", "weights", "index",
@@ -185,12 +185,6 @@ class CrystalGraph:
         return tuple(c for c in self.colors if isinstance(c, int) and c >= 1)
 
     @property
-    def vertices(self) -> dict[str, Vertex]:
-        """Each id's :class:`Vertex`, made on request."""
-        return {row[0]: Vertex(*row)
-                for row in zip(self.vertex_ids, self.payloads, self.weights)}
-
-    @property
     def edges(self) -> tuple[Edge, ...]:
         """All edges sorted by ``(src, color, dst)``, made on request."""
         ids = self.vertex_ids
@@ -202,24 +196,18 @@ class CrystalGraph:
     def payload_of(self, vid: str) -> str:
         return self.payloads[self.index[vid]]
 
-    def _ends(self, firsts: dict, multi: dict, vid: str, color: Color) -> tuple[str, ...]:
+    def _end(self, lists: dict[Color, list[int]], vid: str, color: Color) -> str | None:
+        """The id at ``vid``'s row of ``lists[color]``, the smallest end of its
+        edges of that color; ``None`` when it has none."""
         k = self.index[vid]
-        row = firsts.get(color)
-        if row is None or row[k] < 0:
-            return ()
-        return tuple(self.vertex_ids[t] for t in multi.get(color, {}).get(k, (row[k],)))
-
-    def out_all(self, vid: str, color: Color) -> tuple[str, ...]:
-        return self._ends(self.down, self.multi_down, vid, color)
-
-    def in_all(self, vid: str, color: Color) -> tuple[str, ...]:
-        return self._ends(self.up, self.multi_up, vid, color)
+        end = lists[color][k] if color in lists else -1
+        return self.vertex_ids[end] if end >= 0 else None
 
     def out_edge(self, vid: str, color: Color) -> str | None:
-        return next(iter(self.out_all(vid, color)), None)
+        return self._end(self.down, vid, color)
 
     def in_edge(self, vid: str, color: Color) -> str | None:
-        return next(iter(self.in_all(vid, color)), None)
+        return self._end(self.up, vid, color)
 
     def edge_counts(self) -> dict[Color, int]:
         return {c: len(row) - row.count(-1) + sum(

@@ -48,7 +48,7 @@ def _standard_graph(n: int, config: Config | None, queer_edge: bool) -> CrystalG
         for v in range(1, n + 1)
     ]
     edges = [(str(i), i, str(i + 1)) for i in range(1, n)]
-    if queer_edge and n >= 2:
+    if queer_edge:
         edges.append(("1", 0, "2"))
     return CrystalGraph(n, vertices, edges)
 
@@ -68,9 +68,10 @@ def queer_standard_graph(n: int, config: Config | None = None) -> CrystalGraph:
     """The standard crystal plus the queer edge ``1 -> 2`` of color 0.
 
     Raises:
-        ValueOutOfRange: ``n`` is not positive.
+        ValueOutOfRange: ``n < 2`` (the 0-edge ends at 2).
         ClosureBudgetExceeded: ``n`` is more than ``config.max_vertices``.
     """
+    _check_queer_alphabet(n)
     return _standard_graph(n, config, queer_edge=True)
 
 

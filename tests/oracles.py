@@ -48,7 +48,10 @@ Everything here is deliberately naive and independent of the code under test:
 * the vertex order and the ``down``, ``up``, ``multi_down`` and ``multi_up``
   tables of a ``CrystalGraph`` built by one loop over the edge triples, as
   its constructor built them before both constructors shared one assembly
-  step that works out ``up`` from the first-target rows.
+  step that works out ``up`` from the first-target rows,
+* every edge end of each vertex and color, and the vertex rows, read off
+  ``graph.edges`` and the vertex columns rather than through
+  ``out_edge``/``in_edge``, which read one end from the first-target lists.
 
 Tests import these oracles and assert agreement with the library; none of the
 functions below are used by the package itself.
@@ -369,6 +372,25 @@ class Collector:
         return Verdict(not self.items, tuple(self.items), tuple(notes or ()))
 
 
+def vertex_rows(graph) -> list[Vertex]:
+    """The graph's vertices as :class:`Vertex` rows in id order, read off its
+    id, payload and weight columns."""
+    return [*map(Vertex, graph.vertex_ids, graph.payloads, graph.weights)]
+
+
+def edge_ends(graph) -> tuple[dict, dict]:
+    """``(targets, sources)``: per ``(vertex id, color)``, the sorted ends of
+    its outgoing and of its incoming edges, read off ``graph.edges``; a pair
+    without such edges has no key."""
+    targets: dict = {}
+    sources: dict = {}
+    for src, color, dst in graph.edges:
+        targets.setdefault((src, color), []).append(dst)
+        sources.setdefault((dst, color), []).append(src)
+    return ({key: tuple(sorted(ends)) for key, ends in targets.items()},
+            {key: tuple(sorted(ends)) for key, ends in sources.items()})
+
+
 def _walk_length(graph, vid: str, color, step) -> int | None:
     """Moves of ``color`` from ``vid`` along ``step`` (``graph.out_edge`` or
     ``graph.in_edge``) until none is defined; ``None`` when the walk comes
@@ -392,11 +414,12 @@ def definition_string_data(graph, colors, out: Collector):
     """
     phi: dict = {}
     eps: dict = {}
+    targets, sources = edge_ends(graph)
     for color in colors:
         clean = True
         for vid in graph.vertex_ids:
-            for way, ends in (("outgoing", graph.out_all(vid, color)),
-                              ("incoming", graph.in_all(vid, color))):
+            for way, ends in (("outgoing", targets.get((vid, color), ())),
+                              ("incoming", sources.get((vid, color), ()))):
                 if len(ends) > 1:
                     out.add("A2", (vid,), f"{len(ends)} {way} edges of color {color}")
                     clean = False
@@ -622,7 +645,7 @@ def subgraph(graph: CrystalGraph, colors) -> CrystalGraph:
     keep = set(colors)
     return CrystalGraph(
         graph.n,
-        graph.vertices.values(),
+        vertex_rows(graph),
         [e for e in graph.edges if e[1] in keep],
     )
 
@@ -630,10 +653,9 @@ def subgraph(graph: CrystalGraph, colors) -> CrystalGraph:
 def restrict(graph: CrystalGraph, vertex_ids) -> CrystalGraph:
     """Induced subgraph on the given vertices."""
     keep = set(vertex_ids)
-    vertices = graph.vertices
     return CrystalGraph(
         graph.n,
-        [vertices[v] for v in keep],
+        [v for v in vertex_rows(graph) if v.id in keep],
         [e for e in graph.edges if e[0] in keep and e[2] in keep],
     )
 
@@ -654,7 +676,7 @@ def copying_components(graph: CrystalGraph) -> list[CrystalGraph]:
         a, b = sorted((root(src), root(dst)))
         parent[b] = a
     groups: dict[str, tuple[list, list]] = {}
-    for vertex in graph.vertices.values():
+    for vertex in vertex_rows(graph):
         groups.setdefault(root(vertex.id), ([], []))[0].append(vertex)
     for edge in edges:
         groups[root(edge[0])][1].append(edge)
@@ -810,10 +832,11 @@ def copying_check_02_components(graph: CrystalGraph) -> Verdict:
                 "without color-2 edges only bare 0-edges are admissible",
             )
             continue
+        into = edge_ends(comp)[1]
         sources = [
             vid
             for vid in comp.vertex_ids
-            if not comp.in_all(vid, 0) and not comp.in_all(vid, 2)
+            if (vid, 0) not in into and (vid, 2) not in into
         ]
         z_sources = [s for s in sources if comp.out_edge(s, 0) is not None]
         if sources != z_sources or not 1 <= len(z_sources) <= 2:
@@ -1545,7 +1568,7 @@ def export_json(graph: CrystalGraph) -> str:
         "n": graph.n,
         "vertices": [
             {"id": v.id, "payload": v.payload, "weight": list(v.weight)}
-            for v in graph.vertices.values()
+            for v in vertex_rows(graph)
         ],
         "edges": [
             {"src": src, "color": str(color), "dst": dst}
@@ -1580,7 +1603,7 @@ def _dot_escape(text: str) -> str:
 def export_dot(graph: CrystalGraph) -> str:
     """Graphviz text with the fixed edge palette and payload labels."""
     lines = ["digraph crystal {", "  rankdir=TB;"]
-    for vertex in graph.vertices.values():
+    for vertex in vertex_rows(graph):
         lines.append(f'  "{_dot_escape(vertex.id)}" [label="{_dot_escape(vertex.payload)}"];')
     for src, color, dst in graph.edges:
         lines.append(

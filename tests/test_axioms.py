@@ -3,7 +3,8 @@
 Checks:
 * every constructed crystal family passes the even-color checker, and queer
   constructions additionally pass the full family checker and both
-  two-color component classifiers,
+  two-color component classifiers (the queer standard crystal on every
+  alphabet of 2 to 7 letters),
 * verdicts serialize to the documented dictionary shape,
 * hand-built pathological graphs trigger exactly the intended axiom labels
   (cycles, forked edges, wrong edge weights, inconsistent vertex weights,
@@ -62,6 +63,7 @@ from oracles import (
     restrict,
     strict_partitions,
     subgraph,
+    vertex_rows,
 )
 from reference_data import QUEER31_01_SHAPES, QUEER31_02_SHAPES
 
@@ -240,7 +242,7 @@ def test_fast_mode_matches_exhaustive_verdict(queer31, shifted31):
 
 
 def test_queer_standard_crystal_passes(queer31):
-    for n in (2, 3, 4):
+    for n in range(2, 8):
         g = queer_standard_graph(n)
         assert check_queer_regular(g).ok
         assert check_01_components(g).ok
@@ -361,7 +363,7 @@ def string_keeping_swaps(graph, seed, count):
         swapped = list(edges)
         swapped[k] = (edges[k][0], edges[k][1], edges[m][2])
         swapped[m] = (edges[m][0], edges[m][1], edges[k][2])
-        yield CrystalGraph(graph.n, graph.vertices.values(), swapped)
+        yield CrystalGraph(graph.n, vertex_rows(graph), swapped)
 
 
 def test_fast_mode_stops_at_the_first_failing_group_on_mutants():
@@ -427,7 +429,7 @@ def component_mutants(graph, seed, count):
                     last = (x[-1], 2, graph.out_edge(x[-1], 2))
                     edges = [e for e in edges if e != last]
                     edges.append((x[-1], 2, x[j]))
-        yield CrystalGraph(graph.n, graph.vertices.values(), edges)
+        yield CrystalGraph(graph.n, vertex_rows(graph), edges)
 
 
 def _component_verdicts_match(g, label):

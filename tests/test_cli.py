@@ -15,7 +15,9 @@ Checks:
   tensor file is written) or bytes that are not UTF-8; a nonpositive
   ``--n`` to ``expand`` or ``string`` exits 2 saying so, and so does
   ``char --model queer`` on an alphabet of 1, naming the alphabet before
-  the shape as ``graph`` does, while the shifted character there is ``x1``,
+  the shape as ``graph`` does, while the shifted character there is ``x1``;
+  ``char`` and ``graph --model standard`` refuse an alphabet of 1 or 0 with
+  the queer message, writing no file,
 * ``verify`` exits 2 naming the vertex for a weight of ``true``, ``-1``,
   ``1.5`` or ``"1"``, and for ``"n": true``; its budget refusal names
   ``import_json``, the count and the budget, and on a file of a megabyte or
@@ -809,6 +811,16 @@ def test_queer_char_refuses_an_alphabet_of_one(tmp_path, capsys, shape):
     graph = ("graph", "--model", "queer", "--shape", shape, "--n", "1", "--out", str(out))
     assert run(capsys, *graph) == (2, "", message) and not out.exists()
     assert run(capsys, "char", "--model", "shifted", "--shape", "1", "--n", "1") == (0, "x1\n", "")
+
+
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_standard_model_refuses_an_alphabet_below_two(tmp_path, capsys, n):
+    message = f"error: queer crystal needs an alphabet of at least 2, got {n}\n"
+    assert run(capsys, "char", "--model", "standard", "--n", n) == (2, "", message)
+    out = tmp_path / "g.json"
+    graph = ("graph", "--model", "standard", "--n", n, "--out", str(out))
+    assert run(capsys, *graph) == (2, "", message) and not out.exists()
+    assert run(capsys, "char", "--model", "standard", "--n", "2") == (0, "x1 + x2\n", "")
 
 
 def test_string_subcommand_walks_the_full_string(capsys):

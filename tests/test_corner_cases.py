@@ -41,6 +41,7 @@ from crystals import (
     string_length_maps,
 )
 from crystals.cli import main
+from oracles import vertex_rows
 
 
 def _base() -> CrystalGraph:
@@ -54,7 +55,7 @@ def _base() -> CrystalGraph:
 
 def _with(*extra) -> CrystalGraph:
     base = _base()
-    return CrystalGraph(base.n, base.vertices.values(), [*base.edges, *extra])
+    return CrystalGraph(base.n, vertex_rows(base), [*base.edges, *extra])
 
 
 CASES = {

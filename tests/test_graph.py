@@ -467,9 +467,10 @@ def test_adjacency_is_the_grouped_sorted_unique_edges():
         for color in (0, 1, 2, "1p", 3):
             targets = tuple(sorted(d for s, c, d in unique if s == vid and c == color))
             sources = tuple(sorted(s for s, c, d in unique if d == vid and c == color))
-            assert g.out_all(vid, color) == targets
-            assert g.in_all(vid, color) == sources
+            for table, ends in ((g.multi_down, targets), (g.multi_up, sources)):
+                extra = table.get(color, {}).get(g.index[vid], ())
+                assert tuple(g.vertex_ids[k] for k in extra) == (ends if len(ends) > 1 else ())
             assert g.out_edge(vid, color) == (targets[0] if targets else None)
             assert g.in_edge(vid, color) == (sources[0] if sources else None)
-    assert g.out_all("a", 1) == ("b", "c")
-    assert g.in_all("c", 1) == ("a", "d")
+    assert g.multi_down == {1: {0: (1, 2)}}  # a -> b, c
+    assert g.multi_up == {1: {2: (0, 3)}}  # a, d -> c

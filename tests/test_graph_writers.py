@@ -54,7 +54,8 @@ def _model_builds():
     yield "queer(4, 2, 1)/5", partial(queer_graph, (4, 2, 1), 5)
     for n in range(1, 6):
         yield f"standard/{n}", partial(standard_graph, n)
-        yield f"queer_standard/{n}", partial(queer_standard_graph, n)
+        if n >= 2:
+            yield f"queer_standard/{n}", partial(queer_standard_graph, n)
     yield "queer(2, 1)x(2)/3", lambda: tensor_graphs(
         queer_graph((2, 1), 3), queer_graph((2,), 3), queer=True
     )

@@ -27,7 +27,8 @@ Checks:
   two-source targets, ``CrystalGraph`` and ``CrystalGraph._indexed`` on the
   first-target rows give the vertex order and the ``down``, ``up``,
   ``multi_down`` and ``multi_up`` tables of the one-loop reference
-  (:func:`oracles.edge_loop_tables`),
+  (:func:`oracles.edge_loop_tables`), and ``out_edge``/``in_edge`` give the
+  smallest end of each vertex's edges of a color (:func:`oracles.edge_ends`),
 * the public enumerations, which sort what the packed enumerations return
   in filling order, list tableaux in strictly increasing reading word.
 """
@@ -239,7 +240,8 @@ def _reference(n: int, vertices: list, edges: list) -> tuple:
 @given(small_graphs())
 def test_both_constructors_assemble_the_tables_of_the_one_loop_reference(graph):
     vertices, edges = graph
-    assert _tables(CrystalGraph(2, vertices, edges)) == _reference(2, vertices, edges)
+    public = CrystalGraph(2, vertices, edges)
+    assert _tables(public) == _reference(2, vertices, edges)
     ids = [vid for vid, _, _ in vertices]
     row_of = {vid: k for k, vid in enumerate(ids)}
     rows = {5: [-1] * len(ids)}  # a color without edges is dropped
@@ -252,6 +254,13 @@ def test_both_constructors_assemble_the_tables_of_the_one_loop_reference(graph):
     indexed = CrystalGraph._indexed(2, ids, [p for _, p, _ in vertices],
                                     [w for _, _, w in vertices], rows)
     assert _tables(indexed) == _reference(2, vertices, firsts)
+    # The id-keyed moves read the smallest end of each vertex's edges.
+    for built in (public, indexed):
+        targets, sources = oracles.edge_ends(built)
+        for vid in ids:
+            for color in (0, 1, 2, "1p", 5):
+                assert built.out_edge(vid, color) == (targets.get((vid, color)) or [None])[0]
+                assert built.in_edge(vid, color) == (sources.get((vid, color)) or [None])[0]
 
 
 def _strictly_increasing(keys: list) -> bool:

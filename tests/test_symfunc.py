@@ -311,7 +311,7 @@ def test_polynomial_arithmetic_with_other_types():
     assert 3 * poly == poly * 3
     assert (3 * poly).render() == "3*x1 + 3*x2"
     assert bool(poly) and not bool(SparsePolynomial.zero(2))
-    for combine in (lambda: poly + 1, lambda: poly - 1, lambda: poly * "x"):
+    for combine in (lambda: poly + 1, lambda: poly - 1, lambda: poly * "x", lambda: "x" * poly):
         with pytest.raises(TypeError):
             combine()
     assert (poly == 1) is False
