@@ -7,6 +7,7 @@ expansions built from highest weights.
 
 from __future__ import annotations
 
+from . import young  # no other module imports it; loaded so that crystals.young always is
 from .axioms import (
     Verdict,
     Violation,

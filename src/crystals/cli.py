@@ -59,8 +59,6 @@ from .tableaux import (
     parse_young,
     render_tableau,
 )
-from .young import lower as young_lower
-from .young import raise_ as young_raise
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -227,19 +225,12 @@ def cmd_string(args: argparse.Namespace, config: Config) -> int:
         raise IndexOutOfRange(
             f"color {args.i} outside 1..{args.n - 1} for an alphabet of {args.n}"
         )
-    if args.kind == "ssyt":
-        tableau = parse_young(args.tableau, args.n)
-        move_up, move_down = young_raise, young_lower
-    else:
-        tableau = parse_shifted(args.tableau, args.n)
-        move_up, move_down = raise_, lower
-    top = tableau
-    while (above := move_up(top, args.i)) is not None:
+    top = (parse_young if args.kind == "ssyt" else parse_shifted)(args.tableau, args.n)
+    while (above := raise_(top, args.i)) is not None:
         top = above
-    current = top
-    while current is not None:
-        print(render_tableau(current))
-        current = move_down(current, args.i)
+    while top is not None:
+        print(render_tableau(top))
+        top = lower(top, args.i)
     return EXIT_OK
 
 

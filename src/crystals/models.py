@@ -6,8 +6,8 @@ the edge ``t -> f(t)`` for every lowering operator ``f`` defined at ``t``.
 Raising operators are the inverse moves and add no edge.  Vertex ids are
 the canonical tableau text.  The builder runs on packed tableaux
 (:mod:`crystals.tableaux`), reads lowering cells and weight off one pass per
-tableau, calls the packed operator bodies directly and hands each edge to
-``CrystalGraph._indexed`` as its target's index.
+tableau, calls the shifted operator bodies (which lower Young tableaux too) on
+codes and hands each edge to ``CrystalGraph._indexed`` as its target's index.
 
 :class:`QueerTableauCrystal` is the queer crystal of a shape without the
 graph: it checks its shape and alphabet when constructed, and moves
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from . import queer, young
+from . import queer
 from .config import Config, DEFAULT_CONFIG
 from .errors import ClosureBudgetExceeded, ValueOutOfRange
 from .graph import Color, CrystalGraph, Vertex, Weight
@@ -101,7 +101,6 @@ def _tableau_graph(
     """
     config = config or DEFAULT_CONFIG
     g = checked_geometry(shape, n, shifted_shape)
-    lower = lower_at if shifted_shape else young.lower_at
     tableaux = enumerate_codes(g, n, config.max_vertices)
     index = {codes: k for k, codes in enumerate(tableaux)}
     down = {i: [-1] * len(tableaux) for i in range(0 if queer_move else 1, n)}
@@ -113,7 +112,7 @@ def _tableau_graph(
         weights.append(weight)
         for i, row in rows:
             if cells[i] >= 0:
-                row[k] = t = index.get(moved := lower(codes, g, i, cells[i]), -1)
+                row[k] = t = index.get(moved := lower_at(codes, g, i, cells[i]), -1)
                 if t < 0:
                     strays.append((k, i, render_codes(moved, g)))
         if queer_move and (moved := queer.f0_codes(codes)) is not None:

@@ -6,7 +6,7 @@ All statistics disregard marks: an entry counts by its value only.  Positions ar
 
 :func:`string_scan` gives the statistics of every color in one pass over a packed
 reading word (see :mod:`crystals.tableaux`); every statistic here but the bracket
-pairs of :func:`classify_pairs` reads it, on the ``Entry`` word packed, for a color >= 0.
+pairs of :func:`classify_pairs` reads one color ``>= 0`` of it on the ``Entry`` word packed.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from .tableaux import Geometry, Tableau, Word, geometry_of, pack
 
 
 def _word_scan(word: Word, i: int) -> StringScan:
-    """:func:`string_scan` of ``word`` packed, reading every letter in order."""
+    """:func:`_color_scan` of ``word`` packed, reading every letter in order."""
     if i < 0:
         raise IndexOutOfRange(f"color must be non-negative, got {i}")
     codes = [2 * e.value - e.marked for e in word]
-    return string_scan(codes, [(k, code & 1) for k, code in enumerate(codes)], i)
+    return _color_scan(codes, [(k, code & 1) for k, code in enumerate(codes)], i)
 
 
 def m_i_prefix(word: Word, i: int, r: int) -> int:
@@ -35,12 +35,12 @@ def m_i_prefix(word: Word, i: int, r: int) -> int:
     """
     if not 0 <= r <= len(word):
         raise IndexOutOfRange(f"prefix length {r} outside 0..{len(word)}")
-    return _word_scan(word[:r], i).balance[i]
+    return _word_scan(word[:r], i).balance[1]
 
 
 def m_i(word: Word, i: int) -> int:
     """Maximum of :func:`m_i_prefix` over all prefixes, including the empty one."""
-    return _word_scan(word, i).phi[i]
+    return _word_scan(word, i).phi[1]
 
 
 def eps_i(word: Word, i: int) -> int:
@@ -48,17 +48,17 @@ def eps_i(word: Word, i: int) -> int:
 
     The empty suffix contributes 0, so the result is never negative.
     """
-    return _word_scan(word, i).eps(i)
+    return _word_scan(word, i).eps(1)
 
 
 def first_max_position(word: Word, i: int) -> int:
     """Smallest prefix length attaining :func:`m_i` (0 when the maximum is 0)."""
-    return _word_scan(word, i).down[i] + 1
+    return _word_scan(word, i).down[1] + 1
 
 
 def last_max_position(word: Word, i: int) -> int:
     """Largest prefix length attaining :func:`m_i`."""
-    up = _word_scan(word, i).up[i]
+    up = _word_scan(word, i).up[1]
     return len(word) if up < 0 else up
 
 
@@ -189,8 +189,16 @@ def _lowering_scan(
     return down, tuple(accumulate(run[n:0:-1]))[::-1]
 
 
+def _color_scan(codes: Sequence[int], reading: Sequence[tuple[int, int]], i: int) -> StringScan:
+    """:func:`string_scan` of color ``i`` alone, at index 1, in memory that grows with the
+    word only: letters ``i`` and ``i + 1`` become ``1`` and ``2``, any other a ``3`` (which
+    moves colors 2 and 3 only), each keeping its mark and so its place in ``reading``."""
+    relabel = [d if 0 < (d := c - 2 * i + 2) < 5 else 6 - (c & 1) for c in codes]
+    return string_scan(relabel, reading, 1)
+
+
 def scan_tableau(t: Tableau, i: int) -> tuple[tuple[int, ...], Geometry, StringScan]:
-    """``t`` packed, its geometry, and the :func:`string_scan` of its reading word.
+    """``t`` packed, its geometry, and the :func:`_color_scan` of color ``i`` of its reading word.
 
     Raises:
         IndexOutOfRange: ``i`` (the operator color asked for) is below 1.
@@ -198,4 +206,4 @@ def scan_tableau(t: Tableau, i: int) -> tuple[tuple[int, ...], Geometry, StringS
     if i < 1:
         raise IndexOutOfRange(f"operator index must be at least 1, got {i}")
     codes, g = pack(t), geometry_of(t)
-    return codes, g, string_scan(codes, g.reading, i)
+    return codes, g, _color_scan(codes, g.reading, i)

@@ -18,11 +18,11 @@ conjugated by the ``k``-th reflection word (:func:`odd_word`).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .errors import IndexOutOfRange, StringTruncated
+from .errors import IndexOutOfRange, ShapeMismatch, StringTruncated
 from .graph import CrystalGraph, Pair, TensorView
-from .tableaux import ShiftedTableau, geometry_of, pack, unpack, with_codes
+from .tableaux import ShiftedTableau, Tableau, geometry_of, pack, unpack, with_codes
 
 VertexId = str | Pair
 """A vertex id of a :class:`CrystalGraph` or a pair of a :class:`TensorView`."""
@@ -32,19 +32,24 @@ def f0(t: ShiftedTableau) -> ShiftedTableau | None:
     """Queer lowering move: rightmost ``1`` of row 1 becomes ``2``/``2'``.
 
     Undefined (``None``) when the tableau holds no ``1`` or already holds a
-    ``2'``.
+    ``2'``.  A Young tableau raises ``ShapeMismatch``.
     """
-    codes = f0_codes(pack(t))
-    return None if codes is None else unpack(codes, geometry_of(t))
+    return _move(f0_codes, t)
 
 
 def e0(t: ShiftedTableau) -> ShiftedTableau | None:
     """Queer raising move: the ``2'``, or a leading diagonal ``2``, becomes ``1``.
 
     Undefined (``None``) when the tableau has no ``2'`` and the first cell of
-    row 1 is not an unmarked ``2``.
+    row 1 is not an unmarked ``2``.  A Young tableau raises ``ShapeMismatch``.
     """
-    codes = e0_codes(pack(t))
+    return _move(e0_codes, t)
+
+
+def _move(body: Callable, t: Tableau) -> ShiftedTableau | None:
+    if not isinstance(t, ShiftedTableau):  # a Young filling would come back invalid
+        raise ShapeMismatch(f"the queer moves act on shifted tableaux, got a {type(t).__name__}")
+    codes = body(pack(t))
     return None if codes is None else unpack(codes, geometry_of(t))
 
 

@@ -1,21 +1,19 @@
-"""Raising and lowering operators on semistandard shifted tableaux.
+"""Raising and lowering operators on semistandard shifted tableaux, and on Young ones.
 
-Operators act through the hook reading word.  The lowering operator ``f_i``
-locates the word position of the first maximal prefix statistic and edits the
-tableau around that cell; the raising operator ``e_i`` starts from the position
-just after the last maximal prefix and inverts every lowering case.
+Operators act through the reading word: hook reading, or row reading on a Young tableau.
+The lowering operator ``f_i`` edits the tableau around the cell ending the first maximal
+prefix; the raising operator ``e_i`` starts from the cell just after the last maximal
+prefix and inverts every lowering case.  Entries with value ``v`` (marked or not) form
+connected ribbons; some cases walk a ribbon northwest to its head or southeast along its
+tail to keep the filling semistandard.  On a Young tableau, a filling without marks, the
+cell the scan picks never has an ``i + 1`` north of it (lowering) or an ``i`` south of it
+(raising), so only the cases that change one letter fire: the Young operators.
 
-Entries with value ``v`` (marked or not) form connected ribbons; some cases walk
-a ribbon northwest to its head or southeast along its tail to keep the filling
-semistandard while moving weight between values ``i`` and ``i + 1``.
-
-Each operator has one body on packed codes (:mod:`crystals.tableaux`):
-:func:`lower_at` and :func:`raise_at` edit the codes at the cell a
-:func:`~crystals.pairing.string_scan` of the reading word picked.  The
-public functions pack the tableau, run that body and unpack the result.
-The Yamanouchi enumeration, the tableaux whose raising strings all vanish,
-fills codes too (:func:`yamanouchi_codes`); :func:`enumerate_yamanouchi`
-unpacks them.
+Each operator has one body on packed codes (:mod:`crystals.tableaux`), :func:`lower_at`
+or :func:`raise_at`, which edits the cell a :func:`~crystals.pairing.string_scan` of the
+reading word picked; the public functions pack a tableau of either kind, run it and
+unpack the result.  The Yamanouchi enumeration, the tableaux whose raising strings all
+vanish, fills codes too (:func:`yamanouchi_codes`); :func:`enumerate_yamanouchi` unpacks them.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ from .pairing import scan_tableau
 from .tableaux import (
     Geometry,
     ShiftedTableau,
+    Tableau,
     _check_budget,
     _in_reading_order,
     check_codes,
@@ -34,27 +33,27 @@ from .tableaux import (
 )
 
 
-def phi(t: ShiftedTableau, i: int) -> int:
-    """Length of the lowering string at ``t`` for color ``i``."""
-    return scan_tableau(t, i)[2].phi[i]
+def phi(t: Tableau, i: int) -> int:
+    """Length of the lowering string at ``t`` (of either kind) for color ``i``."""
+    return scan_tableau(t, i)[2].phi[1]
 
 
-def eps(t: ShiftedTableau, i: int) -> int:
-    """Length of the raising string at ``t`` for color ``i``."""
-    return scan_tableau(t, i)[2].eps(i)
+def eps(t: Tableau, i: int) -> int:
+    """Length of the raising string at ``t`` (of either kind) for color ``i``."""
+    return scan_tableau(t, i)[2].eps(1)
 
 
-def lower(t: ShiftedTableau, i: int) -> ShiftedTableau | None:
-    """Apply ``f_i``, or return ``None`` when the lowering string is exhausted."""
+def lower(t: Tableau, i: int) -> Tableau | None:
+    """Apply ``f_i`` to ``t`` of either kind, or return ``None`` at the string's end."""
     codes, g, scan = scan_tableau(t, i)
-    cell = scan.down[i]
+    cell = scan.down[1]
     return None if cell < 0 else unpack(lower_at(codes, g, i, cell), g)
 
 
-def raise_(t: ShiftedTableau, i: int) -> ShiftedTableau | None:
-    """Apply ``e_i``, or return ``None`` when the raising string is exhausted."""
+def raise_(t: Tableau, i: int) -> Tableau | None:
+    """Apply ``e_i`` to ``t`` of either kind, or return ``None`` at the string's end."""
     codes, g, scan = scan_tableau(t, i)
-    cell = scan.up[i]
+    cell = scan.up[1]
     return None if cell < 0 else unpack(raise_at(codes, g, i, cell), g)
 
 

@@ -86,7 +86,7 @@ from crystals import (
     queer_highest_weights,
     schur_p,
 )
-from crystals import queer, young
+from crystals import queer
 from crystals.axioms import Verdict, Violation
 from crystals.config import DEFAULT_CONFIG, Config
 from crystals.graph import (
@@ -1618,7 +1618,9 @@ def export_dot(graph: CrystalGraph) -> str:
 #
 # The library's tableau and tensor builders as they read when every edge was
 # a string triple and ``CrystalGraph.__init__`` looked both ends up again,
-# copied verbatim but for the one line that takes the lowering cells.
+# copied verbatim but for the one line that takes the lowering cells, and
+# for the Young rule: the library lowers Young tableaux with the shifted
+# body, and the tableau builder here with its own one-letter rule.
 
 
 def _lowering_cells(codes: tuple[int, ...], g: Geometry, n: int) -> list[int]:
@@ -1628,6 +1630,11 @@ def _lowering_cells(codes: tuple[int, ...], g: Geometry, n: int) -> list[int]:
     word = [Entry((codes[c] + 1) >> 1, bool(codes[c] & 1)) for c in read]
     positions = [first_max_position(word, i) for i in range(1, n)]
     return [-1] + [read[r - 1] if r else -1 for r in positions]
+
+
+def _young_lower_at(codes: tuple[int, ...], g: Geometry, i: int, cell: int) -> tuple[int, ...]:
+    """The Young ``f_i`` of packed ``codes``: the ``i`` at ``cell`` becomes an ``i + 1``."""
+    return codes[:cell] + (2 * i + 2,) + codes[cell + 1:]
 
 
 def string_edge_tableau_graph(
@@ -1643,7 +1650,7 @@ def string_edge_tableau_graph(
     the enumeration."""
     config = config or DEFAULT_CONFIG
     g = checked_geometry(shape, n, shifted_shape)
-    lower = lower_at if shifted_shape else young.lower_at
+    lower = lower_at if shifted_shape else _young_lower_at
     ids = {
         codes: render_codes(codes, g)
         for codes in enumerate_codes(g, n, config.max_vertices)

@@ -8,6 +8,12 @@ Checks:
   functions by module and name) installs on the library and restores it, so
   a deleted or renamed function it probes fails here rather than in a traced
   benchmark run,
+* the tracer installs in a fresh interpreter that imported ``crystals.cli``
+  and nothing else, as a traced benchmark run does, so every module it
+  probes is loaded by the package itself,
+* no two of the tracer's probes resolve to the same function object, so no
+  probe's calls are filed under another's (why ``young.lower``/``raise_``
+  are functions of their own rather than the shifted ones),
 * every ``from crystals... import name`` in ``perfbench/*.py`` resolves, so
   deleting a name the benchmark harness still imports fails here,
 * every name a ``crystals`` submodule imports is used in that module (the
@@ -67,6 +73,35 @@ def test_benchmark_tracer_installs_and_restores():
         assert crystals.check_stembridge is checker
     finally:
         del sys.modules[spec.name]
+
+
+def test_benchmark_tracer_installs_on_a_fresh_cli_import():
+    script = "import crystals.cli, tracer; tracer.install(tracer.Tracer())()"
+    path = os.pathsep.join([str(Path(crystals.__file__).resolve().parents[1]), str(BENCHMARK)])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+                                           "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_probes_name_distinct_functions():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tracer
+    try:
+        spec.loader.exec_module(tracer)
+        owners = {}
+        for probe in tracer.PROBES:
+            owner = importlib.import_module(probe.module)
+            *path, attr = probe.attr.split(".")
+            for part in path:
+                owner = getattr(owner, part)
+            raw = vars(owner)[attr]
+            fn = raw.__func__ if isinstance(raw, classmethod) else raw
+            owners.setdefault(id(fn), []).append(probe.span)
+    finally:
+        del sys.modules[spec.name]
+    assert [spans for spans in owners.values() if len(spans) > 1] == []
 
 
 def test_every_benchmark_import_resolves():

@@ -14,6 +14,8 @@ Checks:
   ``f0`` and ``e0``;
 * colors past the largest entry, the empty shape and the codes themselves
   (pack/unpack round trip, render, weight) agree on a small sample;
+* a one-color scan of a tableau or a word (``phi``, ``lower``, ``m_i``)
+  peaks under 1 MB however large the color or the entries are;
 * the graph builders emit exactly the oracle's lowering edges, and refuse
   (``ParseError``) a lowering whose target the enumeration did not list;
 * a budget stops an enumeration at the first tableau past it, the empty
@@ -35,6 +37,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -45,6 +48,7 @@ from crystals import (
     CrystalError,
     ParseError,
     enumerate_yamanouchi,
+    pairing,
     product_expand,
     queer,
     schur,
@@ -64,6 +68,7 @@ from crystals.tableaux import (
     geometry,
     pack,
     parse_shifted,
+    parse_young,
     render_codes,
     render_tableau,
     unpack,
@@ -166,6 +171,23 @@ def test_colors_past_the_entries_match_the_oracles():
             assert young.raise_(t, i) == oracles.young_raise(t, i), (t, i)
             assert young.phi(t, i) == oracles.entry_phi(t, i), (t, i)
             assert young.eps(t, i) == oracles.entry_eps(t, i), (t, i)
+
+
+def test_one_color_scans_do_not_grow_with_the_color_or_the_entries():
+    cases = [
+        (shifted.phi, parse_shifted("[[1]]"), 10**6, oracles.entry_phi),
+        (young.lower, parse_young("[[1000000]]"), 1, oracles.young_lower),
+        (pairing.m_i, (Entry(1),), 10**6, oracles.m_i),
+    ]
+    for function, argument, i, oracle in cases:
+        tracemalloc.start()
+        try:
+            answer = function(argument, i)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (function.__qualname__, peak)
+        assert answer == oracle(argument, i), function.__qualname__
 
 
 def test_empty_shape_enumerates_one_tableau():

@@ -11,14 +11,16 @@ Checks:
 * Weyl reflections along a color are involutions that swap adjacent weight
   coordinates, and reflections transport the zero pair to every odd position,
 * the odd-position sources of the full operator family are exactly the
-  fillings of shape weight.
+  fillings of shape weight,
+* the zero pair refuses a Young tableau rather than return one that
+  ``validate_young`` would refuse.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from crystals import enumerate_ssht, parse_shifted, queer_graph, weight
+from crystals import ShapeMismatch, enumerate_ssht, parse_shifted, parse_young, queer_graph, weight
 from crystals.queer import (
     apply_weyl_word,
     e0,
@@ -68,6 +70,12 @@ def test_zero_raising_unmarks_the_pair():
     assert e0(parse_shifted("[[1,2'],[2]]")).render() == "[[1,1],[2]]"
     assert e0(parse_shifted("[[2,2],[3]]")).render() == "[[1,2],[3]]"
     assert e0(parse_shifted("[[1,1],[2]]")) is None
+
+
+def test_zero_pair_refuses_a_young_tableau():
+    for move, text in ((f0, "[[1,1]]"), (e0, "[[2,2]]")):
+        with pytest.raises(ShapeMismatch, match="shifted tableaux, got a YoungTableau"):
+            move(parse_young(text))
 
 
 def test_zero_string_never_exceeds_one():

@@ -7,7 +7,10 @@ Checks:
   literally applying each operator until it fails,
 * both operators preserve semistandardness,
 * the difference rule ``phi - eps == wt_i - wt_{i+1}`` holds everywhere,
-* a worked crystal on a small shape has the expected size and single source.
+* a worked crystal on a small shape has the expected size and single source,
+* the moves and string lengths are the shifted functions' bodies: on shifted
+  tableaux they give the shifted moves, valid shifted tableaux, and
+  ``phi``/``eps`` are the shifted functions themselves.
 """
 
 from __future__ import annotations
@@ -15,7 +18,17 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystals import IndexOutOfRange, enumerate_ssyt, parse_young, validate_young, weight
+from crystals import (
+    IndexOutOfRange,
+    enumerate_ssht,
+    enumerate_ssyt,
+    parse_young,
+    render_tableau,
+    shifted,
+    validate_shifted,
+    validate_young,
+    weight,
+)
 from crystals.young import eps, lower, phi, raise_
 from oracles import apply_until_none
 
@@ -131,3 +144,17 @@ def test_crystal_orbit_covers_enumeration():
         t for t in everything if all(raise_(t, i) is None for i in (1, 2))
     ]
     assert sources == [source]
+
+
+def test_moves_and_string_lengths_are_the_shifted_ones():
+    assert phi is shifted.phi and eps is shifted.eps
+    assert lower is not shifted.lower and raise_ is not shifted.raise_
+    for shape, n in (((3, 1), 3), ((4, 2, 1), 4)):
+        for t in enumerate_ssht(shape, n):
+            for i in range(1, n):
+                assert phi(t, i) == shifted.phi(t, i) and eps(t, i) == shifted.eps(t, i)
+                for move, shifted_move in ((lower, shifted.lower), (raise_, shifted.raise_)):
+                    moved = move(t, i)
+                    assert moved == shifted_move(t, i), (render_tableau(t), i)
+                    if moved is not None:
+                        assert validate_shifted(moved.shape, moved.rows, n) == moved
