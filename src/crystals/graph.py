@@ -813,8 +813,9 @@ def dot_color(color: Color) -> str:
         if color in _INT_PALETTE:
             return _INT_PALETTE[color]
         return _INT_CYCLE[(color - 4) % len(_INT_CYCLE)]
+    # The last two digits fix the number mod 4 (100 is 0 mod 4), however long it is.
     digits = re.match(r"\d+", color)
-    index = int(digits.group()) - 1 if digits else 0
+    index = int(digits.group()[-2:]) - 1 if digits else 0
     return _ODD_CYCLE[index % len(_ODD_CYCLE)]
 
 

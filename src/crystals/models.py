@@ -5,9 +5,10 @@ constructor enumerates them once, in the order they are filled, and adds
 the edge ``t -> f(t)`` for every lowering operator ``f`` defined at ``t``.
 Raising operators are the inverse moves and add no edge.  Vertex ids are
 the canonical tableau text.  The builder runs on packed tableaux
-(:mod:`crystals.tableaux`), reads lowering cells and weight off one pass per
-tableau, calls the shifted operator bodies (which lower Young tableaux too) on
-codes and hands each edge to ``CrystalGraph._indexed`` as its target's index.
+(:mod:`crystals.tableaux`), reads lowering cells and weight off one
+:func:`~crystals.pairing.string_scan` per tableau, calls the shifted operator
+bodies (which lower Young tableaux too) on codes and hands each edge to
+``CrystalGraph._indexed`` as its target's index.
 
 :class:`QueerTableauCrystal` is the queer crystal of a shape without the
 graph: it checks its shape and alphabet when constructed, and moves
@@ -17,13 +18,14 @@ tableaux through the operators only when asked, for a
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from . import queer
 from .config import Config, DEFAULT_CONFIG
 from .errors import ClosureBudgetExceeded, ValueOutOfRange
 from .graph import Color, CrystalGraph, Vertex, Weight
-from .pairing import _lowering_scan, string_scan
+from .pairing import raising_cells, string_scan
 from .shifted import lower_at, raise_at, yamanouchi_codes
 from .tableaux import (
     _check_alphabet,
@@ -108,8 +110,8 @@ def _tableau_graph(
     strays = []  # lowerings that leave the enumeration
     weights = []
     for k, codes in enumerate(tableaux):
-        cells, weight = _lowering_scan(codes, g.reading, n)
-        weights.append(weight)
+        _, balance, cells = string_scan(codes, g.reading, n)
+        weights.append(tuple(accumulate(balance[n:0:-1]))[::-1])
         for i, row in rows:
             if cells[i] >= 0:
                 row[k] = t = index.get(moved := lower_at(codes, g, i, cells[i]), -1)
@@ -172,8 +174,10 @@ class QueerTableauCrystal:
     builds no graph.  A vertex id is the index of a packed tableau in the
     order the crystal first met it; each move and string length is
     computed from the packed operators the first time it is read and
-    remembered.  The reading word of a tableau is scanned once, for the
-    string lengths and the moving cells of every color.
+    remembered.  A tableau's reading word is scanned once for the string
+    lengths and lowering cells of every color, and its dual word once, on
+    its first raising move, for the raising cells
+    (:func:`~crystals.pairing.raising_cells`).
     ``even_highest_weights`` is the Yamanouchi enumeration, and
     ``vertex_ids`` enumerates every tableau on first use.
 
@@ -199,6 +203,7 @@ class QueerTableauCrystal:
         self._ids: dict[tuple[int, ...], int] = {}
         codes = self._codes.__getitem__
         scan = _Memo(lambda v: string_scan(codes(v), g.reading, n))
+        up = _Memo(lambda v: raising_cells(codes(v), g.reading, n))
 
         def move(op: Callable, v: int, i: int, cell: int) -> int | None:
             return None if cell < 0 else self._id(op(codes(v), g, i, cell))
@@ -208,10 +213,10 @@ class QueerTableauCrystal:
         self._phi: dict[Color, _Memo] = {}
         self._eps: dict[Color, _Memo] = {}
         for i in range(1, n):
-            self._down[i] = _Memo(lambda v, i=i: move(lower_at, v, i, scan[v].down[i]))
-            self._up[i] = _Memo(lambda v, i=i: move(raise_at, v, i, scan[v].up[i]))
-            self._eps[i] = _Memo(lambda v, i=i: scan[v].eps(i))
-            self._phi[i] = _Memo(lambda v, i=i: scan[v].phi[i])
+            self._down[i] = _Memo(lambda v, i=i: move(lower_at, v, i, scan[v][2][i]))
+            self._up[i] = _Memo(lambda v, i=i: move(raise_at, v, i, up[v][i]))
+            self._eps[i] = _Memo(lambda v, i=i: scan[v][0][i] - scan[v][1][i])
+            self._phi[i] = _Memo(lambda v, i=i: scan[v][0][i])
 
     def _id(self, codes: tuple[int, ...] | None) -> int | None:
         if codes is None:

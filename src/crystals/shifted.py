@@ -10,17 +10,19 @@ cell the scan picks never has an ``i + 1`` north of it (lowering) or an ``i`` so
 (raising), so only the cases that change one letter fire: the Young operators.
 
 Each operator has one body on packed codes (:mod:`crystals.tableaux`), :func:`lower_at`
-or :func:`raise_at`, which edits the cell a :func:`~crystals.pairing.string_scan` of the
-reading word picked; the public functions pack a tableau of either kind, run it and
-unpack the result.  The Yamanouchi enumeration, the tableaux whose raising strings all
-vanish, fills codes too (:func:`yamanouchi_codes`); :func:`enumerate_yamanouchi` unpacks them.
+or :func:`raise_at`, which edits the cell one :func:`~crystals.pairing.string_scan` picked:
+of the reading word for lowering, of its dual for raising
+(:func:`~crystals.pairing.raising_cells`).  The public functions pack a tableau of either
+kind, scan its word with color ``i`` relabelled 1, run the body and unpack the result.
+The Yamanouchi enumeration, the tableaux whose raising strings all vanish, fills codes
+too (:func:`yamanouchi_codes`); :func:`enumerate_yamanouchi` unpacks them.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .pairing import scan_tableau
+from .pairing import raising_cells, scan_tableau, string_scan
 from .tableaux import (
     Geometry,
     ShiftedTableau,
@@ -35,51 +37,48 @@ from .tableaux import (
 
 def phi(t: Tableau, i: int) -> int:
     """Length of the lowering string at ``t`` (of either kind) for color ``i``."""
-    return scan_tableau(t, i)[2].phi[1]
+    _, g, word = scan_tableau(t, i)
+    return string_scan(word, g.reading, 3)[0][1]
 
 
 def eps(t: Tableau, i: int) -> int:
     """Length of the raising string at ``t`` (of either kind) for color ``i``."""
-    return scan_tableau(t, i)[2].eps(1)
+    _, g, word = scan_tableau(t, i)
+    phi, balance, _ = string_scan(word, g.reading, 3)
+    return phi[1] - balance[1]
 
 
 def lower(t: Tableau, i: int) -> Tableau | None:
     """Apply ``f_i`` to ``t`` of either kind, or return ``None`` at the string's end."""
-    codes, g, scan = scan_tableau(t, i)
-    cell = scan.down[1]
-    return None if cell < 0 else unpack(lower_at(codes, g, i, cell), g)
+    return _move(t, i, lowering=True)
 
 
 def raise_(t: Tableau, i: int) -> Tableau | None:
     """Apply ``e_i`` to ``t`` of either kind, or return ``None`` at the string's end."""
-    codes, g, scan = scan_tableau(t, i)
-    cell = scan.up[1]
-    return None if cell < 0 else unpack(raise_at(codes, g, i, cell), g)
+    return _move(t, i, lowering=False)
 
 
-def _ribbon_head(codes: Sequence[int], g: Geometry, cell: int) -> int:
-    """Walk northwest along the ribbon of ``cell``'s value to its head."""
+def _move(t: Tableau, i: int, lowering: bool) -> Tableau | None:
+    codes, g, word = scan_tableau(t, i)
+    if lowering:
+        cell, body = string_scan(word, g.reading, 3)[2][1], lower_at
+    else:
+        cell, body = raising_cells(word, g.reading, 3)[1], raise_at
+    return None if cell < 0 else unpack(body(codes, g, i, cell), g)
+
+
+def _ribbon(codes: Sequence[int], g: Geometry, cell: int, tail: bool) -> list[int]:
+    """Cells from ``cell`` along its value's ribbon: southeast (south first, then east)
+    along its tail, or northwest (north first, then west) to its head, the last cell."""
     value = (codes[cell] + 1) >> 1
-    while True:
-        north, west = g.north[cell], g.west[cell]
-        if north >= 0 and (codes[north] + 1) >> 1 == value:
-            cell = north
-        elif west >= 0 and (codes[west] + 1) >> 1 == value:
-            cell = west
-        else:
-            return cell
-
-
-def _ribbon_tail_cells(codes: Sequence[int], g: Geometry, cell: int) -> list[int]:
-    """Cells from ``cell`` walking southeast along its value's ribbon."""
-    value = (codes[cell] + 1) >> 1
+    first, second = (g.south, g.east) if tail else (g.north, g.west)
     out = [cell]
     while True:
-        south, east = g.south[cell], g.east[cell]
-        if south >= 0 and (codes[south] + 1) >> 1 == value:
-            cell = south
-        elif east >= 0 and (codes[east] + 1) >> 1 == value:
-            cell = east
+        a, b = first[cell], second[cell]
+        if a >= 0 and (codes[a] + 1) >> 1 == value:
+            cell = a
+        elif b >= 0 and (codes[b] + 1) >> 1 == value:
+            cell = b
         else:
             return out
         out.append(cell)
@@ -94,7 +93,7 @@ def lower_at(codes: tuple[int, ...], g: Geometry, i: int, cell: int) -> tuple[in
             return with_codes(codes, cell, marked_up, east, unmarked_up)
         if north < 0 or codes[north] > unmarked_up:
             return with_codes(codes, cell, unmarked_up)
-        head = _ribbon_head(codes, g, north)
+        head = _ribbon(codes, g, north, tail=False)[-1]
         if codes[head] & 1:
             return with_codes(codes, cell, marked_up, head, unmarked_up)
         return with_codes(codes, cell, marked_up)
@@ -104,7 +103,7 @@ def lower_at(codes: tuple[int, ...], g: Geometry, i: int, cell: int) -> tuple[in
     if east < 0 or codes[east] > marked_up:
         return with_codes(codes, cell, marked_up)
     changed = with_codes(codes, cell, unmarked_i)
-    for k in _ribbon_tail_cells(changed, g, cell):
+    for k in _ribbon(changed, g, cell, tail=True):
         if changed[k] != unmarked_i:
             continue
         neighbor = g.east[k]
@@ -123,7 +122,7 @@ def raise_at(codes: tuple[int, ...], g: Geometry, i: int, cell: int) -> tuple[in
         if south < 0 or codes[south] < unmarked_i:
             return with_codes(codes, cell, unmarked_i)
         changed = with_codes(codes, cell, marked_up)
-        for k in _ribbon_tail_cells(changed, g, cell):
+        for k in _ribbon(changed, g, cell, tail=True):
             if changed[k] != marked_up:
                 continue
             neighbor = g.south[k]
@@ -135,7 +134,7 @@ def raise_at(codes: tuple[int, ...], g: Geometry, i: int, cell: int) -> tuple[in
         return with_codes(codes, cell, unmarked_i, south, marked_i)
     if west < 0 or codes[west] < marked_i:
         return with_codes(codes, cell, marked_i)
-    head = _ribbon_head(codes, g, west)
+    head = _ribbon(codes, g, west, tail=False)[-1]
     if not g.unmarked_only[head]:
         return with_codes(codes, cell, unmarked_i, head, marked_i)
     return with_codes(codes, cell, unmarked_i)

@@ -12,6 +12,8 @@ Checks:
   file can hold,
 * all of this also when the writers work in blocks of 1, 2 or 3 vertices,
 * a DOT color label escapes quotes and backslashes as ids and payloads do,
+* an odd color label of 5,000 digits, which a graph file may hold, gets the
+  palette color of ``"11p"`` and is written whole,
 * every graph file written imports back to a graph that writes the same text.
 """
 
@@ -130,3 +132,12 @@ def test_color_labels_outside_the_file_format_are_written_as_json_strings(label)
                          [("u", label, "v"), ("v", 2, "u")])
     assert _first_difference(export_json(graph), oracles.export_json(graph)) is None
     assert _first_difference(export_dot(graph), oracles.export_dot(graph)) is None
+
+
+def test_an_odd_color_past_the_digit_limit_keeps_its_palette_color():
+    label = "1" * 5000 + "p"
+    ends = [Vertex("u", "u", (0,)), Vertex("v", "v", (1,))]
+    graph = import_json(export_json(CrystalGraph(1, ends, [("u", label, "v")])))
+    short = export_dot(CrystalGraph(1, ends, [("u", "11p", "v")])).split("\n")[4]
+    assert short == '  "u" -> "v" [color=gold, label="11p"];'
+    assert export_dot(graph).split("\n")[4] == f'  "u" -> "v" [color=gold, label="{label}"];'

@@ -10,9 +10,10 @@ Checks:
   (:func:`oracles.string_edge_tableau_graph`,
   :func:`oracles.string_edge_tensor_graphs`): the same vertices, ``down`` and
   ``up`` lists and multi-edge side tables, and the same JSON and DOT bytes,
-* the tableau builder does so without the full ``string_scan`` or
+* the tableau builder does so without ``raising_cells`` or
   ``weight_codes``, which are made to raise in :mod:`crystals.models`: one
-  lowering-only pass per tableau gives its lowering cells and weight,
+  ``string_scan`` per tableau gives its lowering cells and weight, and no
+  raising pass or weight loop runs,
 * a lowering, or a queer 0-move, that leaves the enumeration is refused with
   the oracle's message, which names the first such edge in
   ``(src, color, dst)`` order,
@@ -68,11 +69,11 @@ VERIFY_TENSORS = [((2,), (1,), 3), ((2, 1), (1,), 3), ((2,), (2,), 4), ((3,), (1
 
 
 @pytest.fixture
-def without_full_scan(monkeypatch):
+def without_raising_pass(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the tableau builder ran string_scan or weight_codes")
+        raise AssertionError("the tableau builder ran raising_cells or weight_codes")
 
-    monkeypatch.setattr(crystals.models, "string_scan", refuse)
+    monkeypatch.setattr(crystals.models, "raising_cells", refuse)
     monkeypatch.setattr(crystals.models, "weight_codes", refuse)
 
 
@@ -91,7 +92,7 @@ def test_shape_lists_cover_every_shape_to_six_cells():
     assert len(STRICT_SHAPES) == 14
 
 
-@pytest.mark.usefixtures("without_full_scan")
+@pytest.mark.usefixtures("without_raising_pass")
 @pytest.mark.parametrize("shape", YOUNG_SHAPES, ids=str)
 def test_young_builder_matches_the_string_edge_builder(shape):
     for n in range(1, 6):
@@ -99,7 +100,7 @@ def test_young_builder_matches_the_string_edge_builder(shape):
         assert_same_graph(young_graph(shape, n), old)
 
 
-@pytest.mark.usefixtures("without_full_scan")
+@pytest.mark.usefixtures("without_raising_pass")
 @pytest.mark.parametrize("shape", STRICT_SHAPES, ids=str)
 def test_shifted_and_queer_builders_match_the_string_edge_builder(shape):
     for n in range(1, 6):
@@ -110,7 +111,7 @@ def test_shifted_and_queer_builders_match_the_string_edge_builder(shape):
             assert_same_graph(queer_graph(shape, n), old)
 
 
-@pytest.mark.usefixtures("without_full_scan")
+@pytest.mark.usefixtures("without_raising_pass")
 def test_builders_sort_ids_that_the_filling_order_does_not():
     cases = [(False, (1,), 11), (False, (2, 1), 10), (True, (2,), 10), (True, (2, 1), 11)]
     for shifted_shape, shape, n in cases:

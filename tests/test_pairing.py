@@ -4,12 +4,16 @@ Checks:
 * the prefix surplus, its maximum, and the suffix surplus agree with
   recompute-from-scratch oracles on random words,
 * first/last maximizing prefix lengths agree with linear scans of all prefixes,
-* the one-pass ``string_scan`` of every color at once, and the five word
-  statistics, which read it, agree with the prefix and suffix oracles on
-  every word of length at most 7 over the values 1..4, and on every marking
-  of the words of length at most 4, at every color and prefix length; on the
-  same words the tableau builder's lowering-only pass gives the same first
-  maximal prefixes and the weight ``weight_codes`` gives,
+* the one-pass ``string_scan`` of every color at once, ``raising_cells``
+  (the same pass over the dual word), and the five word statistics, which
+  read them, agree with the prefix and suffix oracles on every word of
+  length at most 7 over the values 1..4, and on every marking of the words
+  of length at most 4, at every color and prefix length, and the scan's
+  balances sum to the weight ``weight_codes`` gives,
+* on random words of up to 40 letters over the values 1..9 with random
+  marks, each letter at a random cell and the reading also listing every
+  cell with the mark it skips, ``string_scan`` and ``raising_cells`` agree
+  with the oracles at every color 0..9,
 * the one-pass stack pairing matches repeated adjacent-pair cancellation,
 * structural facts: free lows precede free highs, counts tie out with the
   prefix statistics, and marks never influence any of it,
@@ -25,13 +29,13 @@ from hypothesis import given, settings, strategies as st
 
 from crystals import Entry, IndexOutOfRange
 from crystals.pairing import (
-    _lowering_scan,
     classify_pairs,
     eps_i,
     first_max_position,
     last_max_position,
     m_i,
     m_i_prefix,
+    raising_cells,
     string_scan,
 )
 from crystals.tableaux import weight_codes
@@ -151,26 +155,26 @@ def _scan_oracle(word, i):
 
 
 def test_string_scan_matches_the_oracles_on_every_small_word():
-    """``string_scan`` reading every cell in order, with the mark equal to
-    the code's parity, so the reading word is the codes themselves; and the
-    five word statistics, which read a scan of the ``Entry`` word, at every
-    color and every prefix length; and ``_lowering_scan``'s cells and weight."""
+    """``string_scan`` and ``raising_cells`` reading every cell in order, with
+    the mark equal to the code's parity, so the reading word is the codes
+    themselves; the weight summed from the scan's balances; and the five word
+    statistics, which read a scan of the ``Entry`` word, at every color and
+    every prefix length."""
     checked = 0
     for codes_of_letters, longest in (((2, 4, 6, 8), 7), (range(1, 9), 4)):
         for length in range(longest + 1):
             for codes in itertools.product(codes_of_letters, repeat=length):
                 word = tuple(Entry((c + 1) >> 1, bool(c & 1)) for c in codes)
                 reading = [(k, c & 1) for k, c in enumerate(codes)]
-                scan = string_scan(codes, reading, 5)
-                cells, weight = _lowering_scan(codes, reading, 5)
-                assert weight == weight_codes(codes, 5), codes
+                lengths, balance, down = string_scan(codes, reading, 5)
+                up = raising_cells(codes, reading, 5)
+                assert tuple(itertools.accumulate(balance[5:0:-1]))[::-1] == weight_codes(codes, 5), codes
                 for i in range(1, 6):
                     phi, eps, first, last, prefixes = _scan_oracle(word, i)
-                    assert scan.phi[i] == phi, (codes, i)
-                    assert scan.eps(i) == eps, (codes, i)
-                    assert scan.down[i] == (first - 1 if first else -1), (codes, i)
-                    assert scan.up[i] == (last if last < length else -1), (codes, i)
-                    assert cells[i] == scan.down[i], (codes, i)
+                    assert lengths[i] == phi, (codes, i)
+                    assert lengths[i] - balance[i] == eps, (codes, i)
+                    assert down[i] == (first - 1 if first else -1), (codes, i)
+                    assert up[i] == (last if last < length else -1), (codes, i)
                     assert m_i(word, i) == phi, (codes, i)
                     assert eps_i(word, i) == eps, (codes, i)
                     assert first_max_position(word, i) == first, (codes, i)
@@ -179,3 +183,29 @@ def test_string_scan_matches_the_oracles_on_every_small_word():
                         codes, i)
                 checked += 1
     assert checked == sum(4**k for k in range(8)) + sum(8**k for k in range(5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    letters=st.lists(st.tuples(st.integers(1, 9), st.booleans()), max_size=40),
+    data=st.data(),
+)
+def test_one_scan_matches_the_oracles_on_long_words(letters, data):
+    """``string_scan`` and ``raising_cells`` on a word whose letters sit at
+    random cells, read through a reading that also lists every cell with the
+    other mark, which is no letter, against the oracles at every color."""
+    cells = data.draw(st.permutations(range(len(letters))))
+    codes = [0] * len(letters)
+    reading = []
+    for (value, marked), cell in zip(letters, cells):
+        codes[cell] = 2 * value - marked
+        reading += [(cell, 1 - marked), (cell, int(marked))]
+    word = tuple(Entry(value, marked) for value, marked in letters)
+    lengths, balance, down = string_scan(codes, reading, 9)
+    up = raising_cells(codes, reading, 9)
+    for i in range(10):
+        first, last = brute_first_max(word, i), brute_last_max(word, i)
+        assert lengths[i] == brute_max_prefix_statistic(word, i), i
+        assert lengths[i] - balance[i] == brute_suffix_statistic(word, i), i
+        assert down[i] == (cells[first - 1] if first else -1), i
+        assert up[i] == (cells[last] if last < len(word) else -1), i
