@@ -1,12 +1,12 @@
 """Command-line surface: enumeration, graph building, verification, expansion.
 
 Exit codes: 0 success, 1 verification found violations, 2 invalid input
-(shape, parse, or truncation risk), 3 I/O failure, 4 vertex budget
-exceeded.  Counts and summaries go to stdout, diagnostics to stderr, and
-machine-readable output is JSON.  Every file written ends with a trailing
-newline.  :func:`main` checks the global options into one :class:`Config`
-before any command runs, so a bad one exits 2 for every command.
-``--threads`` must be positive but changes nothing.
+(shape, parse, truncation risk, or a ``graph`` option its model does not
+read), 3 I/O failure, 4 vertex budget exceeded.  Counts and summaries go to
+stdout, diagnostics to stderr, machine-readable output is JSON, and every
+file written ends with a newline.  :func:`main` checks the global options
+into one :class:`Config` before any command runs, so a bad one exits 2 for
+every command.  ``--threads`` must be positive but changes nothing.
 """
 
 from __future__ import annotations
@@ -129,6 +129,11 @@ def _load_graph(path: str, config: Config) -> CrystalGraph:
 
 
 def _build_model(args: argparse.Namespace, config: Config) -> CrystalGraph:
+    reads = {"tensor": "left right queer", "standard": "n"}.get(args.model, "shape n").split()
+    for option in ("shape", "n", "left", "right", "queer"):
+        value = getattr(args, option)  # --n 0 counts as given, as 0 == False
+        if option not in reads and value is not None and value is not False:
+            raise ParseError(f"{args.model} model does not read --{option}")
     if args.model == "tensor":
         if not args.left or not args.right:
             raise ParseError("tensor model needs --left and --right graph files")

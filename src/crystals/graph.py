@@ -22,7 +22,7 @@ constructors assemble the lists in one step.
 A :class:`TensorView` reads the tensor product of two crystals on demand,
 each given as a graph or as any factor with the graph's read protocol (such
 as the tableau-backed :class:`crystals.models.QueerTableauCrystal`);
-:func:`tensor_graphs` materializes the view's edges over two graphs.
+:func:`tensor_graphs` writes out the view's lowering moves over every pair.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import re
 from collections import deque
 from itertools import chain, repeat
 from json.encoder import encode_basestring
-from operator import add, itemgetter, setitem
+from operator import itemgetter, setitem
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .config import Config, DEFAULT_CONFIG
@@ -483,7 +483,7 @@ class TensorView:
     Raises:
         DimensionMismatch: The two factors have different weight lengths.
         ParseError: A factor graph has two edges of one color out of one
-            vertex, named as :func:`tensor_graphs` names it.
+            vertex; the first color, then vertex, is named.
         CycleDetected: A factor graph has a malformed monochromatic cycle.
     """
 
@@ -561,10 +561,8 @@ def tensor_graphs(
     queer: bool = False,
     config: Config | None = None,
 ) -> CrystalGraph:
-    """Tensor product graph on the full cartesian product of vertices.
-
-    Has the edges of :class:`TensorView` over every pair, read from the two
-    graphs' lists; vertex ids are the view's payloads.
+    """Tensor product graph with the edges of :class:`TensorView` over every
+    pair; vertex ids are the view's payloads.
 
     Raises:
         DimensionMismatch: The two graphs have different weight lengths.
@@ -583,30 +581,13 @@ def tensor_graphs(
             f"tensor product of {len(g1)} x {len(g2)} = {size} vertices "
             f"exceeds {config.max_vertices} vertices"
         )
-    _check_factors(g1, g2)
-    width = len(g2)
-    right = [_wrap_factor(p) for p in g2.payloads]
-    ids = [f"{_wrap_factor(p)}⊗{q}" for p in g1.payloads for q in right]
-    weights = [tuple(map(add, w1, w2)) for w1 in g1.weights for w2 in g2.weights]
-    even = sorted({c for c in (*g1.down, *g2.down) if isinstance(c, int) and c >= 1})
-    # Per color, ``(phi, eps)``: a move acts on the left factor of ``(a, b)``
-    # exactly when ``eps[b] < phi[a]``.
-    rules = [(c, string_length_maps(g1, c)[0]) for c in even]
-    rules = [(c, phi, string_length_maps(g2, c)[1]) for c, phi in rules]
-    if queer:
-        # The 0-move acts on the left exactly when wt_1 = wt_2 = 0 on the right.
-        rules.append((0, [1] * len(g1), [1 if any(w[:2]) else 0 for w in g2.weights]))
-    none1, none2 = [-1] * len(g1), [-1] * width
-    down = {}
-    for color, phi, eps in rules:
-        down1, down2 = g1.down.get(color, none1), g2.down.get(color, none2)
-        targets = down[color] = []
-        for a, (bound, t1) in enumerate(zip(phi, down1)):
-            base, left = a * width, t1 * width
-            targets += [(left + b if t1 >= 0 else -1) if e < bound
-                        else (base + t2 if t2 >= 0 else -1)
-                        for b, (e, t2) in enumerate(zip(eps, down2))]
-    return CrystalGraph._indexed(g1.n, ids, ids, weights, down)
+    view = TensorView(g1, g2, queer)
+    pairs = [(b1, b2) for b1 in g1.vertex_ids for b2 in g2.vertex_ids]
+    rows = {pair: k for k, pair in enumerate(pairs)} | {None: -1}
+    ids = [*map(view.payload_of, pairs)]
+    colors = (*view.even_colors, 0) if queer else view.even_colors
+    down = {c: [rows[view.out_edge(pair, c)] for pair in pairs] for c in colors}
+    return CrystalGraph._indexed(g1.n, ids, ids, [*map(view.weight_of, pairs)], down)
 
 
 # -- serialization ------------------------------------------------------------

@@ -4,7 +4,11 @@ Checks:
 * ``graph --model tensor`` without ``--left``/``--right``, ``graph --model
   standard`` without ``--n``, ``graph --model young`` without ``--shape`` and
   ``char --model young`` without ``--shape`` each exit 2 with one ``error:``
-  line naming what is missing, and print nothing on stdout,
+  line naming what is missing, and print nothing on stdout; so does a
+  ``graph`` option its model does not read (``--queer``, ``--left`` or
+  ``--right`` outside ``tensor``, ``--shape`` with ``standard``, ``--shape``
+  or ``--n`` with ``tensor``, whose factor files fix both), naming the
+  option and the model, and no file is written,
 * the queer checker reports a 0-edge on a graph of one weight coordinate as
   W1 in both modes,
 * the {0,2} component checker refuses a component of two 0-edges out of one
@@ -41,8 +45,24 @@ from crystals.queer import odd_word, weyl_s
     (["graph", "--model", "standard"], "standard model needs --n"),
     (["graph", "--model", "young", "--n", "3"], "young model needs --shape and --n"),
     (["char", "--model", "young", "--n", "3"], "young model needs --shape"),
+    (["graph", "--model", "young", "--shape", "2,1", "--n", "3", "--queer"],
+     "young model does not read --queer"),
+    (["graph", "--model", "queer", "--shape", "2,1", "--n", "3", "--queer"],
+     "queer model does not read --queer"),
+    (["graph", "--model", "shifted", "--shape", "2,1", "--n", "3", "--left", "a.json"],
+     "shifted model does not read --left"),
+    (["graph", "--model", "queer", "--shape", "1", "--n", "3", "--right", "b.json"],
+     "queer model does not read --right"),
+    (["graph", "--model", "standard", "--n", "3", "--shape", "1"],
+     "standard model does not read --shape"),
+    (["graph", "--model", "standard", "--n", "3", "--left", "a.json"],
+     "standard model does not read --left"),
+    (["graph", "--model", "tensor", "--left", "a.json", "--right", "b.json", "--shape", "1"],
+     "tensor model does not read --shape"),
+    (["graph", "--model", "tensor", "--left", "a.json", "--right", "b.json", "--n", "0"],
+     "tensor model does not read --n"),
 ])
-def test_model_commands_refuse_missing_arguments(tmp_path, capsys, argv, message):
+def test_model_commands_refuse_missing_and_unused_options(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(tmp_path / "g.json")] if argv[0] == "graph"
                 else argv) == 2
     captured = capsys.readouterr()

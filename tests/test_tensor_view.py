@@ -3,7 +3,11 @@
 Checks:
 * at every vertex and color of a pool of small factor pairs, with and without
   the 0-moves, the view's lowering and raising moves are exactly the edges of
-  ``tensor_graphs`` on the same factors,
+  the string-edge oracle :func:`oracles.string_edge_tensor_graphs` on the
+  same factors,
+* ``tensor_graphs`` reads its edges off the view: with the view's lowering
+  tie flipped to ``eps <= phi``, its product of queer (2,1) and (1) at n = 3
+  is no longer the oracle's,
 * the view refuses a factor graph with two edges of one color out of one
   vertex, naming it as ``tensor_graphs`` does, and accepts one with two
   sources of one target,
@@ -39,7 +43,7 @@ from crystals import (
     string_length_maps,
     tensor_graphs,
 )
-from oracles import edge_ends, strict_partitions
+from oracles import edge_ends, strict_partitions, string_edge_tensor_graphs
 
 
 def _factor_pool():
@@ -60,7 +64,7 @@ def _factor_pool():
 def test_view_moves_equal_materialized_edges(name, queer):
     g1, g2 = _factor_pool()[name]
     view = TensorView(g1, g2, queer=queer)
-    tensor = tensor_graphs(g1, g2, queer=queer)
+    tensor = string_edge_tensor_graphs(g1, g2, queer=queer)
     targets, sources = edge_ends(tensor)
     for b1 in g1.vertex_ids:
         for b2 in g2.vertex_ids:
@@ -74,6 +78,24 @@ def test_view_moves_equal_materialized_edges(name, queer):
                 ):
                     expected = () if lazy is None else (view.payload_of(lazy),)
                     assert materialized == expected
+
+
+def test_tensor_graphs_reads_the_view_rule(monkeypatch):
+    g1, g2 = queer_graph((2, 1), 3), queer_graph((1,), 3)
+    assert tensor_graphs(g1, g2, queer=True) == string_edge_tensor_graphs(g1, g2, queer=True)
+    move = TensorView._move
+
+    def flipped(self, pair, color, lowering):  # the lowering tie acts on the left
+        if not lowering or color not in self._eps_right:
+            return move(self, pair, color, lowering)
+        b1, b2 = pair
+        if self._eps_right[color][b2] > self._phi_left[color][b1]:
+            return move(self, pair, color, lowering)
+        moved = self.left.out_edge(b1, color)
+        return None if moved is None else (moved, b2)
+
+    monkeypatch.setattr(TensorView, "_move", flipped)
+    assert tensor_graphs(g1, g2, queer=True) != string_edge_tensor_graphs(g1, g2, queer=True)
 
 
 def test_view_refuses_a_factor_that_is_not_a_crystal():
