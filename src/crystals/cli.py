@@ -1,7 +1,7 @@
 """Command-line surface: enumeration, graph building, verification, expansion.
 
 Exit codes: 0 success, 1 verification found violations, 2 invalid input
-(shape, parse, truncation risk, or a ``graph`` option its model does not
+(shape, parse, truncation risk, or an option its model does not
 read), 3 I/O failure, 4 vertex budget exceeded.  Counts and summaries go to
 stdout, diagnostics to stderr, machine-readable output is JSON, and every
 file written ends with a newline.  :func:`main` checks the global options
@@ -212,6 +212,8 @@ def cmd_product(args: argparse.Namespace, config: Config) -> int:
 
 def cmd_char(args: argparse.Namespace, config: Config) -> int:
     if args.model == "standard":
+        if args.shape is not None:
+            raise ParseError("standard model does not read --shape")
         polynomial = character(queer_standard_graph(args.n, config))
     else:
         if args.shape is None:

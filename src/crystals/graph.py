@@ -19,9 +19,9 @@ in :mod:`crystals.models`; they and :func:`tensor_graphs` hand their edges
 to :meth:`CrystalGraph._indexed` as per-color target indices.  Both
 constructors assemble the lists in one step.
 
-A :class:`TensorView` reads the tensor product of two crystals on demand,
-each given as a graph or as any factor with the graph's read protocol (such
-as the tableau-backed :class:`crystals.models.QueerTableauCrystal`);
+A :class:`TensorView` reads the tensor product of two crystals on demand on
+pairs of factor rows, each factor a graph or any object with the graph's row
+members (such as :class:`crystals.models.QueerTableauCrystal`);
 :func:`tensor_graphs` writes out the view's lowering moves over every pair.
 """
 
@@ -30,10 +30,10 @@ from __future__ import annotations
 import json
 import re
 from collections import deque
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from json.encoder import encode_basestring
-from operator import itemgetter, setitem
-from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
+from operator import add, itemgetter, setitem
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import (
@@ -214,10 +214,13 @@ class CrystalGraph:
                     len(t) - 1 for t in self.multi_down.get(c, {}).values())
                 for c, row in self.down.items()}
 
-    def string_maps(self, color: Color) -> tuple[dict[str, int], dict[str, int]]:
-        """``(phi, eps)`` keyed by vertex id; see :func:`string_length_maps`."""
-        phi, eps = string_length_maps(self, color)
-        return dict(zip(self.vertex_ids, phi)), dict(zip(self.vertex_ids, eps))
+    def string_lengths(self, color: Color) -> tuple[list[int], list[int]]:
+        """``(phi, eps)`` by row; see :func:`string_length_maps`."""
+        return string_length_maps(self, color)
+
+    def even_highest_rows(self) -> list[int]:
+        """Rows with no incoming edge of a color ``1..n-1``."""
+        return _sources(self, range(1, self.n))
 
     def even_highest_weights(self) -> list[str]:
         """Vertices with no incoming edge of a color ``1..n-1``."""
@@ -454,23 +457,22 @@ def _check_factors(g1, g2) -> None:
                              f"outgoing edges of color {color}")
 
 
-Pair = tuple[Hashable, Hashable]
-"""A ``(left id, right id)`` vertex of a :class:`TensorView`."""
+Pair = tuple[int, int]
+"""A ``(left row, right row)`` vertex of a :class:`TensorView`."""
 
 
 class TensorView:
     """The tensor product of two crystals, read on demand without building it.
 
-    A factor is a :class:`CrystalGraph` or any object with the same read
-    protocol: ``n``, ``colors``, ``vertex_ids``, ``weight_of``,
-    ``payload_of``, ``out_edge``, ``in_edge``, ``string_maps(color)`` (the
-    ``(phi, eps)`` maps of a color, indexed by vertex) and
-    ``even_highest_weights()``, such as
+    A factor is a :class:`CrystalGraph` or any object with its row members:
+    ``n``, ``colors``, ``len()``, ``weights``, ``payloads``, ``down``/``up``
+    (per color, each row's target row, ``-1`` for none), ``string_lengths``
+    (``(phi, eps)`` by row) and ``even_highest_rows()``, such as
     :class:`crystals.models.QueerTableauCrystal`, which moves tableaux only
-    when asked.  Vertices are ``(left id, right id)`` pairs.  The view offers
-    what the odd operators and the queer highest-weight search read (``n``,
-    ``weight_of``, ``out_edge``, ``in_edge``, ``even_highest_weights()``), so
-    they run on it directly; it is not itself a factor.
+    when a row is read.  Vertices are ``(left row, right row)`` pairs.  The
+    view offers what the odd operators and the queer highest-weight search
+    read (``n``, ``weight_of``, ``out_edge``, ``in_edge``,
+    ``even_highest_weights()``), so they run on it; it is not a factor.
 
     For an even color ``i`` the lowering move acts on the left factor when
     ``eps_i(b2) < phi_i(b1)`` and the raising move when
@@ -498,26 +500,24 @@ class TensorView:
         self.even_colors: tuple[int, ...] = tuple(sorted(
             {c for c in (*g1.colors, *g2.colors) if isinstance(c, int) and c >= 1}
         ))
-        self._phi_left = {c: g1.string_maps(c)[0] for c in self.even_colors}
-        self._eps_right = {c: g2.string_maps(c)[1] for c in self.even_colors}
+        self._phi_left = {c: g1.string_lengths(c)[0] for c in self.even_colors}
+        self._eps_right = {c: g2.string_lengths(c)[1] for c in self.even_colors}
 
     def payload_of(self, pair: Pair) -> str:
         """The factor payloads joined by ``⊗``, nested products in parentheses."""
         return (
-            f"{_wrap_factor(self.left.payload_of(pair[0]))}"
-            f"⊗{_wrap_factor(self.right.payload_of(pair[1]))}"
+            f"{_wrap_factor(self.left.payloads[pair[0]])}"
+            f"⊗{_wrap_factor(self.right.payloads[pair[1]])}"
         )
 
     def weight_of(self, pair: Pair) -> Weight:
-        w1 = self.left.weight_of(pair[0])
-        w2 = self.right.weight_of(pair[1])
-        return tuple(a + b for a, b in zip(w1, w2))
+        return tuple(map(add, self.left.weights[pair[0]], self.right.weights[pair[1]]))
 
     def _move(self, pair: Pair, color: Color, lowering: bool) -> Pair | None:
         """``pair``'s lowering (or raising) move of ``color``, by the rule above."""
         b1, b2 = pair
         if color == 0 and self.queer:
-            on_left = not any(self.right.weight_of(b2)[:2])
+            on_left = not any(self.right.weights[b2][:2])
         elif color in self._eps_right:
             eps = self._eps_right[color][b2]
             phi = self._phi_left[color][b1]
@@ -525,8 +525,8 @@ class TensorView:
         else:
             return None
         factor, b = (self.left, b1) if on_left else (self.right, b2)
-        moved = factor.out_edge(b, color) if lowering else factor.in_edge(b, color)
-        if moved is None:
+        moves = (factor.down if lowering else factor.up).get(color)
+        if moves is None or (moved := moves[b]) < 0:
             return None
         return (moved, b2) if on_left else (b1, moved)
 
@@ -545,13 +545,12 @@ class TensorView:
         """
         colors = self.even_colors
         result = []
-        for b1 in self.left.even_highest_weights():
+        # One list, made at the first left row, so memo lookups meet their keys by identity.
+        rows: list[int] = []
+        for b1 in self.left.even_highest_rows():
+            rows = rows or [*range(len(self.right))]
             bounds = [(self._eps_right[c], self._phi_left[c][b1]) for c in colors]
-            result.extend(
-                (b1, b2)
-                for b2 in self.right.vertex_ids
-                if all(eps[b2] <= phi for eps, phi in bounds)
-            )
+            result.extend((b1, b2) for b2 in rows if all(eps[b2] <= phi for eps, phi in bounds))
         return result
 
 
@@ -562,7 +561,7 @@ def tensor_graphs(
     config: Config | None = None,
 ) -> CrystalGraph:
     """Tensor product graph with the edges of :class:`TensorView` over every
-    pair; vertex ids are the view's payloads.
+    pair of rows; vertex ids are the view's payloads.
 
     Raises:
         DimensionMismatch: The two graphs have different weight lengths.
@@ -582,11 +581,12 @@ def tensor_graphs(
             f"exceeds {config.max_vertices} vertices"
         )
     view = TensorView(g1, g2, queer)
-    pairs = [(b1, b2) for b1 in g1.vertex_ids for b2 in g2.vertex_ids]
-    rows = {pair: k for k, pair in enumerate(pairs)} | {None: -1}
+    width = len(g2)
+    pairs = [*product(range(len(g1)), range(width))]
     ids = [*map(view.payload_of, pairs)]
     colors = (*view.even_colors, 0) if queer else view.even_colors
-    down = {c: [rows[view.out_edge(pair, c)] for pair in pairs] for c in colors}
+    down = {c: [-1 if t is None else t[0] * width + t[1]
+                for t in map(view.out_edge, pairs, repeat(c))] for c in colors}
     return CrystalGraph._indexed(g1.n, ids, ids, [*map(view.weight_of, pairs)], down)
 
 

@@ -11,9 +11,9 @@ bodies (which lower Young tableaux too) on codes and hands each edge to
 ``CrystalGraph._indexed`` as its target's index.
 
 :class:`QueerTableauCrystal` is the queer crystal of a shape without the
-graph: it checks its shape and alphabet when constructed, and moves
-tableaux through the operators only when asked, for a
-:class:`~crystals.graph.TensorView` factor.
+graph: it checks its shape and alphabet when constructed, and offers the
+row members of a :class:`~crystals.graph.TensorView` factor, numbering
+tableaux as it meets them and moving a row only when it is read.
 """
 
 from __future__ import annotations
@@ -170,16 +170,18 @@ def _check_queer_alphabet(n: int) -> None:
 class QueerTableauCrystal:
     """The queer crystal of strict ``shape`` over ``1..n``, read on demand.
 
-    Offers the factor protocol of :class:`~crystals.graph.TensorView` and
-    builds no graph.  A vertex id is the index of a packed tableau in the
-    order the crystal first met it; each move and string length is
-    computed from the packed operators the first time it is read and
-    remembered.  A tableau's reading word is scanned once for the string
-    lengths and lowering cells of every color, and its dual word once, on
-    its first raising move, for the raising cells
-    (:func:`~crystals.pairing.raising_cells`).
-    ``even_highest_weights`` is the Yamanouchi enumeration, and
-    ``vertex_ids`` enumerates every tableau on first use.
+    Offers the row members of a :class:`~crystals.graph.TensorView` factor
+    and builds no graph.  A row is the index of a packed tableau in the
+    order the crystal first met it.  Each row's move of a color in ``down``
+    or ``up`` (``-1`` for none), its string lengths in
+    :meth:`string_lengths` and its text in ``payloads`` are computed from
+    the packed operators the first time they are read and remembered.  A
+    tableau's reading word is scanned once for the string lengths and
+    lowering cells of every color, and its dual word once, on its first
+    raising move, for the raising cells
+    (:func:`~crystals.pairing.raising_cells`).  ``even_highest_rows`` is the
+    Yamanouchi enumeration, and ``len()`` enumerates every tableau, giving
+    each a row, on first use.
 
     Raises:
         ValueOutOfRange: ``n < 2`` (the 0-move writes the value 2).
@@ -197,63 +199,47 @@ class QueerTableauCrystal:
         self.n = n
         self.colors: tuple[Color, ...] = tuple(range(n))
         self._limit = (config or DEFAULT_CONFIG).max_vertices
-        self._vertex_ids: list[int] | None = None
+        self._size = -1
         self._codes: list[tuple[int, ...]] = []
-        self._weights: list[Weight] = []
-        self._ids: dict[tuple[int, ...], int] = {}
+        self._rows: dict[tuple[int, ...], int] = {}
+        self.weights: list[Weight] = []
         codes = self._codes.__getitem__
+        self.payloads = _Memo(lambda v: render_codes(codes(v), g))
         scan = _Memo(lambda v: string_scan(codes(v), g.reading, n))
-        up = _Memo(lambda v: raising_cells(codes(v), g.reading, n))
+        raising = _Memo(lambda v: raising_cells(codes(v), g.reading, n))
 
-        def move(op: Callable, v: int, i: int, cell: int) -> int | None:
-            return None if cell < 0 else self._id(op(codes(v), g, i, cell))
+        def move(op: Callable, v: int, i: int, cell: int) -> int:
+            return -1 if cell < 0 else self._row(op(codes(v), g, i, cell))
 
-        self._down = {0: _Memo(lambda v: self._id(queer.f0_codes(codes(v))))}
-        self._up = {0: _Memo(lambda v: self._id(queer.e0_codes(codes(v))))}
-        self._phi: dict[Color, _Memo] = {}
-        self._eps: dict[Color, _Memo] = {}
+        self.down = {0: _Memo(lambda v: self._row(queer.f0_codes(codes(v))))}
+        self.up = {0: _Memo(lambda v: self._row(queer.e0_codes(codes(v))))}
+        self._strings: dict[Color, tuple[_Memo, _Memo]] = {}
         for i in range(1, n):
-            self._down[i] = _Memo(lambda v, i=i: move(lower_at, v, i, scan[v][2][i]))
-            self._up[i] = _Memo(lambda v, i=i: move(raise_at, v, i, up[v][i]))
-            self._eps[i] = _Memo(lambda v, i=i: scan[v][0][i] - scan[v][1][i])
-            self._phi[i] = _Memo(lambda v, i=i: scan[v][0][i])
+            self.down[i] = _Memo(lambda v, i=i: move(lower_at, v, i, scan[v][2][i]))
+            self.up[i] = _Memo(lambda v, i=i: move(raise_at, v, i, raising[v][i]))
+            self._strings[i] = (_Memo(lambda v, i=i: scan[v][0][i]),
+                                _Memo(lambda v, i=i: scan[v][0][i] - scan[v][1][i]))
 
-    def _id(self, codes: tuple[int, ...] | None) -> int | None:
+    def _row(self, codes: tuple[int, ...] | None) -> int:
+        """The row of ``codes``, a new one the first time; ``-1`` for ``None``."""
         if codes is None:
-            return None
-        vid = self._ids.get(codes)
-        if vid is None:
-            vid = self._ids[codes] = len(self._codes)
+            return -1
+        row = self._rows.get(codes)
+        if row is None:
+            row = self._rows[codes] = len(self._codes)
             self._codes.append(codes)
-            self._weights.append(weight_codes(codes, self.n))
-        return vid
+            self.weights.append(weight_codes(codes, self.n))
+        return row
 
-    @property
-    def vertex_ids(self) -> list[int]:
-        if self._vertex_ids is None:
-            self._vertex_ids = [
-                self._id(codes)
-                for codes in enumerate_codes(self._geometry, self.n, self._limit)
-            ]
-        return self._vertex_ids
+    def __len__(self) -> int:
+        if self._size < 0:
+            for codes in enumerate_codes(self._geometry, self.n, self._limit):
+                self._row(codes)
+            self._size = len(self._codes)
+        return self._size
 
-    def even_highest_weights(self) -> list[int]:
-        yamanouchi = yamanouchi_codes(self._geometry, self.n, self._limit)
-        return [self._id(codes) for codes in yamanouchi]
+    def even_highest_rows(self) -> list[int]:
+        return [*map(self._row, yamanouchi_codes(self._geometry, self.n, self._limit))]
 
-    def weight_of(self, vid: int) -> Weight:
-        return self._weights[vid]
-
-    def payload_of(self, vid: int) -> str:
-        return render_codes(self._codes[vid], self._geometry)
-
-    def out_edge(self, vid: int, color: Color) -> int | None:
-        moves = self._down.get(color)
-        return None if moves is None else moves[vid]
-
-    def in_edge(self, vid: int, color: Color) -> int | None:
-        moves = self._up.get(color)
-        return None if moves is None else moves[vid]
-
-    def string_maps(self, color: Color) -> tuple[_Memo, _Memo]:
-        return self._phi[color], self._eps[color]
+    def string_lengths(self, color: Color) -> tuple[_Memo, _Memo]:
+        return self._strings[color]

@@ -25,7 +25,8 @@ from .graph import CrystalGraph, Pair, TensorView
 from .tableaux import ShiftedTableau, Tableau, geometry_of, pack, unpack, with_codes
 
 VertexId = str | Pair
-"""A vertex id of a :class:`CrystalGraph` or a pair of a :class:`TensorView`."""
+"""A vertex id of a :class:`CrystalGraph`, or a :class:`TensorView` pair of
+factor rows."""
 
 
 def f0(t: ShiftedTableau) -> ShiftedTableau | None:
@@ -130,7 +131,7 @@ def queer_highest_weights(graph: CrystalGraph | TensorView) -> list[VertexId]:
     incoming 0-edge.  The even candidates come from the graph's
     ``even_highest_weights``; on a :class:`TensorView` those are the even
     highest weights of the left factor paired with the right factor, and
-    the result is a list of ``(left id, right id)`` pairs.
+    the result is a list of ``(left row, right row)`` pairs.
 
     Raises:
         StringTruncated: A reflection walk left the graph.

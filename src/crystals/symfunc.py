@@ -133,11 +133,12 @@ def product_expand(
 
     No graph is built.  The product commutes, so the shape with more cells
     is put on the left.  Both factors are
-    :class:`~crystals.models.QueerTableauCrystal`: the even highest weights
-    of the product are the Yamanouchi tableaux of the left shape paired with
-    the tableaux ``b2`` of the right shape with ``eps_i(b2) <= phi_i(b1)``,
-    and the odd reflection walks from each of them move tableaux through
-    the operators, each move computed once.  The cost is about
+    :class:`~crystals.models.QueerTableauCrystal`, whose rows are its
+    tableaux: the even highest weights of the product are the rows of the
+    Yamanouchi tableaux of the left shape paired with the rows ``b2`` of the
+    right shape with ``eps_i(b2) <= phi_i(b1)``, and the odd reflection
+    walks from each of them move tableaux through the operators, each move
+    computed once.  The cost is about
     ``|hw(B(gamma))| * |B(delta)|`` string tests plus the walks, not
     ``|B(gamma)|`` or ``|B(gamma)| * |B(delta)|``.
 

@@ -18,7 +18,7 @@ Checks:
   the oracle's message, which names the first such edge in
   ``(src, color, dst)`` order,
 * a tensor whose factors' payloads run against their ids is sorted by its
-  own ids, each the :class:`TensorView` payload of the pair it came from,
+  own ids, each the :class:`TensorView` payload of the row pair it came from,
 * a tensor factor with a repeated payload, whose product repeats an id, is
   refused with the oracle's message, and one whose product has two sources
   of one target keeps them in ``multi_up`` as the oracle does,
@@ -214,7 +214,8 @@ def test_tensor_ids_that_the_factor_order_does_not_sort_are_sorted():
     assert list(new.vertex_ids) == ["a⊗b", "a⊗y", "z⊗b", "z⊗y"]
     assert_same_graph(new, oracles.string_edge_tensor_graphs(g1, g2))
     view = TensorView(g1, g2)
-    pairs = [("2", "4"), ("2", "3"), ("1", "4"), ("1", "3")]
+    pairs = [(g1.index[a], g2.index[b])
+             for a, b in (("2", "4"), ("2", "3"), ("1", "4"), ("1", "3"))]
     assert list(new.vertex_ids) == [view.payload_of(pair) for pair in pairs]
 
 

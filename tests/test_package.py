@@ -25,6 +25,11 @@ Checks:
 * every ``crystals`` module parses with the grammar of the oldest Python
   ``pyproject.toml`` admits, which refuses ``except*`` and PEP 695 generics,
   so syntax newer than the declared floor fails here whatever runs the tests,
+* the tensor rule's tie, ``eps < phi`` for lowering and ``eps <= phi`` for
+  raising, is compared in one function of ``crystals`` only,
+  ``TensorView._move``, and no module defines ``string_maps``, the id-keyed
+  string lengths the view once read, so a second copy of the rule does not
+  come back unseen,
 * ``perfbench/make_expected.py`` in compare mode passes its cross-checks and
   finds every benchmark job's exit code, stdout and file digest equal to the
   committed tables, so a change to any answer the benchmark checks fails
@@ -165,6 +170,37 @@ def test_sources_parse_at_the_declared_python_floor():
             ast.parse(newer, feature_version=floor)
     for path in sorted(Path(crystals.__file__).parent.glob("*.py")):
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=floor)
+
+
+def test_the_tensor_tie_is_compared_in_one_function():
+    def is_tie(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Compare) and len(node.ops) == 1
+                and isinstance(node.ops[0], (ast.Lt, ast.LtE))
+                and isinstance(node.left, ast.Name) and node.left.id == "eps"
+                and isinstance(node.comparators[0], ast.Name)
+                and node.comparators[0].id == "phi")
+
+    def walk(node: ast.AST, scope: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from walk(child, f"{scope}.{child.name}")
+            else:
+                yield scope, child
+                yield from walk(child, scope)
+
+    ties: dict[str, set[str]] = {}
+    defined = []
+    for path in sorted(Path(crystals.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope, node in walk(tree, path.stem):
+            if is_tie(node):
+                ties.setdefault(scope, set()).add(type(node.ops[0]).__name__)
+        defined += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == "string_maps"
+                    or isinstance(node, ast.Name) and node.id == "string_maps"
+                    and isinstance(node.ctx, ast.Store)]
+    assert ties == {"graph.TensorView._move": {"Lt", "LtE"}}
+    assert defined == []
 
 
 def test_benchmark_answers_match_the_committed_tables():

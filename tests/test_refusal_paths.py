@@ -7,8 +7,9 @@ Checks:
   line naming what is missing, and print nothing on stdout; so does a
   ``graph`` option its model does not read (``--queer``, ``--left`` or
   ``--right`` outside ``tensor``, ``--shape`` with ``standard``, ``--shape``
-  or ``--n`` with ``tensor``, whose factor files fix both), naming the
-  option and the model, and no file is written,
+  or ``--n`` with ``tensor``, whose factor files fix both), and ``char
+  --model standard`` with ``--shape``, naming the option and the model, and
+  no file is written,
 * the queer checker reports a 0-edge on a graph of one weight coordinate as
   W1 in both modes,
 * the {0,2} component checker refuses a component of two 0-edges out of one
@@ -61,6 +62,8 @@ from crystals.queer import odd_word, weyl_s
      "tensor model does not read --shape"),
     (["graph", "--model", "tensor", "--left", "a.json", "--right", "b.json", "--n", "0"],
      "tensor model does not read --n"),
+    (["char", "--model", "standard", "--shape", "3,1", "--n", "3"],
+     "standard model does not read --shape"),
 ])
 def test_model_commands_refuse_missing_and_unused_options(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(tmp_path / "g.json")] if argv[0] == "graph"

@@ -1,20 +1,22 @@
 """The lazy tensor view against the materialized tensor product.
 
 Checks:
-* at every vertex and color of a pool of small factor pairs, with and without
-  the 0-moves, the view's lowering and raising moves are exactly the edges of
-  the string-edge oracle :func:`oracles.string_edge_tensor_graphs` on the
-  same factors,
+* at every pair of factor rows and every color of a pool of small factor
+  pairs, with and without the 0-moves, the view's lowering and raising moves,
+  named by their payloads, are exactly the edges of the string-edge oracle
+  :func:`oracles.string_edge_tensor_graphs` on the same factors,
 * ``tensor_graphs`` reads its edges off the view: with the view's lowering
   tie flipped to ``eps <= phi``, its product of queer (2,1) and (1) at n = 3
   is no longer the oracle's,
 * the view refuses a factor graph with two edges of one color out of one
   vertex, naming it as ``tensor_graphs`` does, and accepts one with two
   sources of one target,
-* the tableau-backed factor ``QueerTableauCrystal`` has the vertices,
-  weights, moves, string lengths and even highest weights of ``queer_graph``
-  for every strict shape of size at most 4 and alphabet up to 4, and refuses
-  a shape that is not strict, or too small an alphabet, when constructed,
+* the tableau-backed factor ``QueerTableauCrystal`` has the row members of
+  ``queer_graph``, compared row by row through payload names: the rows,
+  weights, payloads, ``down``/``up`` moves, ``string_lengths`` and even
+  highest rows, for every strict shape of size at most 4 and alphabet up to
+  4, and refuses a shape that is not strict, or too small an alphabet, when
+  constructed,
 * the queer highest weights found on the view, which only visits the highest
   weights of the left factor times the right factor, are the queer highest
   weights of the materialized tensor, for every strict pair of total size at
@@ -40,7 +42,6 @@ from crystals import (
     queer_highest_weights,
     shifted_graph,
     standard_graph,
-    string_length_maps,
     tensor_graphs,
 )
 from oracles import edge_ends, strict_partitions, string_edge_tensor_graphs
@@ -66,8 +67,8 @@ def test_view_moves_equal_materialized_edges(name, queer):
     view = TensorView(g1, g2, queer=queer)
     tensor = string_edge_tensor_graphs(g1, g2, queer=queer)
     targets, sources = edge_ends(tensor)
-    for b1 in g1.vertex_ids:
-        for b2 in g2.vertex_ids:
+    for b1 in range(len(g1)):
+        for b2 in range(len(g2)):
             pair = (b1, b2)
             vid = view.payload_of(pair)
             assert view.weight_of(pair) == tensor.weight_of(vid)
@@ -91,8 +92,8 @@ def test_tensor_graphs_reads_the_view_rule(monkeypatch):
         b1, b2 = pair
         if self._eps_right[color][b2] > self._phi_left[color][b1]:
             return move(self, pair, color, lowering)
-        moved = self.left.out_edge(b1, color)
-        return None if moved is None else (moved, b2)
+        moves = self.left.down.get(color)
+        return None if moves is None or moves[b1] < 0 else (moves[b1], b2)
 
     monkeypatch.setattr(TensorView, "_move", flipped)
     assert tensor_graphs(g1, g2, queer=True) != string_edge_tensor_graphs(g1, g2, queer=True)
@@ -111,7 +112,7 @@ def test_view_accepts_a_factor_with_two_sources_of_one_target():
     vertices = [("a", "a", (1, 0)), ("b", "b", (1, 0)), ("c", "c", (0, 1))]
     joined = CrystalGraph(2, vertices, [("a", 1, "c"), ("b", 1, "c")])
     view, tensor = TensorView(joined, joined), tensor_graphs(joined, joined)
-    for pair in [(b1, b2) for b1 in "abc" for b2 in "abc"]:
+    for pair in [(joined.index[b1], joined.index[b2]) for b1 in "abc" for b2 in "abc"]:
         lazy = view.out_edge(pair, 1)
         assert tensor.out_edge(view.payload_of(pair), 1) == (lazy and view.payload_of(lazy))
 
@@ -124,23 +125,27 @@ def test_view_accepts_a_factor_with_two_sources_of_one_target():
 def test_tableau_factor_reads_like_the_queer_graph(shape, n):
     graph = queer_graph(shape, n)
     factor = QueerTableauCrystal(shape, n)
-    name = factor.payload_of
-    assert sorted(map(name, factor.vertex_ids)) == list(graph.vertex_ids)
-    assert sorted(map(name, factor.even_highest_weights())) == graph.even_highest_weights()
-    strings = {c: factor.string_maps(c) for c in range(1, n)}
-    for vid in factor.vertex_ids:
-        tid = name(vid)
-        assert factor.weight_of(vid) == graph.weight_of(tid)
+    rows = range(len(factor))
+
+    def name(row):
+        return None if row < 0 else factor.payloads[row]
+
+    def graph_name(k):
+        return None if k < 0 else graph.vertex_ids[k]
+
+    assert sorted(map(name, rows)) == list(graph.vertex_ids)
+    assert sorted(map(name, factor.even_highest_rows())) == graph.even_highest_weights()
+    assert sorted(map(graph_name, graph.even_highest_rows())) == graph.even_highest_weights()
+    strings = {c: (factor.string_lengths(c), graph.string_lengths(c)) for c in range(1, n)}
+    for row in rows:
+        k = graph.index[name(row)]
+        assert (factor.weights[row], factor.payloads[row]) == (graph.weights[k], graph.payloads[k])
         for color in range(n):
-            for lazy, edge in (
-                (factor.out_edge(vid, color), graph.out_edge(tid, color)),
-                (factor.in_edge(vid, color), graph.in_edge(tid, color)),
-            ):
-                assert (None if lazy is None else name(lazy)) == edge
-        for color, (phi, eps) in strings.items():
-            graph_phi, graph_eps = string_length_maps(graph, color)
-            k = graph.index[tid]
-            assert (phi[vid], eps[vid]) == (graph_phi[k], graph_eps[k])
+            for moves, graph_moves in ((factor.down, graph.down), (factor.up, graph.up)):
+                edge = graph_moves[color][k] if color in graph_moves else -1
+                assert name(moves[color][row]) == graph_name(edge)
+        for (phi, eps), (graph_phi, graph_eps) in strings.values():
+            assert (phi[row], eps[row]) == (graph_phi[k], graph_eps[k])
 
 
 @pytest.mark.parametrize(
