@@ -218,9 +218,10 @@ class CrystalGraph:
         """``(phi, eps)`` by row; see :func:`string_length_maps`."""
         return string_length_maps(self, color)
 
-    def even_highest_rows(self) -> list[int]:
-        """Rows with no incoming edge of a color ``1..n-1``."""
-        return _sources(self, range(1, self.n))
+    def rows_within(self, bounds: dict[Color, int]) -> list[int]:
+        """Rows ``k`` with ``eps_c(k) <= bounds[c]`` for every color ``c`` in ``bounds``."""
+        checks = [(string_length_maps(self, c)[1], bound) for c, bound in bounds.items()]
+        return [k for k in range(len(self)) if all(eps[k] <= b for eps, b in checks)]
 
     def even_highest_weights(self) -> list[str]:
         """Vertices with no incoming edge of a color ``1..n-1``."""
@@ -467,12 +468,14 @@ class TensorView:
     A factor is a :class:`CrystalGraph` or any object with its row members:
     ``n``, ``colors``, ``len()``, ``weights``, ``payloads``, ``down``/``up``
     (per color, each row's target row, ``-1`` for none), ``string_lengths``
-    (``(phi, eps)`` by row) and ``even_highest_rows()``, such as
+    (``(phi, eps)`` by row) and ``rows_within(bounds)`` (the rows whose
+    ``eps`` of each color is at most its bound), such as
     :class:`crystals.models.QueerTableauCrystal`, which moves tableaux only
-    when a row is read.  Vertices are ``(left row, right row)`` pairs.  The
-    view offers what the odd operators and the queer highest-weight search
-    read (``n``, ``weight_of``, ``out_edge``, ``in_edge``,
-    ``even_highest_weights()``), so they run on it; it is not a factor.
+    when a row is read and fills only the rows within the bounds.  Vertices
+    are ``(left row, right row)`` pairs.  The view offers what the odd
+    operators and the queer highest-weight search read (``n``,
+    ``weight_of``, ``out_edge``, ``in_edge``, ``even_highest_weights()``),
+    so they run on it; it is not a factor.
 
     For an even color ``i`` the lowering move acts on the left factor when
     ``eps_i(b2) < phi_i(b1)`` and the raising move when
@@ -537,20 +540,15 @@ class TensorView:
         return self._move(pair, color, lowering=False)
 
     def even_highest_weights(self) -> list[Pair]:
-        """Pairs with no incoming even edge, without visiting the whole product.
-
-        ``b1 ⊗ b2`` qualifies iff ``eps_i(b1) = 0`` and
-        ``eps_i(b2) <= phi_i(b1)`` for every even color, so only the even
-        highest weights of the left factor are paired with the right factor.
-        """
-        colors = self.even_colors
-        result = []
-        # One list, made at the first left row, so memo lookups meet their keys by identity.
-        rows: list[int] = []
-        for b1 in self.left.even_highest_rows():
-            rows = rows or [*range(len(self.right))]
-            bounds = [(self._eps_right[c], self._phi_left[c][b1]) for c in colors]
-            result.extend((b1, b2) for b2 in rows if all(eps[b2] <= phi for eps, phi in bounds))
+        """Pairs with no incoming even edge: ``b1 ⊗ b2`` qualifies iff ``eps_i(b1) = 0``
+        and ``eps_i(b2) <= phi_i(b1)`` for every even color, so the left rows within
+        bounds 0 meet the right rows within their ``phi``, asked once per ``phi`` vector."""
+        colors, result, within = self.even_colors, [], {}
+        for b1 in self.left.rows_within(dict.fromkeys(colors, 0)):
+            phi = tuple(self._phi_left[c][b1] for c in colors)
+            if phi not in within:
+                within[phi] = self.right.rows_within(dict(zip(colors, phi)))
+            result.extend(zip(repeat(b1), within[phi]))
         return result
 
 

@@ -26,9 +26,10 @@ from .config import Config, DEFAULT_CONFIG
 from .errors import ClosureBudgetExceeded, ValueOutOfRange
 from .graph import Color, CrystalGraph, Vertex, Weight
 from .pairing import raising_cells, string_scan
-from .shifted import lower_at, raise_at, yamanouchi_codes
+from .shifted import ballot_codes, lower_at, raise_at, tableau_count, yamanouchi_codes
 from .tableaux import (
     _check_alphabet,
+    _check_count,
     _Memo,
     checked_geometry,
     enumerate_codes,
@@ -179,16 +180,20 @@ class QueerTableauCrystal:
     tableau's reading word is scanned once for the string lengths and
     lowering cells of every color, and its dual word once, on its first
     raising move, for the raising cells
-    (:func:`~crystals.pairing.raising_cells`).  ``even_highest_rows`` is the
-    Yamanouchi enumeration, and ``len()`` enumerates every tableau, giving
-    each a row, on first use.
+    (:func:`~crystals.pairing.raising_cells`).  :meth:`rows_within` fills
+    only the tableaux whose raising strings keep within given bounds: the
+    Yamanouchi fill when the bounds are all 0,
+    :func:`~crystals.shifted.ballot_codes` otherwise; the two give the same
+    rows at 0, the first many times faster.  ``len()`` enumerates every
+    tableau, giving each a row, on first use.
 
     Raises:
         ValueOutOfRange: ``n < 2`` (the 0-move writes the value 2).
         ShapeMismatch: ``shape`` is not a strict partition; raised by the
             constructor.
         ClosureBudgetExceeded: An enumeration passed ``config.max_vertices``
-            tableaux.
+            tableaux, or :meth:`rows_within` was asked to fill a shape with more
+            tableaux than that.
     """
 
     def __init__(
@@ -238,8 +243,23 @@ class QueerTableauCrystal:
             self._size = len(self._codes)
         return self._size
 
-    def even_highest_rows(self) -> list[int]:
-        return [*map(self._row, yamanouchi_codes(self._geometry, self.n, self._limit))]
+    def rows_within(self, bounds: dict[Color, int]) -> list[int]:
+        """Rows ``b`` with ``eps_i(b) <= bounds[i]`` for every color ``i`` in ``1..n-1``.
+
+        Raises:
+            ClosureBudgetExceeded: With every bound 0, as the Yamanouchi fill
+                passes the budget; otherwise before any fill, when the shape
+                has more tableaux than the budget (counted by
+                :func:`~crystals.shifted.tableau_count` unless ``(2n)^|shape|``
+                is within it), with the message of an enumeration that passed it.
+        """
+        g, n, limit = self._geometry, self.n, self._limit
+        within = [bounds[i] for i in range(1, n)]
+        if not any(within):
+            return [*map(self._row, yamanouchi_codes(g, n, limit))]
+        if (2 * n) ** g.size > limit:
+            _check_count(tableau_count(g, n), g, limit)
+        return [*map(self._row, ballot_codes(g, n, within))]
 
     def string_lengths(self, color: Color) -> tuple[_Memo, _Memo]:
         return self._strings[color]

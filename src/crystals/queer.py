@@ -136,11 +136,9 @@ def queer_highest_weights(graph: CrystalGraph | TensorView) -> list[VertexId]:
     Raises:
         StringTruncated: A reflection walk left the graph.
     """
+    words = [odd_word(k) for k in range(1, graph.n)]
     return [
         vid
         for vid in graph.even_highest_weights()
-        if all(
-            graph.in_edge(apply_weyl_word(graph, vid, odd_word(k)), 0) is None
-            for k in range(1, graph.n)
-        )
+        if all(graph.in_edge(apply_weyl_word(graph, vid, word), 0) is None for word in words)
     ]

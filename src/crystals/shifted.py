@@ -15,7 +15,9 @@ of the reading word for lowering, of its dual for raising
 (:func:`~crystals.pairing.raising_cells`).  The public functions pack a tableau of either
 kind, scan its word with color ``i`` relabelled 1, run the body and unpack the result.
 The Yamanouchi enumeration, the tableaux whose raising strings all vanish, fills codes
-too (:func:`yamanouchi_codes`); :func:`enumerate_yamanouchi` unpacks them.
+too (:func:`yamanouchi_codes`); :func:`enumerate_yamanouchi` unpacks them.  So does its
+generalization to raising strings within given bounds (:func:`ballot_codes`), and
+:func:`tableau_count` counts a shape's tableaux from the Yamanouchi ones.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .tableaux import (
     _in_reading_order,
     check_codes,
     unpack,
+    weight_codes,
     with_codes,
 )
 
@@ -237,3 +240,92 @@ def yamanouchi_codes(
 
     step(1)
     return results
+
+
+def ballot_codes(g: Geometry, n: int, bounds: Sequence[int]) -> list[tuple[int, ...]]:
+    """Packed shifted tableaux of ``g``'s shape in ``1..n`` with ``eps(t, i) <= bounds[i - 1]``
+    for every color ``i`` in ``1..n-1``; ``bounds`` has ``n - 1`` entries.
+
+    Marks ignored, ``eps(t, i)`` is the largest excess of ``i + 1`` over ``i`` in a prefix of
+    the hook reading word read backwards, so a tableau qualifies exactly when every such
+    prefix holds at most ``bounds[i - 1]`` more ``i + 1`` than ``i``: with the ``phi`` of a
+    weight ``mu`` as bounds, a ballot word started at ``mu``.  Backwards, the word reads for
+    ``k = 1, 2, ...`` the unmarked entries of row ``k`` from right to left, then the marked
+    entries of column ``k`` from top to bottom.  Rows are filled bottom first, each from right
+    to left, every code between the bounds its south and east neighbours set.  An unmarked
+    letter is read as it is written; a marked one in column ``k`` lies in a row below ``k``,
+    and is read once row ``k`` is filled.  A branch stops at the first letter that breaks a
+    bound.  The result is in the order the fillings complete.  With every bound 0 these are
+    :func:`yamanouchi_codes`' tableaux, which that fill finds many times faster.
+    """
+    size, top = g.size, 2 * n
+    index = {cell: k for k, cell in enumerate(g.coords)}
+    # (cell, written): write the cell's code, or read it if marked, in that order.
+    plan: list[tuple[int, bool]] = []
+    for k in range(1, max((r + length for r, length in enumerate(g.shape)), default=0) + 1):
+        if k <= len(g.shape):
+            plan += [(cell, True) for cell in reversed(range(*g.row_slices[k - 1]))]
+        plan += [(index[r, k], False) for r in range(k - 1, 0, -1) if (r, k) in index]
+    codes = [0] * size
+    results: list[tuple[int, ...]] = []
+    # slack[v]: bounds[v - 1] plus the count of v minus that of v + 1 read so far; the
+    # slack of colors 0 and n never binds.
+    slack = [size, *bounds, size]
+
+    def read(s: int, v: int) -> None:
+        if slack[v - 1]:
+            slack[v - 1] -= 1
+            slack[v] += 1
+            step(s + 1)
+            slack[v - 1] += 1
+            slack[v] -= 1
+
+    def step(s: int) -> None:
+        if s == len(plan):
+            results.append(tuple(codes))
+            return
+        cell, written = plan[s]
+        if not written:
+            if codes[cell] & 1:
+                read(s, (codes[cell] + 1) >> 1)
+            else:
+                step(s + 1)
+            return
+        east, south = g.east[cell], g.south[cell]
+        high = top if east < 0 else codes[east] - (codes[east] & 1)
+        low = 1 if south < 0 else codes[south] | 1
+        unmarked = g.unmarked_only[cell]
+        for code in range(low + (low & unmarked), high + 1, 1 + unmarked):
+            codes[cell] = code
+            if code & 1:
+                step(s + 1)
+            else:
+                read(s, code >> 1)
+
+    step(0)
+    return results
+
+
+def tableau_count(g: Geometry, n: int) -> int:
+    """The number of shifted tableaux of ``g``'s shape in ``1..n``, none of them listed.
+
+    Each Yamanouchi tableau over ``|shape|`` letters is the highest weight of one
+    component of the shape's crystal; one of weight ``nu`` has ``s_nu(1^n)`` tableaux, by
+    the hook-content formula (Stanley, *EC2*, 7.21.2), which vanishes when ``nu`` has more
+    than ``n`` rows.  So the count is ``sum_nu g_nu s_nu(1^n)``, with ``g_nu`` the
+    coefficients of :func:`crystals.symfunc.schur_p_to_schur`.
+    """
+    letters = max(g.size, 1)
+    return sum(_young_count(weight_codes(codes, letters), n)
+               for codes in yamanouchi_codes(g, letters))
+
+
+def _young_count(nu: Sequence[int], n: int) -> int:
+    """``s_nu(1^n)``, the number of Young tableaux of the partition ``nu`` in ``1..n``."""
+    columns = [sum(part > j for part in nu) for j in range(nu[0] if nu else 0)]
+    contents = hooks = 1
+    for i, part in enumerate(nu):
+        for j in range(part):
+            contents *= n + j - i
+            hooks *= part - j + columns[j] - i - 1
+    return contents // hooks

@@ -9,9 +9,10 @@ expansion by enumerating tableaux with vanishing raising strings, and
 products of the shifted basis by counting the queer highest weights of
 ``B(gamma) ⊗ B(delta)``.  No graph is built for a product, neither the
 tensor product nor its factors: the Yamanouchi tableaux of the larger shape
-paired with the tableaux of the smaller one are searched through a lazy view
-of the product whose factors move tableaux with the operators on demand.
-Every enumeration stops at ``config.max_vertices`` tableaux.
+paired with the tableaux of the smaller one that they admit, filled for each
+one's weight, are searched through a lazy view of the product whose factors
+move tableaux with the operators on demand.  Every enumeration stops at
+``config.max_vertices`` tableaux.
 """
 
 from __future__ import annotations
@@ -135,19 +136,24 @@ def product_expand(
     is put on the left.  Both factors are
     :class:`~crystals.models.QueerTableauCrystal`, whose rows are its
     tableaux: the even highest weights of the product are the rows of the
-    Yamanouchi tableaux of the left shape paired with the rows ``b2`` of the
-    right shape with ``eps_i(b2) <= phi_i(b1)``, and the odd reflection
-    walks from each of them move tableaux through the operators, each move
-    computed once.  The cost is about
-    ``|hw(B(gamma))| * |B(delta)|`` string tests plus the walks, not
-    ``|B(gamma)|`` or ``|B(gamma)| * |B(delta)|``.
+    Yamanouchi tableaux ``b1`` of the left shape paired with the rows ``b2``
+    of the right shape with ``eps_i(b2) <= phi_i(b1)``, and the odd
+    reflection walks from each of them move tableaux through the operators,
+    each move computed once.  The right rows are filled once per weight of
+    the left ones, as tableaux whose reading words are ballot words started
+    at that weight (:func:`~crystals.shifted.ballot_codes`), so no factor is
+    enumerated.  The cost is about the number of those candidate pairs plus
+    the fill's dead ends and the walks, not ``|B(delta)|``, ``|B(gamma)|``
+    or their product.
 
     Raises:
         ShapeMismatch: either shape is not a strict partition.
         ValueOutOfRange: ``n`` is smaller than 2.
         ClosureBudgetExceeded: the Yamanouchi tableaux of the left shape, or
             the tableaux of the right shape, number more than
-            ``config.max_vertices``.
+            ``config.max_vertices``; the right shape's are counted, not
+            listed (:func:`~crystals.shifted.tableau_count`), before any
+            tableau is filled.
     """
     for shape in (gamma, delta):
         if not is_strict_partition(tuple(shape)):

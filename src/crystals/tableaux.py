@@ -283,7 +283,13 @@ def parse_shifted(text: str, n: int | None = None) -> ShiftedTableau:
 
 def _check_budget(results: list, g: Geometry, limit: int | None) -> None:
     """Refuse an enumeration of ``g``'s shape once it holds ``limit + 1`` results."""
-    if limit is not None and len(results) > limit:
+    _check_count(len(results), g, limit)
+
+
+def _check_count(count: int, g: Geometry, limit: int | None) -> None:
+    """Refuse ``count`` tableaux of ``g``'s shape past ``limit`` with the message of
+    an enumeration that reached the ``limit + 1``-st."""
+    if limit is not None and count > limit:
         kind = "shifted" if g.shifted else "Young"
         raise ClosureBudgetExceeded(
             f"enumeration of {kind} tableaux of shape {g.shape} reached "

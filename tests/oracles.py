@@ -9,6 +9,9 @@ Everything here is deliberately naive and independent of the code under test:
   filtering the product of every admissible row profile,
 * basis expansion by greedy leading-term subtraction of known polynomials,
 * product expansion on the two materialized queer factor graphs,
+* the even highest weights of a tensor view by a scan of every row of the
+  right factor, as the library found them before it filled only the right
+  factor's rows within each bound, and the product expansion on them,
 * partition generators built on itertools-style recursion,
 * the even axiom checker with its raising and lowering A5/A6 passes written
   out as two separate copies,
@@ -76,6 +79,7 @@ from crystals import (
     DimensionMismatch,
     DuplicateMarkInRow,
     IndexOutOfRange,
+    QueerTableauCrystal,
     RowViolation,
     ShapeMismatch,
     SparsePolynomial,
@@ -985,6 +989,39 @@ def materialized_product(
     counts: Counter[tuple[int, ...]] = Counter()
     for pair in queer_highest_weights(product):
         counts[_strip_trailing_zeros(product.weight_of(pair))] += 1
+    return dict(counts)
+
+
+def scanned_even_highest_weights(view: TensorView) -> list[tuple[int, int]]:
+    """The row pairs of ``view`` with no incoming even edge, by a scan of every
+    row of the right factor (``len()`` lists them all) against each row of the
+    left factor within bounds 0: ``eps_i(b2) <= phi_i(b1)`` for every even
+    color, as the library found them before it filled the right factor's rows
+    within each bound."""
+    colors = view.even_colors
+    phi = {c: view.left.string_lengths(c)[0] for c in colors}
+    eps = {c: view.right.string_lengths(c)[1] for c in colors}
+    return [
+        (b1, b2)
+        for b1 in view.left.rows_within(dict.fromkeys(colors, 0))
+        for b2 in range(len(view.right))
+        if all(eps[c][b2] <= phi[c][b1] for c in colors)
+    ]
+
+
+def scanned_product(
+    gamma: Sequence[int], delta: Sequence[int], n: int
+) -> dict[tuple[int, ...], int]:
+    """``product_expand``'s search on the pairs :func:`scanned_even_highest_weights`
+    finds, each kept when every odd raising operator (:func:`odd_e`) is undefined."""
+    n = min(n, max(sum(gamma) + sum(delta), 2))
+    if sum(delta) > sum(gamma):
+        gamma, delta = delta, gamma
+    view = TensorView(QueerTableauCrystal(gamma, n), QueerTableauCrystal(delta, n), queer=True)
+    counts: Counter[tuple[int, ...]] = Counter()
+    for pair in scanned_even_highest_weights(view):
+        if all(odd_e(view, pair, k) is None for k in range(1, n)):
+            counts[_strip_trailing_zeros(view.weight_of(pair))] += 1
     return dict(counts)
 
 

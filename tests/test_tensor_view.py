@@ -13,8 +13,8 @@ Checks:
   sources of one target,
 * the tableau-backed factor ``QueerTableauCrystal`` has the row members of
   ``queer_graph``, compared row by row through payload names: the rows,
-  weights, payloads, ``down``/``up`` moves, ``string_lengths`` and even
-  highest rows, for every strict shape of size at most 4 and alphabet up to
+  weights, payloads, ``down``/``up`` moves, ``string_lengths`` and the rows
+  within bounds 0 (the even highest weights), for every strict shape of size at most 4 and alphabet up to
   4, and refuses a shape that is not strict, or too small an alphabet, when
   constructed,
 * the queer highest weights found on the view, which only visits the highest
@@ -134,8 +134,9 @@ def test_tableau_factor_reads_like_the_queer_graph(shape, n):
         return None if k < 0 else graph.vertex_ids[k]
 
     assert sorted(map(name, rows)) == list(graph.vertex_ids)
-    assert sorted(map(name, factor.even_highest_rows())) == graph.even_highest_weights()
-    assert sorted(map(graph_name, graph.even_highest_rows())) == graph.even_highest_weights()
+    zero = dict.fromkeys(range(1, n), 0)
+    assert sorted(map(name, factor.rows_within(zero))) == graph.even_highest_weights()
+    assert sorted(map(graph_name, graph.rows_within(zero))) == graph.even_highest_weights()
     strings = {c: (factor.string_lengths(c), graph.string_lengths(c)) for c in range(1, n)}
     for row in rows:
         k = graph.index[name(row)]
