@@ -6,7 +6,9 @@ read), 3 I/O failure, 4 vertex budget exceeded.  Counts and summaries go to
 stdout, diagnostics to stderr, machine-readable output is JSON, and every
 file written ends with a newline.  :func:`main` checks the global options
 into one :class:`Config` before any command runs, so a bad one exits 2 for
-every command.  ``--threads`` must be positive but changes nothing.
+every command.  ``--threads`` must be positive but changes nothing.  Models,
+checker families and enumeration kinds are the keys of the tables below, which
+are the parser's choices; ``graph`` and ``char`` go through :func:`_model`.
 """
 
 from __future__ import annotations
@@ -107,14 +109,12 @@ def _format_weight(weight: tuple[int, ...]) -> str:
     return "(" + ",".join(str(w) for w in weight) + ")"
 
 
+_ENUMERATIONS = {"ssyt": enumerate_ssyt, "ssht": enumerate_ssht, "yam": enumerate_yamanouchi}
+
+
 def cmd_enum(args: argparse.Namespace, config: Config) -> int:
     shape = parse_shape(args.shape)
-    enumerate_ = {
-        "ssyt": enumerate_ssyt,
-        "ssht": enumerate_ssht,
-        "yam": enumerate_yamanouchi,
-    }[args.kind]
-    tableaux = enumerate_(shape, args.n, limit=config.max_vertices)
+    tableaux = _ENUMERATIONS[args.kind](shape, args.n, limit=config.max_vertices)
     lines = "".join(render_tableau(t) + "\n" for t in tableaux)
     if args.out:
         _out_path(config, args.out).write_text(lines, encoding="utf-8")
@@ -128,49 +128,72 @@ def _load_graph(path: str, config: Config) -> CrystalGraph:
     return import_json(Path(path).read_text(encoding="utf-8"), config)
 
 
-def _build_model(args: argparse.Namespace, config: Config) -> CrystalGraph:
-    reads = {"tensor": "left right queer", "standard": "n"}.get(args.model, "shape n").split()
-    for option in ("shape", "n", "left", "right", "queer"):
+def _tensor(left: str, right: str, queer: bool, config: Config) -> CrystalGraph:
+    return tensor_graphs(_load_graph(left, config), _load_graph(right, config), queer, config)
+
+
+def _queer_character(shape: tuple[int, ...], n: int, config: Config):
+    _check_queer_alphabet(n)
+    return schur_p(shape, n, config)
+
+
+# The options each model reads, in the order its entries below take them.
+_READS = {
+    "young": ("shape", "n"),
+    "shifted": ("shape", "n"),
+    "queer": ("shape", "n"),
+    "standard": ("n",),
+    "tensor": ("left", "right", "queer"),
+}
+_GRAPHS = {
+    "young": young_graph,
+    "shifted": shifted_graph,
+    "queer": queer_graph,
+    "standard": queer_standard_graph,
+    "tensor": _tensor,
+}
+_CHARS = {
+    "young": schur,
+    "shifted": schur_p,
+    "queer": _queer_character,
+    "standard": lambda n, config: character(queer_standard_graph(n, config)),
+}
+# The options of each model command that a model may leave unread; char
+# requires --n itself.
+_MODEL_OPTIONS = {"graph": ("shape", "n", "left", "right", "queer"), "char": ("shape",)}
+
+
+def _model(table: dict[str, Callable], args: argparse.Namespace, config: Config):
+    """``table``'s entry for ``args.model``, called on the options the model
+    reads; ParseError for an option it does not read, a missing one it needs
+    (naming all it needs) or a bad shape, in that order."""
+    reads, options = _READS[args.model], _MODEL_OPTIONS[args.command]
+    for option in options:
         value = getattr(args, option)  # --n 0 counts as given, as 0 == False
         if option not in reads and value is not None and value is not False:
             raise ParseError(f"{args.model} model does not read --{option}")
-    if args.model == "tensor":
-        if not args.left or not args.right:
-            raise ParseError("tensor model needs --left and --right graph files")
-        return tensor_graphs(
-            _load_graph(args.left, config), _load_graph(args.right, config),
-            args.queer, config,
+    # A flag is never missing, and an empty graph file name is.
+    needs = [o for o in reads if o in options and not isinstance(getattr(args, o), bool)]
+    files = [o for o in needs if o in ("left", "right")]
+    if any(getattr(args, o) is None for o in needs) or not all(getattr(args, o) for o in files):
+        raise ParseError(
+            f"{args.model} model needs " + " and ".join(f"--{o}" for o in needs)
+            + (" graph files" if files else "")
         )
-    if args.model == "standard":
-        if args.n is None:
-            raise ParseError("standard model needs --n")
-        return queer_standard_graph(args.n, config)
-    if args.shape is None or args.n is None:
-        raise ParseError(f"{args.model} model needs --shape and --n")
-    shape = parse_shape(args.shape)
-    builders = {
-        "young": young_graph,
-        "shifted": shifted_graph,
-        "queer": queer_graph,
-    }
-    return builders[args.model](shape, args.n, config)
+    values = [parse_shape(args.shape) if o == "shape" else getattr(args, o) for o in reads]
+    return table[args.model](*values, config)
 
 
 def cmd_graph(args: argparse.Namespace, config: Config) -> int:
-    graph = _build_model(args, config)
+    graph = _model(_GRAPHS, args, config)
     chunks = (_dot_chunks if args.format == "dot" else _json_chunks)(graph)
     with _out_path(config, args.out).open("w", encoding="utf-8") as out:
         out.writelines(chunks)
     counts = graph.edge_counts()
     print(f"vertices: {len(graph)}")
-    print(
-        "edges:",
-        " ".join(f"{color}:{count}" for color, count in counts.items()) or "none",
-    )
+    print("edges:", " ".join(f"{color}:{count}" for color, count in counts.items()) or "none")
     print(f"components: {len(_component_groups(graph))}")
-    weights = sorted(
-        graph.weight_of(vid) for vid in highest_weights(graph)
-    )
+    weights = sorted(graph.weight_of(vid) for vid in highest_weights(graph))
     print("highest weights:", " ".join(_format_weight(w) for w in weights))
     return EXIT_OK
 
@@ -181,15 +204,13 @@ _CHECKERS: dict[str, Callable[..., Verdict]] = {
     "components01": check_01_components,
     "components02": check_02_components,
 }
+_TAKES_MODE = {"stembridge": True, "queer": True, "components01": False, "components02": False}
 
 
 def cmd_verify(args: argparse.Namespace, config: Config) -> int:
     graph = _load_graph(args.input, config)
-    checker = _CHECKERS[args.axioms]
-    if args.axioms in ("stembridge", "queer"):
-        verdict = checker(graph, exhaustive=args.mode == "exhaustive")
-    else:
-        verdict = checker(graph)
+    mode = {"exhaustive": args.mode == "exhaustive"} if _TAKES_MODE[args.axioms] else {}
+    verdict = _CHECKERS[args.axioms](graph, **mode)
     print(json.dumps(verdict.to_dict(), indent=2))
     return EXIT_OK if verdict.ok else EXIT_VIOLATIONS
 
@@ -211,19 +232,11 @@ def cmd_product(args: argparse.Namespace, config: Config) -> int:
 
 
 def cmd_char(args: argparse.Namespace, config: Config) -> int:
-    if args.model == "standard":
-        if args.shape is not None:
-            raise ParseError("standard model does not read --shape")
-        polynomial = character(queer_standard_graph(args.n, config))
-    else:
-        if args.shape is None:
-            raise ParseError(f"{args.model} model needs --shape")
-        shape = parse_shape(args.shape)
-        if args.model == "queer":
-            _check_queer_alphabet(args.n)
-        polynomial = (schur if args.model == "young" else schur_p)(shape, args.n, config)
-    print(polynomial.render())
+    print(_model(_CHARS, args, config).render())
     return EXIT_OK
+
+
+_PARSERS = {"ssyt": parse_young, "ssht": parse_shifted}
 
 
 def cmd_string(args: argparse.Namespace, config: Config) -> int:
@@ -232,7 +245,7 @@ def cmd_string(args: argparse.Namespace, config: Config) -> int:
         raise IndexOutOfRange(
             f"color {args.i} outside 1..{args.n - 1} for an alphabet of {args.n}"
         )
-    top = (parse_young if args.kind == "ssyt" else parse_shifted)(args.tableau, args.n)
+    top = _PARSERS[args.kind](args.tableau, args.n)
     while (above := raise_(top, args.i)) is not None:
         top = above
     while top is not None:
@@ -265,22 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enum", help="enumerate tableaux, one per line")
-    p.add_argument(
-        "kind",
-        choices=("ssyt", "ssht", "yam"),
-        help="exit 4 past --max-vertices tableaux",
-    )
+    p.add_argument("kind", choices=_ENUMERATIONS, help="exit 4 past --max-vertices tableaux")
     p.add_argument("--shape", required=True, help='comma-separated, e.g. "3,1"')
     p.add_argument("--n", type=int, required=True, help="largest entry value")
     p.add_argument("--out", help="write tableaux here instead of stdout")
     p.set_defaults(func=cmd_enum)
 
     p = sub.add_parser("graph", help="build a crystal graph file")
-    p.add_argument(
-        "--model",
-        required=True,
-        choices=("young", "shifted", "queer", "standard", "tensor"),
-    )
+    p.add_argument("--model", required=True, choices=_GRAPHS)
     p.add_argument("--shape", help='comma-separated, e.g. "3,1"')
     p.add_argument("--n", type=int, help="alphabet size")
     p.add_argument("--left", help="left factor graph JSON (tensor model)")
@@ -294,11 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check axioms on a graph JSON file")
     p.add_argument("--input", required=True, help="graph JSON file")
-    p.add_argument(
-        "--axioms",
-        required=True,
-        choices=("stembridge", "queer", "components01", "components02"),
-    )
+    p.add_argument("--axioms", required=True, choices=_CHECKERS)
     p.add_argument(
         "--mode", choices=("exhaustive", "fast"), default="exhaustive"
     )
@@ -318,17 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("char", help="print a character polynomial")
-    p.add_argument(
-        "--model",
-        required=True,
-        choices=("young", "shifted", "queer", "standard"),
-    )
+    p.add_argument("--model", required=True, choices=_CHARS)
     p.add_argument("--shape", help="required except for the standard model")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_char)
 
     p = sub.add_parser("string", help="print the full i-string through a tableau")
-    p.add_argument("--kind", choices=("ssyt", "ssht"), default="ssht")
+    p.add_argument("--kind", choices=_PARSERS, default="ssht")
     p.add_argument("--tableau", required=True, help='e.g. "[[1,1,2\'],[2]]"')
     p.add_argument("--i", type=int, required=True, help="operator color (>= 1)")
     p.add_argument("--n", type=int, default=None, help="optional alphabet bound")

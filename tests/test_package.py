@@ -203,6 +203,78 @@ def test_the_tensor_tie_is_compared_in_one_function():
     assert defined == []
 
 
+def test_the_tracer_counts_every_cli_table_row(tmp_path, capsys):
+    import crystals.cli as cli
+
+    q, s = str(tmp_path / "q.json"), str(tmp_path / "s.json")
+    shape = ["--shape", "2,1", "--n", "3"]
+    jobs = [  # (argv, the probe that row's entry reaches)
+        (["graph", "--model", "young", *shape, "--out", q], "models.young_graph"),
+        (["graph", "--model", "shifted", *shape, "--out", q], "models.shifted_graph"),
+        (["graph", "--model", "standard", "--n", "2", "--out", s], "models.queer_standard_graph"),
+        (["graph", "--model", "queer", *shape, "--out", q], "models.queer_graph"),
+        (["graph", "--model", "tensor", "--left", s, "--right", s, "--out", str(tmp_path / "t")],
+         "graph.tensor_graphs"),
+        (["char", "--model", "young", *shape], "symfunc.schur"),
+        (["char", "--model", "shifted", *shape], "symfunc.schur_p"),
+        (["char", "--model", "queer", *shape], "symfunc.schur_p"),
+        (["char", "--model", "standard", "--n", "3"], "graph.character"),
+        (["verify", "--input", q, "--axioms", "queer"], "axioms.check_queer_regular"),
+        (["verify", "--input", q, "--axioms", "components01", "--mode", "fast"],
+         "axioms.check_01_components"),
+        (["enum", "ssyt", *shape], "tableaux.enumerate_ssyt"),
+        (["enum", "yam", *shape], "shifted.enumerate_yamanouchi"),
+    ]
+    assert {argv[0] for argv, _ in jobs} == {"graph", "char", "verify", "enum"}
+    assert {argv[2] for argv, _ in jobs if argv[0] != "enum"} >= {*cli._GRAPHS, *cli._CHARS}
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tracer
+    missed = []
+    try:
+        spec.loader.exec_module(tracer)
+        traced = tracer.Tracer()
+        restore = tracer.install(traced)
+        try:
+            for argv, probe in jobs:
+                before = traced.totals()[0].get(probe, [0])[0]
+                assert cli.main(argv) == 0, argv
+                if traced.totals()[0].get(probe, [0])[0] == before:
+                    missed.append((argv[:3], probe))
+        finally:
+            restore()
+    finally:
+        del sys.modules[spec.name]
+    capsys.readouterr()
+    assert missed == []
+
+
+def test_cli_names_each_model_family_and_kind_in_its_tables_only():
+    import crystals.cli as cli
+
+    names = {*cli._GRAPHS, *cli._CHARS, *cli._CHECKERS, *cli._ENUMERATIONS, *cli._PARSERS}
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def literal_names(node: ast.AST) -> set[str]:
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return {item.value for item in items if isinstance(item, ast.Constant)} & names
+
+    literal_choices = [
+        f"cli.py:{node.lineno}" for node in ast.walk(functions["build_parser"])
+        if isinstance(node, ast.keyword) and node.arg == "choices" and literal_names(node.value)
+    ]
+    switches = [
+        f"{name}:{node.lineno}" for name, function in functions.items()
+        if name.startswith("cmd_") for node in ast.walk(function)
+        if isinstance(node, ast.Compare) and any(
+            isinstance(side, ast.Attribute) and side.attr in ("model", "axioms", "kind")
+            for side in (node.left, *node.comparators))
+        and any(literal_names(side) for side in (node.left, *node.comparators))
+    ]
+    assert (literal_choices, switches) == ([], [])
+
+
 def test_benchmark_answers_match_the_committed_tables():
     done = subprocess.run([sys.executable, str(BENCHMARK / "make_expected.py")],
                           capture_output=True, text=True, timeout=300,

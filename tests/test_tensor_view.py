@@ -44,7 +44,7 @@ from crystals import (
     standard_graph,
     tensor_graphs,
 )
-from oracles import edge_ends, strict_partitions, string_edge_tensor_graphs
+from oracles import edge_ends, enumerated_rows, strict_partitions, string_edge_tensor_graphs
 
 
 def _factor_pool():
@@ -125,7 +125,7 @@ def test_view_accepts_a_factor_with_two_sources_of_one_target():
 def test_tableau_factor_reads_like_the_queer_graph(shape, n):
     graph = queer_graph(shape, n)
     factor = QueerTableauCrystal(shape, n)
-    rows = range(len(factor))
+    rows = enumerated_rows(factor)
 
     def name(row):
         return None if row < 0 else factor.payloads[row]
