@@ -26,10 +26,10 @@ from .config import Config, DEFAULT_CONFIG
 from .errors import ClosureBudgetExceeded, ValueOutOfRange
 from .graph import Color, CrystalGraph, Vertex, Weight
 from .pairing import raising_cells, string_scan
-from .shifted import ballot_codes, lower_at, raise_at, tableau_count, yamanouchi_codes
+from .shifted import ballot_codes, lower_at, raise_at, yamanouchi_codes
 from .tableaux import (
     _check_alphabet,
-    _check_count,
+    _check_enumeration,
     _Memo,
     checked_geometry,
     enumerate_codes,
@@ -97,8 +97,8 @@ def _tableau_graph(
     Raises:
         ShapeMismatch: ``shape`` is not a (strict) partition.
         ValueOutOfRange: ``n`` is not positive.
-        ClosureBudgetExceeded: More than ``config.max_vertices`` tableaux;
-            the enumeration stops at the first one past the budget.
+        ClosureBudgetExceeded: More than ``config.max_vertices`` tableaux,
+            refused by their count before any is filled.
         ParseError: Some ``f(t)`` is not an enumerated tableau, that is, the
             enumeration is not closed under lowering; ``CrystalGraph`` refuses it.
     """
@@ -238,17 +238,14 @@ class QueerTableauCrystal:
 
         Raises:
             ClosureBudgetExceeded: With every bound 0, as the Yamanouchi fill
-                passes the budget; otherwise before any fill, when the shape
-                has more tableaux than the budget (counted by
-                :func:`~crystals.shifted.tableau_count` unless ``(2n)^|shape|``
-                is within it), with the message of an enumeration that passed it.
+                passes the budget; otherwise before any fill, by the rule of a
+                full enumeration (:func:`~crystals.tableaux._check_enumeration`).
         """
         g, n, limit = self._geometry, self.n, self._limit
         within = [bounds[i] for i in range(1, n)]
         if not any(within):
             return [*map(self._row, yamanouchi_codes(g, n, limit))]
-        if (2 * n) ** g.size > limit:
-            _check_count(tableau_count(g, n), g, limit)
+        _check_enumeration(g, n, limit)
         return [*map(self._row, ballot_codes(g, n, within))]
 
     def string_lengths(self, color: Color) -> tuple[_Memo, _Memo]:

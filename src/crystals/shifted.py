@@ -29,7 +29,7 @@ from .tableaux import (
     Geometry,
     ShiftedTableau,
     Tableau,
-    _check_budget,
+    _check_count,
     _in_reading_order,
     check_codes,
     unpack,
@@ -201,7 +201,7 @@ def yamanouchi_codes(
             leaf = tuple(codes)
             check_codes(leaf, g, n)
             results.append(leaf)
-            _check_budget(results, g, limit)
+            _check_count(len(results), g, limit)
             return
         if k > len(shape):
             column(k, len(shape))
@@ -239,6 +239,7 @@ def yamanouchi_codes(
                 filled[r - 1] -= 1
 
     step(1)
+    del step, column  # recursive closures: their cycle would hold ``results`` until collected
     return results
 
 
@@ -259,10 +260,8 @@ def ballot_codes(g: Geometry, n: int, bounds: Sequence[int]) -> list[tuple[int, 
     :func:`yamanouchi_codes`' tableaux, which that fill finds many times faster.
     """
     size, top = g.size, 2 * n
-    # (cell, written): write the cell's code, or read it if marked, in that order: the
-    # backward hook reading, less the diagonal cells, which are never marked.
-    plan = [(cell, not mark) for cell, mark in reversed(g.reading)
-            if not (mark and g.unmarked_only[cell])]
+    # (cell, written): write the cell's code, or read it if marked, in backward hook reading.
+    plan = [(cell, not mark) for cell, mark in reversed(g.reading)]
     codes = [0] * size
     results: list[tuple[int, ...]] = []
     # slack[v]: bounds[v - 1] plus the count of v minus that of v + 1 read so far; the
@@ -300,21 +299,22 @@ def ballot_codes(g: Geometry, n: int, bounds: Sequence[int]) -> list[tuple[int, 
                 read(s, code >> 1)
 
     step(0)
+    del read, step  # recursive closures: their cycle would hold ``results`` until collected
     return results
 
 
 def tableau_count(g: Geometry, n: int) -> int:
-    """The number of shifted tableaux of ``g``'s shape in ``1..n``, none of them listed.
+    """The number of tableaux of ``g``'s shape in ``1..n``, none of them listed.
 
-    Each Yamanouchi tableau over ``|shape|`` letters is the highest weight of one
-    component of the shape's crystal; one of weight ``nu`` has ``s_nu(1^n)`` tableaux, by
-    the hook-content formula (Stanley, *EC2*, 7.21.2), which vanishes when ``nu`` has more
-    than ``n`` rows.  So the count is ``sum_nu g_nu s_nu(1^n)``, with ``g_nu`` the
-    coefficients of :func:`crystals.symfunc.schur_p_to_schur`.
+    A Young shape ``nu`` has ``s_nu(1^n)`` by the hook-content formula (Stanley, *EC2*,
+    7.21.2), 0 past ``n`` rows.  A shifted shape has ``sum_nu g_nu s_nu(1^n)``, with ``g_nu``
+    the coefficients of :func:`crystals.symfunc.schur_p_to_schur`: each of its Yamanouchi
+    tableaux is the highest weight of one component of its crystal, and one of weight ``nu``
+    holds ``s_nu(1^n)``, so only those in ``1..n`` are filled.
     """
-    letters = max(g.size, 1)
-    return sum(_young_count(weight_codes(codes, letters), n)
-               for codes in yamanouchi_codes(g, letters))
+    if not g.shifted:
+        return _young_count(g.shape, n)
+    return sum(_young_count(weight_codes(codes, n), n) for codes in yamanouchi_codes(g, n))
 
 
 def _young_count(nu: Sequence[int], n: int) -> int:

@@ -11,8 +11,8 @@ products of the shifted basis by counting the queer highest weights of
 tensor product nor its factors: the Yamanouchi tableaux of the larger shape
 paired with the tableaux of the smaller one that they admit, filled for each
 one's weight, are searched through a lazy view of the product whose factors
-move tableaux with the operators on demand.  Every enumeration stops at
-``config.max_vertices`` tableaux.
+move tableaux with the operators on demand.  A full enumeration is refused
+past ``config.max_vertices`` tableaux by their count; a Yamanouchi fill stops there.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def schur(
         ShapeMismatch: ``shape`` is not a partition.
         ValueOutOfRange: ``n`` is not positive.
         ClosureBudgetExceeded: There are more than ``config.max_vertices``
-            tableaux; the enumeration stops at the first one past it.
+            tableaux, counted before any is filled.
     """
     return _character(shape, n, config, shifted=False)
 
@@ -79,7 +79,7 @@ def schur_p(
         ShapeMismatch: ``shape`` is not a strict partition.
         ValueOutOfRange: ``n`` is not positive.
         ClosureBudgetExceeded: There are more than ``config.max_vertices``
-            tableaux; the enumeration stops at the first one past it.
+            tableaux, counted before any is filled.
     """
     return _character(shape, n, config, shifted=True)
 
@@ -151,9 +151,9 @@ def product_expand(
         ValueOutOfRange: ``n`` is smaller than 2.
         ClosureBudgetExceeded: the Yamanouchi tableaux of the left shape, or
             the tableaux of the right shape, number more than
-            ``config.max_vertices``; the right shape's are counted, not
-            listed (:func:`~crystals.shifted.tableau_count`), before any
-            tableau is filled.
+            ``config.max_vertices``; the fill of the first stops there, and the
+            second are counted before any is filled, as a full enumeration's
+            are (:func:`~crystals.tableaux._check_enumeration`).
     """
     for shape in (gamma, delta):
         if not is_strict_partition(tuple(shape)):

@@ -281,11 +281,6 @@ def parse_shifted(text: str, n: int | None = None) -> ShiftedTableau:
     return validate_shifted(tuple(len(row) for row in rows), rows, n)
 
 
-def _check_budget(results: list, g: Geometry, limit: int | None) -> None:
-    """Refuse an enumeration of ``g``'s shape once it holds ``limit + 1`` results."""
-    _check_count(len(results), g, limit)
-
-
 def _check_count(count: int, g: Geometry, limit: int | None) -> None:
     """Refuse ``count`` tableaux of ``g``'s shape past ``limit`` with the message of
     an enumeration that reached the ``limit + 1``-st."""
@@ -297,6 +292,19 @@ def _check_count(count: int, g: Geometry, limit: int | None) -> None:
         )
 
 
+def _check_enumeration(g: Geometry, n: int, limit: int | None) -> None:
+    """Refuse the tableaux of ``g``'s shape in ``1..n``, before any is filled, if there
+    are more than ``limit``.  Once the trivial bound, ``(2n)^|shape|`` or ``n^|shape|``
+    for a Young shape, passes ``limit`` (as a base of 2 or more does past ``limit.bit_length()``
+    cells), they are counted: first ``s_shape(1^n)``, a Young shape's count and a shifted
+    one's top component's, then exactly by :func:`~crystals.shifted.tableau_count`."""
+    base = 2 * n if g.shifted else n
+    if limit is not None and base ** min(g.size, limit.bit_length()) > limit:
+        from .shifted import _young_count, tableau_count  # shifted imports this module
+        _check_count(_young_count(g.shape, n), g, limit)
+        _check_count(tableau_count(g, n), g, limit)
+
+
 def enumerate_codes(
     g: Geometry, n: int, limit: int | None = None
 ) -> list[tuple[int, ...]]:
@@ -306,19 +314,16 @@ def enumerate_codes(
     Cells are filled in row-major order with every code allowed by the west
     and south neighbours (weakly larger, and a repeat only of an unmarked
     code along a row or a marked one up a column); cells that take unmarked
-    entries only step through even codes.  The last cell takes no more
-    codes than the budget has room for, so at most ``limit + 1`` tableaux
-    are ever held, however large ``n`` is.
+    entries only step through even codes.
 
     Raises:
-        ClosureBudgetExceeded: More than ``limit`` tableaux; raised once the
-            ``limit + 1``-st is found.
+        ClosureBudgetExceeded: More than ``limit`` tableaux; raised by their
+            count, before any is filled (:func:`_check_enumeration`).
     """
+    _check_enumeration(g, n, limit)
     size, top = g.size, 2 * n
     last = size - 1
-    plan = [
-        (g.west[k], g.south[k], 2 if g.unmarked_only[k] else 1) for k in range(size)
-    ]
+    plan = [(g.west[k], g.south[k], 2 if g.unmarked_only[k] else 1) for k in range(size)]
     codes = [0] * size
     results: list[tuple[int, ...]] = [] if size else [()]
 
@@ -340,17 +345,13 @@ def enumerate_codes(
                 codes[k] = code
                 fill(k + 1)
             return
-        stop = top + 1
-        if limit is not None:  # room for the limit + 1-st tableau, no more
-            stop = min(stop, low + step * (limit + 1 - len(results)))
-        for code in range(low, stop, step):
+        for code in range(low, top + 1, step):
             codes[k] = code
             results.append(tuple(codes))
-        _check_budget(results, g, limit)
 
     if size:
         fill(0)
-    _check_budget(results, g, limit)
+    del fill  # a recursive closure: its cycle would hold ``results`` until collected
     return results
 
 
@@ -365,7 +366,7 @@ def enumerate_ssyt(
         ShapeMismatch: ``shape`` is not a partition.
         ValueOutOfRange: ``n`` is not positive.
         ClosureBudgetExceeded: There are more than ``limit`` tableaux; raised
-            when the ``limit + 1``-st is found.
+            by their count, before any is filled.
     """
     return _in_reading_order(enumerate_codes, shape, n, limit, shifted=False)
 
@@ -381,7 +382,7 @@ def enumerate_ssht(
         ShapeMismatch: ``shape`` is not a strict partition.
         ValueOutOfRange: ``n`` is not positive.
         ClosureBudgetExceeded: There are more than ``limit`` tableaux; raised
-            when the ``limit + 1``-st is found.
+            by their count, before any is filled.
     """
     return _in_reading_order(enumerate_codes, shape, n, limit, shifted=True)
 
@@ -446,7 +447,8 @@ class Geometry(NamedTuple):
     main diagonal of a shifted shape, every cell of a Young shape.
     ``reading`` lists ``(cell, mark)`` pairs in reading order, hook reading
     for a shifted shape and row reading (every mark 0) for a Young shape; a
-    cell is read when the parity of its code equals ``mark``.
+    cell is read when the parity of its code equals ``mark``, and a diagonal
+    cell, never marked, has no marked slot.
     """
 
     shape: Shape
@@ -486,7 +488,7 @@ def geometry(shape: Shape, shifted: bool) -> Geometry:
     reading: list[tuple[int, int]] = []
     if shifted:
         for i in range(max(shape[0], len(shape)) if shape else 0, 0, -1):
-            reading += [(index[r, i], 1) for r in range(1, len(shape) + 1) if (r, i) in index]
+            reading += [(index[r, i], 1) for r in range(1, i) if (r, i) in index]
             if i <= len(shape):
                 reading += [(k, 0) for k in range(*slices[i - 1])]
     else:

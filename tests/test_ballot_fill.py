@@ -8,8 +8,10 @@ Checks:
   smallest alphabet on which both shapes have tableaux,
 * the ballot fill with every bound 0 finds the Yamanouchi tableaux, and every
   tableau it fills is semistandard and met once,
-* the tableau count equals the enumeration's for every strict shape of size
-  at most 7 and alphabet up to 5,
+* the tableau count equals the enumeration's for every strict shape
+  (shifted) and every partition (Young) of size at most 7 at alphabets up
+  to 5, and a budget of that count admits the enumeration while one less
+  refuses it with no tableau filled,
 * ``product_expand((5,3,1), (4,2,1), 9)`` keeps its value with the
   enumerations patched to raise, and its right factor meets fewer rows than
   there are candidate pairs,
@@ -27,11 +29,17 @@ import pytest
 
 import crystals.models
 import crystals.tableaux
-from crystals import QueerTableauCrystal, TensorView, product_expand, queer_highest_weights
+from crystals import (
+    ClosureBudgetExceeded,
+    QueerTableauCrystal,
+    TensorView,
+    product_expand,
+    queer_highest_weights,
+)
 from crystals.cli import main
 from crystals.shifted import ballot_codes, tableau_count, yamanouchi_codes
 from crystals.tableaux import check_codes, checked_geometry, enumerate_codes
-from oracles import scanned_even_highest_weights, scanned_product, strict_partitions
+from oracles import partitions, scanned_even_highest_weights, scanned_product, strict_partitions
 
 SHAPES = [lam for size in range(1, 8) for lam in strict_partitions(size)]
 
@@ -67,11 +75,22 @@ def test_ballot_fill_at_zero_is_the_yamanouchi_fill(shape):
             check_codes(codes, g, n)
 
 
-def test_tableau_count_equals_the_enumeration():
-    for shape in [()] + SHAPES:
+# Every strict shape of size at most 7, shifted, and every partition, Young.
+COUNTED = [((), True), *((lam, True) for lam in SHAPES),
+           *((lam, False) for size in range(8) for lam in partitions(size))]
+
+
+def test_tableau_count_equals_the_enumeration(fills_entered):
+    for shape, shifted in COUNTED:
         for n in range(1, 6):
-            g = checked_geometry(shape, n, True)
-            assert tableau_count(g, n) == len(enumerate_codes(g, n)), (shape, n)
+            g = checked_geometry(shape, n, shifted)
+            count = tableau_count(g, n)
+            assert len(enumerate_codes(g, n, count)) == count, (shape, shifted, n)
+            if count:  # one tableau fewer is refused by the count, none filled
+                fills_entered.clear()
+                with pytest.raises(ClosureBudgetExceeded, match=f"reached {count} tableaux"):
+                    enumerate_codes(g, n, count - 1)
+                assert fills_entered == [], (shape, shifted, n)
 
 
 def _refuse(*args, **kwargs):

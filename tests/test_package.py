@@ -8,6 +8,11 @@ Checks:
   functions by module and name) installs on the library and restores it, so
   a deleted or renamed function it probes fails here rather than in a traced
   benchmark run,
+* each ``crystals`` module imports in a fresh interpreter with nothing of the
+  package imported before it, not even its ``__init__``, so an import hoisted
+  to close a cycle (``tableaux`` imports ``shifted`` inside the function that
+  needs it, since ``shifted`` imports ``tableaux``) fails here in whichever
+  order it breaks,
 * the tracer installs in a fresh interpreter that imported ``crystals.cli``
   and nothing else, as a traced benchmark run does, so every module it
   probes is loaded by the package itself,
@@ -55,12 +60,32 @@ BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = BENCHMARK / "tracer.py"
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+PACKAGE = Path(crystals.__file__).resolve().parent
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
 
 
 def test_every_export_resolves():
     missing = [name for name in crystals.__all__ if not hasattr(crystals, name)]
     assert missing == []
     assert len(set(crystals.__all__)) == len(crystals.__all__)
+
+
+# Imports crystals.<argv[2]> with the package directory argv[1] registered as
+# an empty package, so the package's own __init__ does not set the import order.
+ALONE = """\
+import importlib, sys, types
+package = types.ModuleType("crystals")
+package.__path__ = [sys.argv[1]]
+sys.modules["crystals"] = package
+importlib.import_module("crystals." + sys.argv[2])
+"""
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_alone(module):
+    done = subprocess.run([sys.executable, "-c", ALONE, str(PACKAGE), module], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert done.returncode == 0, done.stderr
 
 
 def test_benchmark_tracer_installs_and_restores():

@@ -18,10 +18,13 @@ Checks:
   peaks under 1 MB however large the color or the entries are;
 * the graph builders emit exactly the oracle's lowering edges, and refuse
   (``ParseError``) a lowering whose target the enumeration did not list;
-* a budget stops an enumeration at the first tableau past it, the empty
-  shape included, and the enumeration never holds more than one tableau
-  past it however large the alphabet is; the Yamanouchi enumeration tries
-  no value past the number of cells;
+* a budget refuses an enumeration with the message of its first tableau
+  past it, the empty shape included, and an over-budget enumeration fills
+  no tableau however large the alphabet is; the Yamanouchi enumeration
+  tries no value past the number of cells;
+* each fill (the full enumeration, the Yamanouchi fill and the ballot fill)
+  returns a result that only its caller holds, so it is freed by reference
+  counting and not left to the cyclic collector;
 * ``validate_young`` and ``validate_shifted`` return the same tableau, or
   raise the same exception with the same message, as the Entry-based
   validators on every filling of every shape of up to 3 cells with values
@@ -34,6 +37,7 @@ Checks:
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 import sys
@@ -41,7 +45,6 @@ import tracemalloc
 
 import pytest
 
-import crystals.tableaux
 import oracles
 from crystals import (
     ClosureBudgetExceeded,
@@ -255,19 +258,32 @@ def test_enumeration_budget_counts_the_first_tableau_past_it():
             enumerate_((), 3, limit=0)
 
 
-def test_enumeration_holds_no_more_than_one_tableau_past_the_budget(monkeypatch):
-    held = []
-    check = crystals.tableaux._check_budget
-
-    def record(results, g, limit):
-        held.append(len(results))
-        check(results, g, limit)
-
-    monkeypatch.setattr(crystals.tableaux, "_check_budget", record)
+def test_an_over_budget_enumeration_holds_no_tableau(fills_entered):
     for shape, shifted_shape in (((1,), False), ((2, 1), False), ((2, 1), True), ((3,), True)):
         with pytest.raises(ClosureBudgetExceeded, match="reached 4 tableaux, over the budget of 3"):
             enumerate_codes(geometry(shape, shifted_shape), 10**6, limit=3)
-    assert held and max(held) <= 4
+    assert fills_entered == []
+    assert len(enumerate_codes(geometry((2, 1), True), 2, limit=3)) == 2
+    assert set(fills_entered) == {"enumerate_codes"}  # the record sees a fill
+
+
+def test_each_fill_frees_its_result_by_reference_counting():
+    # A recursive closure still holding its result list would keep it alive
+    # until the cyclic collector runs: a third reference.
+    g = geometry((3, 1), True)
+    fills = (
+        lambda: enumerate_codes(g, 3),
+        lambda: shifted.yamanouchi_codes(g, 4),
+        lambda: shifted.ballot_codes(g, 3, [1, 1]),
+    )
+    gc.disable()
+    try:
+        for fill in fills:
+            result = fill()
+            assert result
+            assert sys.getrefcount(result) == 2  # the name and the argument
+    finally:
+        gc.enable()
 
 
 def test_yamanouchi_enumeration_does_not_grow_with_the_alphabet():

@@ -18,7 +18,12 @@ Checks:
   cuts short, and ``odd_word(0)`` is refused,
 * ``CrystalGraph`` refuses a negative weight length,
 * ``highest_weights`` of a graph without edges of a color ``>= 1`` lists
-  every vertex.
+  every vertex,
+* an over-budget ``enum ssht|ssyt``, ``graph`` and ``char`` of each tableau
+  model (shape (6,5,4,3,2,1) at n = 12, default budget), and ``product`` of
+  (2,1) twice at n = 6 under ``--max-vertices 69``, exit 4 with the message
+  of an enumeration reaching the first tableau past the budget, write no
+  file, and enter no full-enumeration fill.
 """
 
 from __future__ import annotations
@@ -112,3 +117,34 @@ def test_highest_weights_without_even_edges_are_every_vertex():
     vertices = [("b", "b", (0, 1)), ("a", "a", (1, 0))]
     assert highest_weights(CrystalGraph(2, vertices, [])) == ["a", "b"]
     assert highest_weights(CrystalGraph(2, vertices, [("a", 0, "b")])) == ["a", "b"]
+
+
+def _reached(kind: str, shape: str, limit: int) -> str:
+    return (f"error: enumeration of {kind} tableaux of shape {shape} reached {limit + 1} "
+            f"tableaux, over the budget of {limit} vertices\n")
+
+
+STAIRCASE = ["--shape", "6,5,4,3,2,1", "--n", "12"]
+SHIFTED_6 = _reached("shifted", "(6, 5, 4, 3, 2, 1)", 10**6)
+YOUNG_6 = _reached("Young", "(6, 5, 4, 3, 2, 1)", 10**6)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["enum", "ssht", *STAIRCASE], SHIFTED_6),
+    (["enum", "ssyt", *STAIRCASE], YOUNG_6),
+    (["graph", "--model", "young", *STAIRCASE], YOUNG_6),
+    (["graph", "--model", "shifted", *STAIRCASE], SHIFTED_6),
+    (["graph", "--model", "queer", *STAIRCASE], SHIFTED_6),
+    (["char", "--model", "young", *STAIRCASE], YOUNG_6),
+    (["char", "--model", "shifted", *STAIRCASE], SHIFTED_6),
+    (["char", "--model", "queer", *STAIRCASE], SHIFTED_6),
+    (["--max-vertices", "69", "product", "--gamma", "2,1", "--delta", "2,1", "--n", "6"],
+     _reached("shifted", "(2, 1)", 69)),
+], ids=" ".join)
+def test_an_over_budget_command_fills_no_tableau(tmp_path, capsys, fills_entered, argv, message):
+    out = tmp_path / "g.json"
+    assert main([*argv, "--out", str(out)] if "graph" in argv else argv) == 4
+    assert fills_entered == []
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+    assert not out.exists()
