@@ -26,7 +26,7 @@ from .config import Config, DEFAULT_CONFIG
 from .errors import ClosureBudgetExceeded, ValueOutOfRange
 from .graph import Color, CrystalGraph, Vertex, Weight
 from .pairing import raising_cells, string_scan
-from .shifted import ballot_codes, lower_at, raise_at, yamanouchi_codes
+from .shifted import ballot_codes, lower_at, raise_at
 from .tableaux import (
     _check_alphabet,
     _check_enumeration,
@@ -181,10 +181,8 @@ class QueerTableauCrystal:
     lowering cells of every color, and its dual word once, on its first
     raising move, for the raising cells
     (:func:`~crystals.pairing.raising_cells`).  :meth:`rows_within` fills
-    only the tableaux whose raising strings keep within given bounds: the
-    Yamanouchi fill when the bounds are all 0,
-    :func:`~crystals.shifted.ballot_codes` otherwise; the two give the same
-    rows at 0, the first many times faster.
+    only the tableaux whose raising strings keep within given bounds, with
+    the one fill :func:`~crystals.shifted.ballot_codes`.
 
     Raises:
         ValueOutOfRange: ``n < 2`` (the 0-move writes the value 2).
@@ -237,16 +235,15 @@ class QueerTableauCrystal:
         """Rows ``b`` with ``eps_i(b) <= bounds[i]`` for every color ``i`` in ``1..n-1``.
 
         Raises:
-            ClosureBudgetExceeded: With every bound 0, as the Yamanouchi fill
-                passes the budget; otherwise before any fill, by the rule of a
-                full enumeration (:func:`~crystals.tableaux._check_enumeration`).
+            ClosureBudgetExceeded: With some bound above 0, before any fill, by the rule
+                of a full enumeration (:func:`~crystals.tableaux._check_enumeration`);
+                with every bound 0, as the fill passes the budget.
         """
         g, n, limit = self._geometry, self.n, self._limit
         within = [bounds[i] for i in range(1, n)]
-        if not any(within):
-            return [*map(self._row, yamanouchi_codes(g, n, limit))]
-        _check_enumeration(g, n, limit)
-        return [*map(self._row, ballot_codes(g, n, within))]
+        if any(within):
+            _check_enumeration(g, n, limit)
+        return [*map(self._row, ballot_codes(g, n, within, limit))]
 
     def string_lengths(self, color: Color) -> tuple[_Memo, _Memo]:
         return self._strings[color]

@@ -14,10 +14,11 @@ or :func:`raise_at`, which edits the cell one :func:`~crystals.pairing.string_sc
 of the reading word for lowering, of its dual for raising
 (:func:`~crystals.pairing.raising_cells`).  The public functions pack a tableau of either
 kind, scan its word with color ``i`` relabelled 1, run the body and unpack the result.
-The Yamanouchi enumeration, the tableaux whose raising strings all vanish, fills codes
-too (:func:`yamanouchi_codes`); :func:`enumerate_yamanouchi` unpacks them.  So does its
-generalization to raising strings within given bounds (:func:`ballot_codes`), and
-:func:`tableau_count` counts a shape's tableaux from the Yamanouchi ones.
+One fill of codes, :func:`ballot_codes`, finds the tableaux whose raising strings keep
+within given bounds, each letter written as the backward reading word reads it.  At
+bounds 0 these are the Yamanouchi tableaux, whose raising strings all vanish:
+:func:`enumerate_yamanouchi` unpacks them, and :func:`tableau_count` counts a shape's
+tableaux from them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .tableaux import (
     Tableau,
     _check_count,
     _in_reading_order,
-    check_codes,
     unpack,
     weight_codes,
     with_codes,
@@ -148,7 +148,7 @@ def enumerate_yamanouchi(
 ) -> list[ShiftedTableau]:
     """All shifted tableaux of ``shape`` whose raising strings all vanish.
 
-    The :func:`yamanouchi_codes` unpacked, ordered by hook reading word.
+    The :func:`ballot_codes` with every bound 0, unpacked and ordered by hook reading word.
 
     Raises:
         ShapeMismatch: ``shape`` is not a strict partition.
@@ -156,150 +156,82 @@ def enumerate_yamanouchi(
         ClosureBudgetExceeded: There are more than ``limit`` tableaux; raised
             when the ``limit + 1``-st is found.
     """
-    return _in_reading_order(yamanouchi_codes, shape, n, limit, shifted=True)
+    return _in_reading_order(ballot_codes, shape, n, limit, shifted=True)
 
 
-def yamanouchi_codes(
-    g: Geometry, n: int, limit: int | None = None
+def ballot_codes(
+    g: Geometry, n: int, bounds: Sequence[int] = (), limit: int | None = None
 ) -> list[tuple[int, ...]]:
-    """Packed shifted tableaux of ``g``'s shape whose raising strings all vanish.
+    """Packed shifted tableaux of ``g``'s shape in ``1..n`` with ``eps(t, i) <= bounds[i - 1]``
+    for every color ``i`` in ``1..n-1``, a color past the end of ``bounds`` bounded by 0: at
+    ``bounds=()`` the Yamanouchi tableaux, whose raising strings all vanish.
 
-    Marks ignored, ``eps(t, i) == 0`` for every color exactly when the hook
-    reading word read backwards is a ballot word: every prefix holds at least
-    as many ``v`` as ``v + 1``.  Backwards, that word reads for ``k = 1, 2,
-    ...`` the unmarked entries of row ``k`` from right to left, then the
-    marked entries of column ``k`` from top to bottom.  In such a tableau row
-    ``r`` is a run of unmarked ``r`` followed by strictly increasing marked
-    values larger than ``r``, so codes are written at the ``g.row_slices``
-    offsets by backtracking in that order: the length of row ``k``'s run,
-    then each marked value of column ``k``, larger than its left neighbour
-    and at most the entry above it.  A branch stops once some value
-    outnumbers its predecessor; each completed filling is still checked
-    full and semistandard.  A ballot word on ``|shape|`` letters uses at
-    most ``|shape|`` values, so no value past ``min(n, |shape|)`` is tried.
-    The result is in the order the fillings complete.
+    Marks ignored, ``eps(t, i)`` is the largest excess of ``i + 1`` over ``i`` in a prefix
+    of the hook reading word read backwards (with the ``phi`` of a weight ``mu`` as bounds,
+    a ballot word started at ``mu``).  That word reads for ``k = 1, 2, ...`` the unmarked
+    entries of row ``k`` right to left, then the marked entries of column ``k`` top to
+    bottom, and each letter is written as it is read.  At its unmarked slot a cell takes
+    each even code above its south neighbour (or the odd codes of a blank run there) and at
+    most the next code written east, less 2 for each blank between them; off the diagonal it
+    may stay blank.  At its marked slot a blank takes each odd code above its west neighbour
+    and a written south one, at most its north neighbour (below an unmarked one) and below a
+    written east one.  So each rule of :func:`~crystals.tableaux.check_codes` is checked as
+    the later cell of its pair is written, and a branch stops at the first letter past a
+    bound.  No value past ``|shape| + len(bounds)`` can be read, so none is tried.  Results
+    come as completed.
 
     Raises:
         ClosureBudgetExceeded: There are more than ``limit`` tableaux; raised
             when the ``limit + 1``-st is found.
     """
-    shape = g.shape
-    starts = [a for a, _ in g.row_slices]
-    codes = [0] * g.size
-    # filled[r - 1]: cells of row r written so far.
-    filled = [0] * len(shape)
+    n = min(n, g.size + len(bounds))
+    top = 2 * n
+    plan = [(cell, mark, g.south[cell], g.east[cell], g.north[cell], g.west[cell],
+             g.unmarked_only[cell]) for cell, mark in reversed(g.reading)]
+    codes = [0] * g.size  # 0: blank, to be marked at its marked slot
     results: list[tuple[int, ...]] = []
-    values = min(n, g.size)
-    # count[v]: letters of value v read so far; count[0] never binds.
-    count = [g.size] + [0] * values
-    columns = shape[0] if shape else 0
+    # slack[v - 1]: bounds[v - 2] plus the count of v - 1 minus that of v read so far, how
+    # many more v may be read; the slack of the value 1 never binds.
+    slack = [g.size, *bounds[: n - 1]] + [0] * n
 
-    def step(k: int) -> None:
-        if k > columns:
-            if tuple(filled) != shape:
-                raise AssertionError("Yamanouchi fill left a row short")
-            leaf = tuple(codes)
-            check_codes(leaf, g, n)
-            results.append(leaf)
-            _check_count(len(results), g, limit)
-            return
-        if k > len(shape):
-            column(k, len(shape))
-            return
-        if k > values:  # row k starts with the value k
-            return
-        start = starts[k - 1]
-        for run in range(1, min(shape[k - 1], count[k - 1] - count[k]) + 1):
-            codes[start + run - 1] = 2 * k
-            filled[k - 1] = run
-            count[k] += run
-            column(k, k - 1)
-            count[k] -= run
-        filled[k - 1] = 0
-
-    def column(k: int, r: int) -> None:
-        # Fill the marked cells of column k in rows r, r - 1, ..., 1; the
-        # cell (r, k) is one when row r is filled to column k - 1 and goes on.
-        while r and not filled[r - 1] == k - r < shape[r - 1]:
-            r -= 1
-        if not r:
-            step(k + 1)
-            return
-        high = values
-        if r < len(shape) and k - r <= shape[r]:
-            high = min(high, (codes[starts[r] + k - r - 1] + 1) >> 1)
-        cell = starts[r - 1] + filled[r - 1]
-        for v in range(((codes[cell - 1] + 1) >> 1) + 1, high + 1):
-            if count[v] < count[v - 1]:
-                codes[cell] = 2 * v - 1
-                filled[r - 1] += 1
-                count[v] += 1
-                column(k, r - 1)
-                count[v] -= 1
-                filled[r - 1] -= 1
-
-    step(1)
-    del step, column  # recursive closures: their cycle would hold ``results`` until collected
-    return results
-
-
-def ballot_codes(g: Geometry, n: int, bounds: Sequence[int]) -> list[tuple[int, ...]]:
-    """Packed shifted tableaux of ``g``'s shape in ``1..n`` with ``eps(t, i) <= bounds[i - 1]``
-    for every color ``i`` in ``1..n-1``; ``bounds`` has ``n - 1`` entries.
-
-    Marks ignored, ``eps(t, i)`` is the largest excess of ``i + 1`` over ``i`` in a prefix of
-    the hook reading word read backwards, so a tableau qualifies exactly when every such
-    prefix holds at most ``bounds[i - 1]`` more ``i + 1`` than ``i``: with the ``phi`` of a
-    weight ``mu`` as bounds, a ballot word started at ``mu``.  Backwards, the word reads for
-    ``k = 1, 2, ...`` the unmarked entries of row ``k`` from right to left, then the marked
-    entries of column ``k`` from top to bottom.  Rows are filled bottom first, each from right
-    to left, every code between the bounds its south and east neighbours set.  An unmarked
-    letter is read as it is written; a marked one in column ``k`` lies in a row below ``k``,
-    and is read once row ``k`` is filled.  A branch stops at the first letter that breaks a
-    bound.  The result is in the order the fillings complete.  With every bound 0 these are
-    :func:`yamanouchi_codes`' tableaux, which that fill finds many times faster.
-    """
-    size, top = g.size, 2 * n
-    # (cell, written): write the cell's code, or read it if marked, in backward hook reading.
-    plan = [(cell, not mark) for cell, mark in reversed(g.reading)]
-    codes = [0] * size
-    results: list[tuple[int, ...]] = []
-    # slack[v]: bounds[v - 1] plus the count of v minus that of v + 1 read so far; the
-    # slack of colors 0 and n never binds.
-    slack = [size, *bounds, size]
-
-    def read(s: int, v: int) -> None:
-        if slack[v - 1]:
-            slack[v - 1] -= 1
-            slack[v] += 1
-            step(s + 1)
-            slack[v - 1] += 1
-            slack[v] -= 1
-
-    def step(s: int) -> None:
+    def step(s: int, high: int) -> None:
         if s == len(plan):
             results.append(tuple(codes))
+            _check_count(len(results), g, limit)
             return
-        cell, written = plan[s]
-        if not written:
-            if codes[cell] & 1:
-                read(s, (codes[cell] + 1) >> 1)
-            else:
-                step(s + 1)
-            return
-        east, south = g.east[cell], g.south[cell]
-        high = top if east < 0 else codes[east] - (codes[east] & 1)
-        low = 1 if south < 0 else codes[south] | 1
-        unmarked = g.unmarked_only[cell]
-        for code in range(low + (low & unmarked), high + 1, 1 + unmarked):
-            codes[cell] = code
-            if code & 1:
-                step(s + 1)
-            else:
-                read(s, code >> 1)
+        cell, mark, south, east, north, west, diagonal = plan[s]
+        if mark:
+            if codes[cell]:  # written unmarked
+                step(s + 1, 0)
+                return
+            low = codes[west] + 1 + (codes[west] & 1)
+            if south >= 0 and codes[south] >= low:
+                low = codes[south] + 1
+            high = top - 1 if north < 0 else (codes[north] - 1) | 1
+            if east >= 0 and 0 < codes[east] <= high:
+                high = codes[east] - 1
+        else:
+            high, low = top if east < 0 else high, 2
+            if south >= 0:  # above the south cell, whose blank run takes odd codes
+                k, blanks = south, 0
+                while not codes[k]:
+                    k, blanks = g.west[k], blanks + 1
+                low = codes[k] + max(2 * blanks, 2) + (codes[k] & 1)
+        for code in range(low, high + 1, 2):
+            v = (code - 1) >> 1
+            if slack[v]:
+                codes[cell] = code
+                slack[v] -= 1
+                slack[v + 1] += 1
+                step(s + 1, code)
+                slack[v] += 1
+                slack[v + 1] -= 1
+        codes[cell] = 0
+        if not (mark or diagonal) and low <= high:
+            step(s + 1, high - 2)
 
-    step(0)
-    del read, step  # recursive closures: their cycle would hold ``results`` until collected
+    step(0, top)
+    del step  # a recursive closure: its cycle would hold ``results`` until collected
     return results
 
 
@@ -310,11 +242,11 @@ def tableau_count(g: Geometry, n: int) -> int:
     7.21.2), 0 past ``n`` rows.  A shifted shape has ``sum_nu g_nu s_nu(1^n)``, with ``g_nu``
     the coefficients of :func:`crystals.symfunc.schur_p_to_schur`: each of its Yamanouchi
     tableaux is the highest weight of one component of its crystal, and one of weight ``nu``
-    holds ``s_nu(1^n)``, so only those in ``1..n`` are filled.
+    holds ``s_nu(1^n)``, so only those in ``1..n`` are filled (:func:`ballot_codes`).
     """
     if not g.shifted:
         return _young_count(g.shape, n)
-    return sum(_young_count(weight_codes(codes, n), n) for codes in yamanouchi_codes(g, n))
+    return sum(_young_count(weight_codes(codes, n), n) for codes in ballot_codes(g, n))
 
 
 def _young_count(nu: Sequence[int], n: int) -> int:

@@ -5,14 +5,16 @@ here: ordinary tableaux for ``schur`` and shifted ones for ``schur_p``.
 Every enumeration here runs on packed codes (:mod:`crystals.tableaux`) and
 counts their weights, so no :class:`~crystals.tableaux.Entry` tableau is
 built.  Basis changes are computed combinatorially — the shifted-to-ordinary
-expansion by enumerating tableaux with vanishing raising strings, and
+expansion by filling the tableaux with vanishing raising strings, and
 products of the shifted basis by counting the queer highest weights of
 ``B(gamma) ⊗ B(delta)``.  No graph is built for a product, neither the
 tensor product nor its factors: the Yamanouchi tableaux of the larger shape
 paired with the tableaux of the smaller one that they admit, filled for each
 one's weight, are searched through a lazy view of the product whose factors
-move tableaux with the operators on demand.  A full enumeration is refused
-past ``config.max_vertices`` tableaux by their count; a Yamanouchi fill stops there.
+move tableaux with the operators on demand.  Both fills are
+:func:`~crystals.shifted.ballot_codes`.  A full enumeration, or that fill with
+a bound above 0, is refused past ``config.max_vertices`` tableaux by their
+count; the fill at bounds 0 stops there.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .graph import TensorView
 from .models import QueerTableauCrystal
 from .poly import SparsePolynomial
 from .queer import queer_highest_weights
-from .shifted import yamanouchi_codes
+from .shifted import ballot_codes
 from .tableaux import (
     checked_geometry,
     enumerate_codes,
@@ -106,7 +108,7 @@ def schur_p_to_schur(
     g = checked_geometry(shape, alphabet, shifted=True)
     limit = (config or DEFAULT_CONFIG).max_vertices
     counts: Counter[Partition] = Counter()
-    for codes in yamanouchi_codes(g, alphabet, limit):
+    for codes in ballot_codes(g, alphabet, limit=limit):
         counts[_strip(weight_codes(codes, alphabet))] += 1
     if n is not None:
         for lam in counts:
@@ -139,12 +141,12 @@ def product_expand(
     Yamanouchi tableaux ``b1`` of the left shape paired with the rows ``b2``
     of the right shape with ``eps_i(b2) <= phi_i(b1)``, and the odd
     reflection walks from each of them move tableaux through the operators,
-    each move computed once.  The right rows are filled once per weight of
-    the left ones, as tableaux whose reading words are ballot words started
-    at that weight (:func:`~crystals.shifted.ballot_codes`), so no factor is
-    enumerated.  The cost is about the number of those candidate pairs plus
-    the fill's dead ends and the walks, not ``|B(delta)|``, ``|B(gamma)|``
-    or their product.
+    each move computed once.  One fill, :func:`~crystals.shifted.ballot_codes`,
+    finds the left rows at bounds 0 and the right rows once per weight of the
+    left ones, as tableaux whose reading words are ballot words started at
+    that weight, so no factor is enumerated.  The cost is about the number of
+    those candidate pairs plus the fill's dead ends and the walks, not
+    ``|B(delta)|``, ``|B(gamma)|`` or their product.
 
     Raises:
         ShapeMismatch: either shape is not a strict partition.

@@ -296,13 +296,23 @@ def _check_enumeration(g: Geometry, n: int, limit: int | None) -> None:
     """Refuse the tableaux of ``g``'s shape in ``1..n``, before any is filled, if there
     are more than ``limit``.  Once the trivial bound, ``(2n)^|shape|`` or ``n^|shape|``
     for a Young shape, passes ``limit`` (as a base of 2 or more does past ``limit.bit_length()``
-    cells), they are counted: first ``s_shape(1^n)``, a Young shape's count and a shifted
-    one's top component's, then exactly by :func:`~crystals.shifted.tableau_count`."""
+    cells), they are counted: from below by ``C(n - l + shape[0], shape[0])`` over ``l`` rows
+    (row 1 weakly increasing in ``1..n-l+1``, row ``i >= 2`` all ``n - l + i``), built until
+    it passes ``limit``; by ``s_shape(1^n)``, a Young shape's count and a shifted one's top
+    component's; then a shifted shape's exactly by :func:`~crystals.shifted.tableau_count`."""
     base = 2 * n if g.shifted else n
     if limit is not None and base ** min(g.size, limit.bit_length()) > limit:
+        rows = len(g.shape)
+        count = int(rows <= n)
+        for j in range(1, g.shape[0] + 1 if count and rows else 1):
+            count = count * (n - rows + j) // j
+            if count > limit:
+                break
+        _check_count(count, g, limit)
         from .shifted import _young_count, tableau_count  # shifted imports this module
         _check_count(_young_count(g.shape, n), g, limit)
-        _check_count(tableau_count(g, n), g, limit)
+        if g.shifted:
+            _check_count(tableau_count(g, n), g, limit)
 
 
 def enumerate_codes(
@@ -390,10 +400,10 @@ def enumerate_ssht(
 def _in_reading_order(
     fill: Callable, shape: Sequence[int], n: int, limit: int | None, shifted: bool
 ) -> list[Tableau]:
-    """``fill(g, n, limit)`` for ``shape``, unpacked and sorted by reading word
+    """``fill(g, n, limit=limit)`` for ``shape``, unpacked and sorted by reading word
     (stably, so ties keep the filling order), as the public enumerations print."""
     g = checked_geometry(shape, n, shifted)
-    tableaux = fill(g, n, limit)
+    tableaux = fill(g, n, limit=limit)
     tableaux.sort(key=lambda c: reading_key(c, g))
     return [unpack(c, g) for c in tableaux]
 
@@ -488,7 +498,8 @@ def geometry(shape: Shape, shifted: bool) -> Geometry:
     reading: list[tuple[int, int]] = []
     if shifted:
         for i in range(max(shape[0], len(shape)) if shape else 0, 0, -1):
-            reading += [(index[r, i], 1) for r in range(1, i) if (r, i) in index]
+            column = range(1, min(i, len(shape) + 1))  # the rows below i that may reach it
+            reading += [(index[r, i], 1) for r in column if (r, i) in index]
             if i <= len(shape):
                 reading += [(k, 0) for k in range(*slices[i - 1])]
     else:

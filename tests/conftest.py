@@ -34,12 +34,13 @@ def _inner(function, name: str) -> CodeType:
                 if isinstance(c, CodeType) and c.co_name == name)
 
 
-# The recursive fill of every enumeration of all tableaux of a shape, whole
-# (enumerate_codes) or within raising bounds (ballot_codes); the Yamanouchi
-# fills, which stop at the budget as they fill, are not among them.
+# The fill of every enumeration of all tableaux of a shape, whole (the recursive fill
+# of enumerate_codes) or within raising bounds (ballot_codes entered with a bound above
+# 0), each with its test of the entered frame.  At bounds 0 the ballot fill finds the
+# Yamanouchi tableaux and stops at the budget as it fills, so it is not among them.
 FILLS = {
-    _inner(enumerate_codes, "fill"): "enumerate_codes",
-    _inner(ballot_codes, "step"): "ballot_codes",
+    _inner(enumerate_codes, "fill"): ("enumerate_codes", lambda frame: True),
+    ballot_codes.__code__: ("ballot_codes", lambda frame: any(frame.f_locals["bounds"])),
 }
 
 
@@ -49,8 +50,8 @@ def fills_entered():
     entered: list[str] = []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code in FILLS:
-            entered.append(FILLS[frame.f_code])
+        if event == "call" and (fill := FILLS.get(frame.f_code)) and fill[1](frame):
+            entered.append(fill[0])
 
     sys.setprofile(profile)
     yield entered

@@ -6,8 +6,13 @@ Checks:
   ``product_expand`` is :func:`oracles.scanned_product`, for every ordered
   strict pair of total size at most 8, at n the total size and at the
   smallest alphabet on which both shapes have tableaux,
-* the ballot fill with every bound 0 finds the Yamanouchi tableaux, and every
-  tableau it fills is semistandard and met once,
+* the one fill within raising bounds is the full enumeration filtered by the
+  raising strings :func:`~crystals.pairing.string_scan` reads, for every
+  strict shape of size at most 6, n up to 5 and bounds in {0, 1, 2}^(n-1),
+  and meets each tableau once, semistandard; for every strict shape of size
+  at most 7 at n its length and its size, it is
+  :func:`oracles.brute_yamanouchi` with no bounds, and with every bound 1 it
+  meets each tableau once, semistandard,
 * the tableau count equals the enumeration's for every strict shape
   (shifted) and every partition (Young) of size at most 7 at alphabets up
   to 5, and a budget of that count admits the enumeration while one less
@@ -24,6 +29,7 @@ Checks:
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -37,9 +43,16 @@ from crystals import (
     queer_highest_weights,
 )
 from crystals.cli import main
-from crystals.shifted import ballot_codes, tableau_count, yamanouchi_codes
-from crystals.tableaux import check_codes, checked_geometry, enumerate_codes
-from oracles import partitions, scanned_even_highest_weights, scanned_product, strict_partitions
+from crystals.pairing import string_scan
+from crystals.shifted import ballot_codes, tableau_count
+from crystals.tableaux import check_codes, checked_geometry, enumerate_codes, pack
+from oracles import (
+    brute_yamanouchi,
+    partitions,
+    scanned_even_highest_weights,
+    scanned_product,
+    strict_partitions,
+)
 
 SHAPES = [lam for size in range(1, 8) for lam in strict_partitions(size)]
 
@@ -63,12 +76,30 @@ def test_filled_candidates_equal_the_full_scan(gamma, delta):
         assert product_expand(gamma, delta, n) == scanned_product(gamma, delta, n), n
 
 
+def _raising_strings(codes: tuple[int, ...], g, n: int) -> list[int]:
+    phi, balance, _ = string_scan(codes, g.reading, n)
+    return [phi[i] - balance[i] for i in range(1, n)]
+
+
+@pytest.mark.parametrize("shape", [(), *(lam for lam in SHAPES if sum(lam) <= 6)], ids=str)
+def test_the_fill_is_the_enumeration_within_the_bounds(shape):
+    for n in range(1, 6):
+        g = checked_geometry(shape, n, True)
+        strings = [(codes, _raising_strings(codes, g, n)) for codes in enumerate_codes(g, n)]
+        for bounds in product(range(3), repeat=n - 1):
+            filled = ballot_codes(g, n, bounds)
+            assert len(set(filled)) == len(filled), (n, bounds)
+            for codes in filled:
+                check_codes(codes, g, n)
+            within = [codes for codes, eps in strings if all(map(int.__le__, eps, bounds))]
+            assert sorted(filled) == sorted(within), (n, bounds)
+
+
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
 def test_ballot_fill_at_zero_is_the_yamanouchi_fill(shape):
     for n in (len(shape), sum(shape)):
         g = checked_geometry(shape, n, True)
-        filled = ballot_codes(g, n, [0] * (n - 1))
-        assert sorted(filled) == sorted(yamanouchi_codes(g, n))
+        assert sorted(ballot_codes(g, n)) == sorted(map(pack, brute_yamanouchi(shape, n))), n
         filled = ballot_codes(g, n, [1] * (n - 1))
         assert len(set(filled)) == len(filled)
         for codes in filled:

@@ -22,7 +22,7 @@ Checks:
   past it, the empty shape included, and an over-budget enumeration fills
   no tableau however large the alphabet is; the Yamanouchi enumeration
   tries no value past the number of cells;
-* each fill (the full enumeration, the Yamanouchi fill and the ballot fill)
+* each fill (the full enumeration, and the ballot fill at bounds 0 and above)
   returns a result that only its caller holds, so it is freed by reference
   counting and not left to the cyclic collector;
 * ``validate_young`` and ``validate_shifted`` return the same tableau, or
@@ -273,7 +273,7 @@ def test_each_fill_frees_its_result_by_reference_counting():
     g = geometry((3, 1), True)
     fills = (
         lambda: enumerate_codes(g, 3),
-        lambda: shifted.yamanouchi_codes(g, 4),
+        lambda: shifted.ballot_codes(g, 4),
         lambda: shifted.ballot_codes(g, 3, [1, 1]),
     )
     gc.disable()

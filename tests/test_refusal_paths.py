@@ -23,13 +23,17 @@ Checks:
   model (shape (6,5,4,3,2,1) at n = 12, default budget), and ``product`` of
   (2,1) twice at n = 6 under ``--max-vertices 69``, exit 4 with the message
   of an enumeration reaching the first tableau past the budget, write no
-  file, and enter no full-enumeration fill.
+  file, and enter no full-enumeration fill,
+* one row over an alphabet of 10^30 letters (``enum ssyt`` of (20000),
+  ``enum ssht`` of (5000)) is refused with the same message by the bound
+  counted from below, with the hook-content count patched to raise.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import crystals.shifted
 from crystals import (
     CrystalGraph,
     DimensionMismatch,
@@ -148,3 +152,20 @@ def test_an_over_budget_command_fills_no_tableau(tmp_path, capsys, fills_entered
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", message)
     assert not out.exists()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the refusal computed s_lambda(1^n)")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["enum", "ssyt", "--shape", "20000", "--n", str(10**30)],
+     _reached("Young", "(20000,)", 10**6)),
+    (["enum", "ssht", "--shape", "5000", "--n", str(10**30)],
+     _reached("shifted", "(5000,)", 10**6)),
+], ids=" ".join)
+def test_a_huge_alphabet_is_refused_by_the_bound_from_below(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr(crystals.shifted, "_young_count", _refuse)
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
