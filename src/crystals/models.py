@@ -200,36 +200,40 @@ class QueerTableauCrystal:
         self.n = n
         self.colors: tuple[Color, ...] = tuple(range(n))
         self._limit = (config or DEFAULT_CONFIG).max_vertices
-        self._codes: list[tuple[int, ...]] = []
-        self._rows: dict[tuple[int, ...], int] = {}
-        self.weights: list[Weight] = []
-        codes = self._codes.__getitem__
+        # The memos close over these and the geometry, not the crystal: no cycle.
+        met: list[tuple[int, ...]] = []
+        rows: dict[tuple[int, ...], int] = {}
+        weights: list[Weight] = []
+        self.weights = weights
+        codes = met.__getitem__
+
+        def row(found: tuple[int, ...] | None) -> int:
+            """The row of ``found``, a new one the first time; ``-1`` for ``None``."""
+            if found is None:
+                return -1
+            index = rows.get(found)
+            if index is None:
+                index = rows[found] = len(met)
+                met.append(found)
+                weights.append(weight_codes(found, n))
+            return index
+
+        self._row = row
         self.payloads = _Memo(lambda v: render_codes(codes(v), g))
         scan = _Memo(lambda v: string_scan(codes(v), g.reading, n))
         raising = _Memo(lambda v: raising_cells(codes(v), g.reading, n))
 
         def move(op: Callable, v: int, i: int, cell: int) -> int:
-            return -1 if cell < 0 else self._row(op(codes(v), g, i, cell))
+            return -1 if cell < 0 else row(op(codes(v), g, i, cell))
 
-        self.down = {0: _Memo(lambda v: self._row(queer.f0_codes(codes(v))))}
-        self.up = {0: _Memo(lambda v: self._row(queer.e0_codes(codes(v))))}
+        self.down = {0: _Memo(lambda v: row(queer.f0_codes(codes(v))))}
+        self.up = {0: _Memo(lambda v: row(queer.e0_codes(codes(v))))}
         self._strings: dict[Color, tuple[_Memo, _Memo]] = {}
         for i in range(1, n):
             self.down[i] = _Memo(lambda v, i=i: move(lower_at, v, i, scan[v][2][i]))
             self.up[i] = _Memo(lambda v, i=i: move(raise_at, v, i, raising[v][i]))
             self._strings[i] = (_Memo(lambda v, i=i: scan[v][0][i]),
                                 _Memo(lambda v, i=i: scan[v][0][i] - scan[v][1][i]))
-
-    def _row(self, codes: tuple[int, ...] | None) -> int:
-        """The row of ``codes``, a new one the first time; ``-1`` for ``None``."""
-        if codes is None:
-            return -1
-        row = self._rows.get(codes)
-        if row is None:
-            row = self._rows[codes] = len(self._codes)
-            self._codes.append(codes)
-            self.weights.append(weight_codes(codes, self.n))
-        return row
 
     def rows_within(self, bounds: dict[Color, int]) -> list[int]:
         """Rows ``b`` with ``eps_i(b) <= bounds[i]`` for every color ``i`` in ``1..n-1``.

@@ -137,8 +137,10 @@ def queer_highest_weights(graph: CrystalGraph | TensorView) -> list[VertexId]:
         StringTruncated: A reflection walk left the graph.
     """
     words = [odd_word(k) for k in range(1, graph.n)]
-    return [
-        vid
-        for vid in graph.even_highest_weights()
-        if all(graph.in_edge(apply_weyl_word(graph, vid, word), 0) is None for word in words)
-    ]
+    return [vid for vid in graph.even_highest_weights() if _odd_highest(graph, vid, words)]
+
+
+def _odd_highest(graph: CrystalGraph | TensorView, vid: VertexId, words: list) -> bool:
+    """Whether each reflection word in ``words`` sends ``vid`` to a vertex with no
+    incoming 0-edge: the odd half of :func:`queer_highest_weights`' test."""
+    return all(graph.in_edge(apply_weyl_word(graph, vid, word), 0) is None for word in words)

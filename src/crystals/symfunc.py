@@ -27,9 +27,10 @@ from .errors import DimensionMismatch, ShapeMismatch, ValueOutOfRange
 from .graph import TensorView
 from .models import QueerTableauCrystal
 from .poly import SparsePolynomial
-from .queer import queer_highest_weights
+from .queer import _odd_highest, odd_word
 from .shifted import ballot_codes
 from .tableaux import (
+    _Memo,
     checked_geometry,
     enumerate_codes,
     is_strict_partition,
@@ -129,24 +130,34 @@ def product_expand(
     """Structure constants of a product in the shifted basis.
 
     Counts the queer highest weights of ``B(gamma) ⊗ B(delta)`` over an
-    ``n``-letter alphabet, grouped by weight.  With ``n`` at least
-    ``sum(gamma) + sum(delta)`` the counts expand the product completely, so
-    a larger ``n`` is searched as that sum (or 2, the smallest queer
-    alphabet), and its cost does not grow with ``n``.
+    ``n``-letter alphabet, grouped by weight.  An ``n`` past
+    ``len(gamma) + len(delta)`` (or 2, the smallest queer alphabet) is
+    searched as that, with the same answer, so its cost does not grow with
+    ``n``: ``P_lambda(x_1..x_n)`` vanishes exactly when ``len(lambda) > n``,
+    the others are independent, and no ``lambda`` in the product is longer
+    (Macdonald, III.8).  In ``Q_{lambda/delta} = sum_gamma f^lambda_{gamma
+    delta} Q_gamma`` the rows of ``lambda`` below row ``len(delta)`` lie
+    wholly in ``lambda/delta``, whose diagonal values strictly increase, so
+    ``Q_{lambda/delta}`` vanishes in fewer than ``len(lambda) - len(delta)``
+    variables, and each ``gamma`` with ``f^lambda_{gamma delta} != 0`` has
+    at least that many rows.
 
     No graph is built.  The product commutes, so the shape with more cells
     is put on the left.  Both factors are
     :class:`~crystals.models.QueerTableauCrystal`, whose rows are its
     tableaux: the even highest weights of the product are the rows of the
     Yamanouchi tableaux ``b1`` of the left shape paired with the rows ``b2``
-    of the right shape with ``eps_i(b2) <= phi_i(b1)``, and the odd
-    reflection walks from each of them move tableaux through the operators,
-    each move computed once.  One fill, :func:`~crystals.shifted.ballot_codes`,
-    finds the left rows at bounds 0 and the right rows once per weight of the
-    left ones, as tableaux whose reading words are ballot words started at
-    that weight, so no factor is enumerated.  The cost is about the number of
-    those candidate pairs plus the fill's dead ends and the walks, not
-    ``|B(delta)|``, ``|B(gamma)|`` or their product.
+    of the right shape with ``eps_i(b2) <= phi_i(b1)``.  One fill,
+    :func:`~crystals.shifted.ballot_codes`, finds the left rows at bounds 0
+    and the right rows once per weight of the left ones, as tableaux whose
+    reading words are ballot words started at that weight, so no factor is
+    enumerated.  A queer highest weight is the highest weight ``lambda`` of
+    a ``B(lambda)`` in the product, so its weight is a strict partition: a
+    pair whose weight is not strict is dropped before the odd reflection
+    walks, which move tableaux through the operators, each move computed
+    once.  The cost is about the number of those candidate pairs plus the
+    fill's dead ends and the walks from the strict ones, not ``|B(delta)|``,
+    ``|B(gamma)|`` or their product.
 
     Raises:
         ShapeMismatch: either shape is not a strict partition.
@@ -160,18 +171,19 @@ def product_expand(
     for shape in (gamma, delta):
         if not is_strict_partition(tuple(shape)):
             raise ShapeMismatch(f"{tuple(shape)} is not a strict partition")
-    n = min(n, max(sum(gamma) + sum(delta), 2))
+    n = min(n, max(len(gamma) + len(delta), 2))
     if sum(delta) > sum(gamma):
         gamma, delta = delta, gamma
-    product = TensorView(
-        QueerTableauCrystal(gamma, n, config),
-        QueerTableauCrystal(delta, n, config),
-        queer=True,
-    )
+    product = TensorView(*(QueerTableauCrystal(shape, n, config) for shape in (gamma, delta)),
+                         queer=True)
+    words = [odd_word(k) for k in range(1, n)]
+    strict = _Memo(lambda weight: is_strict_partition(_strip(weight)))
     counts: Counter[Partition] = Counter()
-    for pair in queer_highest_weights(product):
-        counts[_strip(product.weight_of(pair))] += 1
-    return dict(counts)
+    for pair in product.even_highest_weights():
+        weight = product.weight_of(pair)
+        if strict[weight] and _odd_highest(product, pair, words):
+            counts[weight] += 1
+    return {_strip(weight): count for weight, count in counts.items()}
 
 
 def is_staircase(shape: Sequence[int]) -> bool:

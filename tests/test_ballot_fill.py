@@ -21,9 +21,10 @@ Checks:
   enumerations patched to raise, and its right factor meets fewer rows than
   there are candidate pairs,
 * ``product`` refuses a right factor over the budget by its count, with the
-  enumerations patched to raise: (2,1) at n = 6 has 70 tableaux, so the
-  product exits 0 at ``--max-vertices 70`` and 4 at 69 with the message an
-  enumeration reaching the 70th tableau gave.
+  enumerations patched to raise: (2,1)·(2,1) asked at n = 6 is searched at
+  n = 4, the sum of the lengths, where (2,1) has 20 tableaux, so the product
+  exits 0 at ``--max-vertices 20`` and 4 at 19 with the message an
+  enumeration reaching the 20th tableau gave.
 """
 
 from __future__ import annotations
@@ -156,12 +157,12 @@ def test_product_budget_comes_from_the_count(monkeypatch, capsys):
     for module in (crystals.tableaux, crystals.models):
         monkeypatch.setattr(module, "enumerate_codes", _refuse)
     argv = ["product", "--gamma", "2,1", "--delta", "2,1", "--n", "6"]
-    assert main(["--max-vertices", "70", *argv]) == 0
+    assert main(["--max-vertices", "20", *argv]) == 0
     assert capsys.readouterr().out == "P[4,2]\n"
-    assert main(["--max-vertices", "69", *argv]) == 4
+    assert main(["--max-vertices", "19", *argv]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: enumeration of shifted tableaux of shape (2, 1) reached 70 tableaux, "
-        "over the budget of 69 vertices\n"
+        "error: enumeration of shifted tableaux of shape (2, 1) reached 20 tableaux, "
+        "over the budget of 19 vertices\n"
     )

@@ -21,7 +21,8 @@ Checks:
   every vertex,
 * an over-budget ``enum ssht|ssyt``, ``graph`` and ``char`` of each tableau
   model (shape (6,5,4,3,2,1) at n = 12, default budget), and ``product`` of
-  (2,1) twice at n = 6 under ``--max-vertices 69``, exit 4 with the message
+  (2,1) twice at n = 6 (searched at n = 4, where (2,1) has 20 tableaux)
+  under ``--max-vertices 19``, exit 4 with the message
   of an enumeration reaching the first tableau past the budget, write no
   file, and enter no full-enumeration fill,
 * one row over an alphabet of 10^30 letters (``enum ssyt`` of (20000),
@@ -142,8 +143,8 @@ YOUNG_6 = _reached("Young", "(6, 5, 4, 3, 2, 1)", 10**6)
     (["char", "--model", "young", *STAIRCASE], YOUNG_6),
     (["char", "--model", "shifted", *STAIRCASE], SHIFTED_6),
     (["char", "--model", "queer", *STAIRCASE], SHIFTED_6),
-    (["--max-vertices", "69", "product", "--gamma", "2,1", "--delta", "2,1", "--n", "6"],
-     _reached("shifted", "(2, 1)", 69)),
+    (["--max-vertices", "19", "product", "--gamma", "2,1", "--delta", "2,1", "--n", "6"],
+     _reached("shifted", "(2, 1)", 19)),
 ], ids=" ".join)
 def test_an_over_budget_command_fills_no_tableau(tmp_path, capsys, fills_entered, argv, message):
     out = tmp_path / "g.json"

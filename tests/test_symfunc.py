@@ -14,11 +14,18 @@ Checks:
   materialized queer factor graphs for every strict pair of total size at
   most 6 with the full and a one-smaller alphabet, and the greedy oracle in
   four variables for every strict pair of total size 7 or 8,
+* for every ordered strict pair of total size at most 9 it equals
+  :func:`oracles.scanned_product`, which scans the whole right factor over
+  the total size and walks from every even highest weight,
+* every queer highest weight of a materialized queer tensor of total size at
+  most 6 has a strict weight, the fact behind the product's prune, and the
+  non-strict even highest weights the prune drops outnumber the answers,
 * it never calls ``queer_graph`` or constructs a ``CrystalGraph``, and it
   refuses non-strict shapes and alphabets smaller than 2,
 * on the benchmark's product pairs it gives the materialized search's answer
-  for every alphabet from the total size m to m + 3, and it never builds a
-  factor over more than m letters, so a huge alphabet costs what m does,
+  for every alphabet from the sum of the lengths l (at least 2) to the total
+  size plus 3, and it never builds a factor over more than l letters, so a
+  huge alphabet costs what l does,
 * staircase shapes are exactly the ones with coinciding characters, and every
   non-staircase shape admits at least two fillings killed by all raising
   operators,
@@ -50,17 +57,22 @@ from crystals import (
     enumerate_yamanouchi,
     is_staircase,
     product_expand,
+    queer_graph,
+    queer_highest_weights,
     render_expansion,
     schur,
     schur_p,
     schur_p_to_schur,
     staircase_check,
+    tensor_graphs,
 )
+from crystals.tableaux import is_strict_partition
 from oracles import (
     evaluate,
     greedy_p_expansion,
     is_symmetric,
     materialized_product,
+    scanned_product,
     strict_partitions,
 )
 from reference_data import (
@@ -211,7 +223,7 @@ BENCHMARK_PAIRS = [
 ]
 
 
-def test_product_past_the_total_size_searches_the_total_size(monkeypatch):
+def test_product_past_the_lengths_searches_the_lengths(monkeypatch):
     assert len(BENCHMARK_PAIRS) == 18
     built = []
 
@@ -222,15 +234,39 @@ def test_product_past_the_total_size_searches_the_total_size(monkeypatch):
 
     monkeypatch.setattr(crystals.symfunc, "QueerTableauCrystal", Recording)
     for gamma, delta in BENCHMARK_PAIRS:
-        m = sum(gamma) + sum(delta)
-        for n in range(m, m + 4):
+        lengths = max(len(gamma) + len(delta), 2)
+        for n in range(lengths, sum(gamma) + sum(delta) + 4):
             built.clear()
             assert product_expand(gamma, delta, n) == materialized_product(gamma, delta, n), (
                 gamma, delta, n)
-            assert built == [m, m]
+            assert built == [lengths, lengths]
     built.clear()
     assert product_expand((2, 1), (1,), 10**8) == {(3, 1): 1}
-    assert built == [4, 4]
+    assert built == [3, 3]
+
+
+def test_product_equals_the_scanned_search_over_the_total_size():
+    pairs = _strict_pairs(range(2, 10))
+    assert len(pairs) == 136
+    for gamma, delta in pairs:
+        n = sum(gamma) + sum(delta)
+        assert product_expand(gamma, delta, n) == scanned_product(gamma, delta, n), (gamma, delta)
+
+
+def test_every_queer_highest_weight_of_a_tensor_has_a_strict_weight():
+    found = pruned = 0
+    for gamma, delta in _strict_pairs(range(2, 7)):
+        n = sum(gamma) + sum(delta)
+        tensor = tensor_graphs(queer_graph(gamma, n), queer_graph(delta, n), queer=True)
+        strict = {vid: is_strict_partition(tuple(filter(None, tensor.weight_of(vid))))
+                  for vid in tensor.even_highest_weights()}
+        queer = queer_highest_weights(tensor)
+        assert all(strict[vid] for vid in queer), (gamma, delta)
+        assert len(queer) == sum(product_expand(gamma, delta, n).values()), (gamma, delta)
+        found += len(queer)
+        pruned += [*strict.values()].count(False)
+    # The prune drops more even highest weights than there are answers.
+    assert (found, pruned) == (74, 226)
 
 
 def test_product_in_four_variables_matches_greedy_oracle_to_size_eight():

@@ -22,14 +22,21 @@ Checks:
   weights of the materialized tensor, for every strict pair of total size at
   most 5 with the full and a truncated alphabet, and a view of two
   tableau-backed factors finds the same ones as a view of the factor graphs,
+* a tableau-backed factor that a product has searched is freed by
+  reference counting when its last holder lets go, with the cyclic collector
+  off,
 * products too large to materialize in a test still expand to their
   cross-checked values, in either factor order.
 """
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
+import crystals.symfunc
 from crystals import (
     CrystalGraph,
     ParseError,
@@ -157,6 +164,28 @@ def test_tableau_factor_reads_like_the_queer_graph(shape, n):
 def test_tableau_factor_checks_its_input_when_constructed(shape, n, error):
     with pytest.raises(error):
         QueerTableauCrystal(shape, n)
+
+
+def test_tableau_factors_are_freed_by_reference_counting(monkeypatch):
+    # A memo that closed over its crystal would keep it alive in a reference
+    # cycle until the cyclic collector ran.
+    made = []
+
+    class Kept(QueerTableauCrystal):
+        def __init__(self, shape, n, config=None):
+            super().__init__(shape, n, config)
+            made.append(self)
+
+    monkeypatch.setattr(crystals.symfunc, "QueerTableauCrystal", Kept)
+    gc.disable()
+    try:
+        assert product_expand((3, 1), (2, 1), 5) == {(5, 2): 1, (4, 3): 1, (4, 2, 1): 1}
+        refs = [*map(weakref.ref, made)]
+        assert all(len(crystal.weights) > 1 for crystal in made)  # the search moved rows
+        del made[:]
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def _strict_pairs(limit):
