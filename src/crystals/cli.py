@@ -4,11 +4,13 @@ Exit codes: 0 success, 1 verification found violations, 2 invalid input
 (shape, parse, truncation risk, or an option its model does not
 read), 3 I/O failure, 4 vertex budget exceeded.  Counts and summaries go to
 stdout, diagnostics to stderr, machine-readable output is JSON, and every
-file written ends with a newline.  :func:`main` checks the global options
-into one :class:`Config` before any command runs, so a bad one exits 2 for
-every command.  ``--threads`` must be positive but changes nothing.  Models,
-checker families and enumeration kinds are the keys of the tables below, which
-are the parser's choices; ``graph`` and ``char`` go through :func:`_model`.
+file written ends with a newline.  :func:`main` reads a well-formed argv off
+the parser's own action tables and leaves every other argv to argparse, the one
+source of help and usage text.  It checks the global options into one
+:class:`Config` before any command runs, so a bad one exits 2 for every
+command.  ``--threads`` must be positive but changes nothing.  Models, checker
+families and enumeration kinds are the keys of the tables below, which are the
+parser's choices; ``graph`` and ``char`` go through :func:`_model`.
 """
 
 from __future__ import annotations
@@ -340,8 +342,59 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _read(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace | None:
+    """``parser.parse_args(argv)``, read off ``parser``'s action tables; None
+    unless every option is one of its option strings exactly, given once, every
+    value a separate argument not starting with ``-``, and the command, every
+    choice and ``type`` call and every required option and positional succeed."""
+    args = argparse.Namespace()
+    for action in parser._actions:  # the defaults, as parse_args sets them
+        if argparse.SUPPRESS not in (action.dest, action.default):
+            vars(args).setdefault(action.dest, action.default)
+    for dest, value in parser._defaults.items():
+        vars(args).setdefault(dest, value)
+    positionals = iter([action for action in parser._actions if not action.option_strings])
+    seen, argv = set(), iter(argv)
+    for arg in argv:
+        action = (parser._option_string_actions.get(arg) if arg.startswith("-")
+                  else next(positionals, None))
+        if action is None or action in seen:
+            return None
+        seen.add(action)
+        if isinstance(action, argparse._StoreConstAction):  # a flag
+            setattr(args, action.dest, action.const)
+            continue
+        if action.option_strings:
+            arg = next(argv, "-")
+        if isinstance(action, argparse._SubParsersAction):  # the rest is its command's
+            sub = arg in action.choices and _read(action.choices[arg], [*argv])
+            if not sub:
+                return None
+            vars(args).update({action.dest: arg}, **vars(sub))
+            continue
+        if (arg.startswith("-") or type(action) is not argparse._StoreAction
+                or action.nargs is not None):
+            return None
+        try:
+            value = action.type(arg) if action.type else arg
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        setattr(args, action.dest, value)
+    unset = [action for action in parser._actions if action not in seen]
+    typed = any(a.type and isinstance(a.default, str) for a in unset)  # parse_args would call it
+    return None if typed or any(a.required for a in unset) else args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    """Run the command of ``argv`` (default ``sys.argv[1:]``), return its exit
+    code.  ``parse_args`` reads every ``argv`` that :func:`_read` refuses: ``-h``,
+    an abbreviated, ``--opt=value``, repeated or unknown option, ``--``, a value
+    starting with ``-`` and every usage error, whose text it prints and exits."""
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(parser, argv) or parser.parse_args(argv)
     try:
         return args.func(args, _config(args))
     except ClosureBudgetExceeded as exc:

@@ -47,6 +47,12 @@ Checks:
 * the string subcommand prints a full operator string from top to bottom,
 * ``main`` builds its parser once per process, and repeated calls print and
   exit exactly as calls with a freshly built parser do,
+* ``main`` reads a well-formed command of every subcommand without calling
+  ``parse_args``, with the exit code, stdout, stderr and file bytes that
+  ``parse_args`` gives; ``enum ssht`` without its options, with ``--n=3`` or
+  with ``--gam 3,1`` still goes to argparse, which prints its usage line and
+  error and exits 2, and ``--help``, before or after each subcommand, exits 0
+  printing exactly that parser's ``format_help()``,
 * ``verify`` on mutated graph files (edges, colors such as ``1p`` or colors
   past ``n``, weights, ``n``, duplicate vertices and edges) never raises:
   every axiom family in both modes exits 0 or 1 with a matching verdict, or
@@ -55,6 +61,7 @@ Checks:
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -846,11 +853,9 @@ def test_string_subcommand_young(capsys):
     assert out.splitlines() == ["[[1,1],[2]]", "[[1,2],[2]]"]
 
 
-def test_repeated_calls_match_fresh_runs_and_build_the_parser_once(
-    tmp_path, capsys, monkeypatch
-):
-    import crystals.cli as cli
-
+def _well_formed(tmp_path):
+    """Well-formed command lines of every subcommand, each file read after it
+    is written, with the exit codes of the runs."""
     commands = [
         ["enum", "ssht", "--shape", "2,1", "--n", "3"],
         ["graph", "--model", "queer", "--shape", "3,1", "--n", "3",
@@ -863,6 +868,16 @@ def test_repeated_calls_match_fresh_runs_and_build_the_parser_once(
         ["string", "--kind", "ssyt", "--tableau", "[[1,2],[2]]", "--i", "1"],
         ["char", "--model", "standard", "--n", "3"],
     ]
+    return commands, [0, 0, 0, 0, 2, 4, 0, 0, 0]
+
+
+def test_repeated_calls_match_fresh_runs_and_build_the_parser_once(
+    tmp_path, capsys, monkeypatch
+):
+    import crystals.cli as cli
+
+    commands, codes = _well_formed(tmp_path)
+    assert all(cli._read(cli._parser(), argv) is not None for argv in commands)
     built = []
     real = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
@@ -883,7 +898,63 @@ def test_repeated_calls_match_fresh_runs_and_build_the_parser_once(
     repeated += [run(capsys, *argv) for argv in commands]
     assert built == [1]
     assert repeated == fresh + fresh
-    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 4, 0, 0, 0]
+    assert [code for code, _, _ in fresh] == codes
+
+
+def _refuse_parse_args(*args, **kwargs):
+    raise AssertionError("parse_args was called")
+
+
+def test_a_well_formed_command_never_reaches_parse_args(tmp_path, capsys, monkeypatch):
+    import crystals.cli as cli
+
+    commands, codes = _well_formed(tmp_path)
+    runs = {}
+    for path in ("argparse", "reader"):
+        with monkeypatch.context() as patch:
+            if path == "argparse":
+                patch.setattr(cli, "_read", lambda parser, argv: None)
+            else:
+                patch.setattr(argparse.ArgumentParser, "parse_args", _refuse_parse_args)
+            runs[path] = [run(capsys, *argv) for argv in commands]
+        runs[path].append((tmp_path / "q.json").read_bytes())
+        (tmp_path / "q.json").unlink()
+    assert runs["reader"] == runs["argparse"]
+    assert [code for code, _, _ in runs["reader"][:-1]] == codes
+
+
+def _subparsers(parser):
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["enum", "ssht"], "--shape, --n"),
+    (["enum", "ssht", "--n=3"], "--shape"),
+    (["enum", "ssht", "--gam", "3,1"], "--shape, --n"),
+])
+def test_argparse_still_reports_what_the_reader_refuses(capsys, argv, missing):
+    import crystals.cli as cli
+
+    assert cli._read(cli._parser(), argv) is None
+    with pytest.raises(SystemExit) as refused:
+        main(argv)
+    assert refused.value.code == 2
+    usage = _subparsers(cli.build_parser())["enum"].format_usage()
+    assert capsys.readouterr() == (
+        "", f"{usage}crystals enum: error: the following arguments are required: {missing}\n")
+
+
+@pytest.mark.parametrize(
+    "command", ["", "enum", "graph", "verify", "expand", "product", "char", "string"]
+)
+def test_help_prints_the_parsers_own_help(capsys, command):
+    parser = crystals.cli.build_parser()
+    with pytest.raises(SystemExit) as helped:
+        main([command, "--help"] if command else ["--help"])
+    assert helped.value.code == 0
+    help_text = (_subparsers(parser)[command] if command else parser).format_help()
+    assert capsys.readouterr() == (help_text, "")
 
 
 FUZZ_BASES = (

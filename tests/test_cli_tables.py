@@ -9,10 +9,17 @@ Checks:
 * an empty ``--left`` or ``--right`` is refused as a missing graph file,
 * argv drawn from the parser's own subcommands, options and choices, plus
   malformed values (bad shapes, integers, tableaux, unknown choices, missing
-  files), run in-process under a small ``--max-vertices``: the exit code is
-  0 to 4, no exception but argparse's own exit leaves ``main``, a run
-  exiting 0 or 1 writes nothing to stderr, and any other run one
-  ``error:`` line.
+  files), one in four with the subcommand's arguments shuffled and one in
+  four rewritten in a form only argparse reads (an abbreviated option,
+  ``--opt=value``, a repeated option, ``--``, ``-h``, a signed or negative
+  integer, a value that starts with ``-`` or holds a space, a global option
+  after the subcommand), run in-process under a small
+  ``--max-vertices``: the exit code is 0 to 4, no exception but argparse's own
+  exit leaves ``main``, a run exiting 0 or 1 writes nothing to stderr, and any
+  other run one ``error:`` line,
+* on the same argv, ``main``'s reader returns None or a namespace whose
+  ``vars`` equal those of ``parse_args`` on a parser built apart from
+  ``main``'s, and it reads a fair share of them.
 """
 
 from __future__ import annotations
@@ -128,14 +135,55 @@ def _value(rnd: random.Random, action: argparse.Action) -> str:
     return rnd.choice([*(good if rnd.random() < 0.75 else bad)])
 
 
+def _valued(argv: list[str]) -> list[int]:
+    """The indices in ``argv`` of the options that take a value, the global
+    ``--max-vertices`` at 0 and those of the subcommand at 2."""
+    table = SUBPARSERS[argv[2]]._option_string_actions
+    return [0, *(i for i, a in enumerate(argv) if i > 2 and a in table and table[a].nargs != 0)]
+
+
+def _abbreviate(rnd, argv):
+    i = rnd.choice([i for i, a in enumerate(argv) if a.startswith("--") and len(a) > 3])
+    argv[i] = argv[i][:rnd.randint(3, len(argv[i]) - 1)]
+
+
+def _join(rnd, argv):  # --opt=value
+    i = rnd.choice(_valued(argv))
+    argv[i:i + 2] = ["=".join(argv[i:i + 2])]
+
+
+def _repeat(rnd, argv):
+    i = rnd.choice(_valued(argv))
+    argv[i + 2:i + 2] = argv[i:i + 2]
+
+
+def _sign(rnd, argv):  # a signed integer, or a value that starts with "-" or holds a space
+    i = rnd.choice(_valued(argv)) + 1
+    argv[i] = rnd.choice(["+", "-", "-x", " "]) + argv[i] + rnd.choice(["", " ", ", 1"])
+
+
+def _insert(rnd, argv):  # "--" or help, anywhere
+    argv.insert(rnd.randint(0, len(argv)), rnd.choice(["--", "-h", "--help"]))
+
+
+def _late_global(rnd, argv):  # a global option after the subcommand
+    argv += [rnd.choice(["--max-vertices", "--threads"]), "5"]
+
+
+# The forms only argparse reads, each rewriting an argv in place.
+ARGPARSE_ONLY = (_abbreviate, _join, _repeat, _sign, _insert, _late_global)
+
+
 @st.composite
 def argvs(draw):
     """A subcommand and a budget, with each option given or not: nine times in
     ten for a required option or one the drawn model reads, once in ten for
-    one it does not read, and otherwise one time in two."""
+    one it does not read, and otherwise one time in two; the options and the
+    positional come in a shuffled order one time in four, and one argv in four
+    is then rewritten in one of the forms only argparse reads."""
     rnd = draw(st.randoms(use_true_random=True))  # seeded by hypothesis
     command = rnd.choice(sorted(SUBPARSERS))
-    argv = ["--max-vertices", str(rnd.randint(-1, 40)), command]
+    given = []  # each option with its value, or a positional
     model = None
     for action in sorted(SUBPARSERS[command]._actions, key=lambda a: a.dest != "model"):
         if action.dest == "help":
@@ -145,10 +193,15 @@ def argvs(draw):
         else:
             odds = 0.9 if action.required or not action.option_strings else 0.5
         if rnd.random() < odds:
-            argv += action.option_strings[:1]
+            given.append(action.option_strings[:1])
             if action.nargs != 0:
-                argv.append(value := _value(rnd, action))
+                given[-1].append(value := _value(rnd, action))
                 model = value if action.dest == "model" else model
+    if rnd.random() < 0.25:
+        rnd.shuffle(given)
+    argv = ["--max-vertices", str(rnd.randint(-1, 40)), command, *sum(given, [])]
+    if rnd.random() < 0.25:
+        rnd.choice(ARGPARSE_ONLY)(rnd, argv)
     return argv
 
 
@@ -181,3 +234,18 @@ def test_parsed_argv_never_escapes_main(fuzz_dir):
                 assert err.getvalue().count("error: ") == 1, argv
 
     run()
+
+
+def test_the_reader_returns_what_parse_args_returns_or_nothing():
+    read = []
+
+    @settings(max_examples=3000, deadline=None, derandomize=True, database=None)
+    @given(argvs())
+    def run(argv):
+        args = cli._read(cli._parser(), argv)
+        read.append(args is not None)
+        if args is not None:
+            assert vars(args) == vars(PARSER.parse_args(argv)), argv
+
+    run()
+    assert len(read) / 4 < sum(read) < len(read)  # about 40% are read
